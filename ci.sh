@@ -11,7 +11,7 @@
 # and the result cache (both scheduling-sensitive), a coverage gate on
 # the checkpoint-bearing packages plus the result cache, a benchmark
 # smoke that also emits BENCH_8.json (oracle
-# fast path, miter template stamping, portfolio solve), a portfolio
+# fast path, miter stamping, portfolio solve, sensitization), a portfolio
 # gate (three-way differential, clause exchange and portfolio-attack
 # suites under -race, plus a clause-exchange fuzz smoke), a fuzz
 # smoke stage (10s per parser/journal/audit/suppression target), the
@@ -100,12 +100,12 @@ for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/; do
     echo "ci: $pkg coverage ${cov}%"
 done
 
-echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve) =="
-go test ./internal/attack/ -run='^$' -bench='Oracle|MiterStampVsReencode|SolvePortfolio' \
+echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization) =="
+go test ./internal/attack/ -run='^$' -bench='Oracle|MiterStampVsReencode|SolvePortfolio|SensitizeXOR' \
     -benchtime=1x -timeout 20m | tee bench_smoke.out
 # Publish the smoke results as BENCH_8.json (one object per benchmark)
-# so downstream tooling can trend the oracle fast path, the template
-# stamper and the portfolio solver without parsing go test output.
+# so tooling can trend the oracle fast path, template stamper, portfolio
+# solver and sensitization without parsing go test output.
 awk '
     BEGIN { print "["; n = 0 }
     /^Benchmark/ {

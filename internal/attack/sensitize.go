@@ -34,9 +34,12 @@ func (r *SensitizeResult) String() string {
 
 // Sensitize runs the key-sensitization attack. For each key bit i it
 // solves the 2QBF-style query  ∃X ∀K_rest: C(X, ki=0) ≠ C(X, ki=1)
-// with a CEGAR loop (candidate pattern from one solver, countermodel
-// from another); a pattern that survives is golden: one oracle query
-// fixes bit i. perBitBudget bounds the CEGAR iterations per bit.
+// with a CEGAR loop: a candidate solver proposes patterns, and two
+// persistent checkers — the bit's universality check and the call-wide
+// value-constancy check, each encoded once — refute or confirm every
+// candidate under assumptions. A pattern that survives is golden: one
+// oracle query fixes bit i. perBitBudget bounds the CEGAR iterations
+// per bit.
 //
 // Golden patterns are swept through the oracle's BatchOracle fast
 // path, 64 patterns per word-level simulation, after the per-bit CEGAR
@@ -72,12 +75,16 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 		pattern     []bool
 	}
 	var pending []probe
+	vc, err := newConstancyCheck(locked, keyPos, funcPos, deadline)
+	if err != nil {
+		return nil, err
+	}
 	for bit := range keyPos {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			res.Unresolved = len(keyPos) - bit + res.Unresolved
 			break
 		}
-		pattern, outIdx, ok, err := goldenPattern(locked, keyPos, funcPos, bit, perBitBudget, deadline)
+		pattern, outIdx, ok, err := goldenPattern(locked, keyPos, funcPos, bit, perBitBudget, deadline, vc)
 		if err != nil {
 			return nil, err
 		}
@@ -136,46 +143,26 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 
 // goldenPattern searches for an input X and output index o such that
 // flipping key bit `bit` flips output o for EVERY assignment of the
-// remaining key bits.
-func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget int, deadline time.Time) ([]bool, int, bool, error) {
-	// Candidate solver: two copies sharing X and K_rest, ki=0 vs ki=1,
-	// some output differs.
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
+// remaining key bits. A candidate solver proposes (X, o) pairs on which
+// the bit flips o for some K_rest; two persistent checkers, each
+// encoded once and queried under assumptions, refute or confirm them:
+// the bit's universality check, loaded lazily from the candidate's own
+// encoding, and the call-wide value-constancy check vc.
+func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget int, deadline time.Time, vc *constancyCheck) ([]bool, int, bool, error) {
+	f, c1, diffs, err := encodeBitMiter(locked, keyPos, bit)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
-	}
-	for j, p := range keyPos {
-		if j != bit {
-			shared[p] = c1.Inputs[p]
-		}
-	}
-	c2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
-	diffVars := make([]cnf.Var, len(locked.Outputs))
-	diffLits := make([]cnf.Lit, len(locked.Outputs))
-	for i := range locked.Outputs {
-		diffVars[i] = enc.EncodeXor2(cnf.MkLit(c1.Outputs[i], false), cnf.MkLit(c2.Outputs[i], false))
-		diffLits[i] = cnf.MkLit(diffVars[i], false)
-	}
-	enc.F.AddClause(diffLits...)
-
-	cand := sat.New()
-	if !cand.AddFormula(enc.F) {
+	// Candidate solver: the two copies plus "some output differs".
+	cand := loadSolver(f, deadline)
+	if !cand.AddClause(diffs...) {
 		return nil, 0, false, nil
 	}
-	if !deadline.IsZero() {
-		cand.SetDeadline(deadline)
-	}
+	// Universality check: the same two copies without the disjunction,
+	// queried as "the outputs agree at o under X".
+	var agree *sat.Solver
 
+	assumps := make([]cnf.Lit, len(funcPos), len(funcPos)+1)
 	for iter := 0; iter < budget; iter++ {
 		if cand.Solve() != sat.Sat {
 			return nil, 0, false, nil
@@ -183,10 +170,11 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 		pattern := make([]bool, len(funcPos))
 		for i, p := range funcPos {
 			pattern[i] = cand.ModelValue(cnf.MkLit(c1.Inputs[p], false))
+			assumps[i] = cnf.MkLit(c1.Inputs[p], !pattern[i])
 		}
 		outIdx := -1
-		for i, v := range diffVars {
-			if cand.Model()[v] {
+		for i, d := range diffs {
+			if cand.ModelValue(d) {
 				outIdx = i
 				break
 			}
@@ -199,122 +187,123 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 		// propagates). Second: the ki=0 output value is the SAME for
 		// every K_rest — without value-constancy the oracle observation
 		// cannot be decoded (the bit would leak XOR some other bits).
-		agreeRest, agrees, err := restCountermodel(locked, keyPos, funcPos, bit, pattern, outIdx, deadline)
-		if err != nil {
-			return nil, 0, false, err
+		if agree == nil {
+			agree = loadSolver(f, deadline)
 		}
-		if !agrees {
-			constant, err := valueConstant(locked, keyPos, funcPos, bit, pattern, outIdx, deadline)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if constant {
-				return pattern, outIdx, true, nil // golden
-			}
+		if unsatUnder(agree, append(assumps, diffs[outIdx].Not())...) && vc.constant(bit, pattern, outIdx) {
+			return pattern, outIdx, true, nil // golden
 		}
 		// Block this (pattern, outIdx) pair: require a different input
 		// pattern or a different differing output next time. Simplest
 		// complete refinement: forbid the exact input pattern when only
 		// this output differs — conservatively forbid the pattern.
-		blocking := make([]cnf.Lit, 0, len(funcPos))
-		for i, p := range funcPos {
-			blocking = append(blocking, cnf.MkLit(c1.Inputs[p], pattern[i]))
+		blocking := make([]cnf.Lit, len(funcPos))
+		for i, a := range assumps {
+			blocking[i] = a.Not()
 		}
 		cand.AddClause(blocking...)
-		_ = agreeRest
 	}
 	return nil, 0, false, nil
 }
 
-// restCountermodel checks whether some assignment of the remaining key
-// bits makes output outIdx agree across ki=0/1 on the given pattern.
-func restCountermodel(locked *netlist.Netlist, keyPos, funcPos []int, bit int, pattern []bool, outIdx int, deadline time.Time) ([]bool, bool, error) {
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
-	}
-	for j, p := range keyPos {
-		if j != bit {
-			shared[p] = c1.Inputs[p]
-		}
-	}
-	c2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, false, err
-	}
-	for i, p := range funcPos {
-		enc.AssertLit(cnf.MkLit(c1.Inputs[p], !pattern[i]))
-	}
-	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false))
-	// Outputs agree at outIdx.
-	x := enc.EncodeXor2(cnf.MkLit(c1.Outputs[outIdx], false), cnf.MkLit(c2.Outputs[outIdx], false))
-	enc.AssertLit(cnf.MkLit(x, true))
-
-	s := sat.New()
-	if !s.AddFormula(enc.F) {
-		return nil, false, nil
-	}
-	if !deadline.IsZero() {
-		s.SetDeadline(deadline)
-	}
-	if s.Solve() != sat.Sat {
-		return nil, false, nil
-	}
-	rest := make([]bool, len(keyPos))
-	for j, p := range keyPos {
-		if j != bit {
-			rest[j] = s.ModelValue(cnf.MkLit(c1.Inputs[p], false))
-		}
-	}
-	return rest, true, nil
+// constancyCheck decides whether C(X, ki=0, K_rest) at an output takes
+// the same value for every assignment of the remaining key bits. It
+// holds two copies of the locked netlist sharing X only, with one XOR
+// per output, encoded once per Sensitize call; each query pins X, ki=0
+// in both copies and "output o differs" as assumptions.
+type constancyCheck struct {
+	s               *sat.Solver
+	c1, c2          *cnf.GateVars
+	diffs           []cnf.Lit
+	keyPos, funcPos []int
 }
 
-// valueConstant checks that C(X, ki=0, K_rest) at outIdx takes the
-// same value for every assignment of the remaining key bits: encode
-// two copies with ki=0 and independent rests, and ask whether the
-// outputs can differ (UNSAT = constant).
-func valueConstant(locked *netlist.Netlist, keyPos, funcPos []int, bit int, pattern []bool, outIdx int, deadline time.Time) (bool, error) {
+func newConstancyCheck(locked *netlist.Netlist, keyPos, funcPos []int, deadline time.Time) (*constancyCheck, error) {
+	enc, c1, c2, err := encodeCopies(locked, keyPos)
+	if err != nil {
+		return nil, err
+	}
+	diffs := encodeDiffs(enc, c1, c2)
+	return &constancyCheck{s: loadSolver(enc.F, deadline), c1: c1, c2: c2, diffs: diffs, keyPos: keyPos, funcPos: funcPos}, nil
+}
+
+// constant reports whether output outIdx is constant over K_rest at
+// (pattern, ki=0): true iff the differing query is Unsat.
+func (vc *constancyCheck) constant(bit int, pattern []bool, outIdx int) bool {
+	assumps := make([]cnf.Lit, 0, len(pattern)+3)
+	for i, p := range vc.funcPos {
+		assumps = append(assumps, cnf.MkLit(vc.c1.Inputs[p], !pattern[i]))
+	}
+	assumps = append(assumps,
+		cnf.MkLit(vc.c1.Inputs[vc.keyPos[bit]], true), // ki = 0 in both copies
+		cnf.MkLit(vc.c2.Inputs[vc.keyPos[bit]], true),
+		vc.diffs[outIdx]) // outputs differ
+	return unsatUnder(vc.s, assumps...)
+}
+
+// encodeBitMiter encodes the universality miter of key bit `bit`: two
+// copies sharing X and K_rest, ki=0 in copy 1 and ki=1 in copy 2, one
+// XOR per output. It returns the formula, copy 1's variables and the
+// XOR literals.
+func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formula, *cnf.GateVars, []cnf.Lit, error) {
+	enc, c1, c2, err := encodeCopies(locked, keyPos[bit:bit+1])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
+	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
+	return enc.F, c1, encodeDiffs(enc, c1, c2), nil
+}
+
+// encodeCopies encodes two copies of locked that share every input
+// except those at the private positions.
+func encodeCopies(locked *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
 	enc := cnf.NewEncoder()
 	c1, err := enc.Encode(locked, nil)
 	if err != nil {
-		return false, err
+		return nil, nil, nil, err
 	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
+	shared := make(map[int]cnf.Var, len(c1.Inputs))
+	for p, v := range c1.Inputs {
+		shared[p] = v
+	}
+	for _, p := range private {
+		delete(shared, p)
 	}
 	c2, err := enc.Encode(locked, shared)
 	if err != nil {
-		return false, err
+		return nil, nil, nil, err
 	}
-	for i, p := range funcPos {
-		enc.AssertLit(cnf.MkLit(c1.Inputs[p], !pattern[i]))
-	}
-	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true)) // ki = 0 both copies
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], true))
-	x := enc.EncodeXor2(cnf.MkLit(c1.Outputs[outIdx], false), cnf.MkLit(c2.Outputs[outIdx], false))
-	enc.AssertLit(cnf.MkLit(x, false)) // outputs differ
+	return enc, c1, c2, nil
+}
 
-	s := sat.New()
-	if !s.AddFormula(enc.F) {
-		return true, nil
+// encodeDiffs adds one XOR per output and returns its literals, each
+// true iff the copies' outputs differ there.
+func encodeDiffs(enc *cnf.Encoder, c1, c2 *cnf.GateVars) []cnf.Lit {
+	diffs := make([]cnf.Lit, len(c1.Outputs))
+	for i := range diffs {
+		diffs[i] = cnf.MkLit(enc.EncodeXor2(cnf.MkLit(c1.Outputs[i], false), cnf.MkLit(c2.Outputs[i], false)), false)
 	}
+	return diffs
+}
+
+// loadSolver loads f into a fresh solver bounded by deadline. A
+// formula that is already inconsistent leaves the solver answering
+// Unsat to every query.
+func loadSolver(f *cnf.Formula, deadline time.Time) *sat.Solver {
+	s := sat.New()
+	s.AddFormula(f)
 	if !deadline.IsZero() {
 		s.SetDeadline(deadline)
 	}
-	switch s.Solve() {
-	case sat.Unsat:
-		return true, nil
-	case sat.Sat:
-		return false, nil
-	}
-	return false, nil // timeout: cannot certify, treat as non-golden
+	return s
+}
+
+// unsatUnder reports whether s refutes the assumptions. Both checkers
+// certify a golden pattern only by Unsat; Unknown (the deadline passed)
+// certifies nothing, so the pattern counts as non-golden.
+func unsatUnder(s *sat.Solver, assumps ...cnf.Lit) bool {
+	return s.Solve(assumps...) == sat.Unsat
 }
 
 // evalLockedAt simulates the locked netlist on (key, pattern) via the

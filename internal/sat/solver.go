@@ -111,6 +111,7 @@ type Solver struct {
 	limits  []int
 	assumps []cnf.Lit
 	seen    []bool // scratch for conflict analysis
+	mark    []int8 // scratch for AddClause normalisation
 
 	claInc    float64
 	learntCnt int
@@ -163,6 +164,7 @@ func (s *Solver) NewVar() cnf.Var {
 	s.polarity = append(s.polarity, !s.cfg.InvertPhase) // initial phase
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
+	s.mark = append(s.mark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(int(v))
 	return v
@@ -214,21 +216,30 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		s.ensureVar(l.Var())
 	}
 	// Normalize: drop duplicates and false lits; detect tautology/satisfied.
+	// mark holds ±1 for each literal kept so far and is cleared on exit.
 	norm := make([]cnf.Lit, 0, len(lits))
-	seen := map[cnf.Lit]bool{}
+	satisfied := false
 	for _, l := range lits {
-		switch {
-		case s.litValue(l) == lTrue:
-			return true // already satisfied at level 0
-		case s.litValue(l) == lFalse:
-			continue // drop
-		case seen[l.Not()]:
-			return true // tautology
-		case seen[l]:
-			continue
+		m := int8(1)
+		if l.Neg() {
+			m = -1
 		}
-		seen[l] = true
+		val, v := s.litValue(l), l.Var()
+		if val == lTrue || s.mark[v] == -m {
+			satisfied = true // already true at level 0, or a tautology
+			break
+		}
+		if val == lFalse || s.mark[v] == m {
+			continue // drop false and duplicate lits
+		}
+		s.mark[v] = m
 		norm = append(norm, l)
+	}
+	for _, l := range norm {
+		s.mark[l.Var()] = 0
+	}
+	if satisfied {
+		return true
 	}
 	switch len(norm) {
 	case 0:

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -312,6 +313,86 @@ func TestDuplicateAndTautologicalClauses(t *testing.T) {
 	s.AddClause(cnf.MkLit(a, false), cnf.MkLit(a, true)) // tautology
 	if st := s.Solve(); st != Sat {
 		t.Fatal("should be SAT")
+	}
+}
+
+// TestAddClauseNormalisation covers AddClause's normalisation table in
+// DIMACS literals over variables 1–4 plus variable 5, fixed true at
+// level 0 (5 is a true literal, -5 a false one). Every path must leave
+// the per-variable mark scratch clean.
+func TestAddClauseNormalisation(t *testing.T) {
+	cases := []struct {
+		name   string
+		lits   []int
+		ok     bool
+		clause []int // attached clause, nil if none
+		unit   int   // literal fixed at level 0 by the clause, 0 if none
+	}{
+		{"plain", []int{1, -2, 3}, true, []int{1, -2, 3}, 0},
+		{"duplicates keep first order", []int{2, 1, 2, -3, 1}, true, []int{2, 1, -3}, 0},
+		{"tautology", []int{1, 2, -1}, true, nil, 0},
+		{"tautology after duplicate", []int{1, 1, 2, -2}, true, nil, 0},
+		{"true literal first", []int{5, 1, 2}, true, nil, 0},
+		{"true literal after others", []int{1, 2, 3, 5}, true, nil, 0},
+		{"false literal dropped", []int{1, -5, 2}, true, []int{1, 2}, 0},
+		{"false and duplicate leave a unit", []int{-4, -5, -4}, true, nil, -4},
+		{"all false", []int{-5, -5}, false, nil, 0},
+		{"empty", nil, false, nil, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			for i := 0; i < 5; i++ {
+				s.NewVar()
+			}
+			s.AddClause(cnf.FromDimacs(5))
+			lits := make([]cnf.Lit, len(tc.lits))
+			for i, d := range tc.lits {
+				lits[i] = cnf.FromDimacs(d)
+			}
+			before := s.NumClauses()
+			if got := s.AddClause(lits...); got != tc.ok {
+				t.Fatalf("AddClause = %v, want %v", got, tc.ok)
+			}
+			var attached []int
+			if s.NumClauses() > before {
+				for _, l := range s.clauses[before].lits {
+					attached = append(attached, l.Dimacs())
+				}
+			}
+			if !reflect.DeepEqual(attached, tc.clause) {
+				t.Errorf("attached clause %v, want %v", attached, tc.clause)
+			}
+			if tc.unit != 0 {
+				if l := cnf.FromDimacs(tc.unit); s.litValue(l) != lTrue || s.level[l.Var()] != 0 {
+					t.Errorf("literal %d not fixed at level 0", tc.unit)
+				}
+			}
+			for v, m := range s.mark {
+				if m != 0 {
+					t.Errorf("mark scratch left %d on variable %d", m, v+1)
+				}
+			}
+		})
+	}
+}
+
+func TestAddClauseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	// The clause's own literal slice is the only per-call allocation;
+	// clause-list and watch-list growth amortises below one. 16 literals
+	// is the width of a sensitization blocking clause.
+	for _, width := range []int{3, 16} {
+		s := New()
+		lits := make([]cnf.Lit, width)
+		for i := range lits {
+			lits[i] = cnf.MkLit(s.NewVar(), i%2 == 1)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { s.AddClause(lits...) }); allocs > 1 {
+			t.Errorf("%d-literal AddClause costs %v allocations, want at most 1", width, allocs)
+		}
 	}
 }
 
