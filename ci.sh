@@ -237,6 +237,43 @@ if [ "$done_count" != 2 ]; then
 fi
 echo "ci: kill-and-resume manifest complete (2/2 done)"
 
+echo "== SIGINT smoke =="
+# The same two targets, interrupted by SIGINT at 2s instead of killed:
+# satattack must exit nonzero naming the interruption, and the slow
+# target must not be recorded done — an interrupted attack is not the
+# paper's ∞. The resumed run must then finish the sweep. A machine fast
+# enough to finish both targets inside 2s skips the interruption checks.
+if timeout -s INT 2s "$tmp/satattack" \
+    -locked "$tmp/quick.bench,$tmp/slow.bench" -key "$tmp/quick.key,$tmp/slow.key" \
+    -timeout 120s -jobs 2 -checkpoint-dir "$tmp/ckpt_int" >/dev/null 2> "$tmp/int.err"; then
+    echo "ci: sweep finished before SIGINT; interruption checks skipped"
+else
+    grep -q 'interrupted' "$tmp/int.err" || {
+        echo "ci: SIGINT exit did not report the interruption:" >&2
+        cat "$tmp/int.err" >&2
+        exit 1
+    }
+    if grep -A1 '"name": ".*slow.bench"' "$tmp/ckpt_int/manifest.json" 2>/dev/null | grep -q '"status": "done"'; then
+        echo "ci: interrupted slow target recorded done:" >&2
+        cat "$tmp/ckpt_int/manifest.json" >&2
+        exit 1
+    fi
+fi
+"$tmp/satattack" \
+    -locked "$tmp/quick.bench,$tmp/slow.bench" -key "$tmp/quick.key,$tmp/slow.key" \
+    -timeout 120s -jobs 2 -checkpoint-dir "$tmp/ckpt_int" -resume > "$tmp/int_resume.out" 2>&1 || {
+    echo "ci: sweep resumed after SIGINT failed:" >&2
+    cat "$tmp/int_resume.out" >&2
+    exit 1
+}
+done_count=$(grep -c '"status": "done"' "$tmp/ckpt_int/manifest.json" || true)
+if [ "$done_count" != 2 ]; then
+    echo "ci: manifest incomplete after SIGINT resume ($done_count/2 done):" >&2
+    cat "$tmp/ckpt_int/manifest.json" >&2
+    exit 1
+fi
+echo "ci: SIGINT exit reported the interruption; resumed manifest complete (2/2 done)"
+
 echo "== result-cache gate: cold vs warm report sweep (BENCH_9.json) =="
 # The same SAT-runtime sweep (c17 from testdata plus synthesized c432,
 # 2 block counts x 3 sizes = 12 attack cells) runs twice against one

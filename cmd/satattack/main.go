@@ -325,9 +325,6 @@ func attackOne(ctx context.Context, lockedPath, keyPath, prefix string,
 			return nil, err
 		}
 		status, recovered, tr.Iterations = res.Status, res.Key, res.DIPs
-		if err := interrupted(ctx, status); err != nil {
-			return nil, err
-		}
 	} else {
 		opts := attack.SATOptions{Timeout: timeout, BVA: bva, Context: ctx, Portfolio: portfolio}
 		if trace != nil {
@@ -362,9 +359,6 @@ func attackOne(ctx context.Context, lockedPath, keyPath, prefix string,
 		}
 		status, recovered, tr.Iterations, tr.Replayed, tr.Solver =
 			res.Status, res.Key, res.Iterations, res.Replayed, res.Solver
-		if err := interrupted(ctx, status); err != nil {
-			return nil, err
-		}
 	}
 	tr.Status = status.String()
 	tr.Queries = oracle.Queries()
@@ -377,19 +371,6 @@ func attackOne(ctx context.Context, lockedPath, keyPath, prefix string,
 		tr.ErrorRate = e
 	}
 	return tr, nil
-}
-
-// interrupted distinguishes the paper's legitimate Timeout verdict
-// (the attack's own SAT budget expired → reported as infinity) from an
-// attack cut short by SIGINT/SIGTERM: a cancelled context also
-// surfaces as Timeout with a nil error, and recording that as a
-// timeout would fabricate an infinity data point the solver never
-// earned. Per-job deadlines (DeadlineExceeded) stay legitimate.
-func interrupted(ctx context.Context, status attack.Status) error {
-	if status == attack.Timeout && errors.Is(ctx.Err(), context.Canceled) {
-		return fmt.Errorf("attack interrupted: %w", context.Cause(ctx))
-	}
-	return nil
 }
 
 // failInterruptible reports err and exits nonzero, labelling the

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -73,123 +71,26 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 	if opt.DIPsPerRound <= 0 || opt.RandomQueries <= 0 || opt.MaxRounds <= 0 {
 		return nil, fmt.Errorf("attack: bad AppSAT options %+v", opt)
 	}
-	funcPos, err := splitInputs(locked, keyPos)
-	if err != nil {
-		return nil, err
-	}
-	if oracle.NumInputs() != len(funcPos) || oracle.NumOutputs() != len(locked.Outputs) {
-		return nil, fmt.Errorf("attack: oracle signature mismatch")
-	}
-
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, err
-	}
-	diffs := make([]cnf.Lit, len(locked.Outputs))
-	for i := range locked.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	enc.F.AddClause(append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))...)
-
-	tmpl, err := cnf.CompileTemplate(locked)
-	if err != nil {
-		return nil, err
-	}
-
-	solver := sat.New()
-	if !solver.AddFormula(enc.F) {
-		return nil, fmt.Errorf("attack: base encoding unsatisfiable")
-	}
-	if opt.Timeout > 0 {
-		solver.SetDeadline(start.Add(opt.Timeout))
-	}
-	if opt.Context != nil {
-		solver.SetContext(opt.Context)
-	}
-	key1 := make([]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		key1[i] = copy1.Inputs[p]
-	}
-	key2 := make([]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		key2[i] = copy2.Inputs[p]
-	}
-
 	src := rand.NewSource(opt.Seed)
-	res := &AppSATResult{}
 	// Reinforcement scratch: word-level patterns plus the bool decode
 	// buffers for constraint rows and scalar-fallback partial chunks.
 	batch := AsBatch(oracle)
-	words := make([]uint64, len(funcPos))
-	inBuf := make([]bool, len(funcPos))
-	outBuf := make([]bool, len(locked.Outputs))
-	wantBuf := make([]uint64, len(locked.Outputs))
-	addConstraint := func(in, out []bool) error {
-		return constrainDIP(solver, tmpl, funcPos, keyPos, key1, key2, in, out)
-	}
-	extractKey := func() ([]bool, bool) {
-		if solver.Solve(cnf.MkLit(act, true)) != sat.Sat {
-			return nil, false
-		}
-		k := make([]bool, len(keyPos))
-		for i, v := range key1 {
-			k[i] = solver.Model()[v]
-		}
-		return k, true
-	}
+	words := make([]uint64, oracle.NumInputs())
+	inBuf := make([]bool, oracle.NumInputs())
+	outBuf := make([]bool, oracle.NumOutputs())
+	wantBuf := make([]uint64, oracle.NumOutputs())
+	var est float64
+	endedInRound := false
 
-	for round := 0; round < opt.MaxRounds; round++ {
-		res.Rounds = round + 1
-		converged := false
-		for d := 0; d < opt.DIPsPerRound; d++ {
-			st := solver.Solve(cnf.MkLit(act, false))
-			if st == sat.Unknown {
-				res.Status = Timeout
-				res.Elapsed = time.Since(start)
-				return res, nil
-			}
-			if st == sat.Unsat {
-				converged = true
-				break
-			}
-			dip := make([]bool, len(funcPos))
-			for i, p := range funcPos {
-				dip[i] = solver.ModelValue(cnf.MkLit(copy1.Inputs[p], false))
-			}
-			out := oracle.Query(dip)
-			res.DIPs++
-			if err := addConstraint(dip, out); err != nil {
-				return nil, err
-			}
+	// One round ends every DIPsPerRound DIPs: extract the candidate key,
+	// then estimate its error on random queries, adding every
+	// mismatching query as one more constraint.
+	round := func(m *miter, res *SATResult) (bool, error) {
+		st, key, err := m.extractKey()
+		if err != nil || st != KeyFound {
+			res.Status, endedInRound = st, true
+			return true, err
 		}
-
-		key, ok := extractKey()
-		if !ok {
-			res.Status = Failed
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-
-		if converged {
-			res.Status = KeyFound
-			res.Key = key
-			res.ErrorEstimate = 0
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-
 		// Random-query reinforcement and error estimation, batched: the
 		// candidate runs word-level directly, the oracle through its
 		// BatchOracle fast path. Patterns are drawn lane-major in the
@@ -200,11 +101,11 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 		// bit-identical per seed.
 		bound, err := locked.BindInputs(keyPos, key)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		candSim, err := netlist.NewSimulator(bound)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		wrong := 0
 		for done := 0; done < opt.RandomQueries; {
@@ -227,8 +128,8 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 			if chunk < 64 {
 				mask &= 1<<uint(chunk) - 1
 			}
-			for m := mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
+			for lanes := mask; lanes != 0; lanes &= lanes - 1 {
+				lane := bits.TrailingZeros64(lanes)
 				for i := range inBuf {
 					inBuf[i] = words[i]&(1<<uint(lane)) != 0
 				}
@@ -236,21 +137,40 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 					outBuf[i] = want[i]&(1<<uint(lane)) != 0
 				}
 				wrong++
-				if err := addConstraint(inBuf, outBuf); err != nil {
-					return nil, err
+				if err := m.constrainDIP(inBuf, outBuf); err != nil {
+					return false, err
 				}
 			}
 			done += chunk
 		}
-		res.ErrorEstimate = float64(wrong) / float64(opt.RandomQueries)
-		if res.ErrorEstimate <= opt.ErrorThreshold {
-			res.Status = KeyFound
-			res.Key = key
-			res.Elapsed = time.Since(start)
-			return res, nil
+		est = float64(wrong) / float64(opt.RandomQueries)
+		if est <= opt.ErrorThreshold {
+			res.Status, res.Key, endedInRound = KeyFound, key, true
+			return true, nil
+		}
+		return false, nil
+	}
+
+	res, err := dipLoop(locked, keyPos, oracle, SATOptions{
+		Timeout:       opt.Timeout,
+		Context:       opt.Context,
+		MaxIterations: opt.MaxRounds * opt.DIPsPerRound,
+	}, loopHooks{every: opt.DIPsPerRound, round: round})
+	if err != nil {
+		return nil, err
+	}
+	out := &AppSATResult{
+		Status: res.Status, Key: res.Key, ErrorEstimate: est,
+		Rounds: res.Iterations / opt.DIPsPerRound, DIPs: res.Iterations,
+		Elapsed: time.Since(start),
+	}
+	if !endedInRound {
+		// The loop stopped inside a round: it converged (the exact
+		// key, error 0), ran out of budget, or used up its rounds.
+		out.Rounds = min(out.Rounds+1, opt.MaxRounds)
+		if res.Status == KeyFound {
+			out.ErrorEstimate = 0
 		}
 	}
-	res.Status = Timeout
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return out, nil
 }

@@ -14,56 +14,21 @@ import (
 )
 
 // buildMiter reconstructs the attack's solver state at iteration k of
-// the DIP loop: the two-copy activation-literal miter plus the first
-// k recorded DIP constraints, stamped from a compiled template the
-// same way SATAttack itself grows the formula. It returns the
+// the DIP loop on an n-worker engine: the miter SATAttack builds plus
+// the first k recorded DIP constraints. It returns the engine and the
 // activation assumption for the difference clause.
-func buildMiter(t testing.TB, locked *core.Result, dips [][2][]bool, k int, eng sat.Engine) (assume cnf.Lit) {
+func buildMiter(t testing.TB, locked *core.Result, dips [][2][]bool, k, n int) (sat.Engine, cnf.Lit) {
 	t.Helper()
-	funcPos, err := splitInputs(locked.Locked, locked.KeyInputPos)
+	m, err := newMiter(locked.Locked, locked.KeyInputPos, SATOptions{Portfolio: n}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(locked.Locked, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(locked.Locked, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs := make([]cnf.Lit, len(locked.Locked.Outputs))
-	for i := range locked.Locked.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	enc.F.AddClause(append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))...)
-	if !eng.AddFormula(enc.F) {
-		t.Fatal("base miter unsatisfiable")
-	}
-	tmpl, err := cnf.CompileTemplate(locked.Locked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key1 := make([]cnf.Var, len(locked.KeyInputPos))
-	key2 := make([]cnf.Var, len(locked.KeyInputPos))
-	for i, p := range locked.KeyInputPos {
-		key1[i] = copy1.Inputs[p]
-		key2[i] = copy2.Inputs[p]
 	}
 	for i := 0; i < k && i < len(dips); i++ {
-		if err := constrainDIP(eng, tmpl, funcPos, locked.KeyInputPos, key1, key2, dips[i][0], dips[i][1]); err != nil {
+		if err := m.constrainDIP(dips[i][0], dips[i][1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cnf.MkLit(act, false)
+	return m.eng, cnf.MkLit(m.act, false)
 }
 
 // The portfolio solve benchmark instance: a hard solve call from the
@@ -176,8 +141,7 @@ func benchSolvePortfolio(b *testing.B, n int) {
 	res, dips := solveBenchState(b)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := sat.NewEngine(n)
-		assume := buildMiter(b, res, dips, solveBenchIter, eng)
+		eng, assume := buildMiter(b, res, dips, solveBenchIter, n)
 		b.StartTimer()
 		if st := eng.Solve(assume); st == sat.Unknown {
 			b.Fatalf("solve returned %v", st)

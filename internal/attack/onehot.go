@@ -2,12 +2,10 @@ package attack
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 )
 
 // RoutingHint describes one key-controlled permutation network inside
@@ -66,6 +64,8 @@ func HintFromRoutingNetwork(width int, inputNames, outputNames []string, keyPos 
 
 // OneHotResult reports the one-layer linear-encoding attack.
 type OneHotResult struct {
+	// SAT is the attack on the relaxed netlist; SAT.Key is in the
+	// relaxed key space (original keys, then every selector input).
 	SAT *SATResult
 	// Realizable reports whether every recovered crossbar permutation
 	// mapped back onto banyan switch settings (the relaxed key space is
@@ -81,134 +81,49 @@ type OneHotResult struct {
 // network is replaced by an N×N crossbar whose selector variables are
 // constrained to a permutation matrix. This is the pre-processing that
 // defeated routing-only obfuscation [11]; against RIL-Blocks the
-// coupled LUT layer keeps the instance hard.
+// coupled LUT layer keeps the instance hard. The attack runs on
+// SATAttack's DIP loop over the relaxed netlist, so every SATOptions
+// field applies; a journal records the relaxed attack.
 func SATAttackOneHot(locked *netlist.Netlist, keyPos []int, hints []RoutingHint, oracle Oracle, opt SATOptions) (*OneHotResult, error) {
-	start := time.Now()
 	relaxed, relaxedKeyPos, selGroups, err := buildRelaxed(locked, keyPos, hints)
 	if err != nil {
 		return nil, err
 	}
-	funcPos, err := splitInputs(relaxed, relaxedKeyPos)
-	if err != nil {
-		return nil, err
-	}
-	if oracle.NumInputs() != len(funcPos) || oracle.NumOutputs() != len(relaxed.Outputs) {
-		return nil, fmt.Errorf("attack: onehot: oracle signature mismatch (%d/%d inputs, %d/%d outputs)",
-			oracle.NumInputs(), len(funcPos), oracle.NumOutputs(), len(relaxed.Outputs))
-	}
-
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(relaxed, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(relaxed, shared)
-	if err != nil {
-		return nil, err
-	}
-	diffs := make([]cnf.Lit, len(relaxed.Outputs))
-	for i := range relaxed.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	enc.F.AddClause(append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))...)
-
 	// Permutation-matrix constraints on the selector groups, for both
 	// key copies (DIP-constraint copies share these key variables, so
 	// the constraints cover them too).
-	for _, gv := range []*cnf.GateVars{copy1, copy2} {
-		for _, grp := range selGroups {
-			n := grp.width
-			// Rows: each output picks exactly one input.
-			for j := 0; j < n; j++ {
-				lits := make([]cnf.Lit, n)
-				for i := 0; i < n; i++ {
-					lits[i] = cnf.MkLit(gv.Inputs[grp.selPos[j*n+i]], false)
-				}
-				enc.ExactlyOne(lits)
-			}
-			// Columns: each input feeds exactly one output.
-			for i := 0; i < n; i++ {
-				lits := make([]cnf.Lit, n)
+	permutations := func(enc *cnf.Encoder, c1, c2 *cnf.GateVars) {
+		for _, gv := range []*cnf.GateVars{c1, c2} {
+			for _, grp := range selGroups {
+				n := grp.width
+				// Rows: each output picks exactly one input.
 				for j := 0; j < n; j++ {
-					lits[j] = cnf.MkLit(gv.Inputs[grp.selPos[j*n+i]], false)
+					lits := make([]cnf.Lit, n)
+					for i := 0; i < n; i++ {
+						lits[i] = cnf.MkLit(gv.Inputs[grp.selPos[j*n+i]], false)
+					}
+					enc.ExactlyOne(lits)
 				}
-				enc.ExactlyOne(lits)
+				// Columns: each input feeds exactly one output.
+				for i := 0; i < n; i++ {
+					lits := make([]cnf.Lit, n)
+					for j := 0; j < n; j++ {
+						lits[j] = cnf.MkLit(gv.Inputs[grp.selPos[j*n+i]], false)
+					}
+					enc.ExactlyOne(lits)
+				}
 			}
 		}
 	}
-
-	if opt.BVA {
-		cnf.BVA(enc.F, 4, 32)
-	}
-
-	tmpl, err := cnf.CompileTemplate(relaxed)
+	res, err := dipLoop(relaxed, relaxedKeyPos, oracle, opt, loopHooks{base: permutations})
 	if err != nil {
 		return nil, err
 	}
-
-	solver := sat.New()
-	if !solver.AddFormula(enc.F) {
-		return nil, fmt.Errorf("attack: onehot: base encoding unsatisfiable")
+	out := &OneHotResult{SAT: res}
+	if res.Status == KeyFound {
+		out.Key, out.Realizable = mapBackKey(locked, keyPos, hints, relaxed, relaxedKeyPos, res.Key, selGroups)
 	}
-	if opt.Timeout > 0 {
-		solver.SetDeadline(start.Add(opt.Timeout))
-	}
-	if opt.Context != nil {
-		solver.SetContext(opt.Context)
-	}
-
-	key1 := make([]cnf.Var, len(relaxedKeyPos))
-	key2 := make([]cnf.Var, len(relaxedKeyPos))
-	for i, p := range relaxedKeyPos {
-		key1[i] = copy1.Inputs[p]
-		key2[i] = copy2.Inputs[p]
-	}
-
-	res := &OneHotResult{SAT: &SATResult{}}
-	for {
-		if opt.MaxIterations > 0 && res.SAT.Iterations >= opt.MaxIterations {
-			res.SAT.Status = Timeout
-			break
-		}
-		st := solver.Solve(cnf.MkLit(act, false))
-		if st == sat.Unknown {
-			res.SAT.Status = Timeout
-			break
-		}
-		if st == sat.Unsat {
-			st = solver.Solve(cnf.MkLit(act, true))
-			if st != sat.Sat {
-				res.SAT.Status = Failed
-				break
-			}
-			relaxedKey := make([]bool, len(relaxedKeyPos))
-			for i, v := range key1 {
-				relaxedKey[i] = solver.Model()[v]
-			}
-			res.SAT.Status = KeyFound
-			res.Key, res.Realizable = mapBackKey(locked, keyPos, hints, relaxed, relaxedKeyPos, relaxedKey, selGroups)
-			break
-		}
-		dip := make([]bool, len(funcPos))
-		for i, p := range funcPos {
-			dip[i] = solver.ModelValue(cnf.MkLit(copy1.Inputs[p], false))
-		}
-		out := oracle.Query(dip)
-		res.SAT.Iterations++
-		if err := constrainDIP(solver, tmpl, funcPos, relaxedKeyPos, key1, key2, dip, out); err != nil {
-			return nil, err
-		}
-	}
-	res.SAT.Elapsed = time.Since(start)
-	res.SAT.Solver = solver.Stats()
-	return res, nil
+	return out, nil
 }
 
 // selGroup tracks one crossbar's selector inputs within the relaxed

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +160,76 @@ func TestRoutingLockBaseline(t *testing.T) {
 	}
 	if eq {
 		t.Log("flipping one switch produced an equivalent routing (possible for symmetric positions)")
+	}
+}
+
+// TestOneHotHonoursSATOptions: the one-hot attack runs on the shared
+// DIP loop, so Trace, Progress, Journal/Resume and Portfolio apply to
+// it exactly as to SATAttack.
+func TestOneHotHonoursSATOptions(t *testing.T) {
+	fx, hints := routingOnlyFixture(t)
+	var trace, journal bytes.Buffer
+	lastIter := 0
+	oracle := fx.oracle(t)
+	full, err := SATAttackOneHot(fx.locked, fx.keyPos, hints, oracle, SATOptions{
+		Timeout: time.Minute, Trace: &trace, Journal: NewJournal(&journal),
+		Progress: func(p Progress) { lastIter = p.Iteration },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.SAT.Iterations
+	if full.SAT.Status != KeyFound || !full.Realizable || n < 2 {
+		t.Fatalf("one-hot attack: %v realizable=%v", full.SAT, full.Realizable)
+	}
+	if lines := strings.Count(trace.String(), "\n"); lines != n {
+		t.Errorf("trace has %d lines for %d DIPs", lines, n)
+	}
+	if lastIter != n {
+		t.Errorf("progress saw %d iterations, result says %d", lastIter, n)
+	}
+	data, err := ReadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Records) != n || data.Done == nil {
+		t.Fatalf("journal: %d records, done=%v; want %d records and a done record", len(data.Records), data.Done, n)
+	}
+
+	// Resume from the first half of the journal: zero re-queries.
+	k := n / 2
+	data.Records, data.Done = data.Records[:k], nil
+	o2 := fx.oracle(t)
+	res, err := SATAttackOneHot(fx.locked, fx.keyPos, hints, o2, SATOptions{Timeout: time.Minute, Resume: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SAT.Replayed != k || o2.Queries() != n-k || !bytesEqual(res.Key, full.Key) {
+		t.Errorf("resumed: replayed %d, %d queries, key %s; want %d, %d, %s",
+			res.SAT.Replayed, o2.Queries(), bitString(res.Key), k, n-k, bitString(full.Key))
+	}
+
+	// A 2-worker portfolio still recovers an exact relaxed key. Which
+	// of the functionally equivalent permutations it lands on depends
+	// on the race, and the banyan cannot route every one of them, so
+	// the mapped-back key is checked whenever it is realizable.
+	pf, err := SATAttackOneHot(fx.locked, fx.keyPos, hints, fx.oracle(t), SATOptions{Timeout: time.Minute, Portfolio: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.SAT.Status != KeyFound {
+		t.Fatalf("portfolio one-hot attack: %v", pf.SAT)
+	}
+	relaxed, relaxedKeyPos, _, err := buildRelaxed(fx.locked, fx.keyPos, hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := VerifyKey(relaxed, relaxedKeyPos, pf.SAT.Key, oracle, 8, 53); err != nil || e != 0 {
+		t.Errorf("portfolio relaxed key error rate %v (%v), want 0", e, err)
+	}
+	if !pf.Realizable {
+		t.Log("portfolio run landed on a permutation the banyan cannot route")
+	} else if e, err := VerifyKey(fx.locked, fx.keyPos, pf.Key, oracle, 8, 53); err != nil || e != 0 {
+		t.Errorf("portfolio key error rate %v (%v), want 0", e, err)
 	}
 }

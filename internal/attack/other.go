@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 )
@@ -17,34 +16,18 @@ func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, 
 	if len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
 		return false, nil, fmt.Errorf("attack: signature mismatch")
 	}
-	enc := cnf.NewEncoder()
-	ga, err := enc.Encode(a, nil)
+	enc, ga, gb, err := encodeCopies(a, b, nil)
 	if err != nil {
 		return false, nil, err
 	}
-	shared := make(map[int]cnf.Var, len(a.Inputs))
-	for p := range a.Inputs {
-		shared[p] = ga.Inputs[p]
-	}
-	gb, err := enc.Encode(b, shared)
-	if err != nil {
-		return false, nil, err
-	}
-	diffs := make([]cnf.Lit, len(a.Outputs))
-	for i := range a.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(ga.Outputs[i], false),
-			cnf.MkLit(gb.Outputs[i], false)), false)
-	}
-	enc.F.AddClause(diffs...)
-
-	solver := sat.New()
-	if !solver.AddFormula(enc.F) {
-		return true, nil, nil // miter unsatisfiable at construction
-	}
+	enc.F.AddClause(encodeDiffs(enc, ga, gb)...)
+	// A miter unsatisfiable at construction leaves the solver answering
+	// Unsat: proved equivalent.
+	var deadline time.Time
 	if timeout > 0 {
-		solver.SetDeadline(time.Now().Add(timeout))
+		deadline = time.Now().Add(timeout)
 	}
+	solver := loadSolver(enc.F, deadline)
 	switch solver.Solve() {
 	case sat.Unsat:
 		return true, nil, nil

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 )
@@ -31,7 +30,7 @@ type Status int
 // Attack outcomes.
 const (
 	KeyFound Status = iota // the DIP loop converged and produced a key
-	Timeout                // deadline or budget exhausted (the paper's ∞)
+	Timeout                // the attack's own budget ran out (the paper's ∞)
 	Failed                 // attack terminated without a usable key
 )
 
@@ -51,10 +50,12 @@ type SATOptions struct {
 	// days; the benches scale this down and report ∞ on expiry.
 	Timeout time.Duration
 	// Context, when non-nil, cancels the attack early: the solver
-	// aborts at its next poll and the attack reports Timeout. It
-	// composes with Timeout (whichever fires first wins), which is how
-	// the sweep runner enforces per-job deadlines and sweep-wide
-	// cancellation.
+	// aborts at its next poll and the attack returns a nil result and
+	// an error wrapping both ErrInterrupted and context.Cause(Context),
+	// whether the context was cancelled or passed its deadline. Timeout
+	// and MaxIterations are the attack's own budget and end it with
+	// Status Timeout instead. The sweep runner and the daemon pass
+	// their per-job contexts here.
 	Context context.Context
 	// MaxIterations bounds the DIP count (0 = unlimited).
 	MaxIterations int
@@ -141,266 +142,7 @@ func (r *SATResult) String() string {
 // The oracle takes the functional inputs only (in their relative
 // order).
 func SATAttack(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOptions) (*SATResult, error) {
-	start := time.Now()
-	funcPos, err := splitInputs(locked, keyPos)
-	if err != nil {
-		return nil, err
-	}
-	if oracle.NumInputs() != len(funcPos) {
-		return nil, fmt.Errorf("attack: oracle has %d inputs, locked netlist has %d functional inputs",
-			oracle.NumInputs(), len(funcPos))
-	}
-	if oracle.NumOutputs() != len(locked.Outputs) {
-		return nil, fmt.Errorf("attack: oracle output arity mismatch")
-	}
-
-	// Base encoding: two copies sharing functional inputs, separate keys.
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, err
-	}
-
-	// Miter: at least one output differs, gated by an activation var so
-	// the same solver can later extract a key without the difference
-	// constraint.
-	diffs := make([]cnf.Lit, len(locked.Outputs))
-	for i := range locked.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	miter := append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))
-	enc.F.AddClause(miter...)
-
-	if opt.BVA {
-		cnf.BVA(enc.F, 4, 32)
-	}
-
-	// Compile the netlist to a CNF template once: every DIP iteration
-	// stamps two constrained copies from it instead of re-running the
-	// Tseitin encoder, reproducing the encoder's exact variable and
-	// clause order so solver behaviour (and journal replay) is
-	// unchanged.
-	tmpl, err := cnf.CompileTemplate(locked)
-	if err != nil {
-		return nil, err
-	}
-
-	solver := sat.NewEngine(opt.Portfolio)
-	if !solver.AddFormula(enc.F) {
-		return nil, fmt.Errorf("attack: base encoding unsatisfiable")
-	}
-	if opt.Context != nil {
-		solver.SetContext(opt.Context)
-	}
-
-	key1 := make([]cnf.Var, len(keyPos))
-	key2 := make([]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		key1[i] = copy1.Inputs[p]
-		key2[i] = copy2.Inputs[p]
-	}
-
-	res := &SATResult{}
-
-	// Checkpoint/resume plumbing. A resumed attack's wall clock
-	// continues from the journaled elapsed time, so Timeout bounds the
-	// *total* attack (the paper's 5-day budget), not each resume slice.
-	var header JournalHeader
-	var replay []JournalRecord
-	if opt.Journal != nil || opt.Resume != nil {
-		fp, err := Fingerprint(locked, keyPos)
-		if err != nil {
-			return nil, err
-		}
-		header = JournalHeader{
-			Version: JournalVersion, Circuit: locked.Name,
-			Inputs: len(funcPos), Outputs: len(locked.Outputs),
-			KeyBits: len(keyPos), BVA: opt.BVA, Fingerprint: fp,
-			Portfolio: opt.Portfolio >= 2,
-		}
-	}
-	constraintReplay := false
-	if opt.Resume != nil {
-		if err := opt.Resume.Header.matches(header); err != nil {
-			return nil, err
-		}
-		if d := opt.Resume.Done; d != nil {
-			// The journaled attack already finished: reconstruct its
-			// result without touching solver or oracle.
-			return resultFromDone(d)
-		}
-		replay = opt.Resume.Records
-		constraintReplay = opt.Resume.Header.Portfolio || opt.Portfolio >= 2
-		if n := len(replay); n > 0 {
-			start = start.Add(-time.Duration(replay[n-1].ElapsedMS) * time.Millisecond)
-		}
-	}
-	if opt.Journal != nil && !opt.Journal.HeaderWritten() {
-		if err := opt.Journal.WriteHeader(header); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Timeout > 0 {
-		solver.SetDeadline(start.Add(opt.Timeout))
-	}
-
-	if constraintReplay {
-		// Portfolio replay: apply every journaled DIP constraint
-		// directly, without solving. The oracle is never queried for
-		// journaled records, and the live loop below starts from a
-		// clause database equivalent to the original run's — same DIP
-		// constraints, different learnt clauses.
-		for _, rec := range replay {
-			dip, err := parseBits(rec.DIP)
-			if err != nil {
-				return nil, err
-			}
-			out, err := parseBits(rec.Oracle)
-			if err != nil {
-				return nil, err
-			}
-			if err := constrainDIP(solver, tmpl, funcPos, keyPos, key1, key2, dip, out); err != nil {
-				// A journal for this circuit cannot contradict its own
-				// encoding; a top-level conflict means the journal
-				// belongs elsewhere.
-				return nil, fmt.Errorf("attack: replaying iteration %d: %v: %w",
-					rec.Iteration, err, ErrReplayDiverged)
-			}
-			res.Replayed++
-			res.Iterations++
-			if opt.Trace != nil {
-				fmt.Fprintf(opt.Trace, "%d,%s,%s\n", res.Iterations, rec.DIP, rec.Oracle)
-			}
-		}
-		replay = nil
-	}
-
-	assumeDiff := cnf.MkLit(act, false)
-	for {
-		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
-			res.Status = Timeout
-			break
-		}
-		if opt.Context != nil && opt.Context.Err() != nil {
-			res.Status = Timeout
-			break
-		}
-		st := solver.Solve(assumeDiff)
-		if st == sat.Unknown {
-			res.Status = Timeout
-			break
-		}
-		if st == sat.Unsat {
-			// Converged: extract any key consistent with all DIPs.
-			st = solver.Solve(cnf.MkLit(act, true))
-			if st != sat.Sat {
-				res.Status = Failed
-				break
-			}
-			res.Key = make([]bool, len(keyPos))
-			for i, v := range key1 {
-				res.Key[i] = solver.Model()[v]
-			}
-			res.Status = KeyFound
-			break
-		}
-
-		// DIP found: read the functional inputs from the model.
-		dip := make([]bool, len(funcPos))
-		for i, p := range funcPos {
-			dip[i] = solver.ModelValue(cnf.MkLit(copy1.Inputs[p], false))
-		}
-		var out []bool
-		if res.Replayed < len(replay) {
-			// Serve the oracle answer from the journal. The solver is
-			// deterministic, so it must have rediscovered the journaled
-			// DIP; anything else means the journal belongs to a
-			// different circuit or solver version.
-			rec := replay[res.Replayed]
-			if got := bitString(dip); got != rec.DIP {
-				return nil, fmt.Errorf("attack: iteration %d: solver found DIP %s, journal has %s: %w",
-					res.Iterations+1, got, rec.DIP, ErrReplayDiverged)
-			}
-			if snap := solver.Snapshot(); snap != rec.Solver {
-				return nil, fmt.Errorf("attack: iteration %d: solver state %+v does not match journal %+v: %w",
-					res.Iterations+1, snap, rec.Solver, ErrReplayDiverged)
-			}
-			out, err = parseBits(rec.Oracle)
-			if err != nil {
-				return nil, err
-			}
-			res.Replayed++
-			res.Iterations++
-		} else {
-			out = oracle.Query(dip)
-			res.Iterations++
-			if opt.Journal != nil {
-				err := opt.Journal.Append(JournalRecord{
-					Iteration: res.Iterations,
-					DIP:       bitString(dip),
-					Oracle:    bitString(out),
-					ElapsedMS: time.Since(start).Milliseconds(),
-					Solver:    solver.Snapshot(),
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		if opt.Trace != nil {
-			fmt.Fprintf(opt.Trace, "%d,%s,%s\n", res.Iterations, bitString(dip), bitString(out))
-		}
-		if opt.Progress != nil {
-			opt.Progress(Progress{
-				Iteration: res.Iterations,
-				Elapsed:   time.Since(start),
-				Solver:    solver.Stats(),
-			})
-		}
-
-		// Constrain both key copies to reproduce the oracle on the DIP.
-		if err := constrainDIP(solver, tmpl, funcPos, keyPos, key1, key2, dip, out); err != nil {
-			return nil, err
-		}
-	}
-	if res.Status != Timeout && res.Replayed < len(replay) {
-		// A deterministic re-run must consume every journaled record
-		// before it can converge; stopping short means the journal was
-		// written by a different attack.
-		return nil, fmt.Errorf("attack: converged after %d iterations but journal holds %d records: %w",
-			res.Iterations, len(replay), ErrReplayDiverged)
-	}
-	res.Elapsed = time.Since(start)
-	res.Solver = solver.Stats()
-	// A converged (or terminally failed) attack gets a done record so
-	// resuming its journal is a pure read; a timed-out attack does not
-	// — its journal stays open-ended for the next resume slice.
-	if opt.Journal != nil && (res.Status == KeyFound || res.Status == Failed) {
-		d := JournalDone{
-			Status:     res.Status.String(),
-			Iterations: res.Iterations,
-			ElapsedMS:  res.Elapsed.Milliseconds(),
-			Solver:     solver.Snapshot(),
-		}
-		if res.Key != nil {
-			d.Key = bitString(res.Key)
-		}
-		if err := opt.Journal.Finish(d); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return dipLoop(locked, keyPos, oracle, opt, loopHooks{})
 }
 
 // matches validates a journal header against the header the resumed
@@ -440,46 +182,6 @@ func resultFromDone(d *JournalDone) (*SATResult, error) {
 		return nil, fmt.Errorf("attack: journal done record has status %q: %w", d.Status, ErrJournalCorrupt)
 	}
 	return res, nil
-}
-
-// constrainDIP adds the two constrained circuit copies of one DIP
-// iteration: each key copy must reproduce the oracle's response on the
-// distinguishing input.
-func constrainDIP(eng sat.Engine, tmpl *cnf.Template, funcPos, keyPos []int, key1, key2 []cnf.Var, dip, out []bool) error {
-	for _, keyVars := range [][]cnf.Var{key1, key2} {
-		outs, err := stampConstrainedCopy(eng, tmpl, funcPos, keyPos, keyVars, dip)
-		if err != nil {
-			return err
-		}
-		for i, ov := range outs {
-			eng.AddClause(cnf.MkLit(ov, !out[i]))
-		}
-	}
-	return nil
-}
-
-// stampConstrainedCopy stamps one circuit copy from the template with
-// the functional inputs fixed to the DIP and the key pins aliased to
-// the given key variables. It returns the output variables. The stamp
-// reproduces exactly the variable and clause stream the per-iteration
-// Tseitin encoder historically produced, minus the encoding work.
-func stampConstrainedCopy(dst cnf.ClauseSink, tmpl *cnf.Template, funcPos, keyPos []int, keyVars []cnf.Var, dip []bool) ([]cnf.Var, error) {
-	shared := make(map[int]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		shared[p] = keyVars[i]
-	}
-	gv, ok := tmpl.Stamp(dst, shared)
-	if !ok {
-		return nil, fmt.Errorf("attack: DIP constraint made formula unsatisfiable")
-	}
-	for i, p := range funcPos {
-		if !dst.AddClause(cnf.MkLit(gv.Inputs[p], !dip[i])) {
-			return nil, fmt.Errorf("attack: DIP constraint made formula unsatisfiable")
-		}
-	}
-	outs := make([]cnf.Var, len(gv.Outputs))
-	copy(outs, gv.Outputs)
-	return outs, nil
 }
 
 // randPatternWords fills in with `lanes` fresh random patterns drawn

@@ -219,7 +219,7 @@ type constancyCheck struct {
 }
 
 func newConstancyCheck(locked *netlist.Netlist, keyPos, funcPos []int, deadline time.Time) (*constancyCheck, error) {
-	enc, c1, c2, err := encodeCopies(locked, keyPos)
+	enc, c1, c2, err := encodeCopies(locked, locked, keyPos)
 	if err != nil {
 		return nil, err
 	}
@@ -246,45 +246,13 @@ func (vc *constancyCheck) constant(bit int, pattern []bool, outIdx int) bool {
 // XOR per output. It returns the formula, copy 1's variables and the
 // XOR literals.
 func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formula, *cnf.GateVars, []cnf.Lit, error) {
-	enc, c1, c2, err := encodeCopies(locked, keyPos[bit:bit+1])
+	enc, c1, c2, err := encodeCopies(locked, locked, keyPos[bit:bit+1])
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
 	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
 	return enc.F, c1, encodeDiffs(enc, c1, c2), nil
-}
-
-// encodeCopies encodes two copies of locked that share every input
-// except those at the private positions.
-func encodeCopies(locked *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	shared := make(map[int]cnf.Var, len(c1.Inputs))
-	for p, v := range c1.Inputs {
-		shared[p] = v
-	}
-	for _, p := range private {
-		delete(shared, p)
-	}
-	c2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return enc, c1, c2, nil
-}
-
-// encodeDiffs adds one XOR per output and returns its literals, each
-// true iff the copies' outputs differ there.
-func encodeDiffs(enc *cnf.Encoder, c1, c2 *cnf.GateVars) []cnf.Lit {
-	diffs := make([]cnf.Lit, len(c1.Outputs))
-	for i := range diffs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(cnf.MkLit(c1.Outputs[i], false), cnf.MkLit(c2.Outputs[i], false)), false)
-	}
-	return diffs
 }
 
 // loadSolver loads f into a fresh solver bounded by deadline. A

@@ -246,13 +246,6 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 		out.Iterations, out.Replayed, out.Solver = r.Iterations, r.Replayed, r.Solver
 	}
 
-	// A cancelled attack reports Timeout with a nil error; the daemon
-	// must not persist that as the paper's ∞ verdict — the job is
-	// interrupted, not finished, and its journal makes a re-run cheap.
-	if status == attack.Timeout && ctx.Err() != nil {
-		return nil, fmt.Errorf("attack interrupted: %w", context.Cause(ctx))
-	}
-
 	out.Status = status.String()
 	out.Queries = at.oracle.Queries()
 	out.ElapsedMS = time.Since(start).Milliseconds()

@@ -300,14 +300,15 @@ func (r *Runner) runOne(ctx context.Context, worker, index int, job Job) (res Re
 		}
 		if res.Err == nil && ctx.Err() != nil {
 			// The sweep itself was cancelled while the job ran. A nil
-			// error here cannot be trusted to mean "complete": attacks
-			// report a truncated run as an ordinary timeout result, and
-			// recording that as done would make a checkpoint resume skip
-			// an unfinished job forever. Conservatively mark the result
-			// interrupted — a re-run picks up the job's own journal, so
-			// the only cost is re-dispatching a job that may have just
-			// finished. Per-job deadlines (jctx) are not affected: a job
-			// that hits its own deadline is a legitimate ∞ result.
+			// error here cannot be trusted to mean "complete": a job may
+			// swallow its context and return a truncated run as an
+			// ordinary value, and recording that as done would make a
+			// checkpoint resume skip an unfinished job forever.
+			// Conservatively mark the result interrupted — a re-run
+			// picks up the job's own journal, so the only cost is
+			// re-dispatching a job that may have just finished. Per-job
+			// deadlines (jctx) are not affected: what a job returns at
+			// its own deadline is its result.
 			res.Err = fmt.Errorf("sweep: job interrupted: %w", ctx.Err())
 		}
 		if res.Err != nil {

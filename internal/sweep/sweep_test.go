@@ -434,9 +434,9 @@ func TestRunOne(t *testing.T) {
 
 // TestCancelledSweepNeverRecordsSuccess: a job that returns a nil
 // error while the sweep context is already cancelled must be reported
-// interrupted — attacks render a truncated run as an ordinary timeout
-// value, and recording that as done would make a checkpoint resume
-// skip an unfinished job forever.
+// interrupted — a job that swallows its context may render a truncated
+// run as an ordinary value, and recording that as done would make a
+// checkpoint resume skip an unfinished job forever.
 func TestCancelledSweepNeverRecordsSuccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -445,8 +445,8 @@ func TestCancelledSweepNeverRecordsSuccess(t *testing.T) {
 		Run: func(jctx context.Context, _ int64) (any, error) {
 			close(started)
 			<-jctx.Done()
-			// An attack in this position reports Status: Timeout with a
-			// nil error — indistinguishable from a legitimate ∞ cell.
+			// A job that swallows its context returns a value that
+			// looks like a legitimate ∞ cell.
 			return "timeout-looking-result", nil
 		},
 	}}
