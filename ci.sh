@@ -11,9 +11,11 @@
 # and the result cache (both scheduling-sensitive), a coverage gate on
 # the checkpoint-bearing packages plus the result cache, a benchmark
 # smoke that also emits BENCH_8.json (oracle
-# fast path, miter stamping, portfolio solve, sensitization), a portfolio
-# gate (three-way differential, clause exchange and portfolio-attack
-# suites under -race, plus a clause-exchange fuzz smoke), a fuzz
+# fast path, miter stamping, portfolio solve, sensitization, the
+# pigeonhole solver), a portfolio
+# gate (three-way differential, clause exchange, portfolio-attack,
+# golden-trajectory and journal-compatibility suites under -race, plus
+# a clause-exchange fuzz smoke), a fuzz
 # smoke stage (10s per parser/journal/audit/suppression target), the
 # netlint gate
 # — every checked-in .bench benchmark and a freshly locked circuit
@@ -100,15 +102,20 @@ for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/; do
     echo "ci: $pkg coverage ${cov}%"
 done
 
-echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization) =="
+echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization, solver) =="
 go test ./internal/attack/ -run='^$' -bench='Oracle|MiterStampVsReencode|SolvePortfolio|SensitizeXOR' \
     -benchtime=1x -timeout 20m | tee bench_smoke.out
+# PHP(8,7) alone: the solver layer without an attack around it, with
+# thousands of learnt-clause deletions.
+go test . -run='^$' -bench='^BenchmarkSolver_Pigeonhole7$' -benchtime=1x | tee -a bench_smoke.out
 # Publish the smoke results as BENCH_8.json (one object per benchmark)
 # so tooling can trend the oracle fast path, template stamper, portfolio
-# solver and sensitization without parsing go test output.
+# solver, sensitization and the sequential solver without parsing go
+# test output.
 awk '
     BEGIN { print "["; n = 0 }
     /^Benchmark/ {
+        sub(/-[0-9]+$/, "", $1);  # GOMAXPROCS suffix: keep names stable across hosts
         if (n++) print ",";
         printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3
     }
@@ -123,8 +130,11 @@ echo "== portfolio gate: three-way differential + exchange under -race =="
 # three-way agreement test (sequential vs 2- vs 8-worker) plus the
 # clause-exchange and portfolio-attack suites, all under the race
 # detector. rilvet ran repo-wide above; this stage is the targeted
-# correctness gate for the racing machinery itself.
-go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode' \
+# correctness gate for the racing machinery itself. The golden pins
+# (solver trajectories, attack keys and traces) and the checked-in
+# journal fixture ride along: the search must stay bit-identical under
+# the race build too.
+go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode|Golden|JournalCompat' \
     ./internal/sat/ ./internal/attack/
 
 echo "== portfolio gate: clause-exchange fuzz smoke =="

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlist"
 )
@@ -37,6 +38,26 @@ func routedRILFixture(t *testing.T) (*core.Result, *fixture) {
 		t.Fatal(err)
 	}
 	return res, &fixture{locked: res.Locked, keyPos: res.KeyInputPos, bound: bound}
+}
+
+// c7552Fixture locks c7552 at scale 0.1 with five 2x2 blocks (seed 2),
+// a cell of Table I's 2x2 row.
+func c7552Fixture(t *testing.T) *fixture {
+	t.Helper()
+	prof, _ := circuit.ProfileByName("c7552")
+	orig, err := prof.Synthesize(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Lock(orig, core.Options{Blocks: 5, Size: core.Size2x2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := res.ApplyKey(res.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{locked: res.Locked, keyPos: res.KeyInputPos, bound: bound}
 }
 
 // routingOnlyFixture is the FullLock-style 8-wide routing lock the
@@ -104,6 +125,9 @@ func TestGoldenSATAttack(t *testing.T) {
 			"key-found iters=5 key=1111010011100 trace=df6cb6d99aa29e4a7d5e4b2d4a130a42348f7030c027dddfb4822e3d769d39e1 solver=decisions=1066 propagations=48414 conflicts=419 restarts=2 learnt=419 removed=0 maxdepth=49"},
 		{"xor60/8/bva", func(t *testing.T) *fixture { return xorFixture(t, 60, 8, 8) }, true,
 			"key-found iters=6 key=10101010 trace=ae24d436561fbaa34ab593fe217cbe63763190b344094362a3bac64ef7001226 solver=decisions=321 propagations=11505 conflicts=96 restarts=0 learnt=96 removed=0 maxdepth=25"},
+		// A Table I cell: c7552 at scale 0.1, five 2x2 blocks.
+		{"c7552@0.1/2x2x5/2", c7552Fixture, false,
+			"key-found iters=17 key=001110001011000111110101110000110111101101011 trace=91a36710a1b449c5ffad7978f5597a44c872734a708ab37826b555635e2d0f24 solver=decisions=4910 propagations=393829 conflicts=756 restarts=2 learnt=756 removed=0 maxdepth=123"},
 	}
 	for _, tc := range cases {
 		fx := tc.fx(t)

@@ -319,6 +319,40 @@ func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
 	}
 }
 
+// TestJournalCompatC432 resumes a checked-in journal written by the
+// solver before its clause-arena rewrite: the first 12 of the 24 DIP
+// records of the c432 8x8 seed-432 attack pinned in
+// TestGoldenSATAttack. Replay compares the solver Snapshot on every
+// journaled DIP, so finishing without ErrReplayDiverged and without
+// re-querying a journaled DIP proves that attacks journaled by the
+// older solver still resume.
+func TestJournalCompatC432(t *testing.T) {
+	raw, err := os.ReadFile("testdata/c432-8x8-432.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ReadJournal(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Records) != 12 || data.Done != nil || data.Truncated {
+		t.Fatalf("fixture parsed as %d records, done=%v, truncated=%v", len(data.Records), data.Done, data.Truncated)
+	}
+	fx := rilFixture(t, c432Profile(t), core.Size8x8, 432)
+	oracle := fx.oracle(t)
+	res, err := SATAttack(fx.locked, fx.keyPos, oracle, SATOptions{Timeout: goldenBudget, Resume: data})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	const key = "1001110100101100100001001101010011111000011100011110000100010111"
+	if res.Status != KeyFound || bitString(res.Key) != key || res.Iterations != 24 {
+		t.Errorf("resumed attack: %v iters=%d key=%s, want key-found iters=24 key=%s", res.Status, res.Iterations, bitString(res.Key), key)
+	}
+	if res.Replayed != 12 || oracle.Queries() != res.Iterations-12 {
+		t.Errorf("replayed %d DIPs and queried the oracle %d times, want 12 and %d", res.Replayed, oracle.Queries(), res.Iterations-12)
+	}
+}
+
 // TestJournalResumeDoneShortCircuit resumes a finished journal: the
 // result must be reconstructed without a single solver call or oracle
 // query.

@@ -10,10 +10,11 @@
 package sat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -79,8 +80,12 @@ const (
 	lFalse int8 = -1
 )
 
-type clause struct {
-	lits    []cnf.Lit
+// clauseHdr is a clause's fixed-size header. Its literals are
+// arena[start : start+size]; the header's index in Solver.hdrs is the
+// clause reference (cref), stable for the solver's lifetime.
+type clauseHdr struct {
+	start   uint32
+	size    uint32 // 0 once deleted
 	act     float32
 	lbd     int32
 	learnt  bool
@@ -88,17 +93,24 @@ type clause struct {
 }
 
 type watcher struct {
-	cref    int     // clause index
+	cref    int32   // clause index
 	blocker cnf.Lit // a literal whose truth satisfies the clause
 }
+
+// firstWatchCap is the watch-list capacity a literal takes from the
+// shared slab on its first watch.
+const firstWatchCap = 4
 
 // Solver is an incremental CDCL solver. The zero value is not usable;
 // call New.
 type Solver struct {
-	clauses []clause
-	watches [][]watcher // indexed by literal
+	hdrs      []clauseHdr // indexed by cref; deleted clauses stay as tombstones
+	arena     []cnf.Lit   // every clause's literals, back to back
+	wasted    int         // arena literals of deleted clauses
+	watches   [][]watcher // indexed by literal
+	watchSlab []watcher   // unused first-watch capacity
 
-	assigns  []int8  // per variable
+	vals     []int8  // per literal: lTrue, lFalse or lUndef
 	level    []int32 // per variable
 	reason   []int32 // per variable: clause index or -1
 	polarity []bool  // phase saving: last assigned value
@@ -110,8 +122,16 @@ type Solver struct {
 	trailQ  int // propagation queue head
 	limits  []int
 	assumps []cnf.Lit
-	seen    []bool // scratch for conflict analysis
-	mark    []int8 // scratch for AddClause normalisation
+
+	// Scratch reused across calls.
+	seen      []bool    // per variable, conflict analysis
+	mark      []int8    // per variable, clause normalisation
+	addBuf    []cnf.Lit // AddClause/importClause normalised clause
+	learntBuf []cnf.Lit // analyze's learnt clause
+	clearBuf  []cnf.Lit // analyze's literals whose seen flag to clear
+	lbdStamp  []uint64  // per decision level, computeLBD
+	lbdEpoch  uint64
+	cands     []reduceCand // reduceDB's candidates
 
 	claInc    float64
 	learntCnt int
@@ -157,8 +177,8 @@ func NewWithConfig(cfg Config) *Solver {
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() cnf.Var {
-	v := cnf.Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := cnf.Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
 	s.polarity = append(s.polarity, !s.cfg.InvertPhase) // initial phase
@@ -171,23 +191,20 @@ func (s *Solver) NewVar() cnf.Var {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 func (s *Solver) ensureVar(v cnf.Var) {
-	for cnf.Var(len(s.assigns)) <= v {
+	for cnf.Var(len(s.level)) <= v {
 		s.NewVar()
 	}
 }
 
-func (s *Solver) litValue(l cnf.Lit) int8 {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -a
-	}
-	return a
+func (s *Solver) litValue(l cnf.Lit) int8 { return s.vals[l] }
+
+// clauseLits returns the literals of clause cref, aliasing the arena.
+func (s *Solver) clauseLits(cref int32) []cnf.Lit {
+	h := &s.hdrs[cref]
+	return s.arena[h.start : h.start+h.size]
 }
 
 // AddFormula adds every clause of a CNF formula.
@@ -217,7 +234,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	}
 	// Normalize: drop duplicates and false lits; detect tautology/satisfied.
 	// mark holds ±1 for each literal kept so far and is cleared on exit.
-	norm := make([]cnf.Lit, 0, len(lits))
+	norm := s.addBuf[:0]
 	satisfied := false
 	for _, l := range lits {
 		m := int8(1)
@@ -238,6 +255,7 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	for _, l := range norm {
 		s.mark[l.Var()] = 0
 	}
+	s.addBuf = norm
 	if satisfied {
 		return true
 	}
@@ -257,24 +275,39 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	return true
 }
 
-func (s *Solver) attachClause(lits []cnf.Lit, learnt bool) int {
-	cref := len(s.clauses)
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt, act: 0})
-	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{cref, lits[1]})
-	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{cref, lits[0]})
+// attachClause copies lits into the arena as a new clause and watches
+// its first two literals.
+func (s *Solver) attachClause(lits []cnf.Lit, learnt bool) int32 {
+	cref := int32(len(s.hdrs))
+	s.hdrs = append(s.hdrs, clauseHdr{start: uint32(len(s.arena)), size: uint32(len(lits)), learnt: learnt})
+	s.arena = append(s.arena, lits...)
+	s.watch(lits[0].Not(), watcher{cref, lits[1]})
+	s.watch(lits[1].Not(), watcher{cref, lits[0]})
 	if learnt {
 		s.learntCnt++
 	}
 	return cref
 }
 
+// watch appends w to l's watch list. A literal's first watch takes its
+// capacity from a slab shared by all literals, sized to the variable
+// count, instead of a growslice per literal.
+func (s *Solver) watch(l cnf.Lit, w watcher) {
+	ws := s.watches[l]
+	if cap(ws) == 0 {
+		if len(s.watchSlab) < firstWatchCap {
+			s.watchSlab = make([]watcher, firstWatchCap*len(s.watches))
+		}
+		ws = s.watchSlab[:0:firstWatchCap]
+		s.watchSlab = s.watchSlab[firstWatchCap:]
+	}
+	s.watches[l] = append(ws, w)
+}
+
 func (s *Solver) uncheckedEnqueue(l cnf.Lit, from int32) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.polarity[v] = !l.Neg()
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
@@ -284,40 +317,46 @@ func (s *Solver) uncheckedEnqueue(l cnf.Lit, from int32) {
 func (s *Solver) decisionLevel() int { return len(s.limits) }
 
 // propagate performs unit propagation. It returns the index of a
-// conflicting clause, or -1 if no conflict.
-func (s *Solver) propagate() int {
+// conflicting clause, or -1 if no conflict. It never moves the first
+// literal of a reason clause: that literal is true, and only a false
+// watched literal is swapped out of positions 0 and 1.
+func (s *Solver) propagate() int32 {
+	vals := s.vals
 	for s.trailQ < len(s.trail) {
 		p := s.trail[s.trailQ]
 		s.trailQ++
 		s.stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0 // watchers kept so far, compacted into ws[:j]
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if s.litValue(w.blocker) == lTrue {
-				kept = append(kept, w)
+			if vals[w.blocker] == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := &s.clauses[w.cref]
-			if c.deleted {
+			h := &s.hdrs[w.cref]
+			if h.deleted {
 				continue
 			}
-			lits := c.lits
+			lits := s.arena[h.start : h.start+h.size]
 			// Ensure lits[1] is the false watched literal p.Not().
-			if lits[0] == p.Not() {
+			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{w.cref, first})
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{w.cref, first}
+				j++
 				continue
 			}
 			// Look for a new watch.
 			found := false
 			for k := 2; k < len(lits); k++ {
-				if s.litValue(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.cref, first})
+					s.watch(lits[1].Not(), watcher{w.cref, first})
 					found = true
 					break
 				}
@@ -326,17 +365,18 @@ func (s *Solver) propagate() int {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.cref, first})
-			if s.litValue(first) == lFalse {
+			ws[j] = watcher{w.cref, first}
+			j++
+			if vals[first] == lFalse {
 				// Conflict: keep the remaining watchers and bail.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[p] = kept
+				j += copy(ws[j:], ws[wi+1:])
+				s.watches[p] = ws[:j]
 				s.trailQ = len(s.trail)
 				return w.cref
 			}
-			s.uncheckedEnqueue(first, int32(w.cref))
+			s.uncheckedEnqueue(first, w.cref)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
 	return -1
 }
@@ -347,8 +387,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	bound := s.limits[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = -1
 		if !s.heap.inHeap(int(v)) {
 			s.heap.insert(int(v))
@@ -372,11 +414,12 @@ func (s *Solver) bumpVar(v cnf.Var) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
+func (s *Solver) bumpClause(cref int32) {
+	c := &s.hdrs[cref]
 	c.act += float32(s.claInc)
 	if c.act > 1e30 {
-		for i := range s.clauses {
-			s.clauses[i].act *= 1e-30
+		for i := range s.hdrs {
+			s.hdrs[i].act *= 1e-30
 		}
 		s.claInc *= 1e-30
 	}
@@ -384,23 +427,23 @@ func (s *Solver) bumpClause(c *clause) {
 
 // analyze performs first-UIP conflict analysis, returning the learnt
 // clause (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl int) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{0} // placeholder for asserting literal
+// The clause aliases a scratch buffer, valid until the next call.
+func (s *Solver) analyze(confl int32) ([]cnf.Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for asserting literal
 	seen := s.seen
 	counter := 0
 	p := cnf.Lit(-1)
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
-			s.bumpClause(c)
+		if s.hdrs[confl].learnt {
+			s.bumpClause(confl)
 		}
 		start := 0
 		if p != cnf.Lit(-1) {
 			start = 1 // skip the asserting literal of the reason clause
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.clauseLits(confl)[start:] {
 			v := q.Var()
 			if seen[v] || s.level[v] == 0 {
 				continue
@@ -426,15 +469,12 @@ func (s *Solver) analyze(confl int) ([]cnf.Lit, int) {
 			learnt[0] = p.Not()
 			break
 		}
-		confl = int(s.reason[v])
+		confl = s.reason[v]
 	}
 
 	// Clause minimization: drop literals implied by the rest. The vars
 	// of learnt[1:] are still marked in seen from the resolution loop.
-	marked := make([]cnf.Var, 0, len(learnt))
-	for _, l := range learnt[1:] {
-		marked = append(marked, l.Var())
-	}
+	s.clearBuf = append(s.clearBuf[:0], learnt[1:]...)
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
@@ -445,7 +485,7 @@ func (s *Solver) analyze(confl int) ([]cnf.Lit, int) {
 			continue
 		}
 		redundant := true
-		for _, q := range s.clauses[r].lits[1:] {
+		for _, q := range s.clauseLits(r)[1:] {
 			if !seen[q.Var()] && s.level[q.Var()] != 0 {
 				redundant = false
 				break
@@ -457,9 +497,10 @@ func (s *Solver) analyze(confl int) ([]cnf.Lit, int) {
 		}
 	}
 	learnt = learnt[:j]
-	for _, v := range marked {
-		seen[v] = false
+	for _, l := range s.clearBuf {
+		seen[l.Var()] = false
 	}
+	s.learntBuf = learnt
 
 	// Backtrack level: max level among learnt[1:].
 	btLevel := 0
@@ -476,19 +517,29 @@ func (s *Solver) analyze(confl int) ([]cnf.Lit, int) {
 	return learnt, btLevel
 }
 
+// computeLBD counts the distinct decision levels among lits, marking
+// each level with a fresh epoch instead of building a set.
 func (s *Solver) computeLBD(lits []cnf.Lit) int32 {
-	levels := map[int32]bool{}
+	s.lbdEpoch++
+	var n int32
 	for _, l := range lits {
-		levels[s.level[l.Var()]] = true
+		lv := s.level[l.Var()]
+		for int(lv) >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, 0)
+		}
+		if s.lbdStamp[lv] != s.lbdEpoch {
+			s.lbdStamp[lv] = s.lbdEpoch
+			n++
+		}
 	}
-	return int32(len(levels))
+	return n
 }
 
 func (s *Solver) pickBranchLit() cnf.Lit {
 	// Occasional random decision diversifies the search.
 	if s.cfg.RandomFreq > 0 && s.rng.Float64() < s.cfg.RandomFreq {
-		v := cnf.Var(s.rng.Intn(len(s.assigns)))
-		if s.assigns[v] == lUndef {
+		v := cnf.Var(s.rng.Intn(s.NumVars()))
+		if s.vals[cnf.MkLit(v, false)] == lUndef {
 			return cnf.MkLit(v, !s.polarity[v])
 		}
 	}
@@ -497,51 +548,81 @@ func (s *Solver) pickBranchLit() cnf.Lit {
 			return cnf.Lit(-1)
 		}
 		v := cnf.Var(s.heap.removeMin())
-		if s.assigns[v] == lUndef {
+		if s.vals[cnf.MkLit(v, false)] == lUndef {
 			return cnf.MkLit(v, !s.polarity[v])
 		}
 	}
 }
 
+// reduceCand is a learnt clause reduceDB may delete.
+type reduceCand struct {
+	cref int32
+	act  float32
+	lbd  int32
+}
+
+// locked reports whether clause cref is the reason for an assignment.
+// A reason clause's first literal is the one it implied (see
+// propagate), so only that variable's reason needs checking.
+func (s *Solver) locked(cref int32) bool {
+	l := s.arena[s.hdrs[cref].start]
+	return s.reason[l.Var()] == cref && s.vals[l] == lTrue
+}
+
 // reduceDB removes roughly half of the learnt clauses, preferring high
 // LBD and low activity. Glue clauses (LBD <= 2) and reason clauses are
-// kept.
+// kept. Deleted clauses keep their header as a tombstone; their arena
+// literals are reclaimed once they make up half the arena.
 func (s *Solver) reduceDB() {
-	type cand struct {
-		cref int
-		act  float32
-		lbd  int32
-	}
-	locked := make(map[int]bool)
-	for _, v := range s.trail {
-		if r := s.reason[v.Var()]; r >= 0 {
-			locked[int(r)] = true
+	cands := s.cands[:0]
+	for i := range s.hdrs {
+		c := &s.hdrs[i]
+		if c.learnt && !c.deleted && c.lbd > 2 && c.size > 2 && !s.locked(int32(i)) {
+			cands = append(cands, reduceCand{int32(i), c.act, c.lbd})
 		}
 	}
-	var cands []cand
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.learnt && !c.deleted && c.lbd > 2 && !locked[i] && len(c.lits) > 2 {
-			cands = append(cands, cand{i, c.act, c.lbd})
-		}
-	}
+	s.cands = cands
 	if len(cands) < 2 {
 		return
 	}
-	// Partial sort: delete the worse half (high lbd, low act first).
-	worse := func(a, b cand) bool {
+	// Delete the worse half: high LBD, then low activity, first.
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so ties
+	// between equally bad clauses break exactly as they always have.
+	slices.SortFunc(cands, func(a, b reduceCand) int {
 		if a.lbd != b.lbd {
-			return a.lbd > b.lbd
+			return cmp.Compare(b.lbd, a.lbd)
 		}
-		return a.act < b.act
-	}
-	sort.Slice(cands, func(i, j int) bool { return worse(cands[i], cands[j]) })
+		return cmp.Compare(a.act, b.act)
+	})
 	for _, c := range cands[:len(cands)/2] {
-		s.clauses[c.cref].deleted = true
-		s.clauses[c.cref].lits = nil
+		h := &s.hdrs[c.cref]
+		s.wasted += int(h.size)
+		h.deleted = true
+		h.size = 0
 		s.learntCnt--
 		s.stats.Removed++
 	}
+	if 2*s.wasted > len(s.arena) {
+		s.compactArena()
+	}
+}
+
+// compactArena slides every live clause's literals down over the
+// deleted ones, keeping clause order; crefs do not change.
+func (s *Solver) compactArena() {
+	var n uint32
+	for i := range s.hdrs {
+		h := &s.hdrs[i]
+		if h.deleted {
+			h.start = 0
+			continue
+		}
+		copy(s.arena[n:], s.arena[h.start:h.start+h.size])
+		h.start = n
+		n += h.size
+	}
+	s.arena = s.arena[:n]
+	s.wasted = 0
 }
 
 // luby returns the x-th element (0-based) of the Luby restart sequence
@@ -588,9 +669,10 @@ func (s *Solver) ResetStats() { s.stats = Stats{} }
 // totals instead of zero.
 func (s *Solver) RestoreStats(st Stats) { s.stats = st }
 
-// NumClauses returns the number of attached clauses, problem and learnt
-// (deleted-but-not-compacted learnt clauses included).
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+// NumClauses returns the number of clauses ever attached, problem and
+// learnt. Learnt clauses reduceDB deleted still count: they keep a
+// tombstone header, so the count never falls.
+func (s *Solver) NumClauses() int { return len(s.hdrs) }
 
 // Snapshot captures the externally observable solver state at a
 // checkpoint: cumulative counters plus variable and clause counts. The
@@ -650,7 +732,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	s.assumps = assumptions
 	defer s.cancelUntil(0)
 
-	s.maxLearnt = float64(len(s.clauses))*0.3 + 1000
+	s.maxLearnt = float64(len(s.hdrs))*0.3 + 1000
 	var restarts int64
 	checkCounter := 0
 
@@ -720,7 +802,7 @@ func (s *Solver) importClause(lits []cnf.Lit, lbd int32) bool {
 	if !s.okay {
 		return false
 	}
-	norm := make([]cnf.Lit, 0, len(lits))
+	norm := s.addBuf[:0]
 	for _, l := range lits {
 		s.ensureVar(l.Var())
 		switch s.litValue(l) {
@@ -731,6 +813,7 @@ func (s *Solver) importClause(lits []cnf.Lit, lbd int32) bool {
 		}
 		norm = append(norm, l)
 	}
+	s.addBuf = norm
 	s.stats.Imported++
 	switch len(norm) {
 	case 0:
@@ -740,7 +823,7 @@ func (s *Solver) importClause(lits []cnf.Lit, lbd int32) bool {
 		return s.propagate() < 0
 	}
 	cref := s.attachClause(norm, true)
-	s.clauses[cref].lbd = lbd
+	s.hdrs[cref].lbd = lbd
 	return true
 }
 
@@ -789,9 +872,9 @@ func (s *Solver) search(nConflicts int64, checkCounter *int) Status {
 			} else {
 				cref := s.attachClause(learnt, true)
 				lbd := s.computeLBD(learnt)
-				s.clauses[cref].lbd = lbd
-				s.bumpClause(&s.clauses[cref])
-				s.uncheckedEnqueue(learnt[0], int32(cref))
+				s.hdrs[cref].lbd = lbd
+				s.bumpClause(cref)
+				s.uncheckedEnqueue(learnt[0], cref)
 				if s.exch != nil && lbd <= s.cfg.ShareLBDCap {
 					s.exch.Publish(s.exchID, lbd, learnt)
 					s.stats.Exported++
@@ -835,9 +918,9 @@ func (s *Solver) search(nConflicts int64, checkCounter *int) Status {
 			next = s.pickBranchLit()
 			if next == cnf.Lit(-1) {
 				// All variables assigned: model found.
-				s.model = make([]bool, len(s.assigns))
-				for v, a := range s.assigns {
-					s.model[v] = a == lTrue
+				s.model = make([]bool, s.NumVars())
+				for v := range s.model {
+					s.model[v] = s.vals[cnf.MkLit(cnf.Var(v), false)] == lTrue
 				}
 				return Sat
 			}

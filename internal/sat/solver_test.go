@@ -3,6 +3,7 @@ package sat
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -58,23 +59,7 @@ func TestPigeonhole(t *testing.T) {
 	// PHP(n+1, n): n+1 pigeons in n holes — classic UNSAT family that
 	// requires real search (resolution lower bounds are exponential).
 	for _, n := range []int{3, 4, 5} {
-		f := cnf.NewFormula()
-		v := func(p, h int) cnf.Lit { return lit(f, p*n+h, false) }
-		for p := 0; p <= n; p++ {
-			var c []cnf.Lit
-			for h := 0; h < n; h++ {
-				c = append(c, v(p, h))
-			}
-			f.AddClause(c...)
-		}
-		for h := 0; h < n; h++ {
-			for p1 := 0; p1 <= n; p1++ {
-				for p2 := p1 + 1; p2 <= n; p2++ {
-					f.AddClause(v(p1, h).Not(), v(p2, h).Not())
-				}
-			}
-		}
-		st, _ := SolveFormula(f, time.Time{})
+		st, _ := SolveFormula(pigeonhole(n), time.Time{})
 		if st != Unsat {
 			t.Errorf("PHP(%d,%d) = %v, want UNSAT", n+1, n, st)
 		}
@@ -231,25 +216,8 @@ func TestConflictingAssumptions(t *testing.T) {
 func TestConflictBudget(t *testing.T) {
 	// A hard pigeonhole instance with a tiny conflict budget must
 	// return Unknown rather than running to completion.
-	n := 8
-	f := cnf.NewFormula()
-	v := func(p, h int) cnf.Lit { return lit(f, p*n+h, false) }
-	for p := 0; p <= n; p++ {
-		var c []cnf.Lit
-		for h := 0; h < n; h++ {
-			c = append(c, v(p, h))
-		}
-		f.AddClause(c...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				f.AddClause(v(p1, h).Not(), v(p2, h).Not())
-			}
-		}
-	}
 	s := New()
-	s.AddFormula(f)
+	s.AddFormula(pigeonhole(8))
 	s.SetConflictBudget(50)
 	if st := s.Solve(); st != Unknown {
 		t.Errorf("budgeted solve = %v, want UNKNOWN", st)
@@ -260,25 +228,8 @@ func TestConflictBudget(t *testing.T) {
 }
 
 func TestDeadline(t *testing.T) {
-	n := 10 // PHP(11,10) is far beyond a 20ms budget
-	f := cnf.NewFormula()
-	v := func(p, h int) cnf.Lit { return lit(f, p*n+h, false) }
-	for p := 0; p <= n; p++ {
-		var c []cnf.Lit
-		for h := 0; h < n; h++ {
-			c = append(c, v(p, h))
-		}
-		f.AddClause(c...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				f.AddClause(v(p1, h).Not(), v(p2, h).Not())
-			}
-		}
-	}
 	s := New()
-	s.AddFormula(f)
+	s.AddFormula(pigeonhole(10)) // PHP(11,10) is far beyond a 20ms budget
 	s.SetDeadline(time.Now().Add(20 * time.Millisecond))
 	start := time.Now()
 	st := s.Solve()
@@ -356,7 +307,7 @@ func TestAddClauseNormalisation(t *testing.T) {
 			}
 			var attached []int
 			if s.NumClauses() > before {
-				for _, l := range s.clauses[before].lits {
+				for _, l := range s.clauseLits(int32(before)) {
 					attached = append(attached, l.Dimacs())
 				}
 			}
@@ -381,18 +332,50 @@ func TestAddClauseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
-	// The clause's own literal slice is the only per-call allocation;
-	// clause-list and watch-list growth amortises below one. 16 literals
-	// is the width of a sensitization blocking clause.
+	// Normalisation reuses a scratch buffer and the literals are copied
+	// into the clause arena, so the only allocations are the arena's,
+	// the header list's and the watch lists' growth, which amortise to
+	// zero. 16 literals is the width of a sensitization blocking clause.
 	for _, width := range []int{3, 16} {
 		s := New()
 		lits := make([]cnf.Lit, width)
 		for i := range lits {
 			lits[i] = cnf.MkLit(s.NewVar(), i%2 == 1)
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { s.AddClause(lits...) }); allocs > 1 {
-			t.Errorf("%d-literal AddClause costs %v allocations, want at most 1", width, allocs)
+		if allocs := testing.AllocsPerRun(1000, func() { s.AddClause(lits...) }); allocs > 0 {
+			t.Errorf("%d-literal AddClause costs %v allocations, want 0", width, allocs)
 		}
+	}
+}
+
+// TestSolveAllocs keeps conflict analysis, LBD counting and reduceDB
+// free of per-call maps and slices: a warm solver, its buffers grown
+// by an earlier Solve, resumes PHP(8,7) for thousands of conflicts
+// and thousands of deletions with only amortised growth allocating.
+func TestSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	s := New()
+	s.AddFormula(pigeonhole(7))
+	s.SetConflictBudget(1000)
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("warm-up solve = %v, want UNKNOWN", st)
+	}
+	before := s.Stats()
+	s.SetConflictBudget(4500)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	st := s.Solve()
+	runtime.ReadMemStats(&m1)
+	if st != Unknown {
+		t.Fatalf("budgeted solve = %v, want UNKNOWN", st)
+	}
+	conflicts := s.Stats().Conflicts - before.Conflicts
+	allocs := int64(m1.Mallocs - m0.Mallocs)
+	t.Logf("%d allocations over %d conflicts and %d deletions", allocs, conflicts, s.Stats().Removed-before.Removed)
+	if allocs*10 > conflicts {
+		t.Errorf("%d allocations over %d conflicts, want at most one per 10 conflicts", allocs, conflicts)
 	}
 }
 
