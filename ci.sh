@@ -16,7 +16,7 @@
 # gate (three-way differential, clause exchange, portfolio-attack,
 # golden-trajectory and journal-compatibility suites under -race, plus
 # a clause-exchange fuzz smoke), a fuzz
-# smoke stage (10s per parser/journal/audit/suppression target), the
+# smoke stage (10s per parser/journal/stamp/audit/suppression target), the
 # netlint gate
 # — every checked-in .bench benchmark and a freshly locked circuit
 # must pass the full analyzer set including the resilience audit,
@@ -131,20 +131,21 @@ echo "== portfolio gate: three-way differential + exchange under -race =="
 # clause-exchange and portfolio-attack suites, all under the race
 # detector. rilvet ran repo-wide above; this stage is the targeted
 # correctness gate for the racing machinery itself. The golden pins
-# (solver trajectories, attack keys and traces) and the checked-in
-# journal fixture ride along: the search must stay bit-identical under
-# the race build too.
+# (solver trajectories, attack keys and traces) and the journal resume
+# tests ride along: the search must stay bit-identical under the race
+# build too.
 go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode|Golden|JournalCompat' \
     ./internal/sat/ ./internal/attack/
 
 echo "== portfolio gate: clause-exchange fuzz smoke =="
 go test ./internal/sat/ -run='^$' -fuzz='^FuzzClauseExchange$' -fuzztime=10s
 
-echo "== fuzz smoke (10s per parser/journal/audit target) =="
+echo "== fuzz smoke (10s per parser/journal/stamp/audit target) =="
 for target in FuzzParseBench FuzzParseBenchLax FuzzParseVerilog; do
     go test ./internal/netlist/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
 done
 go test ./internal/attack/ -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s
+go test ./internal/cnf/ -run='^$' -fuzz='^FuzzStampFixed$' -fuzztime=10s
 go test ./internal/netlint/ -run='^$' -fuzz='^FuzzResilienceAnalyzers$' -fuzztime=10s
 go test ./internal/golint/ -run='^$' -fuzz='^FuzzSuppressionParse$' -fuzztime=10s
 for target in FuzzCacheKeyCanonical FuzzCacheEntryDecode; do

@@ -238,7 +238,8 @@ func main() {
 
 // targetCacheKey derives the content-addressed cache key for one
 // attack target: the raw bytes of the locked netlist and key files
-// plus every option that shapes the attack. Returns the zero Key —
+// plus every option that shapes the attack and the attack's search
+// version. Returns the zero Key —
 // opting the target out of caching — when the cache is off or a file
 // cannot be read (the attack itself will then surface the read error).
 func targetCacheKey(c *cache.Cache, lockedPath, keyPath, prefix string,
@@ -263,6 +264,7 @@ func targetCacheKey(c *cache.Cache, lockedPath, keyPath, prefix string,
 			"portfolio": portfolio,
 			"appsat":    appsat,
 			"bva":       bva,
+			"search":    attack.SearchVersion,
 		}).
 		Key()
 	if err != nil {

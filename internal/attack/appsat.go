@@ -137,8 +137,9 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 					outBuf[i] = want[i]&(1<<uint(lane)) != 0
 				}
 				wrong++
-				if err := m.constrainDIP(inBuf, outBuf); err != nil {
-					return false, err
+				if !m.constrainDIP(inBuf, outBuf) {
+					res.Status, endedInRound = Failed, true // no key fits the oracle
+					return true, nil
 				}
 			}
 			done += chunk

@@ -14,11 +14,12 @@ import (
 )
 
 // Golden pins for every attack built on the shared miter and DIP loop,
-// recorded from the per-attack loops that kernel replaced. They must
-// match bit for bit: sat.Stats moves with any change to the clause
-// stream, the variable numbering or the Solve/assumption order, so
-// matching stats prove all three unchanged. Every run finishes far
-// inside its budget, so no pin depends on timing.
+// recorded under SearchVersion 1. They must match bit for bit: sat.Stats
+// moves with any change to the clause stream, the variable numbering or
+// the Solve/assumption order, so matching stats prove all three
+// unchanged, and a change to any of them bumps SearchVersion and
+// re-records these pins. Every run finishes far inside its budget, so
+// no pin depends on timing.
 
 const goldenBudget = 2 * time.Minute
 
@@ -116,18 +117,18 @@ func TestGoldenSATAttack(t *testing.T) {
 		want string
 	}{
 		{"c17/2x2/17", c17Fixture, false,
-			"key-found iters=7 key=001110111 trace=42dda5a830742b6d7c0d8e63019bf1064b8d8d4d2186dc90da45a5414d01fcea solver=decisions=128 propagations=1121 conflicts=15 restarts=0 learnt=15 removed=0 maxdepth=23"},
+			"key-found iters=7 key=001110111 trace=42dda5a830742b6d7c0d8e63019bf1064b8d8d4d2186dc90da45a5414d01fcea solver=decisions=133 propagations=994 conflicts=18 restarts=0 learnt=18 removed=0 maxdepth=23"},
 		{"c432/8x8/432", func(t *testing.T) *fixture { return rilFixture(t, c432Profile(t), core.Size8x8, 432) }, false,
-			"key-found iters=24 key=1001110100101100100001001101010011111000011100011110000100010111 trace=0b4cc41ccd7a34eeb3ba4030bd079d5f80072149ed36b7a1e97d5a0e6c82cc9c solver=decisions=11520 propagations=413754 conflicts=1814 restarts=5 learnt=1814 removed=0 maxdepth=178"},
+			"key-found iters=30 key=1000110100101100100001000001001011111100011100011111000100010111 trace=15d72dddfd02fc4f961be05caebef04bd0b347f6f8ce7b68b0f4e6119595c8e0 solver=decisions=12667 propagations=491798 conflicts=2215 restarts=9 learnt=2215 removed=0 maxdepth=178"},
 		{"small80/2x2/9", func(t *testing.T) *fixture { return rilFixture(t, smallCircuit(t, 80, 4), core.Size2x2, 9) }, false,
-			"key-found iters=5 key=100010011 trace=7d578c923de2c11e55355ad9df61068caf3ed335b6730e1d70ccb89b86765913 solver=decisions=476 propagations=12049 conflicts=109 restarts=0 learnt=109 removed=0 maxdepth=37"},
+			"key-found iters=5 key=100011111 trace=8f8959a32d60ce214e9739c809d2bd6b79255e5c5ba864e0f251ecf24cac1fd8 solver=decisions=440 propagations=10099 conflicts=102 restarts=0 learnt=102 removed=0 maxdepth=30"},
 		{"small120/2x2-routed/58", func(t *testing.T) *fixture { _, fx := routedRILFixture(t); return fx }, false,
-			"key-found iters=5 key=1111010011100 trace=df6cb6d99aa29e4a7d5e4b2d4a130a42348f7030c027dddfb4822e3d769d39e1 solver=decisions=1066 propagations=48414 conflicts=419 restarts=2 learnt=419 removed=0 maxdepth=49"},
+			"key-found iters=6 key=0001111111001 trace=4288ab810a037a200e17a7cc48514de157f7ac73eb0766d2298b5b7b4a4475ef solver=decisions=1120 propagations=45732 conflicts=444 restarts=1 learnt=444 removed=0 maxdepth=49"},
 		{"xor60/8/bva", func(t *testing.T) *fixture { return xorFixture(t, 60, 8, 8) }, true,
-			"key-found iters=6 key=10101010 trace=ae24d436561fbaa34ab593fe217cbe63763190b344094362a3bac64ef7001226 solver=decisions=321 propagations=11505 conflicts=96 restarts=0 learnt=96 removed=0 maxdepth=25"},
+			"key-found iters=7 key=10101010 trace=0429e5136de1511fe5ce99043a1d408b5ddbab9a2c063e2485246e9267bbdd42 solver=decisions=335 propagations=12071 conflicts=87 restarts=0 learnt=87 removed=0 maxdepth=22"},
 		// A Table I cell: c7552 at scale 0.1, five 2x2 blocks.
 		{"c7552@0.1/2x2x5/2", c7552Fixture, false,
-			"key-found iters=17 key=001110001011000111110101110000110111101101011 trace=91a36710a1b449c5ffad7978f5597a44c872734a708ab37826b555635e2d0f24 solver=decisions=4910 propagations=393829 conflicts=756 restarts=2 learnt=756 removed=0 maxdepth=123"},
+			"key-found iters=20 key=001110001011000111110101110000010111101111011 trace=0f28622db4aeefe718362a9ee08222079173ffb8d312f6de17e5a7f9274bbf55 solver=decisions=4463 propagations=293977 conflicts=705 restarts=2 learnt=705 removed=0 maxdepth=128"},
 	}
 	for _, tc := range cases {
 		fx := tc.fx(t)
@@ -139,6 +140,7 @@ func TestGoldenSATAttack(t *testing.T) {
 		got := fmt.Sprintf("%v iters=%d key=%s trace=%x solver=%+v",
 			res.Status, res.Iterations, bitString(res.Key), sha256.Sum256(trace.Bytes()), res.Solver)
 		checkGolden(t, tc.name, got, tc.want)
+		fx.checkKey(t, tc.name, res.Key)
 	}
 }
 
@@ -147,16 +149,17 @@ func TestGoldenAppSAT(t *testing.T) {
 		name      string
 		fx        func(t *testing.T) *fixture
 		maxRounds int
+		exact     bool // the key is exact, not just within the error threshold
 		want      string
 	}{
-		{"c17/2x2/17", c17Fixture, 0,
+		{"c17/2x2/17", c17Fixture, 0, true,
 			"key-found rounds=1 dips=7 est=0 key=001110111 queries=7"},
-		{"c432/8x8/432", func(t *testing.T) *fixture { return rilFixture(t, c432Profile(t), core.Size8x8, 432) }, 0,
-			"key-found rounds=2 dips=8 est=0 key=1001110100101100000001001000010111101111011100011101000100010111 queries=72"},
-		{"scan/small120/8x8/13", scanFixture, 8,
-			"key-found rounds=2 dips=16 est=0 key=0101001010111001101011001110011000010111000111101101100000001000 queries=144"},
-		{"scan/small120/8x8/13/1-round", scanFixture, 1,
-			"timeout rounds=1 dips=8 est=0.734375 key= queries=72"},
+		{"c432/8x8/432", func(t *testing.T) *fixture { return rilFixture(t, c432Profile(t), core.Size8x8, 432) }, 0, true,
+			"key-found rounds=2 dips=8 est=0 key=1001110100101100000001000100111011111111011100010000000100010111 queries=72"},
+		{"scan/small120/8x8/13", scanFixture, 8, false,
+			"key-found rounds=2 dips=16 est=0 key=0100001010111010101011111110101000000111000110101111100000001100 queries=144"},
+		{"scan/small120/8x8/13/1-round", scanFixture, 1, false,
+			"timeout rounds=1 dips=8 est=0.640625 key= queries=72"},
 	}
 	for _, tc := range cases {
 		fx := tc.fx(t)
@@ -173,6 +176,16 @@ func TestGoldenAppSAT(t *testing.T) {
 		got := fmt.Sprintf("%v rounds=%d dips=%d est=%v key=%s queries=%d",
 			ar.Status, ar.Rounds, ar.DIPs, ar.ErrorEstimate, bitString(ar.Key), oracle.Queries())
 		checkGolden(t, tc.name, got, tc.want)
+		if ar.Status != KeyFound {
+			continue
+		}
+		if tc.exact {
+			fx.checkKey(t, tc.name, ar.Key)
+		}
+		rate, err := VerifyKey(fx.locked, fx.keyPos, ar.Key, fx.oracle(t), 1000, 1)
+		if err != nil || rate > opt.ErrorThreshold {
+			t.Errorf("%s: key's error rate %v (%v), over the %v threshold", tc.name, rate, err, opt.ErrorThreshold)
+		}
 	}
 }
 
@@ -186,9 +199,9 @@ func TestGoldenSATAttackOneHot(t *testing.T) {
 		want  string
 	}{
 		{"routing-only/8", routing, routingHints,
-			"key-found iters=6 key=010110110010 realizable=true solver=decisions=3029 propagations=313174 conflicts=1559 restarts=8 learnt=1559 removed=0 maxdepth=64"},
+			"key-found iters=6 key=010110110010 realizable=true solver=decisions=2394 propagations=258350 conflicts=1335 restarts=8 learnt=1335 removed=0 maxdepth=64"},
 		{"small120/2x2-routed/58", ril, HintsFromRIL(rilRes),
-			"key-found iters=6 key=1111010010110 realizable=true solver=decisions=1882 propagations=92417 conflicts=749 restarts=3 learnt=749 removed=0 maxdepth=50"},
+			"key-found iters=6 key=1100010011001 realizable=true solver=decisions=1404 propagations=67924 conflicts=565 restarts=2 learnt=565 removed=0 maxdepth=47"},
 	}
 	for _, tc := range cases {
 		res, err := SATAttackOneHot(tc.fx.locked, tc.fx.keyPos, tc.hints, tc.fx.oracle(t), SATOptions{Timeout: goldenBudget})
@@ -198,6 +211,7 @@ func TestGoldenSATAttackOneHot(t *testing.T) {
 		got := fmt.Sprintf("%v iters=%d key=%s realizable=%v solver=%+v",
 			res.SAT.Status, res.SAT.Iterations, bitString(res.Key), res.Realizable, res.SAT.Solver)
 		checkGolden(t, tc.name, got, tc.want)
+		tc.fx.checkKey(t, tc.name, res.Key)
 	}
 }
 

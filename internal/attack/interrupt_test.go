@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/netlist"
+	"repro/internal/testutil"
 )
 
 // hookOracle runs hook just before answering its n-th query, so a test
@@ -150,6 +153,125 @@ func TestOwnBudgetIsTimeout(t *testing.T) {
 	}
 	if sr != nil && sr.Status == KeyFound || ar != nil && ar.Status == KeyFound || oh != nil && oh.SAT.Status == KeyFound {
 		t.Logf("a 3x 8x8x8 attack finished within %v on this machine; its budget path went unexercised", budget)
+	}
+}
+
+// TestBudgetEndsEasyDIPs runs SATAttack and AppSAT on Table V's
+// point-function locks, whose DIPs are each too easy for the solver to
+// poll its deadline. The DIP loop reads the clock before every DIP, so
+// a 200 ms budget must end each attack as Timeout within 300 ms. AppSAT
+// runs with a negative error threshold, so no approximate key ends it,
+// and only on SARLock: on SFLL-HD its random queries pin the exact key
+// within two rounds, well inside the budget.
+func TestBudgetEndsEasyDIPs(t *testing.T) {
+	orig, err := netlist.Random(netlist.RandomProfile{
+		Name: "tbl5", Inputs: 14, Outputs: 6, Gates: 500, Locality: 0.6,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfll, err := baselines.SFLLHD(orig, 12, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sar, err := baselines.SARLock(orig, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget, limit = 200 * time.Millisecond, 300 * time.Millisecond
+	satAttack := func(l *baselines.Locked, o Oracle) (Status, error) {
+		res, err := SATAttack(l.Netlist, l.KeyPos, o, SATOptions{Timeout: budget})
+		if err != nil {
+			return 0, err
+		}
+		return res.Status, nil
+	}
+	appSAT := func(l *baselines.Locked, o Oracle) (Status, error) {
+		opt := DefaultAppSAT()
+		opt.Timeout, opt.ErrorThreshold, opt.MaxRounds = budget, -1, 1<<20
+		res, err := AppSAT(l.Netlist, l.KeyPos, o, opt)
+		if err != nil {
+			return 0, err
+		}
+		return res.Status, nil
+	}
+	cases := []struct {
+		name string
+		lock *baselines.Locked
+		run  func(*baselines.Locked, Oracle) (Status, error)
+	}{
+		{"sat/sfll-hd", sfll, satAttack},
+		{"sat/sarlock", sar, satAttack},
+		{"appsat/sarlock", sar, appSAT},
+	}
+	for _, c := range cases {
+		start := time.Now()
+		st, err := c.run(c.lock, oracleFor(t, c.lock.Netlist, c.lock.KeyPos, c.lock.Key))
+		if took := time.Since(start); err != nil || st != Timeout || took > limit {
+			t.Errorf("%s: %v, %v after %v; want Timeout within %v", c.name, st, err, took, limit)
+		}
+	}
+}
+
+// flipOracle answers with output 0 inverted, which no key of the XOR
+// locks below reproduces.
+type flipOracle struct{ Oracle }
+
+func (o flipOracle) Query(in []bool) []bool {
+	out := o.Oracle.Query(in)
+	out[0] = !out[0]
+	return out
+}
+
+// TestNoKeyFitsIsFailed attacks XOR locks through an oracle no key can
+// match. Such an attack may still converge to a key class that agrees
+// with the oracle on every DIP it found; otherwise a DIP constraint
+// contradicts the miter, which must end the attack Failed with a done
+// record, whichever key copy shows the contradiction. Resuming the
+// journal without its done record re-solves into the same verdict with
+// no oracle query; constraint replay of it reports ErrReplayDiverged,
+// as for any journal that contradicts its circuit.
+func TestNoKeyFitsIsFailed(t *testing.T) {
+	failed := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		orig := testutil.RandomCircuit(t, 10, 4, 60, seed)
+		locked, keyPos, key := testutil.XORLock(t, orig, 8, seed)
+		var buf bytes.Buffer
+		res, err := SATAttack(locked, keyPos, flipOracle{oracleFor(t, locked, keyPos, key)},
+			SATOptions{Timeout: time.Minute, Journal: NewJournal(&buf)})
+		if err != nil || res.Status == Timeout {
+			t.Errorf("seed %d: live attack: %v, %v; want a verdict", seed, res, err)
+			continue
+		}
+		if res.Status != Failed {
+			continue
+		}
+		failed++
+		data, err := ReadJournal(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data.Done == nil || data.Done.Status != Failed.String() || len(data.Records) != res.Iterations {
+			t.Errorf("seed %d: journal holds %d records and done %+v; want %d records and a failed done record",
+				seed, len(data.Records), data.Done, res.Iterations)
+			continue
+		}
+		o := flipOracle{oracleFor(t, locked, keyPos, key)}
+		for _, done := range []*JournalDone{data.Done, nil} {
+			data.Done = done
+			res, err = SATAttack(locked, keyPos, o, SATOptions{Timeout: time.Minute, Resume: data})
+			if err != nil || res.Status != Failed || res.Replayed != len(data.Records) || o.Queries() != 0 {
+				t.Errorf("seed %d: resume (done record %v): %v, %v, %d queries; want Failed from the journal alone",
+					seed, done != nil, res, err, o.Queries())
+			}
+		}
+		_, err = SATAttack(locked, keyPos, o, SATOptions{Timeout: time.Minute, Resume: data, Portfolio: 2})
+		if !errors.Is(err, ErrReplayDiverged) {
+			t.Errorf("seed %d: constraint replay: %v; want ErrReplayDiverged", seed, err)
+		}
+	}
+	if failed == 0 {
+		t.Error("no seed hit a contradiction")
 	}
 }
 

@@ -37,6 +37,21 @@ import (
 // reject other versions; see DESIGN.md for the compatibility rules.
 const JournalVersion = 1
 
+// SearchVersion identifies the DIP loop's search trajectory: the
+// clause stream, variable numbering and solve order that decide which
+// DIPs a sequential attack finds and which solver snapshots its
+// journal records. It is bumped whenever those change, so journals
+// written by another search resume by constraint replay instead of
+// failing verified re-solving, and result-cache keys mix it in so
+// results of another search become misses. JournalVersion is the file
+// format; SearchVersion is the trajectory.
+//
+// Version history:
+//
+//	0: every DIP stamps two full copies of the netlist
+//	1: a DIP copy stamps only the logic the DIP leaves key-dependent
+const SearchVersion = 1
+
 // ErrJournalCorrupt tags all journal parse/integrity errors so callers
 // can degrade to a fresh attack (errors.Is).
 var ErrJournalCorrupt = errors.New("journal corrupt")
@@ -62,6 +77,11 @@ type JournalHeader struct {
 	// verified re-solving. Excluded from header matching — a sequential
 	// journal may be resumed by a portfolio attack and vice versa.
 	Portfolio bool `json:"portfolio,omitempty"`
+	// Search is the SearchVersion of the attack that wrote the
+	// journal; absent means 0. A journal from another search version
+	// resumes by constraint replay. Excluded from header matching, as
+	// Portfolio is.
+	Search int `json:"search,omitempty"`
 	// Fingerprint is the CRC32 of the locked netlist's canonical .bench
 	// serialization plus the key positions, so a journal cannot be
 	// replayed against a different circuit.

@@ -76,6 +76,22 @@ func (f *fixture) oracle(t *testing.T) *SimOracle {
 	return o
 }
 
+// checkKey fails the test unless key unlocks the fixture's function.
+func (f *fixture) checkKey(t *testing.T, name string, key []bool) {
+	t.Helper()
+	got, err := f.locked.BindInputs(f.keyPos, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, cex, err := netlist.Equivalent(got, f.bound, 16, 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq {
+		t.Errorf("%s: key %s is functionally wrong, counterexample %s", name, bitString(key), bitString(cex))
+	}
+}
+
 // c17Fixture mirrors the regression test's c17 lock (2x2 block, seed 17).
 func c17Fixture(t *testing.T) *fixture {
 	t.Helper()
@@ -319,13 +335,12 @@ func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
 	}
 }
 
-// TestJournalCompatC432 resumes a checked-in journal written by the
-// solver before its clause-arena rewrite: the first 12 of the 24 DIP
-// records of the c432 8x8 seed-432 attack pinned in
-// TestGoldenSATAttack. Replay compares the solver Snapshot on every
-// journaled DIP, so finishing without ErrReplayDiverged and without
-// re-querying a journaled DIP proves that attacks journaled by the
-// older solver still resume.
+// TestJournalCompatC432 resumes a checked-in journal written before
+// the search version existed, by the solver before its clause-arena
+// rewrite: the first 12 of the 24 DIP records of the c432 8x8 seed-432
+// attack. Its header carries no search field (search 0), so the
+// journaled DIPs resume by constraint replay: applied without solving
+// and without re-querying the oracle for any of them.
 func TestJournalCompatC432(t *testing.T) {
 	raw, err := os.ReadFile("testdata/c432-8x8-432.journal")
 	if err != nil {
@@ -335,8 +350,9 @@ func TestJournalCompatC432(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Records) != 12 || data.Done != nil || data.Truncated {
-		t.Fatalf("fixture parsed as %d records, done=%v, truncated=%v", len(data.Records), data.Done, data.Truncated)
+	if len(data.Records) != 12 || data.Done != nil || data.Truncated || data.Header.Search != 0 {
+		t.Fatalf("fixture parsed as %d records, done=%v, truncated=%v, search=%d",
+			len(data.Records), data.Done, data.Truncated, data.Header.Search)
 	}
 	fx := rilFixture(t, c432Profile(t), core.Size8x8, 432)
 	oracle := fx.oracle(t)
@@ -344,13 +360,88 @@ func TestJournalCompatC432(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	const key = "1001110100101100100001001101010011111000011100011110000100010111"
-	if res.Status != KeyFound || bitString(res.Key) != key || res.Iterations != 24 {
-		t.Errorf("resumed attack: %v iters=%d key=%s, want key-found iters=24 key=%s", res.Status, res.Iterations, bitString(res.Key), key)
+	const key = "1000110100101100010001001101111111111100011100011100000100010111"
+	if res.Status != KeyFound || bitString(res.Key) != key || res.Iterations != 25 {
+		t.Errorf("resumed attack: %v iters=%d key=%s, want key-found iters=25 key=%s", res.Status, res.Iterations, bitString(res.Key), key)
 	}
 	if res.Replayed != 12 || oracle.Queries() != res.Iterations-12 {
 		t.Errorf("replayed %d DIPs and queried the oracle %d times, want 12 and %d", res.Replayed, oracle.Queries(), res.Iterations-12)
 	}
+	fx.checkKey(t, "resumed", res.Key)
+}
+
+// rewriteJournal re-emits data's header and first k records through a
+// Journal writer after edit has changed them, so every line carries a
+// fresh CRC, and parses the result back.
+func rewriteJournal(t *testing.T, data *JournalData, k int, edit func(*JournalHeader, []JournalRecord)) *JournalData {
+	t.Helper()
+	h, recs := data.Header, append([]JournalRecord(nil), data.Records[:k]...)
+	edit(&h, recs)
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	if err := j.WriteHeader(h); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestJournalCompatSearchVersion resumes a mid-run prefix of a journal
+// written by the current search three ways. Unmodified, it takes
+// verified re-solving: the run continues exactly as the uninterrupted
+// one, and a tampered Snapshot fails with ErrReplayDiverged. With the
+// header's search field changed, the same tampered prefix resumes by
+// constraint replay, which reads no snapshot, with zero re-queries and
+// a functionally exact key.
+func TestJournalCompatSearchVersion(t *testing.T) {
+	fx := rilFixture(t, c432Profile(t), core.Size8x8, 432)
+	full, raw, _ := attackWithJournal(t, fx, SATOptions{Timeout: goldenBudget})
+	data, err := ReadJournal(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data.Header.Search != SearchVersion {
+		t.Fatalf("journal header records search %d, want %d", data.Header.Search, SearchVersion)
+	}
+	k := full.Iterations / 2
+	same := func(*JournalHeader, []JournalRecord) {}
+	tamper := func(_ *JournalHeader, recs []JournalRecord) { recs[k/2].Solver.Stats.Decisions++ }
+	otherSearch := func(h *JournalHeader, recs []JournalRecord) { h.Search = SearchVersion + 1; tamper(h, recs) }
+
+	oracle := fx.oracle(t)
+	res, err := SATAttack(fx.locked, fx.keyPos, oracle, SATOptions{Timeout: goldenBudget, Resume: rewriteJournal(t, data, k, same)})
+	if err != nil {
+		t.Fatalf("same search: %v", err)
+	}
+	if res.Status != KeyFound || !bytesEqual(res.Key, full.Key) || res.Iterations != full.Iterations ||
+		res.Replayed != k || oracle.Queries() != full.Iterations-k {
+		t.Errorf("same search: %v (replayed %d, %d queries); want the uninterrupted run %v with %d replayed",
+			res, res.Replayed, oracle.Queries(), full, k)
+	}
+
+	_, err = SATAttack(fx.locked, fx.keyPos, fx.oracle(t), SATOptions{Timeout: goldenBudget, Resume: rewriteJournal(t, data, k, tamper)})
+	if !errors.Is(err, ErrReplayDiverged) {
+		t.Errorf("same search, tampered snapshot: %v; want ErrReplayDiverged", err)
+	}
+
+	oracle = fx.oracle(t)
+	res, err = SATAttack(fx.locked, fx.keyPos, oracle, SATOptions{Timeout: goldenBudget, Resume: rewriteJournal(t, data, k, otherSearch)})
+	if err != nil {
+		t.Fatalf("other search: %v", err)
+	}
+	if res.Status != KeyFound || res.Replayed != k || oracle.Queries() != res.Iterations-k {
+		t.Errorf("other search: %v (replayed %d, %d queries); want key-found with %d replayed and no re-query",
+			res, res.Replayed, oracle.Queries(), k)
+	}
+	fx.checkKey(t, "other search", res.Key)
 }
 
 // TestJournalResumeDoneShortCircuit resumes a finished journal: the

@@ -20,8 +20,6 @@ import (
 // paper's ∞.
 var ErrInterrupted = errors.New("attack interrupted")
 
-var errDIPUnsat = errors.New("attack: DIP constraint made formula unsatisfiable")
-
 // miter is the formula every oracle-guided attack solves: two copies
 // of one netlist sharing the functional inputs, one XOR per output,
 // and the difference clause (some XOR is true) gated by the activation
@@ -63,8 +61,7 @@ func newMiter(locked *netlist.Netlist, keyPos []int, opt SATOptions, base func(e
 	}
 	// Compile the netlist to a CNF template once: every DIP stamps two
 	// constrained copies from it instead of re-running the Tseitin
-	// encoder, reproducing the encoder's exact variable and clause
-	// order so solver behaviour (and journal replay) is unchanged.
+	// encoder.
 	tmpl, err := cnf.CompileTemplate(locked)
 	if err != nil {
 		return nil, err
@@ -121,27 +118,41 @@ func (m *miter) extractKey() (Status, []bool, error) {
 
 // constrainDIP stamps two copies of the netlist with the functional
 // inputs fixed to dip, one on each key copy, and requires both to
-// reproduce the oracle's response out.
-func (m *miter) constrainDIP(dip, out []bool) error {
+// reproduce the oracle's response out. Only the logic the DIP leaves
+// key-dependent is stamped; an output the DIP alone decides must
+// already match the oracle. It reports false when the constraint makes
+// the miter unsatisfiable: no key reproduces the oracle on every DIP
+// so far.
+func (m *miter) constrainDIP(dip, out []bool) bool {
+	fixed := make(map[int]bool, len(m.funcPos))
+	for i, p := range m.funcPos {
+		fixed[p] = dip[i]
+	}
 	for _, keyVars := range [][]cnf.Var{m.key1, m.key2} {
 		shared := make(map[int]cnf.Var, len(m.keyPos))
 		for i, p := range m.keyPos {
 			shared[p] = keyVars[i]
 		}
-		gv, ok := m.tmpl.Stamp(m.eng, shared)
+		outs, ok := m.tmpl.StampFixed(m.eng, shared, fixed)
 		if !ok {
-			return errDIPUnsat
+			return false
 		}
-		for i, p := range m.funcPos {
-			if !m.eng.AddClause(cnf.MkLit(gv.Inputs[p], !dip[i])) {
-				return errDIPUnsat
+		for i, o := range outs {
+			if !out[i] {
+				o = o.Not()
+			}
+			switch o {
+			case cnf.LitTrue: // the DIP alone gives the oracle's value
+			case cnf.LitFalse: // the DIP alone contradicts the oracle
+				return false
+			default:
+				if !m.eng.AddClause(o) {
+					return false
+				}
 			}
 		}
-		for i, ov := range gv.Outputs {
-			m.eng.AddClause(cnf.MkLit(ov, !out[i]))
-		}
 	}
-	return nil
+	return true
 }
 
 // interrupted returns the ErrInterrupted error once the miter's
@@ -231,7 +242,7 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			Version: JournalVersion, Circuit: locked.Name,
 			Inputs: len(m.funcPos), Outputs: len(locked.Outputs),
 			KeyBits: len(keyPos), BVA: opt.BVA, Fingerprint: fp,
-			Portfolio: opt.Portfolio >= 2,
+			Portfolio: opt.Portfolio >= 2, Search: SearchVersion,
 		}
 	}
 	constraintReplay := false
@@ -245,7 +256,10 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			return resultFromDone(d)
 		}
 		replay = opt.Resume.Records
-		constraintReplay = opt.Resume.Header.Portfolio || opt.Portfolio >= 2
+		// Verified re-solving needs the journal's trajectory: this
+		// search, run sequentially on both sides.
+		constraintReplay = opt.Resume.Header.Portfolio || opt.Portfolio >= 2 ||
+			opt.Resume.Header.Search != SearchVersion
 		if n := len(replay); n > 0 {
 			start = start.Add(-time.Duration(replay[n-1].ElapsedMS) * time.Millisecond)
 		}
@@ -260,7 +274,7 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 	}
 
 	if constraintReplay {
-		// Portfolio replay: apply every journaled DIP constraint
+		// Constraint replay: apply every journaled DIP constraint
 		// directly, without solving. The oracle is never queried for
 		// journaled records, and the live loop below starts from a
 		// clause database equivalent to the original run's — same DIP
@@ -274,12 +288,12 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			if err != nil {
 				return nil, err
 			}
-			if err := m.constrainDIP(dip, out); err != nil {
+			if !m.constrainDIP(dip, out) {
 				// A journal for this circuit cannot contradict its own
 				// encoding; a top-level conflict means the journal
 				// belongs elsewhere.
-				return nil, fmt.Errorf("attack: replaying iteration %d: %v: %w",
-					rec.Iteration, err, ErrReplayDiverged)
+				return nil, fmt.Errorf("attack: replaying iteration %d: DIP constraint made the miter unsatisfiable: %w",
+					rec.Iteration, ErrReplayDiverged)
 			}
 			res.Replayed++
 			res.Iterations++
@@ -297,6 +311,12 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 		}
 		if err := m.interrupted(); err != nil {
 			return nil, err
+		}
+		// The solver polls its deadline only every few hundred search
+		// steps, which an easy DIP never reaches.
+		if opt.Timeout > 0 && time.Since(start) >= opt.Timeout {
+			res.Status = Timeout
+			break
 		}
 		st, dip := m.nextDIP()
 		if st == sat.Unknown {
@@ -363,8 +383,9 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 		}
 
 		// Constrain both key copies to reproduce the oracle on the DIP.
-		if err := m.constrainDIP(dip, out); err != nil {
-			return nil, err
+		if !m.constrainDIP(dip, out) {
+			res.Status = Failed // no key fits the oracle
+			break
 		}
 		if h.round != nil && res.Iterations%h.every == 0 {
 			done, err := h.round(m, res)

@@ -147,11 +147,12 @@ func SATAttack(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOpti
 
 // matches validates a journal header against the header the resumed
 // attack would write, rejecting resumption across circuits or options.
-// Portfolio is excluded: the accumulated DIP constraints are solver-
-// mode-independent, so journals resume across modes (the replay
-// strategy, not the validity, depends on it).
+// Portfolio and Search are excluded: the accumulated DIP constraints
+// are independent of solver mode and search, so journals resume across
+// both (the replay strategy, not the validity, depends on them).
 func (h JournalHeader) matches(want JournalHeader) error {
 	h.Portfolio, want.Portfolio = false, false
+	h.Search, want.Search = 0, 0
 	if h != want {
 		return fmt.Errorf("attack: journal header %+v does not match attack %+v: %w",
 			h, want, ErrReplayDiverged)

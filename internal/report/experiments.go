@@ -132,8 +132,9 @@ func scopeSlug(name string) string {
 // cellKey derives the content-addressed cache key for one attack-table
 // cell. Everything that determines the cell's value is folded in: the
 // circuit's canonical netlist form, the cell options (block count, LUT
-// size, ...), and the AttackConfig knobs that change the outcome
-// (timeout, portfolio, the lint gate, the lock seed). It returns the
+// size, ...), the AttackConfig knobs that change the outcome (timeout,
+// portfolio, the lint gate, the lock seed) and the attack's search
+// version (a DIP count belongs to one search). It returns the
 // zero Key — which opts the job out of caching — when cfg.Cache is nil
 // or the key cannot be built, so callers can assign it unconditionally.
 func cellKey(cfg AttackConfig, kind string, orig *netlist.Netlist, opts map[string]any) cache.Key {
@@ -147,6 +148,7 @@ func cellKey(cfg AttackConfig, kind string, orig *netlist.Netlist, opts map[stri
 			"timeout":   cfg.Timeout.Nanoseconds(),
 			"portfolio": cfg.Portfolio,
 			"nolint":    cfg.NoLint,
+			"search":    attack.SearchVersion,
 		}).
 		Int("seed", cfg.Seed).
 		Key()

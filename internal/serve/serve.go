@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/cache"
 	"repro/internal/sat"
 	"repro/internal/sweep"
@@ -402,10 +403,10 @@ func (s *Server) Cancel(id string) error {
 // ErrTerminal reports a cancel on an already-finished job.
 var ErrTerminal = errors.New("already finished")
 
-// cacheKey derives the job's cache key from its canonicalized spec.
-// Only the payload-defining fields participate: tenant, priority and
-// timeouts are scheduling concerns, so the same circuit submitted by
-// two tenants shares one entry.
+// cacheKey derives the job's cache key from its canonicalized spec and
+// the attack search version. Only the payload-defining fields
+// participate: tenant, priority and timeouts are scheduling concerns,
+// so the same circuit submitted by two tenants shares one entry.
 func (s *Server) cacheKey(spec *JobSpec) (cache.Key, bool) {
 	if s.opt.Cache == nil || spec.NoCache {
 		return cache.Key{}, false
@@ -417,7 +418,7 @@ func (s *Server) cacheKey(spec *JobSpec) (cache.Key, bool) {
 		Lint   *LintSpec   `json:"lint,omitempty"`
 		Sweep  *SweepSpec  `json:"sweep,omitempty"`
 	}{spec.Type, spec.Attack, spec.Lock, spec.Lint, spec.Sweep}
-	k, err := cache.NewKey("serve/job").Options("spec", payload).Key()
+	k, err := cache.NewKey("serve/job").Options("spec", payload).Int("search", attack.SearchVersion).Key()
 	if err != nil {
 		return cache.Key{}, false
 	}
