@@ -39,9 +39,11 @@ func buildMiter(t testing.TB, locked *core.Result, dips [][2][]bool, k, n int) (
 // is bit-identical to its solo run) finished in ~0.1 s, found by
 // scanning the per-iteration solve times of several locks for
 // configuration spread (see EXPERIMENTS.md). Under search version 1
-// the call at that iteration takes ~8 s sequentially and ~1.2 s on 8
-// workers (2-vCPU host). The prefix up to that iteration is cheap; the
-// benchmark times only the hard call itself.
+// the call at that iteration took ~8 s sequentially and ~1.2 s on 8
+// workers; under search version 2 it takes ~4.5 s sequentially, 0.2 s
+// on 4 workers and 0.9 s on 8 (2-vCPU host, one sample each). The
+// prefix up to that iteration is cheap; the benchmark times only the
+// hard call itself.
 const (
 	solveBenchScale  = 0.1
 	solveBenchBlocks = 2

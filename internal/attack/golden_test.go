@@ -14,7 +14,7 @@ import (
 )
 
 // Golden pins for every attack built on the shared miter and DIP loop,
-// recorded under SearchVersion 1. They must match bit for bit: sat.Stats
+// recorded under SearchVersion 2. They must match bit for bit: sat.Stats
 // moves with any change to the clause stream, the variable numbering or
 // the Solve/assumption order, so matching stats prove all three
 // unchanged, and a change to any of them bumps SearchVersion and
@@ -117,18 +117,18 @@ func TestGoldenSATAttack(t *testing.T) {
 		want string
 	}{
 		{"c17/2x2/17", c17Fixture, false,
-			"key-found iters=7 key=001110111 trace=42dda5a830742b6d7c0d8e63019bf1064b8d8d4d2186dc90da45a5414d01fcea solver=decisions=133 propagations=994 conflicts=18 restarts=0 learnt=18 removed=0 maxdepth=23"},
+			"key-found iters=7 key=001110111 trace=1cc0ba27895bfebf7a37945fb0d734886a7f60dad9bef440a70a5c9433ac529f solver=decisions=131 propagations=788 conflicts=25 restarts=0 learnt=25 removed=0 maxdepth=23"},
 		{"c432/8x8/432", func(t *testing.T) *fixture { return rilFixture(t, c432Profile(t), core.Size8x8, 432) }, false,
-			"key-found iters=30 key=1000110100101100100001000001001011111100011100011111000100010111 trace=15d72dddfd02fc4f961be05caebef04bd0b347f6f8ce7b68b0f4e6119595c8e0 solver=decisions=12667 propagations=491798 conflicts=2215 restarts=9 learnt=2215 removed=0 maxdepth=178"},
+			"key-found iters=29 key=1001110100101100000001001011100111111110011100011000000100010111 trace=8d01dbb0e36c9c9b2956b21dacae3f3e298c001e6bf99e57c160cbefc8b7d5ca solver=decisions=10512 propagations=394199 conflicts=1958 restarts=6 learnt=1958 removed=0 maxdepth=178"},
 		{"small80/2x2/9", func(t *testing.T) *fixture { return rilFixture(t, smallCircuit(t, 80, 4), core.Size2x2, 9) }, false,
-			"key-found iters=5 key=100011111 trace=8f8959a32d60ce214e9739c809d2bd6b79255e5c5ba864e0f251ecf24cac1fd8 solver=decisions=440 propagations=10099 conflicts=102 restarts=0 learnt=102 removed=0 maxdepth=30"},
+			"key-found iters=5 key=100010111 trace=9f626ff8920482df84dfed94c6252809eb2aa2a59dbd8d3cdba1b654a5b617c8 solver=decisions=358 propagations=9108 conflicts=98 restarts=0 learnt=98 removed=0 maxdepth=30"},
 		{"small120/2x2-routed/58", func(t *testing.T) *fixture { _, fx := routedRILFixture(t); return fx }, false,
-			"key-found iters=6 key=0001111111001 trace=4288ab810a037a200e17a7cc48514de157f7ac73eb0766d2298b5b7b4a4475ef solver=decisions=1120 propagations=45732 conflicts=444 restarts=1 learnt=444 removed=0 maxdepth=49"},
+			"key-found iters=6 key=1111010011001 trace=149a05ce4d02bb45b7a7f43420835eed154a800991c618f9e1856746b682b44e solver=decisions=1067 propagations=48130 conflicts=429 restarts=1 learnt=429 removed=0 maxdepth=49"},
 		{"xor60/8/bva", func(t *testing.T) *fixture { return xorFixture(t, 60, 8, 8) }, true,
-			"key-found iters=7 key=10101010 trace=0429e5136de1511fe5ce99043a1d408b5ddbab9a2c063e2485246e9267bbdd42 solver=decisions=335 propagations=12071 conflicts=87 restarts=0 learnt=87 removed=0 maxdepth=22"},
+			"key-found iters=6 key=10101010 trace=583969068ea103f4d9333498dcbd8195fd1b87da93d7f264af077ccbdbe3c4cb solver=decisions=317 propagations=8978 conflicts=95 restarts=0 learnt=95 removed=0 maxdepth=21"},
 		// A Table I cell: c7552 at scale 0.1, five 2x2 blocks.
 		{"c7552@0.1/2x2x5/2", c7552Fixture, false,
-			"key-found iters=20 key=001110001011000111110101110000010111101111011 trace=0f28622db4aeefe718362a9ee08222079173ffb8d312f6de17e5a7f9274bbf55 solver=decisions=4463 propagations=293977 conflicts=705 restarts=2 learnt=705 removed=0 maxdepth=128"},
+			"key-found iters=15 key=001110001011000111110101110111110101101111011 trace=fbc1ac03af986857d7a89d92f5b5d630864e859083e1ee4295773d1902853952 solver=decisions=3932 propagations=178578 conflicts=656 restarts=2 learnt=656 removed=0 maxdepth=125"},
 	}
 	for _, tc := range cases {
 		fx := tc.fx(t)
@@ -155,11 +155,11 @@ func TestGoldenAppSAT(t *testing.T) {
 		{"c17/2x2/17", c17Fixture, 0, true,
 			"key-found rounds=1 dips=7 est=0 key=001110111 queries=7"},
 		{"c432/8x8/432", func(t *testing.T) *fixture { return rilFixture(t, c432Profile(t), core.Size8x8, 432) }, 0, true,
-			"key-found rounds=2 dips=8 est=0 key=1001110100101100000001000100111011111111011100010000000100010111 queries=72"},
+			"key-found rounds=2 dips=8 est=0 key=1001110100101100000001000111110111110101011100011100000100010111 queries=72"},
 		{"scan/small120/8x8/13", scanFixture, 8, false,
-			"key-found rounds=2 dips=16 est=0 key=0100001010111010101011111110101000000111000110101111100000001100 queries=144"},
+			"key-found rounds=2 dips=16 est=0 key=0100001010111001101011010100101000110111000110101011100000001100 queries=144"},
 		{"scan/small120/8x8/13/1-round", scanFixture, 1, false,
-			"timeout rounds=1 dips=8 est=0.640625 key= queries=72"},
+			"timeout rounds=1 dips=8 est=0.578125 key= queries=72"},
 	}
 	for _, tc := range cases {
 		fx := tc.fx(t)
@@ -199,9 +199,9 @@ func TestGoldenSATAttackOneHot(t *testing.T) {
 		want  string
 	}{
 		{"routing-only/8", routing, routingHints,
-			"key-found iters=6 key=010110110010 realizable=true solver=decisions=2394 propagations=258350 conflicts=1335 restarts=8 learnt=1335 removed=0 maxdepth=64"},
+			"key-found iters=6 key=010110110010 realizable=true solver=decisions=2578 propagations=284048 conflicts=1412 restarts=6 learnt=1412 removed=0 maxdepth=64"},
 		{"small120/2x2-routed/58", ril, HintsFromRIL(rilRes),
-			"key-found iters=6 key=1100010011001 realizable=true solver=decisions=1404 propagations=67924 conflicts=565 restarts=2 learnt=565 removed=0 maxdepth=47"},
+			"key-found iters=7 key=1110010010100 realizable=true solver=decisions=1382 propagations=54520 conflicts=534 restarts=1 learnt=534 removed=0 maxdepth=52"},
 	}
 	for _, tc := range cases {
 		res, err := SATAttackOneHot(tc.fx.locked, tc.fx.keyPos, tc.hints, tc.fx.oracle(t), SATOptions{Timeout: goldenBudget})

@@ -50,7 +50,9 @@ const JournalVersion = 1
 //
 //	0: every DIP stamps two full copies of the netlist
 //	1: a DIP copy stamps only the logic the DIP leaves key-dependent
-const SearchVersion = 1
+//	2: a DIP copy also collapses the buffers and inverters the DIP
+//	   leaves, each onto the literal it copies
+const SearchVersion = 2
 
 // ErrJournalCorrupt tags all journal parse/integrity errors so callers
 // can degrade to a fresh attack (errors.Is).

@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// Main is the rilvet CLI entry point, shared by cmd/rilvet and its
-// deprecated alias cmd/repolint. The exit-code contract matches
-// cmd/netlint: 0 when no unsuppressed finding was produced, 1 when at
-// least one was, 2 on usage, I/O or parse failure.
+// Main is the rilvet CLI entry point, run by cmd/rilvet. The
+// exit-code contract matches cmd/netlint: 0 when no unsuppressed
+// finding was produced, 1 when at least one was, 2 on usage, I/O or
+// parse failure.
 //
 // Usage:
 //

@@ -536,8 +536,10 @@ func (s *Solver) computeLBD(lits []cnf.Lit) int32 {
 }
 
 func (s *Solver) pickBranchLit() cnf.Lit {
-	// Occasional random decision diversifies the search.
-	if s.cfg.RandomFreq > 0 && s.rng.Float64() < s.cfg.RandomFreq {
+	// Occasional random decision diversifies the search. The draw
+	// comes before the variable count check, so the PRNG stream, and
+	// with it every trajectory, does not depend on that check.
+	if s.cfg.RandomFreq > 0 && s.rng.Float64() < s.cfg.RandomFreq && s.NumVars() > 0 {
 		v := cnf.Var(s.rng.Intn(s.NumVars()))
 		if s.vals[cnf.MkLit(v, false)] == lUndef {
 			return cnf.MkLit(v, !s.polarity[v])
@@ -650,10 +652,11 @@ func (s *Solver) SetDeadline(t time.Time) { s.deadline = t }
 func (s *Solver) SetConflictBudget(n int64) { s.confBudget = n }
 
 // SetContext attaches a cancellation context: once ctx is done, the
-// running (and any future) Solve aborts with Unknown at the next abort
-// check. A nil context disables cancellation. The check shares the
-// periodic abort poll with the deadline, so cancellation latency is a
-// few hundred decisions, not instantaneous.
+// running Solve aborts with Unknown at the next abort check and any
+// later Solve returns Unknown at once. A nil context disables
+// cancellation. The check shares the periodic abort poll with the
+// deadline, so cancellation latency is a few hundred decisions, not
+// instantaneous.
 func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Stats returns accumulated counters.
@@ -721,10 +724,17 @@ func SolveCallsTotal() int64 { return solveCalls.Load() }
 
 // Solve searches for a satisfying assignment under the given
 // assumptions. It is incremental: clauses may be added between calls.
+// It returns Unknown without searching when the deadline, conflict
+// budget or context has already passed.
 func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	solveCalls.Add(1)
 	if !s.okay {
 		return Unsat
+	}
+	// The search polls its budget only at a restart or every few
+	// hundred steps, which an easy call never reaches.
+	if s.aborted() {
+		return Unknown
 	}
 	for _, a := range assumptions {
 		s.ensureVar(a.Var())

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -239,6 +240,49 @@ func TestDeadline(t *testing.T) {
 	}
 	if elapsed > 3*time.Second {
 		t.Errorf("deadline ignored: ran %v", elapsed)
+	}
+}
+
+// TestBudgetSpentOnEntry: a Solve whose deadline, conflict budget or
+// context has already passed returns Unknown before searching, on an
+// instance far too easy to reach the search's periodic budget poll,
+// and leaves the counters untouched.
+func TestBudgetSpentOnEntry(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name  string
+		spend func(*Solver)
+	}{
+		{"deadline", func(s *Solver) { s.SetDeadline(time.Now().Add(-time.Second)) }},
+		{"context", func(s *Solver) { s.SetContext(ctx) }},
+		{"conflict-budget", func(s *Solver) { s.SetConflictBudget(0) }},
+	}
+	for _, c := range cases {
+		s := New()
+		s.AddFormula(random3SAT(20, 3, 1))
+		if st := s.Solve(); st == Unknown {
+			t.Fatalf("%s: unbudgeted solve = %v", c.name, st)
+		}
+		c.spend(s)
+		before := s.Stats()
+		if st := s.Solve(); st != Unknown {
+			t.Errorf("%s: solve with a spent budget = %v, want UNKNOWN", c.name, st)
+		}
+		if after := s.Stats(); after != before {
+			t.Errorf("%s: stats moved from %+v to %+v", c.name, before, after)
+		}
+	}
+}
+
+// TestRandomDecisionWithoutVariables: a random decision on a solver
+// with no variables has none to draw and must fall through to the
+// (empty) heap instead of panicking.
+func TestRandomDecisionWithoutVariables(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RandomFreq = 0.99
+	if st := NewWithConfig(cfg).Solve(); st != Sat {
+		t.Errorf("empty formula = %v, want SAT", st)
 	}
 }
 
