@@ -312,12 +312,6 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 		if err := m.interrupted(); err != nil {
 			return nil, err
 		}
-		// The solver polls its deadline only every few hundred search
-		// steps, which an easy DIP never reaches.
-		if opt.Timeout > 0 && time.Since(start) >= opt.Timeout {
-			res.Status = Timeout
-			break
-		}
 		st, dip := m.nextDIP()
 		if st == sat.Unknown {
 			if err := m.interrupted(); err != nil {
