@@ -10,7 +10,7 @@
 # under the race detector, doubled -race passes over the sweep runner
 # and the result cache (both scheduling-sensitive), a coverage gate on
 # the checkpoint-bearing packages plus the result cache, a benchmark
-# smoke that also emits BENCH_8.json (oracle
+# smoke that also emits .bench_build/ci/BENCH_8.json (oracle
 # fast path, miter stamping, portfolio solve, sensitization, the
 # pigeonhole solver), a portfolio
 # gate (three-way differential, clause exchange, portfolio-attack,
@@ -30,12 +30,22 @@
 # manifest — and finally the result-cache gate: the same report
 # sweep, with real solver work, runs cold then warm against one
 # -cache-dir, the warm run must be byte-identical, all hits and at
-# least 5x faster, with the timings published as BENCH_9.json — and
-# the rild daemon gate: a race-built cmd/rild serves a 200-job load
-# flood with zero lost or duplicated results, answers well-formed
-# /metrics whose counters match the load, and drains clean (exit 0,
-# no temp litter) on SIGTERM.
+# least 5x faster, with the timings published as
+# .bench_build/ci/BENCH_9.json — and the rild daemon gate: a
+# race-built cmd/rild serves a 200-job load flood with zero lost or
+# duplicated results, answers well-formed /metrics whose counters
+# match the load, and drains clean (exit 0, no temp litter) on
+# SIGTERM.
+#
+# The rilvet SARIF log and the outputs of the benchmark smoke and the
+# cache gate go to the ignored .bench_build/ci/, so a run leaves the
+# tracked tree as it found it; the tracked BENCH_8.json and
+# BENCH_9.json are the records of the changes that introduced those
+# stages.
 set -eu
+
+ci_out=.bench_build/ci
+mkdir -p "$ci_out"
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -51,9 +61,9 @@ go vet ./...
 echo "== rilvet (Go-code determinism/durability/concurrency invariants) =="
 # Zero unsuppressed findings across the repo; the SARIF log is the
 # machine-readable artifact of the run.
-go run ./cmd/rilvet -sarif rilvet.sarif ./...
-[ -s rilvet.sarif ] || { echo "ci: rilvet.sarif is empty" >&2; exit 1; }
-echo "ci: wrote rilvet.sarif"
+go run ./cmd/rilvet -sarif "$ci_out/rilvet.sarif" ./...
+[ -s "$ci_out/rilvet.sarif" ] || { echo "ci: $ci_out/rilvet.sarif is empty" >&2; exit 1; }
+echo "ci: wrote $ci_out/rilvet.sarif"
 
 echo "== rilvet: lints itself =="
 go run ./cmd/rilvet internal/golint cmd/rilvet
@@ -103,10 +113,10 @@ done
 
 echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization, solver) =="
 go test ./internal/attack/ -run='^$' -bench='Oracle|MiterStampVsReencode|SolvePortfolio|SensitizeXOR' \
-    -benchtime=1x -timeout 20m | tee bench_smoke.out
+    -benchtime=1x -timeout 20m | tee "$ci_out/bench_smoke.out"
 # PHP(8,7) alone: the solver layer without an attack around it, with
 # thousands of learnt-clause deletions.
-go test . -run='^$' -bench='^BenchmarkSolver_Pigeonhole7$' -benchtime=1x | tee -a bench_smoke.out
+go test . -run='^$' -bench='^BenchmarkSolver_Pigeonhole7$' -benchtime=1x | tee -a "$ci_out/bench_smoke.out"
 # Publish the smoke results as BENCH_8.json (one object per benchmark)
 # so tooling can trend the oracle fast path, template stamper, portfolio
 # solver, sensitization and the sequential solver without parsing go
@@ -119,10 +129,9 @@ awk '
         printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $1, $2, $3
     }
     END { if (n) print ""; print "]" }
-' bench_smoke.out > BENCH_8.json
-rm -f bench_smoke.out
-[ -s BENCH_8.json ] || { echo "ci: BENCH_8.json is empty" >&2; exit 1; }
-echo "ci: wrote BENCH_8.json"
+' "$ci_out/bench_smoke.out" > "$ci_out/BENCH_8.json"
+[ -s "$ci_out/BENCH_8.json" ] || { echo "ci: $ci_out/BENCH_8.json is empty" >&2; exit 1; }
+echo "ci: wrote $ci_out/BENCH_8.json"
 
 echo "== portfolio gate: three-way differential + exchange under -race =="
 # The differential layer that admits the portfolio solver: a sliced
@@ -343,8 +352,8 @@ if [ "$warm_hits" != 12 ] || [ "$warm_misses" != 0 ]; then
 fi
 speedup=$(awk -v c="$cold_ms" -v w="$warm_ms" 'BEGIN { printf "%.1f", c / w }')
 printf '{\n  "name": "satruntime-c7552-cache",\n  "cold_ms": %s,\n  "warm_ms": %s,\n  "speedup": %s,\n  "warm_hits": %s,\n  "warm_misses": %s,\n  "hit_rate": 1.0\n}\n' \
-    "$cold_ms" "$warm_ms" "$speedup" "$warm_hits" "$warm_misses" > BENCH_9.json
-echo "ci: cold ${cold_ms}ms, warm ${warm_ms}ms (${speedup}x, ${warm_hits}/12 hits) -> BENCH_9.json"
+    "$cold_ms" "$warm_ms" "$speedup" "$warm_hits" "$warm_misses" > "$ci_out/BENCH_9.json"
+echo "ci: cold ${cold_ms}ms, warm ${warm_ms}ms (${speedup}x, ${warm_hits}/12 hits) -> $ci_out/BENCH_9.json"
 ok=$(awk -v c="$cold_ms" -v w="$warm_ms" 'BEGIN { print (c >= 5 * w) ? 1 : 0 }')
 if [ "$ok" != 1 ]; then
     echo "ci: warm sweep only ${speedup}x faster than cold (gate: 5x)" >&2

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -89,24 +90,54 @@ func (b *Builder) section(label string, payload []byte) {
 	}
 }
 
-// Netlist mixes in the canonical form of a parsed netlist: its
-// canonical .bench serialization (topological gate order, normalized
-// names), which is identical for any two structurally equal parses
-// regardless of source formatting.
-func (b *Builder) Netlist(label string, nl *netlist.Netlist) *Builder {
-	if b.err != nil {
-		return b
-	}
+// Digest is one netlist's canonical digest, as NetlistSum computes it.
+// A caller that keys many computations on one circuit digests it once
+// and mixes the Digest into each key with Builder.NetlistSum. A Digest
+// whose netlist could not be serialized carries the reason; mixing it,
+// or the zero Digest, into a Builder poisons the Builder.
+type Digest struct {
+	sum [sha256.Size]byte
+	err error
+}
+
+// NetlistSum returns the digest Builder.Netlist mixes in: the SHA-256
+// of the netlist's WriteBench text.
+func NetlistSum(nl *netlist.Netlist) Digest {
 	if nl == nil {
-		b.err = fmt.Errorf("cache: %s: nil netlist", label)
-		return b
+		return Digest{err: errors.New("nil netlist")}
 	}
 	h := sha256.New()
 	if err := nl.WriteBench(h); err != nil {
-		b.err = fmt.Errorf("cache: %s: %w", label, err)
-		return b
+		return Digest{err: err}
 	}
-	b.section("netlist:"+label, h.Sum(nil))
+	var d Digest
+	h.Sum(d.sum[:0])
+	return d
+}
+
+// Netlist mixes in a netlist's WriteBench text, by its digest. That
+// text holds the netlist's name, its inputs and outputs in declaration
+// order and its gates in TopoOrder's order, which follows gate index
+// order; every name is written verbatim. Two .bench sources that
+// differ only in comments, blank lines or spacing key alike. Another
+// netlist name, a renamed gate or reordered gate lines can key
+// differently: that costs cache hits, never a wrong answer.
+func (b *Builder) Netlist(label string, nl *netlist.Netlist) *Builder {
+	return b.NetlistSum(label, NetlistSum(nl))
+}
+
+// NetlistSum mixes in a netlist digest computed earlier by NetlistSum;
+// the key is the one Netlist gives for the same netlist.
+func (b *Builder) NetlistSum(label string, d Digest) *Builder {
+	switch {
+	case b.err != nil:
+	case d.err != nil:
+		b.err = fmt.Errorf("cache: %s: %w", label, d.err)
+	case d.sum == [sha256.Size]byte{}:
+		b.err = fmt.Errorf("cache: %s: zero netlist digest", label)
+	default:
+		b.section("netlist:"+label, d.sum[:])
+	}
 	return b
 }
 
@@ -128,7 +159,8 @@ func (b *Builder) Options(label string, v any) *Builder {
 	return b
 }
 
-// Int mixes in one integer input (a seed, a width, ...).
+// Int mixes in one integer input (a seed, a width, ...) as its
+// decimal text.
 func (b *Builder) Int(label string, v int64) *Builder {
 	b.section("int:"+label, []byte(strconv.FormatInt(v, 10)))
 	return b

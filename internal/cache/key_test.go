@@ -122,6 +122,35 @@ func TestKeyNetlistCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyNetlistSum: a digest computed once and mixed in later keys
+// exactly as Netlist does, and a nil netlist or the zero Digest still
+// poisons the builder.
+func TestKeyNetlistSum(t *testing.T) {
+	nl, err := netlist.ParseBench("t", strings.NewReader("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := NewKey("t").Netlist("circuit", nl).Int("seed", 1).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := NetlistSum(nl)
+	for i := 0; i < 2; i++ {
+		k, err := NewKey("t").NetlistSum("circuit", sum).Int("seed", 1).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != direct {
+			t.Fatalf("reuse %d: NetlistSum key %s, Netlist key %s", i, k, direct)
+		}
+	}
+	for name, d := range map[string]Digest{"nil netlist": NetlistSum(nil), "zero Digest": {}} {
+		if _, err := NewKey("t").NetlistSum("circuit", d).Key(); err == nil {
+			t.Errorf("%s must poison the builder", name)
+		}
+	}
+}
+
 func TestSchemaVersionInKey(t *testing.T) {
 	// The schema version is hashed via a labeled section; rather than
 	// mutate the const, check that the very first section differs from

@@ -9,6 +9,7 @@ package circuit
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/netlist"
 )
@@ -31,7 +32,7 @@ func NewBuilder(name string) *Builder {
 
 func (b *Builder) fresh(prefix string) string {
 	b.ctr++
-	return fmt.Sprintf("%s_%d", prefix, b.ctr)
+	return prefix + "_" + strconv.Itoa(b.ctr)
 }
 
 // Input declares a width-bit primary input bus named name[i].

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -328,17 +329,30 @@ func parseGateType(op string) (GateType, error) {
 
 // WriteBench emits the netlist in .bench format. Gates are written in
 // topological order so the file parses in one pass with standard tools.
+// The text is assembled in the bufio.Writer's own buffer, so writing a
+// netlist allocates the same few times whatever its size; the writer's
+// errors are sticky, and Flush reports the first.
 func (n *Netlist) WriteBench(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", n.Name)
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n",
-		len(n.Inputs), len(n.Outputs), n.NumLogicGates())
-	for _, id := range n.Inputs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", n.Gates[id].Name)
+	num := func(v int) { bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(v), 10)) }
+	bw.WriteString("# ")
+	bw.WriteString(n.Name)
+	bw.WriteString("\n# ")
+	num(len(n.Inputs))
+	bw.WriteString(" inputs, ")
+	num(len(n.Outputs))
+	bw.WriteString(" outputs, ")
+	num(n.NumLogicGates())
+	bw.WriteString(" gates\n")
+	decl := func(kw string, ids []int) {
+		for _, id := range ids {
+			bw.WriteString(kw)
+			bw.WriteString(n.Gates[id].Name)
+			bw.WriteString(")\n")
+		}
 	}
-	for _, id := range n.Outputs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", n.Gates[id].Name)
-	}
+	decl("INPUT(", n.Inputs)
+	decl("OUTPUT(", n.Outputs)
 	order, err := n.TopoOrder()
 	if err != nil {
 		return err
@@ -348,11 +362,17 @@ func (n *Netlist) WriteBench(w io.Writer) error {
 		if g.Type == Input {
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		bw.WriteString(g.Name)
+		bw.WriteString(" = ")
+		bw.WriteString(benchOpName(g.Type))
+		bw.WriteByte('(')
 		for i, f := range g.Fanin {
-			names[i] = n.Gates[f].Name
+			if i > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(n.Gates[f].Name)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, benchOpName(g.Type), strings.Join(names, ", "))
+		bw.WriteString(")\n")
 	}
 	return bw.Flush()
 }

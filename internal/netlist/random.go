@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // RandomProfile parameterizes synthetic circuit generation. The
@@ -93,7 +94,7 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 	}
 
 	for i := 0; i < p.Inputs; i++ {
-		push(n.AddInput(fmt.Sprintf("pi%d", i)))
+		push(n.AddInput("pi" + strconv.Itoa(i)))
 	}
 
 	pickAny := func(hi int) int {
@@ -184,7 +185,7 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 			}
 			fanin = append(fanin, f)
 		}
-		id := n.AddGate(fmt.Sprintf("g%d", len(n.Gates)-p.Inputs), t, fanin...)
+		id := n.AddGate("g"+strconv.Itoa(len(n.Gates)-p.Inputs), t, fanin...)
 		push(id)
 	}
 
@@ -201,7 +202,7 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 		if t == Not || t == Buf {
 			t = Xor
 		}
-		id := n.AddGate(fmt.Sprintf("g%d", len(n.Gates)-p.Inputs), t, a, b)
+		id := n.AddGate("g"+strconv.Itoa(len(n.Gates)-p.Inputs), t, a, b)
 		push(id)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -178,4 +179,39 @@ func walkFiles(root string, fn func(path string)) error {
 		fn(p)
 	}
 	return nil
+}
+
+// TestCellKeyPins pins the full cache key of one Table I cell (one
+// 2×2 block on c7552@0.1) and one Table III AppSAT cell (b15@0.1), as
+// the tables derive them: every key that moves orphans a cache filled
+// before the change. The tables run once into an empty cache and the
+// pinned keys must name entry files.
+func TestCellKeyPins(t *testing.T) {
+	dir := t.TempDir()
+	c, err := cache.Open(dir, cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := AttackConfig{Timeout: time.Millisecond, Scale: 0.1, Seed: 1, Jobs: 2, Cache: c}
+	if _, err := Table1(cfg, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Table3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	stored := map[string]bool{}
+	if err := walkFiles(dir+"/entries", func(path string) { stored[filepath.Base(path)] = true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != 3+40 {
+		t.Errorf("%d entries, want one per cell (43)", len(stored))
+	}
+	for cell, key := range map[string]string{
+		"Table I c7552 1×2x2":  "7c35e84cadd78d88535a5c23fb7e10fabc9c4d276848ef847dc3a617c6f004ef",
+		"Table III b15 AppSAT": "087096105df782ce0e39cd35e933743c9ef4b36f0366fc43aef49564d9d3724f",
+	} {
+		if !stored[key] {
+			t.Errorf("%s: no entry under pinned key %s", cell, key)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/baselines"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/lutsim"
@@ -355,6 +356,7 @@ func DIPGrowth(cfg AttackConfig, widths []int) (*Table, error) {
 		Title:  "DIP growth vs key width: point function (SARLock) vs random XOR locking",
 		Header: []string{"key bits", "sarlock DIPs", "xor DIPs"},
 	}
+	sum := cache.NetlistSum(orig)
 	// One sweep job per (width, scheme) cell.
 	type lockFn func() (*baselines.Locked, error)
 	var jobs []sweep.Job
@@ -374,7 +376,7 @@ func DIPGrowth(cfg AttackConfig, widths []int) (*Table, error) {
 				// The cell runs under its own fixed 30s solver budget, so
 				// the key pins that too (cellKey already folds cfg.Timeout,
 				// which this cell ignores; over-keying only costs hits).
-				CacheKey: cellKey(cfg, "dip-growth-cell", orig,
+				CacheKey: cellKey(cfg, "dip-growth-cell", sum,
 					map[string]any{"scheme": mk.scheme, "width": w, "solver_timeout": "30s"}),
 				Run: func(ctx context.Context, _ int64) (any, error) {
 					l, err := mk.lock()

@@ -131,18 +131,20 @@ func scopeSlug(name string) string {
 
 // cellKey derives the content-addressed cache key for one attack-table
 // cell. Everything that determines the cell's value is folded in: the
-// circuit's canonical netlist form, the cell options (block count, LUT
-// size, ...), the AttackConfig knobs that change the outcome (timeout,
-// portfolio, the lint gate, the lock seed) and the attack's search
-// version (a DIP count belongs to one search). It returns the
-// zero Key — which opts the job out of caching — when cfg.Cache is nil
-// or the key cannot be built, so callers can assign it unconditionally.
-func cellKey(cfg AttackConfig, kind string, orig *netlist.Netlist, opts map[string]any) cache.Key {
+// circuit's canonical netlist digest (cache.NetlistSum, computed once
+// per circuit and shared by all of a table's cells on it), the cell
+// options (block count, LUT size, ...), the AttackConfig knobs that
+// change the outcome (timeout, portfolio, the lint gate, the lock seed)
+// and the attack's search version (a DIP count belongs to one search).
+// It returns the zero Key — which opts the job out of caching — when
+// cfg.Cache is nil or the key cannot be built, so callers can assign it
+// unconditionally.
+func cellKey(cfg AttackConfig, kind string, sum cache.Digest, opts map[string]any) cache.Key {
 	if cfg.Cache == nil {
 		return cache.Key{}
 	}
 	k, err := cache.NewKey(kind).
-		Netlist("circuit", orig).
+		NetlistSum("circuit", sum).
 		Options("cell", opts).
 		Options("attack", map[string]any{
 			"timeout":   cfg.Timeout.Nanoseconds(),
@@ -251,6 +253,7 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig *netlist.Netlist, coun
 			fmt.Sprintf("scale=%.2f timeout=%v ('inf' = timeout, 'n/a' = circuit cannot host the blocks)", cfg.Scale, cfg.Timeout),
 		},
 	}
+	sum := cache.NetlistSum(orig)
 	// One sweep job per (block count, size) cell. A cell whose lock
 	// fails renders "n/a" (some circuits cannot host the blocks), so
 	// lock errors stay cell-local instead of failing the table.
@@ -261,7 +264,7 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig *netlist.Netlist, coun
 			jobs = append(jobs, sweep.Job{
 				Name: fmt.Sprintf("%s/%d/%s", scope, n, size),
 				Seed: cfg.Seed,
-				CacheKey: cellKey(cfg, "sat-runtime-cell", orig,
+				CacheKey: cellKey(cfg, "sat-runtime-cell", sum,
 					map[string]any{"blocks": n, "size": size.String()}),
 				Run: func(ctx context.Context, _ int64) (any, error) {
 					res, err := lockAndAttack(ctx, orig, n, size, cfg)
@@ -343,12 +346,13 @@ func Table3(cfg AttackConfig) (*Table, error) {
 	var jobs []sweep.Job
 	for _, b := range benches {
 		b := b
+		sum := cache.NetlistSum(b.nl)
 		for _, blocks := range []int{1, 2, 3} {
 			blocks := blocks
 			jobs = append(jobs, sweep.Job{
 				Name: fmt.Sprintf("table3/%s/%dblk", b.name, blocks),
 				Seed: cfg.Seed,
-				CacheKey: cellKey(cfg, "sat-runtime-cell", b.nl,
+				CacheKey: cellKey(cfg, "sat-runtime-cell", sum,
 					map[string]any{"blocks": blocks, "size": core.Size8x8x8.String()}),
 				Run: func(ctx context.Context, _ int64) (any, error) {
 					res, err := lockAndAttack(ctx, b.nl, blocks, core.Size8x8x8, cfg)
@@ -366,7 +370,7 @@ func Table3(cfg AttackConfig) (*Table, error) {
 		jobs = append(jobs, sweep.Job{
 			Name: fmt.Sprintf("table3/%s/appsat", b.name),
 			Seed: cfg.Seed,
-			CacheKey: cellKey(cfg, "appsat-scan-cell", b.nl,
+			CacheKey: cellKey(cfg, "appsat-scan-cell", sum,
 				map[string]any{"blocks": 1, "size": core.Size8x8x8.String(), "maxrounds": 16}),
 			Run: func(ctx context.Context, _ int64) (any, error) {
 				ok, err := appSATSucceeds(ctx, b.nl, cfg)
