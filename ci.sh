@@ -8,8 +8,9 @@
 # own Go source, with a SARIF artifact, a self-lint check and a
 # deliberately-broken fixture proving the gate bites), build, tests
 # under the race detector, doubled -race passes over the sweep runner
-# and the result cache (both scheduling-sensitive), a coverage gate on
-# the checkpoint-bearing packages plus the result cache, a benchmark
+# and the result cache with its durable-write package (both
+# scheduling-sensitive), a coverage gate on the checkpoint-bearing
+# packages plus the result cache and the durable writer, a benchmark
 # smoke that also emits .bench_build/ci/BENCH_8.json (oracle
 # fast path, miter stamping, portfolio solve, sensitization, the
 # pigeonhole solver), a portfolio
@@ -90,14 +91,15 @@ go test -race ./...
 echo "== sweep runner under -race, doubled =="
 go test -race -count=2 ./internal/sweep/
 
-echo "== result cache under -race, doubled =="
+echo "== result cache and durable writes under -race, doubled =="
 # Get/Put/GC hammer across goroutines plus racing first Opens; doubled
 # because the failure mode (GC deleting a live writer's staged temp)
-# is scheduling-sensitive.
-go test -race -count=2 ./internal/cache/
+# is scheduling-sensitive. internal/durable is the write path every
+# cache entry, manifest and job spec goes through.
+go test -race -count=2 ./internal/cache/ ./internal/durable/
 
-echo "== coverage gate (internal/attack, internal/sweep, internal/cache >= 70%) =="
-for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/; do
+echo "== coverage gate (internal/attack, internal/sweep, internal/cache, internal/durable >= 70%) =="
+for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/ ./internal/durable/; do
     cov=$(go test -cover "$pkg" | awk '/coverage:/ { sub("%", "", $(NF-2)); print $(NF-2) }')
     if [ -z "$cov" ]; then
         echo "ci: could not read coverage for $pkg" >&2

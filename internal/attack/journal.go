@@ -8,8 +8,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 )
@@ -420,12 +422,13 @@ func parseBits(s string) ([]bool, error) {
 
 // OpenJournal opens (or creates) a journal file for a checkpointed
 // attack. For a fresh or empty file it returns an empty *Journal and a
-// nil *JournalData. For an existing journal it parses the content,
-// truncates a torn tail in place, and returns the writer positioned to
-// append plus the parsed data for SATOptions.Resume. A journal corrupt
-// beyond the torn-tail tolerance is returned as an error (errors.Is
-// ErrJournalCorrupt); callers typically delete the file and start
-// fresh.
+// nil *JournalData, after fsyncing the directory so the new file's
+// name survives a crash along with the records fsynced into it. For
+// an existing journal it parses the content, truncates a torn tail in
+// place, and returns the writer positioned to append plus the parsed
+// data for SATOptions.Resume. A journal corrupt beyond the torn-tail
+// tolerance is returned as an error (errors.Is ErrJournalCorrupt);
+// callers typically delete the file and start fresh.
 func OpenJournal(path string) (*Journal, *JournalData, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -436,6 +439,9 @@ func OpenJournal(path string) (*Journal, *JournalData, error) {
 		return nil, nil, errors.Join(err, f.Close())
 	}
 	if st.Size() == 0 {
+		if err := durable.SyncDir(filepath.Dir(path)); err != nil {
+			return nil, nil, errors.Join(err, f.Close())
+		}
 		return &Journal{w: f}, nil, nil
 	}
 	data, err := ReadJournal(f)

@@ -1,11 +1,22 @@
+// Package cache is a content-addressed, authenticated result cache
+// for sweep jobs and report-table cells. Entries are keyed by a
+// canonical SHA-256 hash of everything that determines a result
+// (parsed netlist canonical form, lock options, seed, attack options,
+// cache schema version) and stored encrypted-at-rest with AES-128-GCM,
+// so a tampered, truncated or swapped entry fails authentication and
+// is transparently recomputed instead of trusted. The design follows
+// garble's build-cache architecture: hash the full input closure,
+// authenticate the payload, version the schema inside the key so
+// format changes invalidate by construction.
 package cache
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -14,6 +25,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // On-disk layout of a cache directory:
@@ -22,29 +35,36 @@ import (
 //	<dir>/lock           flock file serializing GC against writers
 //	<dir>/entries/ab/<64-hex-key>   one authenticated entry per key
 //
-// Every entry file is magic || format version || nonce || ASCON-128
-// sealed payload, with the magic, version and the entry's own cache
-// key bound in as associated data. Binding the key means a byte flip,
-// a truncation, *and* two entries swapped wholesale between files all
-// fail authentication — a swapped file decrypts fine under the master
-// key, but its associated data no longer matches the name it sits
-// under. Failed authentication is never an error: the entry is
-// dropped, counted as an invalidation, and the caller recomputes.
+// Every entry file is magic || format version || nonce || AES-128-GCM
+// sealed payload and tag, with the magic, version and the entry's own
+// cache key bound in as associated data. Binding the key means a byte
+// flip, a truncation, *and* two entries swapped wholesale between
+// files all fail authentication — a swapped file decrypts fine under
+// the master key, but its associated data no longer matches the name
+// it sits under. Failed authentication is never an error: the entry
+// is dropped, counted as an invalidation, and the caller recomputes.
 //
-// Writers follow the journal/checkpoint durability discipline: write
-// a temp file, fsync it, rename into place, fsync the directory.
-// Eviction (size-capped LRU on the entry files' modification times,
-// which Get refreshes on every hit) takes an exclusive flock while
-// writers rename under a shared one, so GC never observes a
+// Writers go through durable.WriteFile (temp file, fsync, rename,
+// directory fsync) while holding a shared flock. Eviction (size-capped
+// LRU on the entry files' modification times, which Get refreshes on
+// every hit) takes the flock exclusively, so GC never observes a
 // half-written entry and never races another GC.
 
 const (
-	entryMagic   = "RILC"
-	entryVersion = 1
+	entryMagic = "RILC"
+	// entryVersion versions the sealed container: 1 was ASCON-128 with
+	// a 16-byte nonce, 2 is AES-128-GCM with a 12-byte nonce. An entry
+	// of another version fails the header check and is recomputed.
+	entryVersion = 2
+	// keyLen, nonceLen and tagLen are AES-128-GCM's sizes.
+	keyLen   = 16
+	nonceLen = 12
+	tagLen   = 16
 	// DefaultMaxBytes is the GC size cap when Options.MaxBytes is 0.
 	DefaultMaxBytes = 1 << 30
 	// tmpGracePeriod is how old an orphaned .tmp file must be before
-	// GC sweeps it; younger temps may belong to an in-flight Put.
+	// GC sweeps it; younger temps may belong to an in-flight Put of an
+	// older build, which staged its temp file before taking the lock.
 	tmpGracePeriod = 10 * time.Minute
 )
 
@@ -84,22 +104,12 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	dir      string
 	maxBytes int64
-	aeadKey  [asconKeyLen]byte
+	aeadKey  [keyLen]byte
+	aead     cipher.AEAD // AES-128-GCM under aeadKey; safe for concurrent use
 
 	hits, misses, invalidations atomic.Int64
 	puts, putErrors, evictions  atomic.Int64
 }
-
-// entryWriter is the sink an entry is written through before rename;
-// tests swap newEntrySink to inject crash faults mid-write.
-type entryWriter interface {
-	io.Writer
-	Sync() error
-}
-
-// newEntrySink wraps the entry temp file; overridden in tests with a
-// testutil.FaultyWriter to prove torn writes never become entries.
-var newEntrySink = func(f *os.File) entryWriter { return f }
 
 // Open opens (creating if needed) a cache directory. The master AEAD
 // key is generated on first use and persists with the directory;
@@ -114,6 +124,13 @@ func Open(dir string, opt Options) (*Cache, error) {
 	}
 	if err := c.loadOrCreateKey(); err != nil {
 		return nil, err
+	}
+	block, err := aes.NewCipher(c.aeadKey[:])
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
+	if c.aead, err = cipher.NewGCM(block); err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
 	}
 	return c, nil
 }
@@ -157,8 +174,8 @@ func (c *Cache) loadOrCreateKey() error {
 		if err != nil {
 			return false, fmt.Errorf("cache: %w", err)
 		}
-		if len(raw) != asconKeyLen {
-			return false, fmt.Errorf("cache: master key file %s has %d bytes, want %d", c.keyPath(), len(raw), asconKeyLen)
+		if len(raw) != keyLen {
+			return false, fmt.Errorf("cache: master key file %s has %d bytes, want %d", c.keyPath(), len(raw), keyLen)
 		}
 		copy(c.aeadKey[:], raw)
 		return true, nil
@@ -175,12 +192,12 @@ func (c *Cache) loadOrCreateKey() error {
 	if ok, err := read(); ok || err != nil {
 		return err
 	}
-	var key [asconKeyLen]byte
+	var key [keyLen]byte
 	if _, err := rand.Read(key[:]); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := writeFileDurable(c.keyPath(), key[:], 0o600); err != nil {
-		return err
+	if err := durable.WriteFile(c.keyPath(), key[:]); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
 	c.aeadKey = key
 	return nil
@@ -268,22 +285,23 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 
 // decode parses and authenticates one entry file.
 func (c *Cache) decode(k Key, raw []byte) ([]byte, bool) {
-	hdr := len(entryMagic) + 1 + asconNonceLen
-	if len(raw) < hdr+asconTagLen {
+	hdr := len(entryMagic) + 1 + nonceLen
+	if len(raw) < hdr+tagLen {
 		return nil, false
 	}
 	if string(raw[:len(entryMagic)]) != entryMagic || raw[len(entryMagic)] != entryVersion {
 		return nil, false
 	}
 	nonce := raw[len(entryMagic)+1 : hdr]
-	return asconOpen(c.aeadKey[:], nonce, associatedData(k), raw[hdr:])
+	plain, err := c.aead.Open(nil, nonce, raw[hdr:], associatedData(k))
+	return plain, err == nil
 }
 
 // Put stores a payload under a key, replacing any existing entry. The
-// write is atomic and durable (temp file, fsync, rename under a
-// shared lock, directory fsync): concurrent readers and the GC only
-// ever observe complete entries, and a crash mid-Put leaves at worst
-// an orphaned temp file that the next GC sweeps.
+// write is atomic and durable (durable.WriteFile under a shared lock):
+// concurrent readers and the GC only ever observe complete entries,
+// and a crash mid-Put leaves at worst an orphaned temp file that a
+// later GC sweeps.
 func (c *Cache) Put(k Key, payload []byte) error {
 	return c.PutTimed(k, payload, 0)
 }
@@ -318,46 +336,30 @@ func (c *Cache) put(k Key, payload []byte, seconds float64) error {
 	binary.BigEndian.PutUint64(plain, math.Float64bits(seconds))
 	copy(plain[secondsPrefixLen:], payload)
 	payload = plain
-	var nonce [asconNonceLen]byte
+	var nonce [nonceLen]byte
 	if _, err := rand.Read(nonce[:]); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	buf := make([]byte, 0, len(entryMagic)+1+asconNonceLen+len(payload)+asconTagLen)
+	buf := make([]byte, 0, len(entryMagic)+1+nonceLen+len(payload)+tagLen)
 	buf = append(buf, entryMagic...)
 	buf = append(buf, entryVersion)
 	buf = append(buf, nonce[:]...)
-	buf = append(buf, asconSeal(c.aeadKey[:], nonce[:], associatedData(k), payload)...)
+	buf = c.aead.Seal(buf, nonce[:], payload, associatedData(k))
 
 	path := c.entryPath(k)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	sink := newEntrySink(tmp)
-	if _, err := sink.Write(buf); err != nil {
-		return errors.Join(fmt.Errorf("cache: %w", err), tmp.Close())
-	}
-	if err := sink.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("cache: %w", err), tmp.Close())
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	// Rename under a shared lock: many writers may land concurrently,
+	// Write under a shared lock: many writers may land concurrently,
 	// but never during an exclusive GC sweep.
 	lock, err := c.flock(syscall.LOCK_SH)
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := durable.WriteFile(path, buf); err != nil {
 		return errors.Join(fmt.Errorf("cache: %w", err), unflock(lock))
 	}
-	return errors.Join(syncDir(dir), unflock(lock))
+	return unflock(lock)
 }
 
 // GC enforces the size cap: while the entries exceed MaxBytes, the
@@ -397,10 +399,10 @@ func (c *Cache) gcLocked() (int, error) {
 			return err
 		}
 		if filepath.Ext(path) == ".tmp" {
-			// A crashed writer's leftover. Live writers stage their temp
-			// file *before* taking the shared rename lock, so a fresh
-			// temp may belong to an in-flight Put — only sweep temps old
-			// enough that no live writer can still own them.
+			// A crashed writer's leftover. Writers of an older build
+			// staged their temp file *before* taking the shared lock, so
+			// a fresh temp may belong to an in-flight Put — only sweep
+			// temps old enough that no live writer can still own them.
 			if time.Since(info.ModTime()) > tmpGracePeriod {
 				return os.Remove(path)
 			}
@@ -435,46 +437,4 @@ func (c *Cache) gcLocked() (int, error) {
 	}
 	c.evictions.Add(int64(removed))
 	return removed, nil
-}
-
-// writeFileDurable writes a small file with the temp/fsync/rename/dir-
-// fsync discipline.
-func writeFileDurable(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".key-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := tmp.Chmod(perm); err != nil {
-		return errors.Join(fmt.Errorf("cache: %w", err), tmp.Close())
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return errors.Join(fmt.Errorf("cache: %w", err), tmp.Close())
-	}
-	if err := tmp.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("cache: %w", err), tmp.Close())
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a preceding rename survives a crash,
-// mirroring the sweep checkpoint's durability discipline. Filesystems
-// that reject directory fsync degrade to the rename's own guarantees.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil &&
-		!errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
 }

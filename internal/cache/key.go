@@ -16,9 +16,12 @@ import (
 )
 
 // SchemaVersion is the cache schema version. It is mixed into every
-// key, so any change to the entry format, the canonicalization rules
-// or the meaning of cached payloads invalidates all existing entries
+// key, so any change to key derivation (the canonicalization rules) or
+// to the meaning of cached payloads invalidates all existing entries
 // by construction — stale entries become misses, never wrong answers.
+// The sealed container around a payload is versioned separately, by
+// the version byte in each entry's header: changing the cipher bumps
+// that byte and leaves every key as it was.
 //
 // Version history:
 //

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cache"
+	"repro/internal/durable"
 	"repro/internal/sat"
 	"repro/internal/sweep"
 )
@@ -314,7 +315,7 @@ func (s *Server) Submit(spec *JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := writeFileDurable(s.specPath(id), raw); err != nil {
+	if err := durable.WriteFile(s.specPath(id), raw); err != nil {
 		return "", err
 	}
 	s.mu.Lock()
@@ -681,29 +682,4 @@ func (js *jobState) subscribe() (<-chan []byte, func()) {
 		defer js.mu.Unlock()
 		delete(js.subs, id)
 	}
-}
-
-// writeFileDurable writes path atomically and durably: temp file in
-// the same directory, fsync, rename, directory fsync — the same
-// discipline the checkpoint manifest uses.
-func writeFileDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".spec-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Sync(); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return sweep.SyncDir(dir)
 }

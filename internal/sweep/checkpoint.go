@@ -9,7 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
+
+	"repro/internal/durable"
 )
 
 // Sweep checkpointing: a sweep directory holds one manifest
@@ -158,7 +159,7 @@ func (c *Checkpoint) JobFile(name string) string {
 func (c *Checkpoint) Record(res Result) error { return c.record(res) }
 
 // record stores one finished job and atomically rewrites the manifest
-// (write temp, fsync, rename) so a kill mid-write can never corrupt a
+// (durable.WriteFile) so a kill mid-write can never corrupt a
 // previously valid manifest.
 func (c *Checkpoint) record(res Result) error {
 	e := &ManifestEntry{Name: res.Name, Status: "done", Seconds: res.Seconds}
@@ -193,49 +194,7 @@ func (c *Checkpoint) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, ".manifest-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Sync(); err != nil {
-		return errors.Join(err, tmp.Close())
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), ManifestPath(c.dir)); err != nil {
-		return err
-	}
-	// The rename is only durable once the directory entry is synced;
-	// without this a crash can resurrect the previous manifest even
-	// though record() already reported the job persisted.
-	return syncDir(c.dir)
-}
-
-// SyncDir fsyncs a directory so a preceding rename in it survives a
-// crash — the second half of the write-temp/fsync/rename discipline,
-// exported for other state writers (the daemon's job-spec files) that
-// follow it.
-func SyncDir(dir string) error { return syncDir(dir) }
-
-// syncDir fsyncs a directory so a preceding rename in it survives a
-// crash. Filesystems that reject directory fsync (some network
-// mounts return EINVAL or ENOTSUP) degrade to the rename's own
-// guarantees.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil &&
-		!errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
+	return durable.WriteFile(ManifestPath(c.dir), append(raw, '\n'))
 }
 
 // Complete reports whether every named job is recorded "done".
