@@ -25,7 +25,6 @@ import (
 	"repro/internal/psca"
 	"repro/internal/report"
 	"repro/internal/sat"
-	"repro/internal/seq"
 )
 
 const benchTimeout = 300 * time.Millisecond
@@ -241,7 +240,7 @@ func BenchmarkTable4_EnergyTable(b *testing.B) {
 	cfg := lutsim.DefaultConfig()
 	var read, write, standby float64
 	for i := 0; i < b.N; i++ {
-		rows, err := lutsim.EnergyTable(cfg, logic.AND)
+		rows, err := lutsim.EnergyTableFrom(lutsim.New(cfg), logic.AND)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,23 +442,6 @@ func BenchmarkDynamicMorphing_Attack(b *testing.B) {
 	}
 }
 
-func BenchmarkSeq_Unroll16(b *testing.B) {
-	nl, err := circuit.GPSCA(1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := seq.New(nl, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Unroll(16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Substrate micro-benchmarks ---------------------------------------
 
 func BenchmarkSolver_Pigeonhole7(b *testing.B) {
@@ -486,8 +468,9 @@ func BenchmarkSolver_Pigeonhole7(b *testing.B) {
 				}
 			}
 		}
-		st, _ := sat.SolveFormula(f, time.Time{})
-		if st != sat.Unsat {
+		s := sat.New()
+		s.AddFormula(f)
+		if s.Solve() != sat.Unsat {
 			b.Fatal("PHP(8,7) must be UNSAT")
 		}
 	}

@@ -24,7 +24,9 @@
 # deliberately broken netlists (combinational cycle, dead key bit)
 # must be rejected with the right analyzer named, and the planted
 # redundant-key fixture must be caught by the audit with the right
-# effective key length — a rilperf correctness smoke (the benchmark
+# effective key length — the tests of cmd/rilperf, a module of its
+# own that go test ./... skips, under -race — a rilperf correctness
+# smoke (the benchmark
 # workloads with exact gates in quick mode, each op through its
 # correctness gate) — a kill-and-resume smoke: a checkpointed attack
 # sweep is SIGKILLed mid-run, resumed, and must end with a complete
@@ -223,6 +225,12 @@ grep -q 'key-influence' "$tmp/deadkey.out" || {
     cat "$tmp/deadkey.out" >&2
     exit 1
 }
+
+echo "== rilperf module tests under -race =="
+# cmd/rilperf is a module of its own, so go test ./... above never
+# reaches it, yet its tests call the library API the benchmark drives.
+# The environment mirrors cmd/rilperf/run.sh.
+(cd cmd/rilperf && GOFLAGS= GOWORK=off GOTOOLCHAIN=local GOPROXY=off go test -race ./...)
 
 echo "== rilperf correctness smoke =="
 # Two rounds of each benchmark workload whose correctness gate is

@@ -1,6 +1,6 @@
 // Command nettool is the netlist Swiss-army knife: statistics,
-// resynthesis, format conversion (.bench ↔ structural Verilog), key
-// binding, and SAT-based equivalence checking.
+// resynthesis, format conversion (.bench → structural Verilog; it
+// reads only .bench), key binding, and SAT-based equivalence checking.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@
 //
 //	rilbench -exp table1 [-timeout 5s] [-scale 0.25] [-counts 1,2,3]
 //	rilbench -exp table2|table3|table4|table5|fig1|fig5|fig6|overhead|psca|dip
+//	rilbench -exp ablation|onehot|sensitize|ppa|lutsize|dynamic|audit
 //	rilbench -exp satruntime -circuit c432,testdata/c17.bench [-counts 1,2]
 //	rilbench -exp all
 //
@@ -11,6 +12,15 @@
 // result cache: a repeated run with identical inputs is served from
 // disk without re-running oracles or solvers (-no-cache bypasses,
 // -cache-max caps the size GC enforces on exit).
+//
+// Not every flag reaches every experiment. -jobs and
+// -checkpoint-dir/-resume reach the experiments that run on the sweep
+// runner: table1, table3, satruntime, dip, ablation, onehot, lutsize
+// and audit. -cache-dir reaches table1, table3, satruntime and dip
+// only, and -portfolio the SAT-attack cells of table1, table3 and
+// satruntime only. table5, fig1, sensitize and dynamic run their
+// attacks serially: they ignore all four flags, and they notice
+// SIGINT only when the table ends.
 //
 // Runtimes are scaled: the paper used a 5-day timeout on full-size
 // benchmarks; pass -scale 1.0 -timeout 120h to approximate that run.
@@ -35,11 +45,15 @@ import (
 	"repro/internal/report"
 )
 
+// sweepExps names the experiments that run on the sweep runner, the
+// only ones -jobs and -checkpoint-dir reach.
+const sweepExps = "table1, table3, satruntime, dip, ablation, onehot, lutsize and audit"
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|fig1|fig5|fig6|overhead|psca|dip|satruntime|ablation|dynamic|audit|all")
+		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|fig1|fig5|fig6|overhead|psca|satruntime|dip|ablation|onehot|sensitize|ppa|lutsize|dynamic|audit|all")
 		timeout = flag.Duration("timeout", 2*time.Second, "SAT-attack timeout per run (paper: 120h)")
-		jobs    = flag.Int("jobs", 0, "parallel attack workers per experiment (0 = all CPUs, 1 = sequential)")
+		jobs    = flag.Int("jobs", 0, "parallel attack workers for "+sweepExps+" (0 = all CPUs, 1 = sequential)")
 		scale   = flag.Float64("scale", 0.25, "benchmark circuit scale in (0,1]")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		counts  = flag.String("counts", "1,2,3,4,5,10,25,50,75,100", "Table I block counts")
@@ -48,13 +62,14 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir = flag.String("json", "", "also write each table as JSON into this directory")
 		nolint  = flag.Bool("nolint", false, "skip the netlint gate on freshly locked circuits")
-		ckptDir = flag.String("checkpoint-dir", "", "persist per-table sweep manifests under this directory")
+		ckptDir = flag.String("checkpoint-dir", "", "persist the sweep manifests of "+sweepExps+" under this directory")
 		resume  = flag.Bool("resume", false, "resume from -checkpoint-dir: skip table cells already recorded done")
-		pfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per attack solver call (<2 = sequential)")
+		pfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per solver call in the SAT-attack cells of table1, table3 and satruntime (<2 = sequential)")
 		circs   = flag.String("circuit", "", "comma-separated circuits for -exp satruntime: ISCAS profile names and/or .bench file paths")
 	)
 	var cacheFlags cache.Flags
 	cacheFlags.Register(flag.CommandLine)
+	flag.Lookup("cache-dir").Usage += "; read by table1, table3, satruntime and dip only"
 	flag.Parse()
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "rilbench: -resume requires -checkpoint-dir")
@@ -170,8 +185,7 @@ func run(exp string, cfg report.AttackConfig, countsCSV, circs string, mc, trace
 		return report.Fig5(os.Stdout)
 	case "fig6":
 		t, _ := report.Fig6(mc, cfg.Seed)
-		fmt.Println(t.String())
-		return nil
+		return show(t, nil)
 	case "overhead":
 		return show(report.OverheadTable(), nil)
 	case "psca":
@@ -238,7 +252,9 @@ func run(exp string, cfg report.AttackConfig, countsCSV, circs string, mc, trace
 			return err
 		}
 		t6, _ := report.Fig6(mc, cfg.Seed)
-		fmt.Println(t6.String())
+		if err := show(t6, nil); err != nil {
+			return err
+		}
 		if err := show(report.OverheadTable(), nil); err != nil {
 			return err
 		}

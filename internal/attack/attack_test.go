@@ -247,25 +247,6 @@ func TestAppSATConvergesOnEasyLock(t *testing.T) {
 	}
 }
 
-func TestRemovalAttackResisted(t *testing.T) {
-	orig := smallCircuit(t, 150, 18)
-	res, err := core.Lock(orig, core.Options{Blocks: 2, Size: core.Size8x8, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := oracleFor(t, res.Locked, res.KeyInputPos, res.Key)
-	rr, err := RemovalAttack(res.Locked, res.KeyInputPos, oracle, 16, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.BestError < 0.001 {
-		t.Errorf("a random configuration matched the oracle (best err %v) — removal not resisted", rr.BestError)
-	}
-	if rr.MeanError < rr.BestError {
-		t.Error("mean below best")
-	}
-}
-
 func TestStructuralRemovalBreaksXORLock(t *testing.T) {
 	// The bypass must recover the original circuit exactly from the
 	// classic XOR-locked netlist.

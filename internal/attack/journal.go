@@ -177,12 +177,7 @@ type Journal struct {
 	mu         sync.Mutex
 	w          io.Writer
 	headerDone bool
-	records    int
 }
-
-// NewJournal wraps a writer as a fresh journal sink. WriteHeader must
-// be called before the first Append; SATAttack does this itself.
-func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
 // HeaderWritten reports whether the header line is already present
 // (true for journals opened in append mode on a non-empty file).
@@ -190,14 +185,6 @@ func (j *Journal) HeaderWritten() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.headerDone
-}
-
-// Records returns the number of DIP records written through this
-// writer (excluding any pre-existing records in an appended file).
-func (j *Journal) Records() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.records
 }
 
 func (j *Journal) writeLine(rec any) error {
@@ -249,11 +236,7 @@ func (j *Journal) Append(r JournalRecord) error {
 	if !j.headerDone {
 		return fmt.Errorf("journal: Append before WriteHeader")
 	}
-	if err := j.writeLine(taggedRecord{"dip", r}); err != nil {
-		return err
-	}
-	j.records++
-	return nil
+	return j.writeLine(taggedRecord{"dip", r})
 }
 
 // Finish journals the terminal record of a completed attack.

@@ -3,6 +3,7 @@ package attack
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,10 @@ import (
 	"repro/internal/sat"
 	"repro/internal/testutil"
 )
+
+// NewJournal wraps a writer as a fresh journal sink. WriteHeader must
+// be called before the first Append; SATAttack does this itself.
+func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
 
 // c432Profile synthesizes the full-scale c432 profile circuit used by
 // the query-count regression pin.

@@ -53,6 +53,34 @@ func TestOneHotBreaksRoutingOnlyLock(t *testing.T) {
 	}
 }
 
+// TestOneHotHintsFollowReplacedTaps builds the relaxed netlist for a
+// lock in which later blocks replace gates that block 0 taps: the
+// hints must name the output lines that now drive block 0.
+func TestOneHotHintsFollowReplacedTaps(t *testing.T) {
+	orig, err := netlist.Random(netlist.RandomProfile{
+		Name: "t", Inputs: 16, Outputs: 16, Gates: 150, Locality: 0.7,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Lock(orig, core.Options{Blocks: 3, Size: core.Size8x8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := res.ApplyKey(res.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewSimOracle(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SATAttackOneHot(res.Locked, res.KeyInputPos, HintsFromRIL(res), oracle,
+		SATOptions{MaxIterations: 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOneHotStillHardOnRIL(t *testing.T) {
 	// Against full RIL-Blocks the coupled LUT layer keeps the relaxed
 	// instance hard (the paper's §III-A design argument).

@@ -41,46 +41,6 @@ func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, 
 	return false, nil, fmt.Errorf("attack: equivalence check timed out")
 }
 
-// RemovalResult reports a removal-attack analysis.
-type RemovalResult struct {
-	Tries     int
-	BestError float64 // lowest output error any stripped variant achieved
-	MeanError float64
-}
-
-// RemovalAttack models the removal/bypass attacker: the RIL-Blocks
-// replace original gates and interconnect, so "removing" them amounts
-// to hard-wiring some configuration — i.e. committing to an arbitrary
-// key. The attack tries `tries` random configurations and reports the
-// best (lowest) output error achieved against the oracle. A scheme is
-// removal-resistant when even the best stripped variant remains far
-// from the oracle (contrast point functions such as SARLock/Anti-SAT,
-// where removal recovers the original circuit exactly).
-func RemovalAttack(locked *netlist.Netlist, keyPos []int, oracle Oracle, tries int, seed int64) (*RemovalResult, error) {
-	if tries < 1 {
-		return nil, fmt.Errorf("attack: removal tries must be >= 1")
-	}
-	rng := newRand(seed)
-	res := &RemovalResult{Tries: tries, BestError: 1}
-	sum := 0.0
-	for t := 0; t < tries; t++ {
-		guess := make([]bool, len(keyPos))
-		for i := range guess {
-			guess[i] = rng.Intn(2) == 1
-		}
-		e, err := VerifyKey(locked, keyPos, guess, oracle, 4, seed+int64(t))
-		if err != nil {
-			return nil, err
-		}
-		sum += e
-		if e < res.BestError {
-			res.BestError = e
-		}
-	}
-	res.MeanError = sum / float64(tries)
-	return res, nil
-}
-
 // StructuralRemoval models the removal attack the point-function
 // papers are measured against: the attacker locates two-input XOR/XNOR
 // gates that mix a key-dependent signal into otherwise key-free logic

@@ -109,18 +109,3 @@ func LUTLock(orig *netlist.Netlist, nLUTs int, seed int64) (*Locked, error) {
 		Key:     res.Key,
 	}, nil
 }
-
-// RIL locks with the paper's scheme, adapting it to the Locked shape
-// used by the comparison harness.
-func RIL(orig *netlist.Netlist, blocks int, size core.Size, seed int64) (*Locked, *core.Result, error) {
-	res, err := core.Lock(orig, core.Options{Blocks: blocks, Size: size, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Locked{
-		Scheme:  "ril-" + size.String(),
-		Netlist: res.Locked,
-		KeyPos:  res.KeyInputPos,
-		Key:     res.Key,
-	}, res, nil
-}

@@ -80,32 +80,6 @@ func TestRoutingLockDeterministic(t *testing.T) {
 	}
 }
 
-func TestRILWrapper(t *testing.T) {
-	orig := wideCirc(t, 39)
-	l, res, err := RIL(orig, 1, core.Size8x8, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Scheme != "ril-8x8" {
-		t.Errorf("scheme %q", l.Scheme)
-	}
-	if res.KeyBits() != l.KeyBits() {
-		t.Error("wrapper key mismatch")
-	}
-	// Self-consistency of the Locked shape: correct key restores.
-	bound, err := l.Netlist.BindInputs(l.KeyPos, l.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, _, err := netlist.Equivalent(orig, bound, 0, 8, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Error("RIL wrapper lost equivalence")
-	}
-}
-
 func TestLUTLockCorruptsOnWrongKey(t *testing.T) {
 	orig := wideCirc(t, 42)
 	l, err := LUTLock(orig, 8, 43)

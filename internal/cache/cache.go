@@ -90,14 +90,6 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Invalidations, s.Puts, s.PutErrors, s.Evictions)
 }
 
-// HitRate returns hits/(hits+misses), or 0 with no lookups.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Cache is a content-addressed, authenticated result store rooted at
 // one directory. Safe for concurrent use by multiple goroutines and
 // cooperating processes sharing the directory.
@@ -134,9 +126,6 @@ func Open(dir string, opt Options) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
 
 // Stats returns a snapshot of the counters (process-local, since
 // Open; they do not aggregate across processes).

@@ -56,9 +56,6 @@ func TestCacheRoundTrip(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 1 || s.Puts != 2 || s.Invalidations != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.HitRate() < 0.66 || s.HitRate() > 0.67 {
-		t.Fatalf("hit rate = %f", s.HitRate())
-	}
 
 	// A second Open over the same directory (fresh process, persisted
 	// master key) must still authenticate the entry.
@@ -240,7 +237,8 @@ func TestCacheSealRejects(t *testing.T) {
 // byte budget: a torn entry write must fail the Put, leave no entry
 // visible, and never corrupt later writes through the same cache.
 func TestCachePutCrash(t *testing.T) {
-	c := openTest(t, t.TempDir())
+	dir := t.TempDir()
+	c := openTest(t, dir)
 	k := testKey(t, "crash")
 	payload := []byte(`{"big":"` + string(bytes.Repeat([]byte("x"), 100)) + `"}`)
 
@@ -272,7 +270,7 @@ func TestCachePutCrash(t *testing.T) {
 	// sweeps it — but only after the in-flight-writer grace period
 	// (fresh temps may belong to a live Put staging its file before the
 	// rename lock).
-	orphan := filepath.Join(c.Dir(), "entries", "ab", ".put-orphan.tmp")
+	orphan := filepath.Join(dir, "entries", "ab", ".put-orphan.tmp")
 	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
 		t.Fatal(err)
 	}

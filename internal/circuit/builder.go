@@ -94,18 +94,6 @@ func (b *Builder) Not(x Bus) Bus {
 	return out
 }
 
-// Mux returns sel ? y : x, bitwise over equal-width buses.
-func (b *Builder) Mux(sel int, x, y Bus) Bus {
-	if len(x) != len(y) {
-		panic("circuit: mux width mismatch")
-	}
-	out := make(Bus, len(x))
-	for i := range x {
-		out[i] = b.N.AddGate(b.fresh("m"), netlist.Mux, sel, x[i], y[i])
-	}
-	return out
-}
-
 // Add returns (x + y) mod 2^w via a ripple-carry adder.
 func (b *Builder) Add(x, y Bus) Bus {
 	if len(x) != len(y) {
@@ -141,24 +129,6 @@ func (b *Builder) RotR(x Bus, k int) Bus {
 
 // RotL rotates left by k bits.
 func (b *Builder) RotL(x Bus, k int) Bus { return b.RotR(x, len(x)-k%len(x)) }
-
-// ShR shifts right by k bits, filling with zero.
-func (b *Builder) ShR(x Bus, k int) Bus {
-	w := len(x)
-	out := make(Bus, w)
-	var zero int = -1
-	for i := range out {
-		if i+k < w {
-			out[i] = x[i+k]
-		} else {
-			if zero < 0 {
-				zero = b.N.AddGate(b.fresh("z"), netlist.Const0)
-			}
-			out[i] = zero
-		}
-	}
-	return out
-}
 
 // Table implements a ROM lookup out = table[in] by Shannon-expansion
 // mux trees, one per output bit. table values are little-endian over
@@ -201,18 +171,6 @@ func (b *Builder) Table(in Bus, table []uint64, outW int) Bus {
 	}
 	return out
 }
-
-// Concat joins buses, first argument lowest.
-func Concat(buses ...Bus) Bus {
-	var out Bus
-	for _, b := range buses {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// Slice returns bits [lo, hi) of the bus.
-func Slice(x Bus, lo, hi int) Bus { return x[lo:hi] }
 
 // Uint64 packs up to 64 simulated bit values into a word (helper for
 // tests and oracles).

@@ -62,9 +62,6 @@ func aesSBox() [256]byte {
 	return box
 }
 
-// AESSBoxTable exposes the computed S-box for tests and references.
-func AESSBoxTable() [256]byte { return aesSBox() }
-
 // xtime lowers GF(2^8) doubling to gates.
 func (b *Builder) xtime(x Bus) Bus {
 	if len(x) != 8 {
@@ -238,26 +235,6 @@ func SHA256Compress(rounds int) (*netlist.Netlist, error) {
 	return b.N, nil
 }
 
-// SHA256CompressRef is the software reference for SHA256Compress.
-// st has 8 words; w has `rounds` words. Returns the 8 updated words.
-func SHA256CompressRef(st [8]uint32, w []uint32) [8]uint32 {
-	rotr := func(x uint32, k uint) uint32 { return x>>k | x<<(32-k) }
-	a, b, c, d, e, f, g, h := st[0], st[1], st[2], st[3], st[4], st[5], st[6], st[7]
-	for r := range w {
-		s1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-		ch := (e & f) ^ (^e & g)
-		t1 := h + s1 + ch + sha256K[r] + w[r]
-		s0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-		maj := (a & b) ^ (a & c) ^ (b & c)
-		t2 := s0 + maj
-		h, g, f = g, f, e
-		e = d + t1
-		d, c, b = c, b, a
-		a = t1 + t2
-	}
-	return [8]uint32{a, b, c, d, e, f, g, h}
-}
-
 // ---------------------------------------------------------------------------
 // MD5
 
@@ -296,19 +273,6 @@ func MD5Steps(steps int) (*netlist.Netlist, error) {
 		return nil, err
 	}
 	return bld.N, nil
-}
-
-// MD5StepsRef is the software reference for MD5Steps.
-func MD5StepsRef(st [4]uint32, m []uint32) [4]uint32 {
-	rotl := func(x uint32, k int) uint32 { return x<<k | x>>(32-k) }
-	a, b, c, d := st[0], st[1], st[2], st[3]
-	for s := range m {
-		f := (b & c) | (^b & d)
-		sum := a + f + md5K[s] + m[s]
-		newB := b + rotl(sum, md5S[s])
-		a, d, c, b = d, c, b, newB
-	}
-	return [4]uint32{a, b, c, d}
 }
 
 // ---------------------------------------------------------------------------
@@ -368,22 +332,4 @@ func GPSCA(prn, chips int) (*netlist.Netlist, error) {
 		return nil, err
 	}
 	return b.N, nil
-}
-
-// GPSCARef is the software reference: returns chips code bits and the
-// final LFSR states, starting from the given 10-bit states (bit i =
-// stage i+1).
-func GPSCARef(prn, chips int, g1, g2 uint16) (code []bool, ng1, ng2 uint16) {
-	taps := gpsG2Taps[prn]
-	bit := func(v uint16, stage int) uint16 { return (v >> (stage - 1)) & 1 }
-	for step := 0; step < chips; step++ {
-		g2out := bit(g2, taps[0]) ^ bit(g2, taps[1])
-		chip := bit(g1, 10) ^ g2out
-		code = append(code, chip == 1)
-		f1 := bit(g1, 3) ^ bit(g1, 10)
-		f2 := bit(g2, 2) ^ bit(g2, 3) ^ bit(g2, 6) ^ bit(g2, 8) ^ bit(g2, 9) ^ bit(g2, 10)
-		g1 = (g1<<1 | f1) & 0x3FF
-		g2 = (g2<<1 | f2) & 0x3FF
-	}
-	return code, g1, g2
 }

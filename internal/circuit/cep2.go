@@ -136,37 +136,6 @@ func DESRound() (*netlist.Netlist, error) {
 	return b.N, nil
 }
 
-// DESRoundRef is the software reference: block and key bits use the
-// same layout as DESRound (bit i of the bus = standard bit i+1).
-func DESRoundRef(block [64]bool, rkey [48]bool) [64]bool {
-	var l, r [32]bool
-	copy(l[:], block[0:32])
-	copy(r[:], block[32:64])
-	var x [48]bool
-	for i, sel := range desE {
-		x[i] = r[sel-1] != rkey[i]
-	}
-	var sout [32]bool
-	for s := 0; s < 8; s++ {
-		var std byte
-		for j := 0; j < 6; j++ {
-			if x[s*6+j] {
-				std |= 1 << (5 - j)
-			}
-		}
-		out := desSBoxLookup(s, std)
-		for j := 0; j < 4; j++ {
-			sout[s*4+j] = out&(1<<(3-j)) != 0
-		}
-	}
-	var res [64]bool
-	copy(res[0:32], r[:])
-	for i := 0; i < 32; i++ {
-		res[32+i] = l[i] != sout[desP[i]-1]
-	}
-	return res
-}
-
 // ---------------------------------------------------------------------------
 // FIR filter (the CEP suite's DSP representative): a fixed-coefficient
 // multiply-accumulate datapath lowered to shift-and-add logic.
@@ -226,14 +195,4 @@ func (b *Builder) shlFill(x Bus, k int) Bus {
 		}
 	}
 	return out
-}
-
-// FIRFilterRef is the software reference.
-func FIRFilterRef(width int, coeffs []int64, samples []uint64) uint64 {
-	mask := uint64(1)<<uint(width) - 1
-	var acc uint64
-	for i, c := range coeffs {
-		acc = (acc + (uint64(c)&mask)*samples[i]) & mask
-	}
-	return acc
 }

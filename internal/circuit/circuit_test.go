@@ -34,53 +34,35 @@ func TestBuilderRotShift(t *testing.T) {
 	x := b.Input("x", 8)
 	b.Output(b.RotR(x, 3))
 	b.Output(b.RotL(x, 2))
-	b.Output(b.ShR(x, 3))
 	sim, _ := netlist.NewSimulator(b.N)
 	for _, xv := range []uint64{0x01, 0x80, 0xA5, 0xFF, 0x00} {
 		out := sim.Eval(Bits(xv, 8))
 		rotr := Uint64(out[0:8])
 		rotl := Uint64(out[8:16])
-		shr := Uint64(out[16:24])
 		if want := (xv>>3 | xv<<5) & 0xFF; rotr != want {
 			t.Errorf("rotr3(%#x) = %#x, want %#x", xv, rotr, want)
 		}
 		if want := (xv<<2 | xv>>6) & 0xFF; rotl != want {
 			t.Errorf("rotl2(%#x) = %#x, want %#x", xv, rotl, want)
 		}
-		if want := xv >> 3; shr != want {
-			t.Errorf("shr3(%#x) = %#x, want %#x", xv, shr, want)
-		}
 	}
 }
 
 func TestBuilderMuxConstTable(t *testing.T) {
 	b := NewBuilder("tbl")
-	sel := b.Input("s", 1)
 	x := b.Input("x", 4)
 	table := []uint64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}
 	b.Output(b.Table(x, table, 4))
-	b.Output(b.Mux(sel[0], b.Const(0xA, 4), b.Const(0x5, 4)))
 	sim, _ := netlist.NewSimulator(b.N)
 	for xv := uint64(0); xv < 16; xv++ {
-		for sv := 0; sv < 2; sv++ {
-			in := append([]bool{sv == 1}, Bits(xv, 4)...)
-			out := sim.Eval(in)
-			if got := Uint64(out[0:4]); got != table[xv] {
-				t.Fatalf("table[%d] = %d, want %d", xv, got, table[xv])
-			}
-			want := uint64(0xA)
-			if sv == 1 {
-				want = 0x5
-			}
-			if got := Uint64(out[4:8]); got != want {
-				t.Fatalf("mux(s=%d) = %#x, want %#x", sv, got, want)
-			}
+		if got := Uint64(sim.Eval(Bits(xv, 4))); got != table[xv] {
+			t.Fatalf("table[%d] = %d, want %d", xv, got, table[xv])
 		}
 	}
 }
 
 func TestAESSBoxKnownValues(t *testing.T) {
-	box := AESSBoxTable()
+	box := aesSBox()
 	known := map[int]byte{
 		0x00: 0x63, 0x01: 0x7C, 0x53: 0xED, 0x10: 0xCA,
 		0xFF: 0x16, 0xC9: 0xDD, 0xAA: 0xAC,

@@ -88,15 +88,6 @@ func (f *Formula) AddClause(lits ...Lit) bool {
 // NumClauses returns the clause count.
 func (f *Formula) NumClauses() int { return len(f.Clauses) }
 
-// ClauseToVarRatio returns |clauses| / |vars|, the hardness heuristic
-// the paper discusses (routing obfuscation aims for ratios in 3..6).
-func (f *Formula) ClauseToVarRatio() float64 {
-	if f.NumVars == 0 {
-		return 0
-	}
-	return float64(len(f.Clauses)) / float64(f.NumVars)
-}
-
 // Eval evaluates the formula under a complete assignment.
 func (f *Formula) Eval(assign []bool) bool {
 	for _, c := range f.Clauses {

@@ -244,17 +244,6 @@ func TestExactlyOne(t *testing.T) {
 	}
 }
 
-func TestClauseToVarRatio(t *testing.T) {
-	f := NewFormula()
-	a := f.NewVar()
-	f.AddClause(MkLit(a, false))
-	f.AddClause(MkLit(a, false))
-	f.AddClause(MkLit(a, true))
-	if r := f.ClauseToVarRatio(); r != 3 {
-		t.Errorf("ratio = %v, want 3", r)
-	}
-}
-
 func TestBVAReducesAndPreservesModels(t *testing.T) {
 	// Build a formula with obvious BVA structure:
 	// (a ∨ R_i) ∧ (b ∨ R_i) for 4 distinct rests R_i plus noise.

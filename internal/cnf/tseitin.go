@@ -190,11 +190,6 @@ func (e *Encoder) EncodeMux(s, a, b Lit) Var {
 	return out
 }
 
-// EncodeOrBig returns a fresh variable equal to the OR of the literals.
-func (e *Encoder) EncodeOrBig(in []Lit) Var {
-	return e.encodeOr(in)
-}
-
 // AssertLit adds a unit clause forcing the literal true.
 func (e *Encoder) AssertLit(l Lit) { e.F.AddClause(l) }
 

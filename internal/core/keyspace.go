@@ -1,118 +1,10 @@
 package core
 
-import (
-	"fmt"
-	"math/big"
-
-	"repro/internal/netlist"
-)
-
-// KeySpaceInfo quantifies the search space an attacker faces for one
-// block geometry (§II-B: M-input LUTs offer 2^(2^M) functions; routing
-// multiplies in the network's reachable permutations).
-type KeySpaceInfo struct {
-	Size         Size
-	KeyBits      int
-	TotalKeys    *big.Int // 2^KeyBits
-	LUTFunctions *big.Int // 16^K
-	// InPerms / OutPerms are the distinct permutations the banyan
-	// networks can realize (exhaustively counted; nil when the network
-	// is too wide to enumerate or absent).
-	InPerms  *big.Int
-	OutPerms *big.Int
-}
+import "math/big"
 
 // LUTFunctionSpace returns 2^(2^m), the function count of an m-input
 // LUT (the paper's key-search-space argument for LUT-based
 // obfuscation).
 func LUTFunctionSpace(m int) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), 1<<uint(m))
-}
-
-// DistinctPermutations exhaustively counts the distinct permutations an
-// n-line banyan realizes over all switch settings. Practical for
-// n <= 8 (4096 settings); wider networks return -1.
-func DistinctPermutations(n int) int {
-	sw := BanyanSwitchCount(n)
-	if sw == 0 {
-		return -1
-	}
-	if sw > 20 {
-		return -1
-	}
-	seen := make(map[string]bool)
-	keys := make([]bool, sw)
-	var count int
-	var rec func(i int)
-	rec = func(i int) {
-		if i == sw {
-			perm, err := BanyanPermute(n, keys)
-			if err != nil {
-				return
-			}
-			k := fmt.Sprint(perm)
-			if !seen[k] {
-				seen[k] = true
-				count++
-			}
-			return
-		}
-		keys[i] = false
-		rec(i + 1)
-		keys[i] = true
-		rec(i + 1)
-	}
-	rec(0)
-	return count
-}
-
-// KeySpace computes the search-space parameters of one block.
-func KeySpace(s Size) KeySpaceInfo {
-	info := KeySpaceInfo{Size: s}
-	o := BlockOverhead(s)
-	info.KeyBits = o.KeyBits
-	info.TotalKeys = new(big.Int).Lsh(big.NewInt(1), uint(o.KeyBits))
-	info.LUTFunctions = new(big.Int).Exp(big.NewInt(16), big.NewInt(int64(s.K)), nil)
-	if s.InputRouting {
-		if c := DistinctPermutations(2 * s.K); c > 0 {
-			info.InPerms = big.NewInt(int64(c))
-		}
-	}
-	if s.OutputRouting {
-		if c := DistinctPermutations(s.K); c > 0 {
-			info.OutPerms = big.NewInt(int64(c))
-		}
-	}
-	return info
-}
-
-// CorrectKeyCount exhaustively counts the keys under which the locked
-// circuit matches the original — the size of the correct-key
-// equivalence class the SAT attack may land anywhere inside. Only
-// feasible for small key spaces (<= maxBits, e.g. a single 2×2 block);
-// returns an error otherwise.
-func CorrectKeyCount(orig *netlist.Netlist, res *Result, maxBits int) (int, error) {
-	kb := res.KeyBits()
-	if kb > maxBits || kb > 24 {
-		return 0, fmt.Errorf("core: %d key bits too many for exhaustive counting", kb)
-	}
-	count := 0
-	key := make([]bool, kb)
-	for m := 0; m < 1<<uint(kb); m++ {
-		for i := range key {
-			key[i] = m&(1<<uint(i)) != 0
-		}
-		bound, err := res.ApplyKey(key)
-		if err != nil {
-			return 0, err
-		}
-		eq, _, err := netlist.Equivalent(orig, bound, 10, 4, int64(m))
-		if err != nil {
-			return 0, err
-		}
-		if eq {
-			count++
-		}
-	}
-	return count, nil
 }

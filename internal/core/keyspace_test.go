@@ -3,8 +3,6 @@ package core
 import (
 	"math/big"
 	"testing"
-
-	"repro/internal/netlist"
 )
 
 func TestLUTFunctionSpace(t *testing.T) {
@@ -17,96 +15,5 @@ func TestLUTFunctionSpace(t *testing.T) {
 	// The paper's 2^(2^m) growth: m=6 already exceeds 10^19.
 	if LUTFunctionSpace(6).BitLen() != 65 {
 		t.Errorf("2^64 should have 65 bits, got %d", LUTFunctionSpace(6).BitLen())
-	}
-}
-
-func TestDistinctPermutations(t *testing.T) {
-	// 2-line banyan: one switch, two permutations.
-	if got := DistinctPermutations(2); got != 2 {
-		t.Errorf("DistinctPermutations(2) = %d, want 2", got)
-	}
-	// 4-line butterfly: 4 switches, 16 settings; the network is a
-	// permutation-injective delta network, so all 16 are distinct
-	// (and 16 < 4! = 24: the banyan is blocking).
-	got4 := DistinctPermutations(4)
-	if got4 <= 2 || got4 > 24 {
-		t.Fatalf("DistinctPermutations(4) = %d out of range", got4)
-	}
-	// Delta networks have unique paths: distinct settings cannot
-	// collide, so the count equals 2^switches when that is < n!.
-	if got4 != 16 {
-		t.Errorf("DistinctPermutations(4) = %d, want 16", got4)
-	}
-	// 8-line: 2^12 = 4096 settings vs 8! = 40320 — all distinct.
-	if got8 := DistinctPermutations(8); got8 != 4096 {
-		t.Errorf("DistinctPermutations(8) = %d, want 4096", got8)
-	}
-	if DistinctPermutations(3) != -1 || DistinctPermutations(32) != -1 {
-		t.Error("out-of-range widths should return -1")
-	}
-}
-
-func TestKeySpaceInfo(t *testing.T) {
-	info := KeySpace(Size8x8x8)
-	if info.KeyBits != 76 {
-		t.Errorf("8x8x8 key bits %d, want 76", info.KeyBits)
-	}
-	if info.TotalKeys.BitLen() != 77 { // 2^76
-		t.Errorf("total keys bitlen %d", info.TotalKeys.BitLen())
-	}
-	if info.LUTFunctions.Cmp(new(big.Int).Exp(big.NewInt(16), big.NewInt(8), nil)) != 0 {
-		t.Error("LUT function space wrong")
-	}
-	if info.InPerms != nil {
-		t.Error("16-wide banyan should not be enumerable")
-	}
-	if info.OutPerms == nil || info.OutPerms.Int64() != 4096 {
-		t.Errorf("8-wide output banyan perms = %v, want 4096", info.OutPerms)
-	}
-}
-
-func TestCorrectKeyCount2x2(t *testing.T) {
-	orig, err := netlist.Random(netlist.RandomProfile{
-		Name: "ks", Inputs: 12, Outputs: 6, Gates: 120, Locality: 0.6,
-	}, 71)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Lock(orig, Options{Blocks: 1, Size: Size2x2, Seed: 72})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := CorrectKeyCount(orig, res, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count < 1 {
-		t.Fatal("the correct key itself must be counted")
-	}
-	// The output switchbox symmetry guarantees at least two correct
-	// keys (swap the switch and the two LUT contents).
-	if count < 2 {
-		t.Errorf("correct-key class size %d; routing symmetry should give >= 2", count)
-	}
-	total := 1 << uint(res.KeyBits())
-	if count >= total/2 {
-		t.Errorf("correct-key class %d/%d suspiciously large — lock too weak", count, total)
-	}
-	t.Logf("2x2 block: %d/%d keys are functionally correct", count, total)
-}
-
-func TestCorrectKeyCountRejectsLargeKeys(t *testing.T) {
-	orig, err := netlist.Random(netlist.RandomProfile{
-		Name: "ks2", Inputs: 16, Outputs: 8, Gates: 300, Locality: 0.7,
-	}, 73)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Lock(orig, Options{Blocks: 1, Size: Size8x8x8, Seed: 74})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CorrectKeyCount(orig, res, 12); err == nil {
-		t.Error("76-bit exhaustive count accepted")
 	}
 }

@@ -46,6 +46,4 @@ func gateFunc2(t netlist.GateType) (logic.Func2, bool) {
 // order.
 func lutKeyBits(f logic.Func2) [4]bool { return f.Keys() }
 
-func func2FromKeyBits(k [4]bool) logic.Func2 { return logic.FromKeys(k) }
-
 var errNoCandidates = fmt.Errorf("core: not enough obfuscatable 2-input gates")

@@ -152,6 +152,7 @@ func Lock(orig *netlist.Netlist, opt Options) (*Result, error) {
 		for _, g := range gates {
 			replaced[nl.Gates[g].Name] = true
 		}
+		renameTaps(res.Blocks)
 	}
 	nl.Prune()
 	if err := nl.Validate(); err != nil {
@@ -173,6 +174,32 @@ func Lock(orig *netlist.Netlist, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: internal error: locked circuit differs from original under correct key (cex %v)", cex)
 	}
 	return res, nil
+}
+
+// renameTaps points the earlier blocks' recorded wires away from the
+// gates the last block replaced. An earlier block may tap such a gate;
+// RedirectFanout now feeds it from the last block's output line, and
+// Prune drops the gate. PortWire, FaninA and FaninB are renamed
+// together, since Reconfigure matches them by name.
+func renameTaps(blocks []BlockInfo) {
+	last := blocks[len(blocks)-1]
+	outs := last.LUTOut
+	if last.OutNetOut != nil {
+		outs = last.OutNetOut
+	}
+	rename := make(map[string]string, len(last.GateNames))
+	for pos, name := range last.GateNames {
+		rename[name] = outs[pos]
+	}
+	for _, blk := range blocks[:len(blocks)-1] {
+		for _, wires := range [][]string{blk.PortWire, blk.FaninA, blk.FaninB} {
+			for i, w := range wires {
+				if to, ok := rename[w]; ok {
+					wires[i] = to
+				}
+			}
+		}
+	}
 }
 
 func r0Apply(r *Result) (*netlist.Netlist, error) { return r.ApplyKey(r.Key) }

@@ -284,6 +284,30 @@ func TestScanViewInvertsOnlyFlaggedLUTs(t *testing.T) {
 	}
 }
 
+// TestLockRecordsLiveWireNames checks that every wire a block records
+// names a gate of the locked netlist, also when a later block replaces
+// a gate that an earlier block taps.
+func TestLockRecordsLiveWireNames(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		orig := testCircuit(t, 16, 16, 150, seed)
+		for _, size := range []Size{Size2x2, Size8x8, Size8x8x8} {
+			res, err := Lock(orig, Options{Blocks: 3, Size: size, Seed: seed})
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, size, err)
+			}
+			for bi, blk := range res.Blocks {
+				for _, wires := range [][]string{blk.PortWire, blk.FaninA, blk.FaninB, blk.LUTOut, blk.InNetOut, blk.OutNetOut} {
+					for _, w := range wires {
+						if _, ok := res.Locked.GateID(w); !ok {
+							t.Errorf("seed %d %s block %d: %q names no gate of the locked netlist", seed, size, bi, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMorphPreservesFunction(t *testing.T) {
 	orig := testCircuit(t, 20, 10, 300, 14)
 	res, err := Lock(orig, Options{Blocks: 2, Size: Size8x8x8, Seed: 31, ScanEnable: true})

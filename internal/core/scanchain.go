@@ -20,45 +20,22 @@ type SecureCell struct {
 
 // ScanChain models a scan chain as an ordered register.
 type ScanChain struct {
-	Name     string
-	cells    []SecureCell
-	scanOut  bool // whether shift-out exposes cell contents
-	shiftIn  int  // statistics
-	shiftOut int
+	Name  string
+	cells []SecureCell
 }
 
 // NewKeyChain builds the paper's secure configuration chain over the
 // key bits of a lock result: shift-in only, scan-out blocked.
 func NewKeyChain(r *Result) *ScanChain {
-	c := &ScanChain{Name: "keychain", scanOut: false}
+	c := &ScanChain{Name: "keychain"}
 	for i, name := range r.KeyNames {
 		c.cells = append(c.cells, SecureCell{value: r.Key[i], KeyName: name})
 	}
 	return c
 }
 
-// NewFunctionalChain builds an observable chain (the normal full-scan
-// test chain over circuit state, which the SAT attack uses). It never
-// contains key cells.
-func NewFunctionalChain(name string, width int) *ScanChain {
-	c := &ScanChain{Name: name, scanOut: true}
-	c.cells = make([]SecureCell, width)
-	return c
-}
-
 // Len returns the chain length.
 func (c *ScanChain) Len() int { return len(c.cells) }
-
-// ShiftIn clocks the bits into the chain (first bit ends up deepest).
-func (c *ScanChain) ShiftIn(bits []bool) {
-	for _, b := range bits {
-		for i := len(c.cells) - 1; i > 0; i-- {
-			c.cells[i].value = c.cells[i-1].value
-		}
-		c.cells[0].value = b
-		c.shiftIn++
-	}
-}
 
 // ShiftOut clocks the chain out. On the secure key chain the scan-out
 // pin is gated: the attacker reads a constant stream regardless of the
@@ -66,21 +43,13 @@ func (c *ScanChain) ShiftIn(bits []bool) {
 // blocked"). The chain contents still rotate internally, so repeated
 // shifting gains nothing.
 func (c *ScanChain) ShiftOut(n int) []bool {
-	out := make([]bool, n)
 	for i := 0; i < n; i++ {
-		last := c.cells[len(c.cells)-1].value
 		for j := len(c.cells) - 1; j > 0; j-- {
 			c.cells[j].value = c.cells[j-1].value
 		}
 		c.cells[0].value = false
-		c.shiftOut++
-		if c.scanOut {
-			out[i] = last
-		} else {
-			out[i] = false // gated pin
-		}
 	}
-	return out
+	return make([]bool, n) // the gated pin reads 0
 }
 
 // Values exposes the cell contents to the *owner* (not through the

@@ -46,30 +46,6 @@ func TestKeyChainScanOutGated(t *testing.T) {
 	}
 }
 
-func TestFunctionalChainObservable(t *testing.T) {
-	chain := NewFunctionalChain("f", 8)
-	pattern := []bool{true, false, true, true, false, false, true, false}
-	chain.ShiftIn(pattern)
-	out := chain.ShiftOut(8)
-	// First bit shifted in is deepest, so it exits first.
-	for i := range pattern {
-		if out[i] != pattern[i] {
-			t.Fatalf("functional chain out[%d] = %v, want %v (out=%v)", i, out[i], pattern[i], out)
-		}
-	}
-}
-
-func TestShiftInOrdering(t *testing.T) {
-	chain := NewFunctionalChain("f", 3)
-	chain.ShiftIn([]bool{true, false, true})
-	vals := chain.Values()
-	// cells[0] holds the most recent bit.
-	want := []bool{true, false, true} // last in at 0, first in at 2
-	if vals[0] != want[0] || vals[1] != want[1] || vals[2] != want[2] {
-		t.Fatalf("chain state %v", vals)
-	}
-}
-
 func TestShiftAndScanAttackDefeated(t *testing.T) {
 	res := lockForChain(t)
 	learned, err := ShiftAndScanAttack(res, 7)

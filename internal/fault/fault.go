@@ -209,43 +209,3 @@ func RandomPatternCoverage(nl *netlist.Netlist, nPatterns int, seed int64) (Cove
 	}
 	return res, nil
 }
-
-// CoverageWithPatterns measures coverage for explicit pattern sets
-// (each pattern a []bool over the inputs) — used to replay a designer
-// test set against a locked or corrupted design.
-func CoverageWithPatterns(nl *netlist.Netlist, patterns [][]bool) (CoverageResult, error) {
-	sim, err := NewSimulator(nl)
-	if err != nil {
-		return CoverageResult{}, err
-	}
-	faults := Enumerate(nl)
-	detected := make([]bool, len(faults))
-	in := make([]uint64, len(nl.Inputs))
-	for base := 0; base < len(patterns); base += 64 {
-		n := len(patterns) - base
-		if n > 64 {
-			n = 64
-		}
-		for i := range in {
-			var w uint64
-			for b := 0; b < n; b++ {
-				if patterns[base+b][i] {
-					w |= 1 << uint(b)
-				}
-			}
-			in[i] = w
-		}
-		var mask uint64 = ^uint64(0)
-		if n < 64 {
-			mask = 1<<uint(n) - 1
-		}
-		sim.DetectBatch(in, mask, faults, detected)
-	}
-	res := CoverageResult{Total: len(faults), Patterns: len(patterns)}
-	for _, d := range detected {
-		if d {
-			res.Detected++
-		}
-	}
-	return res, nil
-}

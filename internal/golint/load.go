@@ -50,9 +50,6 @@ func NewLoader(opts Options) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadDir parses and type-checks the Go package in one directory. A
 // directory with no eligible .go files returns (nil, nil). Parse
 // errors are hard errors (exit-code-2 material for the CLI);

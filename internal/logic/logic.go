@@ -7,7 +7,6 @@ package logic
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 )
 
@@ -52,24 +51,6 @@ func (f Func2) Eval(a, b bool) bool {
 	return f&(1<<idx) != 0
 }
 
-// EvalWord evaluates the function bit-parallel over 64 input vectors.
-func (f Func2) EvalWord(a, b uint64) uint64 {
-	var out uint64
-	if f&(1<<0) != 0 {
-		out |= ^a & ^b
-	}
-	if f&(1<<1) != 0 {
-		out |= ^a & b
-	}
-	if f&(1<<2) != 0 {
-		out |= a & ^b
-	}
-	if f&(1<<3) != 0 {
-		out |= a & b
-	}
-	return out
-}
-
 // Keys returns the four configuration key bits K1..K4 for the MRAM LUT,
 // in the paper's Table II ordering. The paper shifts keys in through BL
 // while addressing cells in the order AB = 11, 10, 01, 00; hence
@@ -81,24 +62,6 @@ func (f Func2) Keys() [4]bool {
 		f&(1<<1) != 0, // K3 = f(0,1)
 		f&(1<<0) != 0, // K4 = f(0,0)
 	}
-}
-
-// FromKeys reconstructs a function from Table-II key bits K1..K4.
-func FromKeys(k [4]bool) Func2 {
-	var f Func2
-	if k[0] {
-		f |= 1 << 3
-	}
-	if k[1] {
-		f |= 1 << 2
-	}
-	if k[2] {
-		f |= 1 << 1
-	}
-	if k[3] {
-		f |= 1 << 0
-	}
-	return f
 }
 
 // Invert returns the complement function: (¬f)(a,b) = ¬f(a,b).
@@ -115,9 +78,6 @@ func (f Func2) SwapInputs() Func2 {
 	}
 	return g
 }
-
-// IsSymmetric reports whether f(a,b) == f(b,a) for all inputs.
-func (f Func2) IsSymmetric() bool { return f == f.SwapInputs() }
 
 // DependsOnA reports whether the output ever changes with input A.
 func (f Func2) DependsOnA() bool {
@@ -201,9 +161,6 @@ func NewTT(n int) *TT {
 	return &TT{n: n, words: make([]uint64, nw)}
 }
 
-// Inputs returns the number of inputs.
-func (t *TT) Inputs() int { return t.n }
-
 // Rows returns the number of rows (2^n).
 func (t *TT) Rows() int { return 1 << t.n }
 
@@ -221,63 +178,6 @@ func (t *TT) Set(row int, v bool) {
 	}
 }
 
-// Eval evaluates the table on a full input assignment.
-func (t *TT) Eval(in []bool) bool {
-	if len(in) != t.n {
-		panic(fmt.Sprintf("logic: TT.Eval got %d inputs, want %d", len(in), t.n))
-	}
-	row := 0
-	for i, b := range in {
-		if b {
-			row |= 1 << i
-		}
-	}
-	return t.Get(row)
-}
-
-// OnesCount returns the number of minterms (rows evaluating to 1).
-func (t *TT) OnesCount() int {
-	c := 0
-	rows := t.Rows()
-	for i, w := range t.words {
-		if (i+1)*64 > rows {
-			w &= (1 << (uint(rows) & 63)) - 1
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clone returns a deep copy.
-func (t *TT) Clone() *TT {
-	c := NewTT(t.n)
-	copy(c.words, t.words)
-	return c
-}
-
-// Equal reports whether two tables over the same inputs are identical.
-func (t *TT) Equal(o *TT) bool {
-	if t.n != o.n {
-		return false
-	}
-	rows := t.Rows()
-	for i := range t.words {
-		a, b := t.words[i], o.words[i]
-		if (i+1)*64 > rows {
-			mask := uint64(1)<<(uint(rows)&63) - 1
-			if rows >= (i+1)*64 {
-				mask = ^uint64(0)
-			}
-			a &= mask
-			b &= mask
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the table as a bit string, row 0 first.
 func (t *TT) String() string {
 	var sb strings.Builder
@@ -289,29 +189,4 @@ func (t *TT) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// TTFromFunc builds a truth table from an arbitrary evaluator.
-func TTFromFunc(n int, f func(in []bool) bool) *TT {
-	t := NewTT(n)
-	in := make([]bool, n)
-	for r := 0; r < t.Rows(); r++ {
-		for i := range in {
-			in[i] = r&(1<<i) != 0
-		}
-		t.Set(r, f(in))
-	}
-	return t
-}
-
-// TTFromFunc2 lifts a two-input function into a TT whose input 0 is A
-// and input 1 is B (so table row = A + 2B, while Func2 indexes by 2A+B).
-func TTFromFunc2(f Func2) *TT {
-	t := NewTT(2)
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			t.Set(a|b<<1, f.Eval(a == 1, b == 1))
-		}
-	}
-	return t
 }

@@ -102,7 +102,6 @@ type LUT struct {
 	// senseOffset models comparator input offset caused by Vth
 	// mismatch; a read fails when the divider margin is below it.
 	senseOffset float64
-	fn          logic.Func2
 }
 
 // New builds a nominal (variation-free) LUT.
@@ -181,22 +180,14 @@ func (l *LUT) Configure(f logic.Func2) [4]WriteReport {
 	keys := f.Keys() // K1..K4 = f(1,1), f(1,0), f(0,1), f(0,0)
 	order := [4]int{3, 2, 1, 0}
 	var reps [4]WriteReport
-	anyErr := false
 	for i, cellIdx := range order {
 		reps[i] = l.writeCell(l.Cells[cellIdx], keys[i])
-		anyErr = anyErr || reps[i].Error
-	}
-	if !anyErr {
-		l.fn = f
 	}
 	return reps
 }
 
 // SetSE programs the hidden scan-enable cell.
 func (l *LUT) SetSE(bit bool) WriteReport { return l.writeCell(l.SECell, bit) }
-
-// Function returns the currently programmed function.
-func (l *LUT) Function() logic.Func2 { return l.fn }
 
 // ReadReport describes one read operation.
 type ReadReport struct {
@@ -273,17 +264,12 @@ type EnergyRow struct {
 	Standby float64 // [J]
 }
 
-// EnergyTable reproduces Table IV on a nominal LUT. A perfectly
-// nominal device pair gives exactly equal logic-0/logic-1 energies;
-// use EnergyTableFrom with a Sampled LUT to see the sub-percent
-// mismatch-driven asymmetry the paper reports (12.47 vs 12.50 fJ).
-func EnergyTable(cfg Config, f logic.Func2) ([3]EnergyRow, error) {
-	return EnergyTableFrom(New(cfg), f)
-}
-
 // EnergyTableFrom measures read/write/standby energies for logic "0",
 // logic "1" and their average on the given LUT instance configured as
-// the given function.
+// the given function: Table IV. A nominal LUT (New) gives exactly
+// equal logic-0/logic-1 energies; one drawn by Sample shows the
+// sub-percent mismatch-driven asymmetry the paper reports (12.47 vs
+// 12.50 fJ).
 func EnergyTableFrom(l *LUT, f logic.Func2) ([3]EnergyRow, error) {
 	reps := l.Configure(f)
 	for _, r := range reps {

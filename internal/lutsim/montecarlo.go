@@ -3,7 +3,6 @@ package lutsim
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/mtj"
@@ -14,11 +13,10 @@ type Distribution struct {
 	N           int
 	Mean, Sigma float64
 	Min, Max    float64
-	Samples     []float64
 }
 
 func newDistribution(samples []float64) Distribution {
-	d := Distribution{N: len(samples), Samples: samples, Min: math.Inf(1), Max: math.Inf(-1)}
+	d := Distribution{N: len(samples), Min: math.Inf(1), Max: math.Inf(-1)}
 	if d.N == 0 {
 		d.Min, d.Max = 0, 0
 		return d
@@ -40,44 +38,6 @@ func newDistribution(samples []float64) Distribution {
 	}
 	d.Sigma = math.Sqrt(varsum / float64(d.N))
 	return d
-}
-
-// Histogram buckets the samples into nb equal-width bins.
-func (d Distribution) Histogram(nb int) (edges []float64, counts []int) {
-	if nb < 1 || d.N == 0 {
-		return nil, nil
-	}
-	edges = make([]float64, nb+1)
-	counts = make([]int, nb)
-	span := d.Max - d.Min
-	if span == 0 {
-		span = 1
-	}
-	for i := 0; i <= nb; i++ {
-		edges[i] = d.Min + span*float64(i)/float64(nb)
-	}
-	for _, s := range d.Samples {
-		idx := int(float64(nb) * (s - d.Min) / span)
-		if idx >= nb {
-			idx = nb - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return edges, counts
-}
-
-// Percentile returns the p-quantile (0..1) of the samples.
-func (d Distribution) Percentile(p float64) float64 {
-	if d.N == 0 {
-		return 0
-	}
-	s := append([]float64(nil), d.Samples...)
-	sort.Float64s(s)
-	idx := int(p * float64(len(s)-1))
-	return s[idx]
 }
 
 // MCResult collects the Fig. 6 Monte-Carlo outputs.

@@ -15,7 +15,6 @@ import (
 type SRAMLUT struct {
 	Cfg   Config
 	cells [4]bool
-	fn    logic.Func2
 	// BitlineCap is the effective bitline capacitance [F].
 	BitlineCap float64
 	// LeakPerCell is the standby leakage per 6T cell [A].
@@ -50,7 +49,6 @@ func (s *SRAMLUT) Configure(f logic.Func2) {
 			s.cells[a<<1|b] = f.Eval(a == 1, b == 1)
 		}
 	}
-	s.fn = f
 }
 
 // Read evaluates the LUT. The returned report uses the same shape as
@@ -81,19 +79,3 @@ func (s *SRAMLUT) Read(a, b bool) ReadReport {
 		Current: energy / s.Cfg.ReadPulse / s.Cfg.Vdd,
 	}
 }
-
-// WriteEnergy returns the energy of one cell write (bit-flip of a 6T
-// cell plus bitline swing).
-func (s *SRAMLUT) WriteEnergy() float64 {
-	return 1.5 * s.BitlineCap * s.Cfg.Vdd * s.Cfg.Vdd
-}
-
-// StandbyEnergy returns leakage over one clock period: four 6T cells
-// must stay powered to retain state — orders of magnitude above the
-// non-volatile MRAM figure.
-func (s *SRAMLUT) StandbyEnergy() float64 {
-	return 4 * s.LeakPerCell * s.Cfg.Vdd * s.Cfg.ClockPeriod
-}
-
-// Function returns the programmed function.
-func (s *SRAMLUT) Function() logic.Func2 { return s.fn }

@@ -53,7 +53,6 @@ func Transient(cfg Config) (*Waveform, error) {
 				"B": float64(([4]int{3, 2, 1, 0}[i] & 1)) * cfg.Vdd,
 			})
 		}
-		l.fn = f
 		// Update MTJ_SE (paper Fig. 5: its content changes with the
 		// configuration to keep test-mode responses consistent).
 		if rep := l.SetSE(seBit); rep.Error {

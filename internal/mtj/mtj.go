@@ -100,24 +100,6 @@ func (p Params) SwitchingDelay(current float64) float64 {
 	return p.Tau0 * math.Exp(p.Delta*(1-over))
 }
 
-// SwitchProbability returns the probability the device has switched
-// after applying the write current for the given pulse width [s]
-// (exponential switching statistics around the mean delay).
-func (p Params) SwitchProbability(current, pulse float64) float64 {
-	tau := p.SwitchingDelay(current)
-	if math.IsInf(tau, 1) {
-		return 0
-	}
-	return 1 - math.Exp(-pulse/tau)
-}
-
-// RetentionYears returns the expected thermal retention of a stored
-// bit, in years.
-func (p Params) RetentionYears() float64 {
-	seconds := p.Tau0 * math.Exp(p.Delta)
-	return seconds / (365.25 * 24 * 3600)
-}
-
 // Variation is the paper's Monte-Carlo process-variation recipe for
 // the MTJ: 1 % (σ) on the device dimensions. (The 10 % V_th and 1 %
 // W/L variations apply to the CMOS periphery and live in
@@ -210,17 +192,6 @@ func (c *Cell) ReadCurrent(vread float64) float64 {
 	rm := c.Main.Resistance(stateOf(c.Stored))
 	rc := c.Comp.Resistance(stateOf(!c.Stored))
 	return vread / (rm + rc)
-}
-
-// SenseMargin returns |V(1) − V(0)| of the divider for a supply vread.
-func (c *Cell) SenseMargin(vread float64) float64 {
-	saved := c.Stored
-	c.Stored = false
-	v0 := c.DividerVoltage(vread)
-	c.Stored = true
-	v1 := c.DividerVoltage(vread)
-	c.Stored = saved
-	return math.Abs(v1 - v0)
 }
 
 // ReadBit senses the stored bit by comparing the divider voltage to

@@ -31,7 +31,6 @@ package netlint
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -305,19 +304,6 @@ func (r *Result) Errors() []Diagnostic {
 		}
 	}
 	return out
-}
-
-// WriteText renders the result human-readably, one diagnostic per line
-// prefixed with the netlist name, followed by a summary line.
-func (r *Result) WriteText(w io.Writer) error {
-	for _, d := range r.Diagnostics {
-		if _, err := fmt.Fprintf(w, "%s: %s\n", r.Netlist, d); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s: %d error(s), %d warning(s), %d info\n",
-		r.Netlist, r.Count(Error), r.Count(Warn), r.Count(Info))
-	return err
 }
 
 // Hygiene returns the structural-hygiene analyzers: cheap graph

@@ -87,7 +87,7 @@ func TestParseBenchLaxUndefinedOutput(t *testing.T) {
 		t.Fatalf("ParseBenchLax: %v", err)
 	}
 	if len(n.Outputs) != 1 || n.Gates[n.Outputs[0]].Name != "y" {
-		t.Fatalf("undefined OUTPUT not materialized: %v", n.OutputNames())
+		t.Fatalf("undefined OUTPUT not materialized: outputs %v", n.Outputs)
 	}
 }
 

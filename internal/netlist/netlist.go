@@ -303,34 +303,6 @@ func (n *Netlist) Prune() int {
 	return removed
 }
 
-// InputNames returns the primary input names in order.
-func (n *Netlist) InputNames() []string {
-	names := make([]string, len(n.Inputs))
-	for i, id := range n.Inputs {
-		names[i] = n.Gates[id].Name
-	}
-	return names
-}
-
-// OutputNames returns the primary output names in order.
-func (n *Netlist) OutputNames() []string {
-	names := make([]string, len(n.Outputs))
-	for i, id := range n.Outputs {
-		names[i] = n.Gates[id].Name
-	}
-	return names
-}
-
-// InputIndex returns a map from input name to its position in the
-// input vector.
-func (n *Netlist) InputIndex() map[string]int {
-	m := make(map[string]int, len(n.Inputs))
-	for i, id := range n.Inputs {
-		m[n.Gates[id].Name] = i
-	}
-	return m
-}
-
 // GateIDsByPrefix returns the sorted positions (within n.Inputs) of
 // inputs whose names start with the prefix. Used to locate key inputs.
 func (n *Netlist) GateIDsByPrefix(prefix string) []int {

@@ -125,21 +125,3 @@ func (n *Netlist) TransitiveFanout(roots ...int) []bool {
 	}
 	return mask
 }
-
-// OutputConeSizes returns, for each primary output, the number of
-// gates in its transitive fanin cone. Obfuscation insertion policies
-// use this to prefer or avoid large logic cones.
-func (n *Netlist) OutputConeSizes() []int {
-	sizes := make([]int, len(n.Outputs))
-	for i, o := range n.Outputs {
-		mask := n.TransitiveFanin(o)
-		c := 0
-		for _, b := range mask {
-			if b {
-				c++
-			}
-		}
-		sizes[i] = c
-	}
-	return sizes
-}

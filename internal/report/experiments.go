@@ -54,11 +54,6 @@ type AttackConfig struct {
 	Cache *cache.Cache
 }
 
-// DefaultAttackConfig is sized for an interactive run.
-func DefaultAttackConfig() AttackConfig {
-	return AttackConfig{Timeout: 2 * time.Second, Scale: 0.25, Seed: 1}
-}
-
 // runSweep executes the table's attack jobs on the sweep worker pool
 // and fails the whole table on the first job error (matching the
 // sequential error behaviour the tables had before parallelization).
@@ -316,13 +311,6 @@ func Table2() *Table {
 		t.AddRow(f.String(), b(k[0]), b(k[1]), b(k[2]), b(k[3]))
 	}
 	return t
-}
-
-// Table3Row is one benchmark result of Table III.
-type Table3Row struct {
-	Suite, Circuit string
-	Times          [3]string // 1, 2, 3 blocks of 8x8x8
-	AppSATSuccess  bool
 }
 
 // Table3 reproduces paper Table III: SAT runtime with 1/2/3 8×8×8

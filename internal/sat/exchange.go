@@ -23,10 +23,9 @@ import (
 // "lock-free-ish" here means bounded and non-blocking semantics, not
 // unsynchronized memory.
 type ClauseExchange struct {
-	mu      sync.Mutex
-	ring    []SharedClause
-	next    uint64 // sequence number of the next publish
-	dropped uint64 // clauses evicted before any reader saw them (approximate)
+	mu   sync.Mutex
+	ring []SharedClause
+	next uint64 // sequence number of the next publish
 }
 
 // SharedClause is one published learnt clause. Lits is owned by the
@@ -60,11 +59,7 @@ func (x *ClauseExchange) Publish(from int, lbd int32, lits []cnf.Lit) {
 	}
 	cp := append([]cnf.Lit(nil), lits...)
 	x.mu.Lock()
-	slot := x.next % uint64(len(x.ring))
-	if x.next >= uint64(len(x.ring)) && x.ring[slot].Lits != nil {
-		x.dropped++
-	}
-	x.ring[slot] = SharedClause{From: from, LBD: lbd, Lits: cp}
+	x.ring[x.next%uint64(len(x.ring))] = SharedClause{From: from, LBD: lbd, Lits: cp}
 	x.next++
 	x.mu.Unlock()
 }
@@ -99,13 +94,4 @@ func (x *ClauseExchange) Collect(reader int, cursor uint64, dst []SharedClause) 
 		dst = append(dst, sc)
 	}
 	return x.next, dst
-}
-
-// Dropped reports how many clauses were evicted while still unread by
-// at least the slowest possible reader (an upper bound on sharing
-// loss, for diagnostics).
-func (x *ClauseExchange) Dropped() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.dropped
 }

@@ -35,7 +35,7 @@ func TestClauseExchangeBasics(t *testing.T) {
 	}
 
 	// Overflow: capacity 4, publish 6 more; a reader at cursor 0 only
-	// sees the last 4 and the eviction is counted.
+	// sees the last 4.
 	for v := 20; v < 26; v++ {
 		x.Publish(2, 1, lit(v))
 	}
@@ -47,9 +47,6 @@ func TestClauseExchangeBasics(t *testing.T) {
 		if want := cnf.Var(22 + i); sc.Lits[0].Var() != want {
 			t.Fatalf("clause %d is var %d, want %d (oldest must be evicted first)", i, sc.Lits[0].Var(), want)
 		}
-	}
-	if x.Dropped() == 0 {
-		t.Fatal("overflow did not count dropped clauses")
 	}
 
 	// Empty clauses are ignored; published literal slices are copies.
@@ -156,9 +153,6 @@ func FuzzClauseExchange(f *testing.F) {
 				}
 			}
 			cursors[r] = next
-		}
-		if d := x.Dropped(); d > uint64(published) {
-			t.Fatalf("dropped %d > published %d", d, published)
 		}
 	})
 }

@@ -23,7 +23,6 @@ type Engine interface {
 	Solve(assumptions ...cnf.Lit) Status
 	Model() []bool
 	ModelValue(l cnf.Lit) bool
-	Okay() bool
 	Stats() Stats
 	Snapshot() Snapshot
 	SetDeadline(t time.Time)
@@ -90,9 +89,6 @@ func NewPortfolio(n int) *Portfolio {
 	return p
 }
 
-// Workers returns the portfolio size.
-func (p *Portfolio) Workers() int { return len(p.workers) }
-
 // WorkerStats returns each worker's own cumulative counters (index-
 // aligned with the racing order). Only valid between Solve calls.
 func (p *Portfolio) WorkerStats() []Stats {
@@ -102,10 +98,6 @@ func (p *Portfolio) WorkerStats() []Stats {
 	}
 	return out
 }
-
-// Winner returns the worker index that produced the last definitive
-// verdict, or -1 if there has been none. Trace-nondeterministic.
-func (p *Portfolio) Winner() int { return p.winner }
 
 // NewVar allocates the same fresh variable in every worker.
 func (p *Portfolio) NewVar() cnf.Var {
@@ -146,10 +138,6 @@ func (p *Portfolio) AddFormula(f *cnf.Formula) bool {
 	}
 	return p.okay
 }
-
-// Okay reports whether the portfolio is still consistent at the top
-// level.
-func (p *Portfolio) Okay() bool { return p.okay }
 
 // SetDeadline bounds every subsequent Solve call by wall clock; the
 // zero time disables the deadline.

@@ -662,16 +662,6 @@ func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 // Stats returns accumulated counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// ResetStats zeroes all counters. Clauses, assignments and heuristic
-// state are untouched, so incremental solving continues unaffected;
-// only the observation window restarts.
-func (s *Solver) ResetStats() { s.stats = Stats{} }
-
-// RestoreStats replaces the cumulative counters, e.g. when a resumed
-// attack wants post-restore observations to continue from journaled
-// totals instead of zero.
-func (s *Solver) RestoreStats(st Stats) { s.stats = st }
-
 // NumClauses returns the number of clauses ever attached, problem and
 // learnt. Learnt clauses reduceDB deleted still count: they keep a
 // tombstone header, so the count never falls.
@@ -942,19 +932,6 @@ func (s *Solver) search(nConflicts int64, checkCounter *int) Status {
 		}
 		s.uncheckedEnqueue(next, -1)
 	}
-}
-
-// SolveFormula is a convenience: build a solver over f and solve.
-func SolveFormula(f *cnf.Formula, deadline time.Time) (Status, []bool) {
-	s := New()
-	if !s.AddFormula(f) {
-		return Unsat, nil
-	}
-	if !deadline.IsZero() {
-		s.SetDeadline(deadline)
-	}
-	st := s.Solve()
-	return st, s.model
 }
 
 // String summarizes stats. The clause-sharing counters only appear

@@ -60,8 +60,9 @@ func TestPigeonhole(t *testing.T) {
 	// PHP(n+1, n): n+1 pigeons in n holes — classic UNSAT family that
 	// requires real search (resolution lower bounds are exponential).
 	for _, n := range []int{3, 4, 5} {
-		st, _ := SolveFormula(pigeonhole(n), time.Time{})
-		if st != Unsat {
+		s := New()
+		s.AddFormula(pigeonhole(n))
+		if st := s.Solve(); st != Unsat {
 			t.Errorf("PHP(%d,%d) = %v, want UNSAT", n+1, n, st)
 		}
 	}
@@ -86,10 +87,12 @@ func TestGraphColoringSat(t *testing.T) {
 			f.AddClause(v(node, c).Not(), v(next, c).Not())
 		}
 	}
-	st, model := SolveFormula(f, time.Time{})
-	if st != Sat {
+	s := New()
+	s.AddFormula(f)
+	if st := s.Solve(); st != Sat {
 		t.Fatalf("cycle coloring = %v, want SAT", st)
 	}
+	model := s.Model()
 	// Verify the model is a proper coloring.
 	color := make([]int, n)
 	for node := 0; node < n; node++ {
@@ -142,14 +145,16 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 			f.AddClause(cl...)
 		}
 		want := bruteForce(f)
-		st, model := SolveFormula(f, time.Time{})
+		s := New()
+		s.AddFormula(f)
+		st := s.Solve()
 		if want && st != Sat {
 			t.Fatalf("trial %d: solver says %v, brute force says SAT", trial, st)
 		}
 		if !want && st != Unsat {
 			t.Fatalf("trial %d: solver says %v, brute force says UNSAT", trial, st)
 		}
-		if st == Sat && !f.Eval(model[:f.NumVars]) {
+		if st == Sat && !f.Eval(s.Model()[:f.NumVars]) {
 			t.Fatalf("trial %d: returned model does not satisfy formula", trial)
 		}
 	}
@@ -472,11 +477,12 @@ func TestXorChainScaling(t *testing.T) {
 		prev = out
 	}
 	f.AddClause(cnf.MkLit(prev, false)) // final parity must be 1
-	st, model := SolveFormula(f, time.Time{})
-	if st != Sat {
+	s := New()
+	s.AddFormula(f)
+	if st := s.Solve(); st != Sat {
 		t.Fatalf("xor chain = %v, want SAT", st)
 	}
-	if !f.Eval(model[:f.NumVars]) {
+	if !f.Eval(s.Model()[:f.NumVars]) {
 		t.Fatal("model does not satisfy xor chain")
 	}
 }

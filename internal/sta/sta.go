@@ -17,15 +17,6 @@ import (
 // roughly FO4-normalized).
 type DelayModel func(t netlist.GateType, fanin int) float64
 
-// UnitDelay charges one unit per logic level.
-func UnitDelay(t netlist.GateType, fanin int) float64 {
-	switch t {
-	case netlist.Input, netlist.Const0, netlist.Const1:
-		return 0
-	}
-	return 1
-}
-
 // TechDelay approximates a standard-cell library: inverting stages are
 // fast, XOR and MUX cost more, and wide gates pay a fanin penalty.
 func TechDelay(t netlist.GateType, fanin int) float64 {

@@ -7,6 +7,15 @@ import (
 	"repro/internal/netlist"
 )
 
+// UnitDelay charges one unit per logic level.
+func UnitDelay(t netlist.GateType, fanin int) float64 {
+	switch t {
+	case netlist.Input, netlist.Const0, netlist.Const1:
+		return 0
+	}
+	return 1
+}
+
 func chain(t *testing.T, depth int) *netlist.Netlist {
 	t.Helper()
 	n := netlist.New("chain")

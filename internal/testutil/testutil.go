@@ -229,13 +229,6 @@ func (f *FaultyWriter) Write(p []byte) (int, error) {
 	return n, ErrInjected
 }
 
-// Tripped reports whether the injected fault has fired.
-func (f *FaultyWriter) Tripped() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tripped
-}
-
 // Sync implements the journal's fsync hook; it forwards to the
 // underlying writer when supported and fails after the fault fired.
 func (f *FaultyWriter) Sync() error {
