@@ -266,6 +266,22 @@ go build -o "$tmp/locker" ./cmd/locker
     -out "$tmp/slow.bench" -keyout "$tmp/slow.key" 2>/dev/null
 "$tmp/locker" -in testdata/c17.bench -scheme ril -size 2x2 -blocks 1 -seed 17 \
     -out "$tmp/quick.bench" -keyout "$tmp/quick.key" 2>/dev/null
+# The manifest is a log of one {"crc":...,"rec":{"name":...,"status":...}}
+# line per record, and a later record of a name supersedes an earlier
+# one. manifest_done MANIFEST TARGET succeeds when TARGET's last record
+# is done; manifest_done_count MANIFEST counts the two targets so.
+manifest_done() {
+    grep -F "\"name\":\"$2\"," "$1" 2>/dev/null | tail -n 1 | grep -qF '"status":"done"'
+}
+manifest_done_count() {
+    n=0
+    for target in quick slow; do
+        if manifest_done "$1" "$tmp/$target.bench"; then
+            n=$((n + 1))
+        fi
+    done
+    echo "$n"
+}
 timeout -s KILL 2s "$tmp/satattack" \
     -locked "$tmp/quick.bench,$tmp/slow.bench" -key "$tmp/quick.key,$tmp/slow.key" \
     -timeout 120s -jobs 2 -checkpoint-dir "$tmp/ckpt" >/dev/null 2>&1 || true
@@ -276,7 +292,7 @@ timeout -s KILL 2s "$tmp/satattack" \
     cat "$tmp/resume.out" >&2
     exit 1
 }
-done_count=$(grep -c '"status": "done"' "$tmp/ckpt/manifest.json" || true)
+done_count=$(manifest_done_count "$tmp/ckpt/manifest.json")
 if [ "$done_count" != 2 ]; then
     echo "ci: manifest incomplete after resume ($done_count/2 done):" >&2
     cat "$tmp/ckpt/manifest.json" >&2
@@ -300,7 +316,7 @@ else
         cat "$tmp/int.err" >&2
         exit 1
     }
-    if grep -A1 '"name": ".*slow.bench"' "$tmp/ckpt_int/manifest.json" 2>/dev/null | grep -q '"status": "done"'; then
+    if grep -qF "\"name\":\"$tmp/slow.bench\",\"status\":\"done\"" "$tmp/ckpt_int/manifest.json" 2>/dev/null; then
         echo "ci: interrupted slow target recorded done:" >&2
         cat "$tmp/ckpt_int/manifest.json" >&2
         exit 1
@@ -313,7 +329,7 @@ fi
     cat "$tmp/int_resume.out" >&2
     exit 1
 }
-done_count=$(grep -c '"status": "done"' "$tmp/ckpt_int/manifest.json" || true)
+done_count=$(manifest_done_count "$tmp/ckpt_int/manifest.json")
 if [ "$done_count" != 2 ]; then
     echo "ci: manifest incomplete after SIGINT resume ($done_count/2 done):" >&2
     cat "$tmp/ckpt_int/manifest.json" >&2

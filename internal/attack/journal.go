@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +24,8 @@ import (
 // oracle access is the scarce resource in the threat model (a physical
 // activated chip on a tester), solver CPU is not.
 //
-// File format (version 1) — one JSON object per line:
+// File format (version 1): a framed log (internal/durable), one JSON
+// object per line:
 //
 //	{"crc":"xxxxxxxx","rec":{...}}
 //
@@ -126,13 +126,6 @@ type JournalData struct {
 	validBytes int64
 }
 
-// envelope is the per-line wrapper: CRC32 (IEEE, hex) over the exact
-// rec bytes.
-type envelope struct {
-	CRC string          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
 // Tagged per-kind wrappers: a single embedded struct marshals inline,
 // giving {"kind":"dip","iteration":...} lines without field clashes.
 type (
@@ -164,10 +157,6 @@ func Fingerprint(locked *netlist.Netlist, keyPos []int) (string, error) {
 	return fmt.Sprintf("%08x", h.Sum32()), nil
 }
 
-// syncer is implemented by writers that can flush to stable storage
-// (notably *os.File).
-type syncer interface{ Sync() error }
-
 // Journal is an append-only journal writer. Every line is written and
 // — when the underlying writer supports it — fsync'd before Append
 // returns, so a record is durable before its oracle response is acted
@@ -188,25 +177,8 @@ func (j *Journal) HeaderWritten() bool {
 }
 
 func (j *Journal) writeLine(rec any) error {
-	tagged, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: marshal record: %w", err)
-	}
-	env, err := json.Marshal(envelope{
-		CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(tagged)),
-		Rec: json.RawMessage(tagged),
-	})
-	if err != nil {
-		return fmt.Errorf("journal: marshal envelope: %w", err)
-	}
-	env = append(env, '\n')
-	if _, err := j.w.Write(env); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
-	}
-	if s, ok := j.w.(syncer); ok {
-		if err := s.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
+	if _, err := durable.Append(j.w, rec); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
 }
@@ -260,130 +232,97 @@ func corruptf(line int, format string, args ...any) error {
 // line, an unknown version, or out-of-order records produce an error
 // naming the offending line.
 func ReadJournal(r io.Reader) (*JournalData, error) {
-	br := bufio.NewReader(r)
 	data := &JournalData{}
-	var offset int64
-	lineNo := 0
-	var pendingErr error // error on some line; fatal only if more content follows
-	//rilvet:ignore ctx-loop advances one input line per pass and terminates at EOF, so it is bounded by journal size, not by solver progress
-	for {
-		line, readErr := br.ReadString('\n')
-		if line == "" && readErr != nil {
-			break
-		}
-		lineNo++
-		if pendingErr != nil {
-			// Content after a bad line: corruption is not a torn tail.
-			return nil, pendingErr
-		}
-		err := parseLine(data, line, lineNo)
-		if err == nil && readErr == nil {
-			offset += int64(len(line))
-			data.validBytes = offset
-			continue
-		}
-		if err == nil {
-			// Parsed, but the trailing newline is missing: the record's
-			// fsync covers the newline, so an unterminated line is a torn
-			// write and the record cannot be trusted complete.
-			err = corruptf(lineNo, "missing trailing newline")
-		}
-		pendingErr = err // tolerated iff nothing follows
-		offset += int64(len(line))
-		if readErr != nil {
-			break
-		}
+	valid, torn, err := durable.ReadLog(r, func(line int, rec []byte) error {
+		return parseLine(data, rec, line)
+	})
+	var bad *durable.LineError
+	if errors.As(err, &bad) {
+		return nil, corruptf(bad.Line, "%v", bad.Err)
 	}
-	if pendingErr != nil {
-		// The bad line was the last one: drop it and report truncation.
-		data.Truncated = true
+	if err != nil {
+		return nil, err
 	}
-	if lineNo == 0 || (data.Truncated && data.Header.Version == 0) {
+	if data.Header.Version == 0 {
 		return nil, corruptf(1, "missing header")
 	}
+	data.validBytes, data.Truncated = valid, torn
 	return data, nil
 }
 
-// parseLine validates and applies one journal line.
-func parseLine(data *JournalData, line string, lineNo int) error {
-	var env envelope
-	if err := json.Unmarshal([]byte(line), &env); err != nil {
-		return corruptf(lineNo, "bad envelope: %v", err)
-	}
-	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(env.Rec)); got != env.CRC {
-		return corruptf(lineNo, "CRC mismatch: line says %q, content is %q", env.CRC, got)
-	}
+// parseLine validates and applies one journal record.
+func parseLine(data *JournalData, rec []byte, lineNo int) error {
 	var kind struct {
 		Kind string `json:"kind"`
 	}
-	if err := json.Unmarshal(env.Rec, &kind); err != nil {
-		return corruptf(lineNo, "bad record: %v", err)
+	if err := json.Unmarshal(rec, &kind); err != nil {
+		return fmt.Errorf("bad record: %v", err)
 	}
 	switch kind.Kind {
 	case "header":
 		if lineNo != 1 {
-			return corruptf(lineNo, "header after line 1")
+			return errors.New("header after line 1")
 		}
 		var h JournalHeader
-		if err := json.Unmarshal(env.Rec, &h); err != nil {
-			return corruptf(lineNo, "bad header: %v", err)
+		if err := json.Unmarshal(rec, &h); err != nil {
+			return fmt.Errorf("bad header: %v", err)
 		}
 		if h.Version != JournalVersion {
-			return corruptf(lineNo, "unsupported journal version %d (want %d)", h.Version, JournalVersion)
+			return fmt.Errorf("unsupported journal version %d (want %d)", h.Version, JournalVersion)
 		}
 		if h.Inputs < 0 || h.Outputs < 0 || h.KeyBits < 0 {
-			return corruptf(lineNo, "negative arity in header")
+			return errors.New("negative arity in header")
 		}
 		data.Header = h
 	case "dip":
 		if lineNo == 1 {
-			return corruptf(lineNo, "record before header")
+			return errors.New("record before header")
 		}
 		if data.Done != nil {
-			return corruptf(lineNo, "record after done")
+			return errors.New("record after done")
 		}
 		var r JournalRecord
-		if err := json.Unmarshal(env.Rec, &r); err != nil {
-			return corruptf(lineNo, "bad dip record: %v", err)
+		if err := json.Unmarshal(rec, &r); err != nil {
+			return fmt.Errorf("bad dip record: %v", err)
 		}
 		if r.Iteration != len(data.Records)+1 {
-			return corruptf(lineNo, "iteration %d out of order (want %d)", r.Iteration, len(data.Records)+1)
+			return fmt.Errorf("iteration %d out of order (want %d)", r.Iteration, len(data.Records)+1)
 		}
 		if len(r.DIP) != data.Header.Inputs {
-			return corruptf(lineNo, "dip has %d bits, header says %d inputs", len(r.DIP), data.Header.Inputs)
+			return fmt.Errorf("dip has %d bits, header says %d inputs", len(r.DIP), data.Header.Inputs)
 		}
 		if len(r.Oracle) != data.Header.Outputs {
-			return corruptf(lineNo, "oracle response has %d bits, header says %d outputs", len(r.Oracle), data.Header.Outputs)
+			return fmt.Errorf("oracle response has %d bits, header says %d outputs", len(r.Oracle), data.Header.Outputs)
 		}
 		if _, err := parseBits(r.DIP); err != nil {
-			return corruptf(lineNo, "dip: %v", err)
+			return fmt.Errorf("dip: %v", err)
 		}
 		if _, err := parseBits(r.Oracle); err != nil {
-			return corruptf(lineNo, "oracle: %v", err)
+			return fmt.Errorf("oracle: %v", err)
 		}
 		data.Records = append(data.Records, r)
 	case "done":
 		if lineNo == 1 {
-			return corruptf(lineNo, "record before header")
+			return errors.New("record before header")
 		}
 		if data.Done != nil {
-			return corruptf(lineNo, "duplicate done record")
+			return errors.New("duplicate done record")
 		}
 		var d JournalDone
-		if err := json.Unmarshal(env.Rec, &d); err != nil {
-			return corruptf(lineNo, "bad done record: %v", err)
+		if err := json.Unmarshal(rec, &d); err != nil {
+			return fmt.Errorf("bad done record: %v", err)
 		}
 		if d.Key != "" {
 			if len(d.Key) != data.Header.KeyBits {
-				return corruptf(lineNo, "key has %d bits, header says %d", len(d.Key), data.Header.KeyBits)
+				return fmt.Errorf("key has %d bits, header says %d", len(d.Key), data.Header.KeyBits)
 			}
 			if _, err := parseBits(d.Key); err != nil {
-				return corruptf(lineNo, "key: %v", err)
+				return fmt.Errorf("key: %v", err)
 			}
 		}
 		data.Done = &d
 	default:
-		return corruptf(lineNo, "unknown record kind %q", kind.Kind)
+		return fmt.Errorf("unknown record kind %q", kind.Kind)
 	}
 	return nil
 }

@@ -275,6 +275,51 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenJournalDropsUnterminatedRecord: a last record whose line
+// lacks only its newline was not fsynced whole, so it is dropped with
+// the bytes OpenJournal cuts off. Resuming then appends the next
+// iteration after the last kept one, and the journal rereads clean.
+func TestOpenJournalDropsUnterminatedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.journal")
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	if err := j.WriteHeader(JournalHeader{Circuit: "c", Inputs: 1, Outputs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := j.Append(JournalRecord{Iteration: i, DIP: "0", Oracle: "1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(buf.Bytes(), []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, data, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !data.Truncated || len(data.Records) != 1 {
+		t.Fatalf("unterminated record: truncated=%v records=%d, want true/1", data.Truncated, len(data.Records))
+	}
+	if err := w.Append(JournalRecord{Iteration: len(data.Records) + 1, DIP: "1", Oracle: "0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reread, err := ReadJournal(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("journal corrupt after resuming past an unterminated record: %v", err)
+	}
+	if reread.Truncated || len(reread.Records) != 2 || reread.Records[1].DIP != "1" {
+		t.Errorf("resumed journal: truncated=%v records=%+v", reread.Truncated, reread.Records)
+	}
+}
+
 // TestJournalResumeZeroRequeriesC17 is the acceptance check: killing a
 // c17 attack after k DIPs and resuming re-issues zero oracle queries
 // for the journaled DIPs and recovers the same key.

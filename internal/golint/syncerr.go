@@ -7,10 +7,10 @@ import (
 
 // SyncErrcheck forbids discarding the error of (*os.File).Sync or
 // (*os.File).Close on write paths. The crash-safety layer (the DIP
-// journal's fsync-per-record, the checkpoint manifest's
-// write-temp/fsync/rename) is only as strong as its weakest unchecked
-// close: a full disk or failing device surfaces exactly there, and a
-// discarded error silently truncates the durability guarantee.
+// journal's and the checkpoint manifest's fsync-per-record) is only as
+// strong as its weakest unchecked close: a full disk or failing device
+// surfaces exactly there, and a discarded error silently truncates the
+// durability guarantee.
 //
 // A file counts as a write path when it was opened in the same
 // function by os.Create, os.CreateTemp, or os.OpenFile with a write

@@ -33,11 +33,11 @@ type AttackConfig struct {
 	Jobs int
 	// Context cancels a running table sweep early (nil = none).
 	Context context.Context
-	// CheckpointDir, when set, persists every table sweep's per-job
-	// completions under <CheckpointDir>/<table-scope>/manifest.json so
-	// a killed run can resume. Resume loads those manifests and skips
-	// the jobs they record done; a corrupt manifest degrades to
-	// re-running that table from scratch.
+	// CheckpointDir, when set, appends every table sweep's per-job
+	// completions to the log <CheckpointDir>/<table-scope>/manifest.json
+	// so a killed run can resume. Resume loads those manifests, cuts a
+	// line torn by the kill, and skips the jobs they record done; a
+	// corrupt manifest degrades to re-running that table from scratch.
 	CheckpointDir string
 	Resume        bool
 	// Portfolio, when >= 2, races that many diversified CDCL workers

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -121,17 +122,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleList streams {"jobs": [...]} one view at a time, byte for byte
+// what writeJSON writes for the whole list, without holding every view
+// and an indented copy of the body at once.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	views := make([]*JobView, 0, len(ids))
-	for _, id := range ids {
+	jobs := make([]*jobState, 0, len(s.order))
+	for _, id := range s.order {
 		if js, ok := s.jobs[id]; ok {
-			views = append(views, js.view())
+			jobs = append(jobs, js)
 		}
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\n  \"jobs\": [")
+	for i, js := range jobs {
+		raw, err := json.MarshalIndent(js.view(), "    ", "  ")
+		if err != nil {
+			return
+		}
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteString("\n    ")
+		bw.Write(raw)
+	}
+	if len(jobs) > 0 {
+		bw.WriteString("\n  ")
+	}
+	bw.WriteString("]\n}\n")
+	_ = bw.Flush()
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -227,6 +227,7 @@ func (s *Server) recover() error {
 			if out.Error != "" {
 				js.state = StateFailed
 			}
+			js.dropSpecText()
 			close(js.done)
 		}
 		loaded = append(loaded, js)
@@ -370,17 +371,7 @@ func (s *Server) Cancel(id string) error {
 		return ErrUnknownJob
 	}
 	if q := s.q.remove(id); q != nil {
-		js.mu.Lock()
-		js.state = StateCancelled
-		js.cancelled = true
-		js.finished = time.Now()
-		done := js.done
-		js.mu.Unlock()
-		s.cancelled.Add(1)
-		if err := os.Remove(s.specPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.logf("serve: cancel %s: %v", id, err)
-		}
-		close(done)
+		s.markCancelled(js)
 		return nil
 	}
 	js.mu.Lock()
@@ -436,15 +427,8 @@ func (s *Server) runJob(js *jobState) {
 	js.mu.Lock()
 	if js.cancelled {
 		// Cancelled after dispatch but before we got here.
-		js.state = StateCancelled
-		js.finished = time.Now()
-		done := js.done
 		js.mu.Unlock()
-		s.cancelled.Add(1)
-		if err := os.Remove(s.specPath(js.id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.logf("serve: cancel %s: %v", js.id, err)
-		}
-		close(done)
+		s.markCancelled(js)
 		return
 	}
 	js.state = StateRunning
@@ -459,7 +443,7 @@ func (s *Server) runJob(js *jobState) {
 				s.cacheHits.Add(1)
 				// Fold the hit into the manifest so restarts don't
 				// depend on the cache still holding the entry.
-				_ = s.ckpt.Record(sweep.Result{Name: js.id, Seconds: seconds, Value: &out})
+				s.record(sweep.Result{Name: js.id, Seconds: seconds, Value: &out})
 				s.settle(js, &out, seconds, true)
 				return
 			}
@@ -514,22 +498,13 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 
 	switch {
 	case userCancelled:
-		js.mu.Lock()
-		js.state = StateCancelled
-		js.finished = time.Now()
-		done := js.done
-		js.mu.Unlock()
-		s.cancelled.Add(1)
-		if err := os.Remove(s.specPath(js.id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.logf("serve: cancel %s: %v", js.id, err)
-		}
-		close(done)
+		s.markCancelled(js)
 
 	case res.Err != nil && errors.Is(res.Err, context.Canceled):
 		// Drain or shutdown. Keep the spec, record "failed" (the
 		// resumable manifest state); the journal already holds every
 		// DIP this run paid for.
-		_ = s.ckpt.Record(res)
+		s.record(res)
 		js.mu.Lock()
 		js.state = StateInterrupted
 		js.finished = time.Now()
@@ -539,7 +514,7 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 
 	case res.Err != nil:
 		out := &jobOutcome{Error: res.Err.Error()}
-		_ = s.ckpt.Record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
+		s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
 		s.failed.Add(1)
 		s.settle(js, out, res.Seconds, false)
 
@@ -547,13 +522,13 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 		raw, err := json.Marshal(res.Value)
 		if err != nil {
 			out := &jobOutcome{Error: fmt.Sprintf("unserializable result: %v", err)}
-			_ = s.ckpt.Record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
+			s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
 			s.failed.Add(1)
 			s.settle(js, out, res.Seconds, false)
 			return
 		}
 		out := &jobOutcome{Result: raw}
-		_ = s.ckpt.Record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
+		s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
 		s.accumulateSolver(res.Value)
 		if k, ok := s.cacheKey(js.spec); ok {
 			if env, err := json.Marshal(out); err == nil {
@@ -562,6 +537,39 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 		}
 		s.settle(js, out, res.Seconds, false)
 	}
+}
+
+// record appends a job's outcome to the checkpoint manifest. A lost
+// record is logged and leaves the job's state alone: it only means the
+// job runs again after a restart.
+func (s *Server) record(res sweep.Result) {
+	if err := s.ckpt.Record(res); err != nil {
+		s.logf("serve: %s: manifest record: %v", res.Name, err)
+	}
+}
+
+// markCancelled makes a cancelled job terminal, removes its spec file
+// and notifies watchers.
+func (s *Server) markCancelled(js *jobState) {
+	js.mu.Lock()
+	js.state = StateCancelled
+	js.cancelled = true
+	js.finished = time.Now()
+	js.dropSpecText()
+	done := js.done
+	js.mu.Unlock()
+	s.cancelled.Add(1)
+	if err := os.Remove(s.specPath(js.id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		s.logf("serve: cancel %s: %v", js.id, err)
+	}
+	close(done)
+}
+
+// dropSpecText keeps only the spec fields view reports, so a finished
+// job holds no bench or key text; its spec file keeps the whole spec.
+// Caller holds js.mu, or has the job to itself.
+func (js *jobState) dropSpecText() {
+	js.spec = &JobSpec{Type: js.spec.Type, Tenant: js.spec.Tenant, Priority: js.spec.Priority}
 }
 
 // settle records a terminal done/failed state and notifies watchers.
@@ -575,6 +583,7 @@ func (s *Server) settle(js *jobState, out *jobOutcome, seconds float64, cached b
 	js.seconds = seconds
 	js.cached = cached
 	js.finished = time.Now()
+	js.dropSpecText()
 	done := js.done
 	js.mu.Unlock()
 	if out.Error == "" {

@@ -2,17 +2,21 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/sweep"
 )
 
 // startServer spins up a Server over httptest and returns it with a
@@ -519,5 +523,154 @@ func TestLoadTestSmall(t *testing.T) {
 	}
 	if rep.Done != 40 {
 		t.Fatalf("completed %d/40: %s", rep.Done, rep)
+	}
+}
+
+// TestListBodyStreamed pins GET /jobs: the streamed body is byte for
+// byte what writeJSON writes for the whole list of views, for an empty
+// list and for jobs in every state, including a result and an error
+// that need HTML escaping.
+func TestListBodyStreamed(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Drain(0) })
+	check := func(name string) {
+		t.Helper()
+		s.mu.Lock()
+		views := make([]*JobView, 0, len(s.order))
+		for _, id := range s.order {
+			views = append(views, s.jobs[id].view())
+		}
+		s.mu.Unlock()
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, map[string]any{"jobs": views})
+		got := httptest.NewRecorder()
+		s.handleList(got, httptest.NewRequest(http.MethodGet, "/jobs", nil))
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Fatalf("%s: status %d %q, want %d %q", name, got.Code, got.Header().Get("Content-Type"),
+				want.Code, want.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: body\n%s\nwant\n%s", name, got.Body.Bytes(), want.Body.Bytes())
+		}
+	}
+	check("empty")
+
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	add := func(js *jobState) {
+		js.submitted = t0
+		js.done = make(chan struct{})
+		s.mu.Lock()
+		s.jobs[js.id] = js
+		s.order = append(s.order, js.id)
+		s.mu.Unlock()
+	}
+	add(&jobState{id: "jq", spec: &JobSpec{Type: TypeLint}, state: StateQueued})
+	add(&jobState{id: "jr", spec: &JobSpec{Type: TypeAttack, Tenant: "t<1>", Priority: -2}, state: StateRunning,
+		started: t0.Add(time.Second), progress: &ProgressEvent{Iteration: 3, Queries: 3, ElapsedMS: 12}})
+	add(&jobState{id: "jd", spec: &JobSpec{Type: TypeLock, Priority: 5}, state: StateDone,
+		started: t0.Add(time.Second), finished: t0.Add(2 * time.Second), seconds: 1.25, cached: true,
+		outcome: &jobOutcome{Result: json.RawMessage(`{"bench":"y = AND(a<b, c>d) && e","key":["k=1"]}`)}})
+	add(&jobState{id: "jf", spec: &JobSpec{Type: TypeAttack}, state: StateFailed,
+		finished: t0.Add(3 * time.Second), outcome: &jobOutcome{Error: `no key inputs with prefix "<&>"`}})
+	check("several")
+}
+
+// TestManifestRecordErrorLogged: when the manifest cannot be appended
+// to (its path is a directory, so the open fails even as root), the
+// daemon logs the lost record, and the job still ends done.
+func TestManifestRecordErrorLogged(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	dir := t.TempDir()
+	_, client := startServer(t, Options{StateDir: dir, Workers: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		t.Logf(format, args...)
+	}})
+	if err := os.MkdirAll(sweep.ManifestPath(filepath.Join(dir, "ckpt")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	id, err := client.Submit(ctx, &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := client.WaitDone(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done despite the lost record", v.State, v.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, id) && strings.Contains(l, "manifest record") {
+			return
+		}
+	}
+	t.Fatalf("no log line names the lost manifest record of %s:\n%s", id, strings.Join(lines, "\n"))
+}
+
+// TestFinishedJobDropsSpecText: a done or cancelled job keeps only the
+// spec fields its view reports, in the running daemon and after a
+// restart, while its spec file keeps the whole spec.
+func TestFinishedJobDropsSpecText(t *testing.T) {
+	dir := t.TempDir()
+	s, client := startServer(t, Options{StateDir: dir, Workers: 1})
+	ctx := testCtx(t)
+	spec := &JobSpec{Type: TypeLint, Tenant: "t1", Priority: 3, Lint: &LintSpec{Bench: c17Bench}}
+	id, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.WaitDone(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	kept := func(s *Server, id string) *JobSpec {
+		t.Helper()
+		js, ok := s.job(id)
+		if !ok {
+			t.Fatalf("job %s unknown", id)
+		}
+		js.mu.Lock()
+		defer js.mu.Unlock()
+		return js.spec
+	}
+	want := JobSpec{Type: TypeLint, Tenant: "t1", Priority: 3}
+	if got := kept(s, id); *got != want {
+		t.Fatalf("finished job keeps spec %+v, want %+v", got, want)
+	}
+	raw, err := os.ReadFile(s.specPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pj persistedJob
+	if err := json.Unmarshal(raw, &pj); err != nil || pj.Spec.Lint == nil || pj.Spec.Lint.Bench != c17Bench {
+		t.Fatalf("spec file lost the spec: %s (%v)", raw, err)
+	}
+
+	restarted, err := New(Options{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Drain(0) })
+	if got := kept(restarted, id); *got != want {
+		t.Fatalf("recovered job keeps spec %+v, want %+v", got, want)
+	}
+	// Not started, so a submission stays queued until cancelled.
+	qid, err := restarted.Submit(&JobSpec{Type: TypeLint, Tenant: "t2", Lint: &LintSpec{Bench: c17Bench}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.Cancel(qid); err != nil {
+		t.Fatal(err)
+	}
+	if got := kept(restarted, qid); *got != (JobSpec{Type: TypeLint, Tenant: "t2"}) {
+		t.Fatalf("cancelled job keeps spec %+v", got)
 	}
 }

@@ -14,18 +14,28 @@ import (
 )
 
 // Sweep checkpointing: a sweep directory holds one manifest
-// (manifest.json, rewritten atomically after every job completion) and
-// one private checkpoint file per job (for jobs that checkpoint their
-// own progress, e.g. SAT-attack DIP journals via Checkpoint.JobFile).
-// On resume, jobs recorded "done" in the manifest are skipped — their
-// recorded results are returned without re-running — while killed or
-// failed jobs run again and pick up their own partial checkpoint
-// files. A corrupted or truncated manifest degrades to a fresh sweep
-// (Degraded reports it) rather than failing.
+// (manifest.json) and one private checkpoint file per job (for jobs
+// that checkpoint their own progress, e.g. SAT-attack DIP journals via
+// Checkpoint.JobFile). The manifest is a framed log (internal/durable):
+// a header line, then one line per job completion, appended and
+// fsynced before Record returns, so a completion costs the same
+// however many came before. A later line for a name supersedes an
+// earlier one, and the log is never compacted. On resume, jobs
+// recorded "done" are skipped — their recorded results are returned
+// without re-running — while killed or failed jobs run again and pick
+// up their own partial checkpoint files. A torn last line, the mark of
+// a crash mid-append, is cut off; any other damage, or another
+// version, degrades to a fresh sweep (Degraded reports it) rather than
+// failing.
 
 // ManifestVersion is the current manifest format version. Loading a
 // manifest with a different version degrades to a fresh sweep.
-const ManifestVersion = 1
+//
+// Version history:
+//
+//	1: one indented JSON document, rewritten whole per completion
+//	2: a framed log, one line appended per completion
+const ManifestVersion = 2
 
 // ManifestEntry is one job's recorded outcome.
 type ManifestEntry struct {
@@ -36,10 +46,9 @@ type ManifestEntry struct {
 	Seconds float64         `json:"seconds"`
 }
 
-// manifestFile is the on-disk manifest shape.
-type manifestFile struct {
-	Version int              `json:"version"`
-	Jobs    []*ManifestEntry `json:"jobs"`
+// manifestHeader is the manifest's first line.
+type manifestHeader struct {
+	Version int `json:"version"`
 }
 
 // Checkpoint persists sweep progress in a directory. Safe for
@@ -48,7 +57,7 @@ type Checkpoint struct {
 	dir      string
 	mu       sync.Mutex
 	entries  map[string]*ManifestEntry
-	order    []string // insertion order, for stable manifest output
+	size     int64 // bytes of valid manifest log; 0 starts a new log
 	degraded bool
 }
 
@@ -68,43 +77,69 @@ func NewCheckpoint(dir string) (*Checkpoint, error) {
 }
 
 // ResumeCheckpoint opens a checkpoint directory for a resumed sweep,
-// loading the manifest. A missing manifest is a normal fresh start; a
-// corrupt, truncated or wrong-version manifest degrades to a fresh
-// start (Degraded reports it) instead of erroring, so a damaged
-// checkpoint can never block re-running the sweep.
+// loading the manifest and cutting off a torn last line. A missing
+// manifest is a normal fresh start; a corrupt or wrong-version
+// manifest degrades to a fresh start (Degraded reports it) instead of
+// erroring, so a damaged checkpoint can never block re-running the
+// sweep. The first Record after a degraded resume starts a new log.
 func ResumeCheckpoint(dir string) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	c := &Checkpoint{dir: dir, entries: map[string]*ManifestEntry{}}
-	raw, err := os.ReadFile(ManifestPath(dir))
+	f, err := os.Open(ManifestPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
 		return c, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	var mf manifestFile
-	if err := json.Unmarshal(raw, &mf); err != nil || mf.Version != ManifestVersion {
+	defer f.Close()
+	var entries []*ManifestEntry
+	size, torn, err := durable.ReadLog(f, func(line int, rec []byte) error {
+		if line == 1 {
+			var h manifestHeader
+			if err := json.Unmarshal(rec, &h); err != nil {
+				return err
+			}
+			if h.Version != ManifestVersion {
+				return fmt.Errorf("manifest version %d, want %d", h.Version, ManifestVersion)
+			}
+			return nil
+		}
+		e := &ManifestEntry{}
+		if err := json.Unmarshal(rec, e); err != nil {
+			return err
+		}
+		entries = append(entries, e)
+		return nil
+	})
+	var bad *durable.LineError
+	if err != nil && !errors.As(err, &bad) {
+		return nil, err
+	}
+	// A torn append explains a bad last line only: a bad line before
+	// it, a log with no valid header or an entry written invalid mean
+	// the file is not this version's manifest.
+	if bad != nil || (torn && size == 0) {
 		c.degraded = true
 		return c, nil
 	}
-	for _, e := range mf.Jobs {
-		if e == nil || e.Name == "" || (e.Status != "done" && e.Status != "failed") {
+	for _, e := range entries {
+		if e.Name == "" || (e.Status != "done" && e.Status != "failed") {
 			c.degraded = true
-			c.entries = map[string]*ManifestEntry{}
-			c.order = nil
 			return c, nil
 		}
-		if _, dup := c.entries[e.Name]; dup {
-			c.degraded = true
-			c.entries = map[string]*ManifestEntry{}
-			c.order = nil
-			return c, nil
-		}
-		c.entries[e.Name] = e
-		c.order = append(c.order, e.Name)
 	}
+	if torn {
+		if err := os.Truncate(ManifestPath(dir), size); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range entries {
+		c.entries[e.Name] = e // a later line supersedes an earlier one
+	}
+	c.size = size
 	return c, nil
 }
 
@@ -151,17 +186,14 @@ func (c *Checkpoint) JobFile(name string) string {
 	return filepath.Join(c.dir, fmt.Sprintf("%s-%08x.journal", sb.String(), crc32.ChecksumIEEE([]byte(name))))
 }
 
-// Record stores one finished job and atomically rewrites the manifest,
-// exactly as the Runner does after each completion. External drivers
-// that dispatch jobs one at a time (the rild daemon's queue workers
-// run RunOne per dequeued job) persist completions through it so a
-// restart resumes from the same manifest a batch sweep would leave.
-func (c *Checkpoint) Record(res Result) error { return c.record(res) }
-
-// record stores one finished job and atomically rewrites the manifest
-// (durable.WriteFile) so a kill mid-write can never corrupt a
-// previously valid manifest.
-func (c *Checkpoint) record(res Result) error {
+// Record appends one finished job to the manifest and fsyncs it
+// before returning, as the Runner does after each completion. External
+// drivers that dispatch jobs one at a time (the rild daemon's queue
+// workers run RunOne per dequeued job) persist completions through it
+// so a restart resumes from the same manifest a batch sweep would
+// leave. A failed append leaves the job unrecorded, in memory as on
+// disk.
+func (c *Checkpoint) Record(res Result) error {
 	e := &ManifestEntry{Name: res.Name, Status: "done", Seconds: res.Seconds}
 	if res.Err != nil {
 		e.Status = "failed"
@@ -177,24 +209,17 @@ func (c *Checkpoint) record(res Result) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, seen := c.entries[res.Name]; !seen {
-		c.order = append(c.order, res.Name)
+	recs := []any{e}
+	if c.size == 0 {
+		recs = []any{manifestHeader{Version: ManifestVersion}, e}
 	}
-	c.entries[res.Name] = e
-	return c.flushLocked()
-}
-
-// flushLocked writes the manifest atomically. Caller holds c.mu.
-func (c *Checkpoint) flushLocked() error {
-	mf := manifestFile{Version: ManifestVersion}
-	for _, name := range c.order {
-		mf.Jobs = append(mf.Jobs, c.entries[name])
-	}
-	raw, err := json.MarshalIndent(mf, "", "  ")
+	size, err := durable.AppendFile(ManifestPath(c.dir), c.size, recs...)
 	if err != nil {
 		return err
 	}
-	return durable.WriteFile(ManifestPath(c.dir), append(raw, '\n'))
+	c.size = size
+	c.entries[res.Name] = e
+	return nil
 }
 
 // Complete reports whether every named job is recorded "done".

@@ -198,7 +198,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 				Value: json.RawMessage(raw), Cached: true,
 				Seconds: seconds, Elapsed: time.Duration(seconds * float64(time.Second))}
 			if r.Checkpoint != nil {
-				if err := r.Checkpoint.record(results[i]); err != nil {
+				if err := r.Checkpoint.Record(results[i]); err != nil {
 					results[i].Err = fmt.Errorf("checkpoint: %w", err)
 					results[i].Error = results[i].Err.Error()
 				}
@@ -217,7 +217,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 			for i := range idxCh {
 				results[i] = r.runOne(ctx, worker, i, jobs[i])
 				if r.Checkpoint != nil {
-					if err := r.Checkpoint.record(results[i]); err != nil && results[i].Err == nil {
+					if err := r.Checkpoint.Record(results[i]); err != nil && results[i].Err == nil {
 						results[i].Err = fmt.Errorf("checkpoint: %w", err)
 						results[i].Error = results[i].Err.Error()
 					}
