@@ -1,5 +1,6 @@
-// Package durable writes files that survive a crash whole or not at
-// all.
+// Package durable writes files that survive a crash: WriteFile replaces
+// a file whole or not at all, and a framed log (log.go) keeps every
+// append but a torn last line.
 package durable
 
 import (
@@ -10,14 +11,16 @@ import (
 	"syscall"
 )
 
-// Sink is what WriteFile writes a temp file through.
+// Sink is what WriteFile writes a temp file through and AppendFile
+// appends to a log through.
 type Sink interface {
 	io.Writer
 	Sync() error
 }
 
-// NewSink wraps each temp file WriteFile stages. Only tests set it, to
-// a testutil.FaultyWriter that tears the write at a chosen byte.
+// NewSink wraps each temp file WriteFile stages and each log file
+// AppendFile appends to. Only tests set it, to a testutil.FaultyWriter
+// that tears the write at a chosen byte.
 var NewSink = func(f *os.File) Sink { return f }
 
 // WriteFile replaces path with data, mode 0600: it writes a temp file
