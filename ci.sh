@@ -30,7 +30,9 @@
 # workloads with exact gates in quick mode, each op through its
 # correctness gate) — a kill-and-resume smoke: a checkpointed attack
 # sweep is SIGKILLed mid-run, resumed, and must end with a complete
-# manifest — and finally the result-cache gate: the same report
+# manifest; its key-file smoke checks that locker's key binds back
+# through nettool to a circuit equivalent to c17, and that satattack
+# rejects a key bit other than 0 or 1 and names the line — and finally the result-cache gate: the same report
 # sweep, with real solver work, runs cold then warm against one
 # -cache-dir, the warm run must be byte-identical, all hits and at
 # least 5x faster, with the timings published as
@@ -261,11 +263,34 @@ echo "== kill-and-resume smoke =="
 go build -o "$tmp/satattack" ./cmd/satattack
 go build -o "$tmp/benchgen" ./cmd/benchgen
 go build -o "$tmp/locker" ./cmd/locker
+go build -o "$tmp/nettool" ./cmd/nettool
 "$tmp/benchgen" -name c7552 -scale 0.25 -out "$tmp/c7552.bench" >/dev/null
 "$tmp/locker" -in "$tmp/c7552.bench" -scheme ril -size 8x8 -blocks 2 -seed 3 \
     -out "$tmp/slow.bench" -keyout "$tmp/slow.key" 2>/dev/null
 "$tmp/locker" -in testdata/c17.bench -scheme ril -size 2x2 -blocks 1 -seed 17 \
     -out "$tmp/quick.bench" -keyout "$tmp/quick.key" 2>/dev/null
+# Key-file smoke: locker's key, read back through the key-file codec,
+# activates a circuit equivalent to c17; a key whose line 2 holds the
+# bit I must fail the attack and name the line.
+"$tmp/nettool" -in "$tmp/quick.bench" -bindkey "$tmp/quick.key" -equiv testdata/c17.bench \
+    > "$tmp/bindkey.out" 2>&1 || true
+grep -qx 'EQUIVALENT' "$tmp/bindkey.out" || {
+    echo "ci: locker's key does not bind back to c17:" >&2
+    cat "$tmp/bindkey.out" >&2
+    exit 1
+}
+sed '2s/=.*/=I/' "$tmp/quick.key" > "$tmp/badbit.key"
+if "$tmp/satattack" -locked "$tmp/quick.bench" -key "$tmp/badbit.key" > "$tmp/badbit.out" 2>&1; then
+    echo "ci: satattack accepted a key bit that is neither 0 nor 1:" >&2
+    cat "$tmp/badbit.out" >&2
+    exit 1
+fi
+grep -q 'line 2' "$tmp/badbit.out" || {
+    echo "ci: satattack's malformed-key error does not name line 2:" >&2
+    cat "$tmp/badbit.out" >&2
+    exit 1
+}
+echo "ci: locker's key binds back to c17; a malformed key bit fails naming its line"
 # The manifest is a log of one {"crc":...,"rec":{"name":...,"status":...}}
 # line per record, and a later record of a name supersedes an earlier
 # one. manifest_done MANIFEST TARGET succeeds when TARGET's last record

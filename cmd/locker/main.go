@@ -8,7 +8,8 @@
 //	       -out locked.bench -keyout key.txt
 //	locker -in c7552.bench -scheme xor -keybits 32 -out locked.bench
 //
-// Schemes: ril, lut, xor, sarlock, antisat, sfll, caslock, meso.
+// Schemes (baselines.SchemeNames): ril, lut, xor, sarlock, antisat,
+// sfll, caslock, meso.
 //
 // -cache-dir memoizes the locked artifact (netlist + key + overhead
 // note) in the authenticated result cache, keyed by the input netlist
@@ -26,11 +27,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro/internal/baselines"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/netlint"
 	"repro/internal/netlist"
 )
@@ -47,7 +48,7 @@ func main() {
 		in      = flag.String("in", "", "input .bench netlist")
 		out     = flag.String("out", "", "locked .bench output (default stdout)")
 		keyout  = flag.String("keyout", "", "key file output (name=bit per line; default stderr)")
-		scheme  = flag.String("scheme", "ril", "ril|lut|xor|sarlock|antisat|sfll|caslock|meso")
+		scheme  = flag.String("scheme", "ril", strings.Join(baselines.SchemeNames(), "|"))
 		size    = flag.String("size", "8x8x8", "RIL-Block geometry (2x2, 8x8, 8x8x8, 4x4x4, ...)")
 		blocks  = flag.Int("blocks", 1, "number of RIL-Blocks / LUTs / MESO gates")
 		keybits = flag.Int("keybits", 16, "key width for xor/sarlock/antisat/sfll/caslock")
@@ -114,7 +115,9 @@ func main() {
 	}
 
 	checkInterrupted(ctx, &cacheFlags, c)
-	locked, keyPos, key, lintOpts, extra, err := lock(orig, *scheme, *size, *blocks, *keybits, *hd, *seed, *scan)
+	l, lintOpts, err := baselines.LockScheme(*scheme, orig, baselines.Params{
+		Size: *size, Blocks: *blocks, KeyBits: *keybits, HD: *hd, Seed: *seed, Scan: *scan,
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -125,7 +128,7 @@ func main() {
 	// a property for the attacker to discover. The emit gate runs the
 	// cheap hygiene set only; the cofactor-sweeping resilience audit is
 	// a separate stage (cmd/netlint, the ci.sh audit gate).
-	lint, err := netlint.Run(locked, lintOpts, netlint.Hygiene()...)
+	lint, err := netlint.Run(l.Netlist, lintOpts, netlint.Hygiene()...)
 	if err != nil {
 		fail(err)
 	}
@@ -142,18 +145,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "locker: effective key length %d of %d nominal bits\n", kr.Effective, kr.Nominal)
 	}
 
-	var bench bytes.Buffer
-	if err := locked.WriteBench(&bench); err != nil {
+	art, err := newArtifact(l)
+	if err != nil {
 		fail(err)
-	}
-	art := &lockedArtifact{Bench: bench.String(), Extra: extra}
-	for i, pos := range keyPos {
-		name := locked.Gates[locked.Inputs[pos]].Name
-		bit := 0
-		if key[i] {
-			bit = 1
-		}
-		art.Key = append(art.Key, fmt.Sprintf("%s=%d", name, bit))
 	}
 	checkInterrupted(ctx, &cacheFlags, c)
 	// Only lint-clean (or explicitly -nolint) artifacts reach this
@@ -167,6 +161,19 @@ func main() {
 		fail(err)
 	}
 	closeCache(&cacheFlags, c)
+}
+
+// newArtifact renders a lock as locker emits and caches it.
+func newArtifact(l *baselines.Locked) (*lockedArtifact, error) {
+	var bench bytes.Buffer
+	if err := l.Netlist.WriteBench(&bench); err != nil {
+		return nil, err
+	}
+	art := &lockedArtifact{Bench: bench.String(), Key: l.Netlist.KeyLines(l.KeyPos, l.Key)}
+	if l.Note != "" {
+		art.Extra = "locker: " + l.Note
+	}
+	return art, nil
 }
 
 // emit writes the locked netlist to out (default stdout) and the key
@@ -234,73 +241,6 @@ func checkInterrupted(ctx context.Context, f *cache.Flags, c *cache.Cache) {
 	closeCache(f, c)
 	fmt.Fprintln(os.Stderr, "locker: interrupted; no artifact emitted")
 	os.Exit(1)
-}
-
-func lock(orig *netlist.Netlist, scheme, sizeStr string, blocks, keybits, hd int, seed int64, scan bool) (*netlist.Netlist, []int, []bool, netlint.Options, string, error) {
-	switch scheme {
-	case "ril":
-		size, err := core.ParseSize(sizeStr)
-		if err != nil {
-			return nil, nil, nil, netlint.Options{}, "", err
-		}
-		res, err := core.Lock(orig, core.Options{
-			Blocks: blocks, Size: size, Seed: seed, ScanEnable: scan,
-		})
-		if err != nil {
-			return nil, nil, nil, netlint.Options{}, "", err
-		}
-		extra := fmt.Sprintf("locker: %s", res.Overhead())
-		lintOpts := netlint.Options{
-			Key: keyByName(res.Locked, res.KeyInputPos, res.Key),
-			Scan: &netlint.ScanSpec{Chains: []netlint.ScanChainSpec{{
-				Name:     "keychain",
-				Width:    core.NewKeyChain(res).Len(),
-				Cells:    res.KeyNames,
-				KeyChain: true,
-			}}},
-		}
-		return res.Locked, res.KeyInputPos, res.Key, lintOpts, extra, nil
-	case "lut":
-		l, err := baselines.LUTLock(orig, blocks, seed)
-		return unpack(l, err)
-	case "xor":
-		l, err := baselines.XORLock(orig, keybits, seed)
-		return unpack(l, err)
-	case "sarlock":
-		l, err := baselines.SARLock(orig, keybits, seed)
-		return unpack(l, err)
-	case "antisat":
-		l, err := baselines.AntiSAT(orig, keybits, seed)
-		return unpack(l, err)
-	case "sfll":
-		l, err := baselines.SFLLHD(orig, keybits, hd, seed)
-		return unpack(l, err)
-	case "caslock":
-		l, err := baselines.CASLock(orig, keybits, seed)
-		return unpack(l, err)
-	case "meso":
-		l, err := baselines.MESOLock(orig, blocks, seed)
-		return unpack(l, err)
-	}
-	return nil, nil, nil, netlint.Options{}, "", fmt.Errorf("unknown scheme %q", scheme)
-}
-
-func unpack(l *baselines.Locked, err error) (*netlist.Netlist, []int, []bool, netlint.Options, string, error) {
-	if err != nil {
-		return nil, nil, nil, netlint.Options{}, "", err
-	}
-	opts := netlint.Options{Key: keyByName(l.Netlist, l.KeyPos, l.Key)}
-	return l.Netlist, l.KeyPos, l.Key, opts, "", nil
-}
-
-// keyByName maps key input names to their correct values for the
-// const-lut analyzer.
-func keyByName(nl *netlist.Netlist, keyPos []int, key []bool) map[string]bool {
-	m := make(map[string]bool, len(key))
-	for i, pos := range keyPos {
-		m[nl.Gates[nl.Inputs[pos]].Name] = key[i]
-	}
-	return m
 }
 
 func fail(err error) {

@@ -92,7 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := netlint.Options{KeyPrefix: *keyPrefix}
 	if *keyFile != "" {
-		opts.Key, err = readKeyFile(*keyFile)
+		text, err := os.ReadFile(*keyFile)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		opts.Key, err = netlist.ParseKey(*keyFile, string(text))
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -230,26 +234,6 @@ func expandPaths(args []string) ([]string, error) {
 	}
 	sort.Strings(files)
 	return files, nil
-}
-
-func readKeyFile(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	key := map[string]bool{}
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		kv := strings.SplitN(line, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("key file %s line %d: want name=bit, got %q", path, i+1, line)
-		}
-		key[strings.TrimSpace(kv[0])] = strings.TrimSpace(kv[1]) == "1"
-	}
-	return key, nil
 }
 
 func readScanFile(path string) (*netlint.ScanSpec, error) {

@@ -34,6 +34,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad-severity", []string{"-severity", "fatal", "testdata/clean.bench"}, 2},
 		{"bad-analyzer", []string{"-analyzers", "nope", "testdata/clean.bench"}, 2},
 		{"bad-scan-json", []string{"-scan", "testdata/audit_redundant.bench", "testdata/clean.bench"}, 2},
+		{"bad-key-bit", []string{"-key", "testdata/badbit.key", "testdata/clean.bench"}, 2},
 		{"list", []string{"-list"}, 0},
 		// Error findings fail the run even when the severity filter
 		// hides them from the text output.

@@ -11,11 +11,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -50,7 +48,15 @@ func main() {
 		if len(keyPos) == 0 {
 			fail(fmt.Errorf("no key inputs with prefix %q", *prefix))
 		}
-		key, err := readKeyFile(*bindKey, nl, keyPos)
+		text, err := os.ReadFile(*bindKey)
+		if err != nil {
+			fail(err)
+		}
+		byName, err := netlist.ParseKey(*bindKey, string(text))
+		if err != nil {
+			fail(err)
+		}
+		key, err := nl.KeyFromNames(keyPos, byName)
 		if err != nil {
 			fail(err)
 		}
@@ -128,40 +134,6 @@ func load(path string) (*netlist.Netlist, error) {
 	}
 	defer f.Close()
 	return netlist.ParseBench(path, f)
-}
-
-func readKeyFile(path string, nl *netlist.Netlist, keyPos []int) ([]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	byName := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		kv := strings.SplitN(line, "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad key line %q", line)
-		}
-		byName[strings.TrimSpace(kv[0])] = strings.TrimSpace(kv[1]) == "1"
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	key := make([]bool, len(keyPos))
-	for i, pos := range keyPos {
-		name := nl.Gates[nl.Inputs[pos]].Name
-		v, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("key file missing %q", name)
-		}
-		key[i] = v
-	}
-	return key, nil
 }
 
 func fail(err error) {

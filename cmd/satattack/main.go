@@ -32,7 +32,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,7 +45,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cache"
-	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/sweep"
 )
@@ -64,28 +62,14 @@ type targetResult struct {
 	Solver     sat.Stats `json:"solver"`
 }
 
-// openJournal prepares the DIP journal for one target. Fresh mode
-// truncates any stale journal; resume mode loads it, tolerating a torn
-// tail and degrading a corrupt file to a fresh start with a warning.
-func openJournal(path string, resume bool) (*attack.Journal, *attack.JournalData, error) {
-	if !resume {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, err
-		}
-	}
-	j, data, err := attack.OpenJournal(path)
-	if err == nil {
-		return j, data, nil
-	}
-	if !errors.Is(err, attack.ErrJournalCorrupt) {
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "satattack: %s: corrupt journal, starting fresh: %v\n", path, err)
-	if err := os.Remove(path); err != nil {
-		return nil, nil, err
-	}
-	j, _, err = attack.OpenJournal(path)
-	return j, nil, err
+// options are the flags that shape every target's attack.
+type options struct {
+	prefix    string
+	timeout   time.Duration
+	portfolio int
+	appsat    bool
+	bva       bool
+	resume    bool
 }
 
 func main() {
@@ -130,6 +114,7 @@ func main() {
 	if *portfolio >= 2 && (*appsat || *sensitize || *removal) {
 		fail(fmt.Errorf("-portfolio supports the exact SAT attack only"))
 	}
+	o := options{prefix: *prefix, timeout: *timeout, portfolio: *portfolio, appsat: *appsat, bva: *bva, resume: *resume}
 
 	lockedList := splitList(*lockedPath)
 	keyList := splitList(*keyPath)
@@ -167,8 +152,7 @@ func main() {
 		fail(err)
 	}
 	if len(lockedList) == 1 {
-		runErr := runSingle(ctx, lockedList[0], keyList[0], *prefix, *timeout, *portfolio,
-			*appsat, *bva, *sensitize, *removal, *tracePath, *jsonOut, ckpt, *resume, c)
+		runErr := runSingle(ctx, lockedList[0], keyList[0], o, *sensitize, *removal, *tracePath, *jsonOut, ckpt, c)
 		if err := cacheFlags.Close(c, os.Stderr, "satattack"); err != nil {
 			fmt.Fprintln(os.Stderr, "satattack: cache gc:", err)
 		}
@@ -180,15 +164,26 @@ func main() {
 
 	var jobList []sweep.Job
 	for i := range lockedList {
-		locked, key := lockedList[i], keyList[i]
+		lockedPath, keyPath := lockedList[i], keyList[i]
+		bench, key, readErr := readTarget(lockedPath, keyPath)
+		var ck cache.Key
+		if readErr == nil {
+			ck = targetCacheKey(c, bench, key, o)
+		}
 		jobList = append(jobList, sweep.Job{
-			Name:     locked,
+			Name:     lockedPath,
 			Seed:     sweep.DeriveSeed(1, i),
 			Timeout:  *timeout + 30*time.Second, // headroom over the attack's own deadline
-			CacheKey: targetCacheKey(c, locked, key, *prefix, *timeout, *portfolio, *appsat, *bva),
+			CacheKey: ck,
 			Run: func(ctx context.Context, _ int64) (any, error) {
-				return attackOne(ctx, locked, key, *prefix, *timeout, *portfolio, *appsat, *bva, nil,
-					jobJournalPath(ckpt, locked), *resume)
+				if readErr != nil {
+					return nil, readErr
+				}
+				t, err := attack.LoadTarget(lockedPath, string(bench), keyPath, string(key), o.prefix)
+				if err != nil {
+					return nil, err
+				}
+				return attackOne(ctx, lockedPath, t, o, nil, jobJournalPath(ckpt, lockedPath))
 			},
 		})
 	}
@@ -236,34 +231,36 @@ func main() {
 	}
 }
 
+// readTarget reads one target's locked netlist and key file. Each is
+// read once: the bytes key the result cache and feed the loader.
+func readTarget(lockedPath, keyPath string) (bench, key []byte, err error) {
+	if bench, err = os.ReadFile(lockedPath); err != nil {
+		return nil, nil, err
+	}
+	if key, err = os.ReadFile(keyPath); err != nil {
+		return nil, nil, err
+	}
+	return bench, key, nil
+}
+
 // targetCacheKey derives the content-addressed cache key for one
 // attack target: the raw bytes of the locked netlist and key files
 // plus every option that shapes the attack and the attack's search
-// version. Returns the zero Key —
-// opting the target out of caching — when the cache is off or a file
-// cannot be read (the attack itself will then surface the read error).
-func targetCacheKey(c *cache.Cache, lockedPath, keyPath, prefix string,
-	timeout time.Duration, portfolio int, appsat, bva bool) cache.Key {
+// version. Returns the zero Key, opting the target out of caching,
+// when the cache is off.
+func targetCacheKey(c *cache.Cache, bench, key []byte, o options) cache.Key {
 	if c == nil {
 		return cache.Key{}
 	}
-	lockedRaw, err := os.ReadFile(lockedPath)
-	if err != nil {
-		return cache.Key{}
-	}
-	keyRaw, err := os.ReadFile(keyPath)
-	if err != nil {
-		return cache.Key{}
-	}
 	k, err := cache.NewKey("satattack-target").
-		Bytes("locked", lockedRaw).
-		Bytes("key", keyRaw).
+		Bytes("locked", bench).
+		Bytes("key", key).
 		Options("opts", map[string]any{
-			"prefix":    prefix,
-			"timeout":   timeout.Nanoseconds(),
-			"portfolio": portfolio,
-			"appsat":    appsat,
-			"bva":       bva,
+			"prefix":    o.prefix,
+			"timeout":   o.timeout.Nanoseconds(),
+			"portfolio": o.portfolio,
+			"appsat":    o.appsat,
+			"bva":       o.bva,
 			"search":    attack.SearchVersion,
 		}).
 		Key()
@@ -282,80 +279,34 @@ func jobJournalPath(ckpt *sweep.Checkpoint, name string) string {
 	return ckpt.JobFile(name)
 }
 
-// attackOne loads one locked netlist + key, builds the simulated
-// oracle and runs the selected attack, returning the JSON summary.
-// With journalPath set the exact attack journals every DIP there;
-// resume additionally replays an existing journal first.
-func attackOne(ctx context.Context, lockedPath, keyPath, prefix string,
-	timeout time.Duration, portfolio int, appsat, bva bool, trace *os.File,
-	journalPath string, resume bool) (tr *targetResult, err error) {
-	f, err := os.Open(lockedPath)
-	if err != nil {
-		return nil, err
-	}
-	locked, err := netlist.ParseBench(lockedPath, f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	keyPos := locked.GateIDsByPrefix(prefix)
-	if len(keyPos) == 0 {
-		return nil, fmt.Errorf("no key inputs with prefix %q", prefix)
-	}
-	key, err := readKey(keyPath, locked, keyPos)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := locked.BindInputs(keyPos, key)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := attack.NewSimOracle(bound)
-	if err != nil {
-		return nil, err
-	}
+// logf reports a journal the attack had to replace.
+func logf(format string, args ...any) {
+	fmt.Fprintln(os.Stderr, "satattack: "+fmt.Sprintf(format, args...))
+}
 
-	tr = &targetResult{Target: lockedPath, KeyBits: len(keyPos)}
+// attackOne runs the selected attack on one loaded target and returns
+// the JSON summary. With journalPath set the exact attack journals
+// every DIP there, and o.resume replays an existing journal first.
+func attackOne(ctx context.Context, name string, t *attack.Target, o options,
+	trace *os.File, journalPath string) (*targetResult, error) {
+	tr := &targetResult{Target: name, KeyBits: len(t.KeyPos)}
 	var status attack.Status
 	var recovered []bool
-	if appsat {
+	if o.appsat {
 		opt := attack.DefaultAppSAT()
-		opt.Timeout = timeout
+		opt.Timeout = o.timeout
 		opt.Context = ctx
-		res, err := attack.AppSAT(locked, keyPos, oracle, opt)
+		res, err := attack.AppSAT(t.Locked, t.KeyPos, t.Oracle, opt)
 		if err != nil {
 			return nil, err
 		}
 		status, recovered, tr.Iterations = res.Status, res.Key, res.DIPs
 	} else {
-		opts := attack.SATOptions{Timeout: timeout, BVA: bva, Context: ctx, Portfolio: portfolio}
+		opts := attack.SATOptions{Timeout: o.timeout, BVA: o.bva, Context: ctx, Portfolio: o.portfolio}
 		if trace != nil {
 			opts.Trace = trace
 		}
-		if journalPath != "" {
-			j, data, err := openJournal(journalPath, resume)
-			if err != nil {
-				return nil, err
-			}
-			// The journal fsyncs per record; a failed close is the last
-			// chance to observe lost appended DIPs, so join it into err.
-			defer func() { err = errors.Join(err, j.Close()) }()
-			opts.Journal = j
-			opts.Resume = data
-		}
-		res, err := attack.SATAttack(locked, keyPos, oracle, opts)
-		if errors.Is(err, attack.ErrReplayDiverged) {
-			// The journal belongs to a different netlist or attack
-			// configuration; degrade to a fresh run.
-			fmt.Fprintf(os.Stderr, "satattack: %s: journal does not match, starting fresh: %v\n", journalPath, err)
-			j, _, jerr := openJournal(journalPath, false)
-			if jerr != nil {
-				return nil, jerr
-			}
-			defer func() { err = errors.Join(err, j.Close()) }()
-			opts.Journal, opts.Resume = j, nil
-			res, err = attack.SATAttack(locked, keyPos, oracle, opts)
-		}
+		res, err := attack.JournaledSATAttack(journalPath, o.resume, logf, t.Locked, t.KeyPos, t.Oracle, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -363,10 +314,10 @@ func attackOne(ctx context.Context, lockedPath, keyPath, prefix string,
 			res.Status, res.Key, res.Iterations, res.Replayed, res.Solver
 	}
 	tr.Status = status.String()
-	tr.Queries = oracle.Queries()
+	tr.Queries = t.Oracle.Queries()
 	if status == attack.KeyFound {
-		tr.Key = keyString(recovered)
-		e, err := attack.VerifyKey(locked, keyPos, recovered, oracle, 16, 1)
+		tr.Key = attack.BitString(recovered)
+		e, err := attack.VerifyKey(t.Locked, t.KeyPos, recovered, t.Oracle, 16, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -390,40 +341,22 @@ func failInterruptible(ctx context.Context, err error) {
 // sensitization/removal analyses and -trace runs (whose point is the
 // side-effect trace file) always run live. The returned error is
 // reported by main after cache teardown.
-func runSingle(ctx context.Context, lockedPath, keyPath, prefix string, timeout time.Duration, portfolio int,
-	appsat, bva, sensitize, removal bool, tracePath, jsonOut string,
-	ckpt *sweep.Checkpoint, resume bool, c *cache.Cache) error {
-	f, err := os.Open(lockedPath)
+func runSingle(ctx context.Context, lockedPath, keyPath string, o options,
+	sensitize, removal bool, tracePath, jsonOut string, ckpt *sweep.Checkpoint, c *cache.Cache) error {
+	bench, key, err := readTarget(lockedPath, keyPath)
 	if err != nil {
 		return err
 	}
-	locked, err := netlist.ParseBench(lockedPath, f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	keyPos := locked.GateIDsByPrefix(prefix)
-	if len(keyPos) == 0 {
-		return fmt.Errorf("no key inputs with prefix %q", prefix)
-	}
-	key, err := readKey(keyPath, locked, keyPos)
-	if err != nil {
-		return err
-	}
-	bound, err := locked.BindInputs(keyPos, key)
-	if err != nil {
-		return err
-	}
-	oracle, err := attack.NewSimOracle(bound)
+	t, err := attack.LoadTarget(lockedPath, string(bench), keyPath, string(key), o.prefix)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("satattack: %d key bits, %d functional inputs, %d outputs, timeout %v\n",
-		len(keyPos), len(locked.Inputs)-len(keyPos), len(locked.Outputs), timeout)
+		len(t.KeyPos), len(t.Locked.Inputs)-len(t.KeyPos), len(t.Locked.Outputs), o.timeout)
 
 	if sensitize {
-		res, err := attack.Sensitize(locked, keyPos, oracle, 16, timeout)
+		res, err := attack.Sensitize(t.Locked, t.KeyPos, t.Oracle, 16, o.timeout)
 		if err != nil {
 			return err
 		}
@@ -431,7 +364,7 @@ func runSingle(ctx context.Context, lockedPath, keyPath, prefix string, timeout 
 		return nil
 	}
 	if removal {
-		stripped, err := attack.StructuralRemoval(locked, keyPos, 1)
+		stripped, err := attack.StructuralRemoval(t.Locked, t.KeyPos, 1)
 		if err != nil {
 			return err
 		}
@@ -439,7 +372,7 @@ func runSingle(ctx context.Context, lockedPath, keyPath, prefix string, timeout 
 		if err != nil {
 			return err
 		}
-		e, err := attack.OracleErrorRate(strippedOracle, oracle, 16, 2)
+		e, err := attack.OracleErrorRate(strippedOracle, t.Oracle, 16, 2)
 		if err != nil {
 			return err
 		}
@@ -449,7 +382,7 @@ func runSingle(ctx context.Context, lockedPath, keyPath, prefix string, timeout 
 
 	var ck cache.Key
 	if tracePath == "" {
-		ck = targetCacheKey(c, lockedPath, keyPath, prefix, timeout, portfolio, appsat, bva)
+		ck = targetCacheKey(c, bench, key, o)
 	}
 	var trace *os.File
 	if tracePath != "" {
@@ -471,8 +404,7 @@ func runSingle(ctx context.Context, lockedPath, keyPath, prefix string, timeout 
 		}
 	}
 	if tr == nil {
-		tr, err = attackOne(ctx, lockedPath, keyPath, prefix, timeout, portfolio, appsat, bva, trace,
-			jobJournalPath(ckpt, lockedPath), resume)
+		tr, err = attackOne(ctx, lockedPath, t, o, trace, jobJournalPath(ckpt, lockedPath))
 		if trace != nil {
 			err = errors.Join(err, trace.Close())
 		}
@@ -528,52 +460,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func keyString(key []bool) string {
-	var sb strings.Builder
-	for _, b := range key {
-		if b {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
-func readKey(path string, locked *netlist.Netlist, keyPos []int) ([]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	byName := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		eq := strings.Split(line, "=")
-		if len(eq) != 2 {
-			return nil, fmt.Errorf("bad key line %q", line)
-		}
-		byName[strings.TrimSpace(eq[0])] = strings.TrimSpace(eq[1]) == "1"
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	key := make([]bool, len(keyPos))
-	for i, pos := range keyPos {
-		name := locked.Gates[locked.Inputs[pos]].Name
-		v, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("key file missing %q", name)
-		}
-		key[i] = v
-	}
-	return key, nil
 }
 
 func fail(err error) {

@@ -138,7 +138,7 @@ func TestGoldenSATAttack(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got := fmt.Sprintf("%v iters=%d key=%s trace=%x solver=%+v",
-			res.Status, res.Iterations, bitString(res.Key), sha256.Sum256(trace.Bytes()), res.Solver)
+			res.Status, res.Iterations, BitString(res.Key), sha256.Sum256(trace.Bytes()), res.Solver)
 		checkGolden(t, tc.name, got, tc.want)
 		fx.checkKey(t, tc.name, res.Key)
 	}
@@ -174,7 +174,7 @@ func TestGoldenAppSAT(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got := fmt.Sprintf("%v rounds=%d dips=%d est=%v key=%s queries=%d",
-			ar.Status, ar.Rounds, ar.DIPs, ar.ErrorEstimate, bitString(ar.Key), oracle.Queries())
+			ar.Status, ar.Rounds, ar.DIPs, ar.ErrorEstimate, BitString(ar.Key), oracle.Queries())
 		checkGolden(t, tc.name, got, tc.want)
 		if ar.Status != KeyFound {
 			continue
@@ -209,7 +209,7 @@ func TestGoldenSATAttackOneHot(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		got := fmt.Sprintf("%v iters=%d key=%s realizable=%v solver=%+v",
-			res.SAT.Status, res.SAT.Iterations, bitString(res.Key), res.Realizable, res.SAT.Solver)
+			res.SAT.Status, res.SAT.Iterations, BitString(res.Key), res.Realizable, res.SAT.Solver)
 		checkGolden(t, tc.name, got, tc.want)
 		tc.fx.checkKey(t, tc.name, res.Key)
 	}
@@ -239,6 +239,6 @@ func TestGoldenEquivalentSAT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		checkGolden(t, tc.name, fmt.Sprintf("eq=%v cex=%s", eq, bitString(cex)), tc.want)
+		checkGolden(t, tc.name, fmt.Sprintf("eq=%v cex=%s", eq, BitString(cex)), tc.want)
 	}
 }

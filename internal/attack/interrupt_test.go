@@ -318,7 +318,7 @@ func TestInterruptedJournalResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Status != KeyFound || !bytesEqual(res.Key, full.Key) || res.Replayed != k {
-		t.Errorf("resumed: %v key=%s replayed=%d; want key %s with %d replayed", res, bitString(res.Key), res.Replayed, bitString(full.Key), k)
+		t.Errorf("resumed: %v key=%s replayed=%d; want key %s with %d replayed", res, BitString(res.Key), res.Replayed, BitString(full.Key), k)
 	}
 	if got := o2.Queries(); got != total-k {
 		t.Errorf("resumed run made %d oracle queries, want %d (zero re-queries)", got, total-k)

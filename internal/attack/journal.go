@@ -57,13 +57,14 @@ const JournalVersion = 1
 const SearchVersion = 2
 
 // ErrJournalCorrupt tags all journal parse/integrity errors so callers
-// can degrade to a fresh attack (errors.Is).
+// can degrade to a fresh attack (errors.Is), as JournaledSATAttack does.
 var ErrJournalCorrupt = errors.New("journal corrupt")
 
 // ErrReplayDiverged reports that deterministic replay of a journal
 // produced a different DIP or solver state than the journal records —
 // the journal was written by a different circuit, option set or solver
-// version. Callers should degrade to a fresh attack.
+// version. Callers should degrade to a fresh attack, as
+// JournaledSATAttack does.
 var ErrReplayDiverged = errors.New("journal replay diverged")
 
 // JournalHeader identifies the attack a journal belongs to. Replay
@@ -350,7 +351,7 @@ func parseBits(s string) ([]bool, error) {
 // place, and returns the writer positioned to append plus the parsed
 // data for SATOptions.Resume. A journal corrupt beyond the torn-tail
 // tolerance is returned as an error (errors.Is ErrJournalCorrupt);
-// callers typically delete the file and start fresh.
+// JournaledSATAttack then deletes the file and starts fresh.
 func OpenJournal(path string) (*Journal, *JournalData, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -389,4 +390,52 @@ func (j *Journal) Close() error {
 		return c.Close()
 	}
 	return nil
+}
+
+// JournaledSATAttack runs SATAttack with its journal at path, the
+// policy every checkpointed caller shares. With resume a journal
+// already at path is replayed first; without, it is deleted before the
+// attack starts. A journal that ErrJournalCorrupt or ErrReplayDiverged
+// rejects is replaced by a fresh one, and logf says why. It sets
+// opt.Journal and opt.Resume; an empty path runs SATAttack as is.
+func JournaledSATAttack(path string, resume bool, logf func(format string, args ...any),
+	locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOptions) (*SATResult, error) {
+	if path == "" {
+		return SATAttack(locked, keyPos, oracle, opt)
+	}
+	res, err := attackJournalAt(path, !resume, logf, locked, keyPos, oracle, opt)
+	if errors.Is(err, ErrReplayDiverged) {
+		// The journal belongs to another circuit or attack configuration.
+		logf("%s: journal does not match, starting fresh: %v", path, err)
+		res, err = attackJournalAt(path, true, logf, locked, keyPos, oracle, opt)
+	}
+	return res, err
+}
+
+// attackJournalAt runs one attack of JournaledSATAttack: it deletes
+// the journal at path first when fresh, replaces a corrupt one, and
+// resumes from whatever the journal holds.
+func attackJournalAt(path string, fresh bool, logf func(format string, args ...any),
+	locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOptions) (res *SATResult, err error) {
+	if fresh {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	}
+	j, data, err := OpenJournal(path)
+	if errors.Is(err, ErrJournalCorrupt) {
+		logf("%s: corrupt journal, starting fresh: %v", path, err)
+		if err := os.Remove(path); err != nil {
+			return nil, err
+		}
+		j, data, err = OpenJournal(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The journal fsyncs per record; a failed close is the last chance
+	// to observe lost appended DIPs, so join it into err.
+	defer func() { err = errors.Join(err, j.Close()) }()
+	opt.Journal, opt.Resume = j, data
+	return SATAttack(locked, keyPos, oracle, opt)
 }

@@ -93,7 +93,7 @@ func (f *fixture) checkKey(t *testing.T, name string, key []bool) {
 		t.Fatal(err)
 	}
 	if !eq {
-		t.Errorf("%s: key %s is functionally wrong, counterexample %s", name, bitString(key), bitString(cex))
+		t.Errorf("%s: key %s is functionally wrong, counterexample %s", name, BitString(key), BitString(cex))
 	}
 }
 
@@ -369,7 +369,7 @@ func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
 			t.Fatalf("k=%d: resumed attack did not converge: %v", k, res)
 		}
 		if !bytesEqual(res.Key, full.Key) {
-			t.Errorf("k=%d: resumed key %s != uninterrupted key %s", k, bitString(res.Key), bitString(full.Key))
+			t.Errorf("k=%d: resumed key %s != uninterrupted key %s", k, BitString(res.Key), BitString(full.Key))
 		}
 		if res.Replayed != k {
 			t.Errorf("k=%d: replayed %d journaled DIPs", k, res.Replayed)
@@ -411,8 +411,8 @@ func TestJournalCompatC432(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	const key = "1000110100101100110001000001110111110001011100011111000100010111"
-	if res.Status != KeyFound || bitString(res.Key) != key || res.Iterations != 24 {
-		t.Errorf("resumed attack: %v iters=%d key=%s, want key-found iters=24 key=%s", res.Status, res.Iterations, bitString(res.Key), key)
+	if res.Status != KeyFound || BitString(res.Key) != key || res.Iterations != 24 {
+		t.Errorf("resumed attack: %v iters=%d key=%s, want key-found iters=24 key=%s", res.Status, res.Iterations, BitString(res.Key), key)
 	}
 	if res.Replayed != 12 || oracle.Queries() != res.Iterations-12 {
 		t.Errorf("replayed %d DIPs and queried the oracle %d times, want 12 and %d", res.Replayed, oracle.Queries(), res.Iterations-12)
@@ -597,7 +597,7 @@ func TestJournalCrashInjectionProperty(t *testing.T) {
 			t.Fatalf("budget=%d: resumed attack did not converge: %v", budget, res)
 		}
 		if !bytesEqual(res.Key, full.Key) {
-			t.Errorf("budget=%d: resumed key %s != uninterrupted %s", budget, bitString(res.Key), bitString(full.Key))
+			t.Errorf("budget=%d: resumed key %s != uninterrupted %s", budget, BitString(res.Key), BitString(full.Key))
 		}
 		if got := durable + o2.Queries(); got > totalQueries {
 			t.Errorf("budget=%d: durable(%d) + resumed(%d) = %d oracle queries, uninterrupted needed %d",
@@ -665,7 +665,7 @@ func TestJournalContinuationMatchesFreshRun(t *testing.T) {
 				t.Errorf("k=%d: record %d differs:\n  merged: %+v\n  fresh : %+v", k, i, m, f)
 			}
 		}
-		if merged.Done == nil || merged.Done.Key != bitString(full.Key) {
+		if merged.Done == nil || merged.Done.Key != BitString(full.Key) {
 			t.Errorf("k=%d: merged done record wrong: %+v", k, merged.Done)
 		}
 	}

@@ -335,7 +335,7 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			// DIP; anything else means the journal belongs to a
 			// different circuit or solver version.
 			rec := replay[res.Replayed]
-			if got := bitString(dip); got != rec.DIP {
+			if got := BitString(dip); got != rec.DIP {
 				return nil, fmt.Errorf("attack: iteration %d: solver found DIP %s, journal has %s: %w",
 					res.Iterations+1, got, rec.DIP, ErrReplayDiverged)
 			}
@@ -355,8 +355,8 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			if opt.Journal != nil {
 				err := opt.Journal.Append(JournalRecord{
 					Iteration: res.Iterations,
-					DIP:       bitString(dip),
-					Oracle:    bitString(out),
+					DIP:       BitString(dip),
+					Oracle:    BitString(out),
 					ElapsedMS: time.Since(start).Milliseconds(),
 					Solver:    m.eng.Snapshot(),
 				})
@@ -366,7 +366,7 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			}
 		}
 		if opt.Trace != nil {
-			fmt.Fprintf(opt.Trace, "%d,%s,%s\n", res.Iterations, bitString(dip), bitString(out))
+			fmt.Fprintf(opt.Trace, "%d,%s,%s\n", res.Iterations, BitString(dip), BitString(out))
 		}
 		if opt.Progress != nil {
 			opt.Progress(Progress{
@@ -411,7 +411,7 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 			Solver:     m.eng.Snapshot(),
 		}
 		if res.Key != nil {
-			d.Key = bitString(res.Key)
+			d.Key = BitString(res.Key)
 		}
 		if err := opt.Journal.Finish(d); err != nil {
 			return nil, err

@@ -234,7 +234,7 @@ func TestOneHotHonoursSATOptions(t *testing.T) {
 	}
 	if res.SAT.Replayed != k || o2.Queries() != n-k || !bytesEqual(res.Key, full.Key) {
 		t.Errorf("resumed: replayed %d, %d queries, key %s; want %d, %d, %s",
-			res.SAT.Replayed, o2.Queries(), bitString(res.Key), k, n-k, bitString(full.Key))
+			res.SAT.Replayed, o2.Queries(), BitString(res.Key), k, n-k, BitString(full.Key))
 	}
 
 	// A 2-worker portfolio still recovers an exact relaxed key. Which

@@ -163,7 +163,7 @@ func TestPortfolioJournalReplayEveryTruncation(t *testing.T) {
 				t.Fatalf("k=%d: equivalence: %v", k, err)
 			}
 			if !ok {
-				t.Errorf("k=%d: resumed key %s is functionally wrong", k, bitString(res.Key))
+				t.Errorf("k=%d: resumed key %s is functionally wrong", k, BitString(res.Key))
 			}
 		}
 	}

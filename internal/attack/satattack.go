@@ -12,8 +12,9 @@ import (
 	"repro/internal/sat"
 )
 
-// bitString renders a bool slice little-endian as '0'/'1' runes.
-func bitString(bits []bool) string {
+// BitString renders a bool slice little-endian as '0'/'1' runes: the key
+// format of journals, CLI output and rild results.
+func BitString(bits []bool) string {
 	b := make([]byte, len(bits))
 	for i, v := range bits {
 		b[i] = '0'

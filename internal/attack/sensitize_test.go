@@ -73,7 +73,7 @@ type sensitizeGolden struct {
 }
 
 func goldenOf(res *SensitizeResult) sensitizeGolden {
-	return sensitizeGolden{key: bitString(res.Key), mask: bitString(res.Mask), resolved: res.Resolved, queries: res.Queries}
+	return sensitizeGolden{key: BitString(res.Key), mask: BitString(res.Mask), resolved: res.Resolved, queries: res.Queries}
 }
 
 // TestSensitizeGolden pins Sensitize's results on XOR-locked random

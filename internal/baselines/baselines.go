@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/netlint"
 	"repro/internal/netlist"
 )
 
@@ -23,6 +24,10 @@ type Locked struct {
 	Netlist *netlist.Netlist
 	KeyPos  []int  // positions of key inputs within Netlist.Inputs
 	Key     []bool // the correct key
+	// Note is a one-line resource summary; only ril sets it.
+	Note string
+	// scan is the key scan chain the netlint emit gate checks (ril).
+	scan *netlint.ScanSpec
 }
 
 // KeyBits returns the key length.

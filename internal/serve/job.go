@@ -1,17 +1,14 @@
 package serve
 
 import (
-	"bufio"
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/netlint"
 	"repro/internal/netlist"
 	"repro/internal/sat"
@@ -70,119 +67,17 @@ type SweepResult struct {
 	Queries    int             `json:"queries"`
 }
 
-// attackTarget is a parsed AttackSpec ready to attack.
-type attackTarget struct {
-	locked *netlist.Netlist
-	keyPos []int
-	key    []bool
-	oracle *attack.SimOracle
-}
-
-// parseAttackTarget turns the inline bench + key text into the locked
-// netlist, key positions, correct key, and activated oracle — the
-// in-memory equivalent of cmd/satattack's file loading.
-func parseAttackTarget(name string, spec *AttackSpec) (*attackTarget, error) {
-	locked, err := netlist.ParseBench(name, strings.NewReader(spec.Bench))
-	if err != nil {
-		return nil, err
-	}
-	prefix := spec.KeyPrefix
-	if prefix == "" {
-		prefix = "keyinput"
-	}
-	keyPos := locked.GateIDsByPrefix(prefix)
-	if len(keyPos) == 0 {
-		return nil, fmt.Errorf("no key inputs with prefix %q", prefix)
-	}
-	key, err := parseKeyText(spec.Key, locked, keyPos)
-	if err != nil {
-		return nil, err
-	}
-	bound, err := locked.BindInputs(keyPos, key)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := attack.NewSimOracle(bound)
-	if err != nil {
-		return nil, err
-	}
-	return &attackTarget{locked: locked, keyPos: keyPos, key: key, oracle: oracle}, nil
-}
-
-// parseKeyText reads the cmd/locker key format (name=bit per line,
-// '#' comments) into the key vector ordered by keyPos.
-func parseKeyText(text string, locked *netlist.Netlist, keyPos []int) ([]bool, error) {
-	byName := map[string]bool{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		eq := strings.Split(line, "=")
-		if len(eq) != 2 {
-			return nil, fmt.Errorf("bad key line %q", line)
-		}
-		byName[strings.TrimSpace(eq[0])] = strings.TrimSpace(eq[1]) == "1"
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	key := make([]bool, len(keyPos))
-	for i, pos := range keyPos {
-		name := locked.Gates[locked.Inputs[pos]].Name
-		v, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("key missing %q", name)
-		}
-		key[i] = v
-	}
-	return key, nil
-}
-
-// keyBitString renders a key little-endian as '0'/'1'.
-func keyBitString(key []bool) string {
-	b := make([]byte, len(key))
-	for i, v := range key {
-		b[i] = '0'
-		if v {
-			b[i] = '1'
-		}
-	}
-	return string(b)
-}
-
-// openResumableJournal opens (and, when present, loads) the DIP
-// journal at path, degrading a corrupt file to a fresh start — the
-// daemon mirrors cmd/satattack's resume semantics but always resumes
-// when a journal exists, because a journal in the state directory can
-// only mean a previous run of this same job.
-func (s *Server) openResumableJournal(path string) (*attack.Journal, *attack.JournalData, error) {
-	j, data, err := attack.OpenJournal(path)
-	if err == nil {
-		return j, data, nil
-	}
-	if !errors.Is(err, attack.ErrJournalCorrupt) {
-		return nil, nil, err
-	}
-	s.logf("serve: %s: corrupt journal, starting fresh: %v", path, err)
-	if err := os.Remove(path); err != nil {
-		return nil, nil, err
-	}
-	j, _, err = attack.OpenJournal(path)
-	return j, nil, err
-}
-
 // runAttackTarget runs one attack with journaled resume. journalKey
 // names the target's private journal inside the checkpoint directory;
 // publish (may be nil) receives per-DIP progress.
 func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target int,
-	spec *AttackSpec, publish func(ProgressEvent)) (res *AttackResult, err error) {
-	at, err := parseAttackTarget(journalKey, spec)
+	spec *AttackSpec, publish func(ProgressEvent)) (*AttackResult, error) {
+	prefix := cmp.Or(spec.KeyPrefix, "keyinput")
+	at, err := attack.LoadTarget(journalKey, spec.Bench, journalKey, spec.Key, prefix)
 	if err != nil {
 		return nil, err
 	}
-	out := &AttackResult{KeyBits: len(at.keyPos)}
+	out := &AttackResult{KeyBits: len(at.KeyPos)}
 	start := time.Now()
 
 	var status attack.Status
@@ -191,7 +86,7 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 		opt := attack.DefaultAppSAT()
 		opt.Timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
 		opt.Context = ctx
-		r, err := attack.AppSAT(at.locked, at.keyPos, at.oracle, opt)
+		r, err := attack.AppSAT(at.Locked, at.KeyPos, at.Oracle, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -208,37 +103,16 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 				publish(ProgressEvent{
 					Target:    target,
 					Iteration: p.Iteration,
-					Queries:   at.oracle.Queries(),
+					Queries:   at.Oracle.Queries(),
 					ElapsedMS: p.Elapsed.Milliseconds(),
 					Solver:    p.Solver,
 				})
 			}
 		}
-		j, data, err := s.openResumableJournal(s.ckpt.JobFile(journalKey))
-		if err != nil {
-			return nil, err
-		}
-		// The journal fsyncs per record; a failed close is the last
-		// chance to observe lost appended DIPs, so join it into err.
-		defer func() { err = errors.Join(err, j.Close()) }()
-		opts.Journal, opts.Resume = j, data
-		r, err := attack.SATAttack(at.locked, at.keyPos, at.oracle, opts)
-		if errors.Is(err, attack.ErrReplayDiverged) {
-			// The journal belongs to a different circuit or attack
-			// configuration (e.g. the spec changed); degrade to fresh.
-			s.logf("serve: %s: journal does not match, starting fresh: %v", journalKey, err)
-			if rerr := os.Remove(s.ckpt.JobFile(journalKey)); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
-				return nil, rerr
-			}
-			var j2 *attack.Journal
-			j2, _, err = attack.OpenJournal(s.ckpt.JobFile(journalKey))
-			if err != nil {
-				return nil, err
-			}
-			defer func() { err = errors.Join(err, j2.Close()) }()
-			opts.Journal, opts.Resume = j2, nil
-			r, err = attack.SATAttack(at.locked, at.keyPos, at.oracle, opts)
-		}
+		// A journal in the state directory can only mean a previous run
+		// of this same job, so the daemon always resumes.
+		logf := func(format string, args ...any) { s.logf("serve: %s", fmt.Sprintf(format, args...)) }
+		r, err := attack.JournaledSATAttack(s.ckpt.JobFile(journalKey), true, logf, at.Locked, at.KeyPos, at.Oracle, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -247,12 +121,12 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 	}
 
 	out.Status = status.String()
-	out.Queries = at.oracle.Queries()
+	out.Queries = at.Oracle.Queries()
 	out.ElapsedMS = time.Since(start).Milliseconds()
 	if status == attack.KeyFound {
-		out.Key = keyBitString(recovered)
+		out.Key = attack.BitString(recovered)
 		if spec.Verify {
-			e, err := attack.VerifyKey(at.locked, at.keyPos, recovered, at.oracle, 16, 1)
+			e, err := attack.VerifyKey(at.Locked, at.KeyPos, recovered, at.Oracle, 16, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -274,62 +148,14 @@ func runLock(spec *LockSpec) (*LockResult, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	var (
-		locked   *netlist.Netlist
-		keyPos   []int
-		key      []bool
-		lintOpts netlint.Options
-	)
-	switch spec.Scheme {
-	case "ril":
-		size, err := core.ParseSize(spec.Size)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Lock(orig, core.Options{
-			Blocks: spec.Blocks, Size: size, Seed: seed, ScanEnable: spec.Scan,
-		})
-		if err != nil {
-			return nil, err
-		}
-		locked, keyPos, key = res.Locked, res.KeyInputPos, res.Key
-		lintOpts = netlint.Options{
-			Key: keyByName(locked, keyPos, key),
-			Scan: &netlint.ScanSpec{Chains: []netlint.ScanChainSpec{{
-				Name:     "keychain",
-				Width:    core.NewKeyChain(res).Len(),
-				Cells:    res.KeyNames,
-				KeyChain: true,
-			}}},
-		}
-	default:
-		var l *baselines.Locked
-		switch spec.Scheme {
-		case "lut":
-			l, err = baselines.LUTLock(orig, spec.Blocks, seed)
-		case "xor":
-			l, err = baselines.XORLock(orig, spec.KeyBits, seed)
-		case "sarlock":
-			l, err = baselines.SARLock(orig, spec.KeyBits, seed)
-		case "antisat":
-			l, err = baselines.AntiSAT(orig, spec.KeyBits, seed)
-		case "sfll":
-			l, err = baselines.SFLLHD(orig, spec.KeyBits, spec.HD, seed)
-		case "caslock":
-			l, err = baselines.CASLock(orig, spec.KeyBits, seed)
-		case "meso":
-			l, err = baselines.MESOLock(orig, spec.Blocks, seed)
-		default:
-			return nil, fmt.Errorf("unknown scheme %q", spec.Scheme)
-		}
-		if err != nil {
-			return nil, err
-		}
-		locked, keyPos, key = l.Netlist, l.KeyPos, l.Key
-		lintOpts = netlint.Options{Key: keyByName(locked, keyPos, key)}
+	l, lintOpts, err := baselines.LockScheme(spec.Scheme, orig, baselines.Params{
+		Size: spec.Size, Blocks: spec.Blocks, KeyBits: spec.KeyBits, HD: spec.HD, Seed: seed, Scan: spec.Scan,
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	lint, err := netlint.Run(locked, lintOpts, netlint.Hygiene()...)
+	lint, err := netlint.Run(l.Netlist, lintOpts, netlint.Hygiene()...)
 	if err != nil {
 		return nil, err
 	}
@@ -342,33 +168,16 @@ func runLock(spec *LockSpec) (*LockResult, error) {
 	}
 
 	var bench strings.Builder
-	if err := locked.WriteBench(&bench); err != nil {
+	if err := l.Netlist.WriteBench(&bench); err != nil {
 		return nil, err
 	}
-	out := &LockResult{
+	return &LockResult{
 		Scheme:       spec.Scheme,
 		Bench:        bench.String(),
-		KeyBits:      len(key),
+		KeyBits:      len(l.Key),
+		Key:          l.Netlist.KeyLines(l.KeyPos, l.Key),
 		LintWarnings: lint.Count(netlint.Warn),
-	}
-	for i, pos := range keyPos {
-		bit := 0
-		if key[i] {
-			bit = 1
-		}
-		out.Key = append(out.Key, fmt.Sprintf("%s=%d", locked.Gates[locked.Inputs[pos]].Name, bit))
-	}
-	return out, nil
-}
-
-// keyByName maps key input names to their correct values for the
-// const-lut analyzer.
-func keyByName(nl *netlist.Netlist, keyPos []int, key []bool) map[string]bool {
-	m := make(map[string]bool, len(key))
-	for i, pos := range keyPos {
-		m[nl.Gates[nl.Inputs[pos]].Name] = key[i]
-	}
-	return m
+	}, nil
 }
 
 // runLint runs the hygiene analyzers; findings are data, not job

@@ -193,15 +193,8 @@ func MakeLoadTargets(n, keyBits int) ([]LoadTarget, error) {
 		if err := l.Netlist.WriteBench(&bench); err != nil {
 			return nil, err
 		}
-		var key strings.Builder
-		for j, pos := range l.KeyPos {
-			bit := 0
-			if l.Key[j] {
-				bit = 1
-			}
-			fmt.Fprintf(&key, "%s=%d\n", l.Netlist.Gates[l.Netlist.Inputs[pos]].Name, bit)
-		}
-		targets = append(targets, LoadTarget{Bench: bench.String(), Key: key.String()})
+		key := strings.Join(l.Netlist.KeyLines(l.KeyPos, l.Key), "\n") + "\n"
+		targets = append(targets, LoadTarget{Bench: bench.String(), Key: key})
 	}
 	return targets, nil
 }

@@ -110,6 +110,47 @@ func TestLockThenAttack(t *testing.T) {
 	}
 }
 
+// TestAttackRejectsMalformedKey: a key line whose bit is neither 0 nor
+// 1 fails the attack job with an error naming the line, instead of
+// activating the oracle with that bit read as 0.
+func TestAttackRejectsMalformedKey(t *testing.T) {
+	_, client := startServer(t, Options{Workers: 1})
+	ctx := testCtx(t)
+	lockID, err := client.Submit(ctx, &JobSpec{
+		Type: TypeLock,
+		Lock: &LockSpec{Bench: c17Bench, Scheme: "xor", KeyBits: 4, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := client.WaitDone(ctx, lockID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lock LockResult
+	if err := json.Unmarshal(lv.Result, &lock); err != nil {
+		t.Fatal(err)
+	}
+	if len(lock.Key) != 4 || lock.Key[1] != "keyinput1=1" {
+		t.Fatalf("lock key %q, want keyinput1=1 on line 2", lock.Key)
+	}
+	lock.Key[1] = "keyinput1=I"
+	id, err := client.Submit(ctx, &JobSpec{
+		Type:   TypeAttack,
+		Attack: &AttackSpec{Bench: lock.Bench, Key: strings.Join(lock.Key, "\n")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := client.WaitDone(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateFailed || !strings.Contains(v.Error, `line 2: bit "I" is not 0 or 1`) {
+		t.Fatalf("attack with a malformed key: state=%s error=%q result=%s, want failed naming line 2", v.State, v.Error, v.Result)
+	}
+}
+
 // TestLintJob: findings are data; a clean bench lints clean.
 func TestLintJob(t *testing.T) {
 	_, client := startServer(t, Options{Workers: 1})

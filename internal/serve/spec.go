@@ -17,8 +17,11 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
+
+	"repro/internal/baselines"
 )
 
 // Job types accepted by the daemon.
@@ -68,8 +71,10 @@ type JobSpec struct {
 type AttackSpec struct {
 	// Bench is the locked netlist in .bench text.
 	Bench string `json:"bench"`
-	// Key is the correct key, one name=bit line per key input (the
-	// cmd/locker key-file format). It activates the simulated oracle.
+	// Key is the correct key in the key-file format that cmd/locker
+	// writes and netlist.ParseKey reads: one name=bit line per key
+	// input, bit 0 or 1. It activates the simulated oracle; a malformed
+	// line fails the job with an error naming the line.
 	Key string `json:"key"`
 	// KeyPrefix identifies key inputs by name prefix ("keyinput" when
 	// empty).
@@ -97,7 +102,9 @@ type AttackSpec struct {
 type LockSpec struct {
 	// Bench is the original netlist in .bench text.
 	Bench string `json:"bench"`
-	// Scheme: ril, lut, xor, sarlock, antisat, sfll, caslock, meso.
+	// Scheme names an entry of the lock-scheme table
+	// (baselines.SchemeNames): ril, lut, xor, sarlock, antisat, sfll,
+	// caslock, meso.
 	Scheme string `json:"scheme"`
 	// Size is the RIL block geometry, e.g. "8x8" (ril only).
 	Size string `json:"size,omitempty"`
@@ -125,9 +132,6 @@ type LintSpec struct {
 type SweepSpec struct {
 	Targets []AttackSpec `json:"targets"`
 }
-
-// lockSchemes lists the accepted LockSpec.Scheme values.
-var lockSchemes = []string{"ril", "lut", "xor", "sarlock", "antisat", "sfll", "caslock", "meso"}
 
 // Validate rejects malformed specs at submission time, before anything
 // is persisted or queued.
@@ -200,12 +204,10 @@ func (l *LockSpec) validate() error {
 	if strings.TrimSpace(l.Bench) == "" {
 		return fmt.Errorf("serve: lock: empty bench")
 	}
-	for _, s := range lockSchemes {
-		if l.Scheme == s {
-			return nil
-		}
+	if !slices.Contains(baselines.SchemeNames(), l.Scheme) {
+		return fmt.Errorf("serve: lock: unknown scheme %q", l.Scheme)
 	}
-	return fmt.Errorf("serve: lock: unknown scheme %q", l.Scheme)
+	return nil
 }
 
 // clampPriority folds an out-of-range priority into bounds instead of
