@@ -65,8 +65,9 @@ func ParseKey(name, text string) (map[string]bool, error) {
 		}
 		k, bit, ok := strings.Cut(line, "=")
 		k, bit = strings.TrimSpace(k), strings.TrimSpace(bit)
+		_, dup := key[k]
 		var err error
-		switch _, dup := key[k]; {
+		switch {
 		case !ok || strings.Contains(bit, "="):
 			err = fmt.Errorf("want name=bit, got %q", line)
 		case k == "":

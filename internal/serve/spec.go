@@ -102,9 +102,8 @@ type AttackSpec struct {
 type LockSpec struct {
 	// Bench is the original netlist in .bench text.
 	Bench string `json:"bench"`
-	// Scheme names an entry of the lock-scheme table
-	// (baselines.SchemeNames): ril, lut, xor, sarlock, antisat, sfll,
-	// caslock, meso.
+	// Scheme names an entry of the lock-scheme table,
+	// baselines.SchemeNames: the names cmd/locker's -scheme takes.
 	Scheme string `json:"scheme"`
 	// Size is the RIL block geometry, e.g. "8x8" (ril only).
 	Size string `json:"size,omitempty"`
