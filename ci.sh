@@ -36,7 +36,10 @@
 # sweep, with real solver work, runs cold then warm against one
 # -cache-dir, the warm run must be byte-identical, all hits and at
 # least 5x faster, with the timings published as
-# .bench_build/ci/BENCH_9.json — and the rild daemon gate: a
+# .bench_build/ci/BENCH_9.json; then Table V runs cold and warm
+# against a fresh -cache-dir, and the warm run must print the cold
+# run's bytes with 0 misses and one hit per cold store — and the rild
+# daemon gate: a
 # race-built cmd/rild serves a 200-job load flood with zero lost or
 # duplicated results, answers well-formed /metrics whose counters
 # match the load, and drains clean (exit 0, no temp litter) on
@@ -410,6 +413,40 @@ if [ "$ok" != 1 ]; then
     echo "ci: warm sweep only ${speedup}x faster than cold (gate: 5x)" >&2
     exit 1
 fi
+
+# Table V: each (attack, scheme) cell that queries an oracle or calls
+# the solver is a cached sweep job, so a warm run against the cache the
+# cold run filled prints the same bytes with 0 misses, one hit per
+# cold store.
+t5_cache="$tmp/t5cache"
+t5_cmd() {
+    "$tmp/rilbench" -exp table5 -scale 0.12 -timeout 500ms -seed 1 \
+        -cache-dir "$t5_cache" > "$tmp/t5_$1.out" 2> "$tmp/t5_$1.err"
+}
+# "rilbench: cache: H hits, M misses (I invalidated), S stores ..." ->
+# "H M S".
+t5_summary() {
+    awk -F'cache: ' '/rilbench: cache:/ { print $2 }' "$tmp/t5_$1.err" \
+        | awk '{ gsub(",", ""); print $1, $3, $7 }'
+}
+t5_cmd cold
+t5_cmd warm
+cmp -s "$tmp/t5_cold.out" "$tmp/t5_warm.out" || {
+    echo "ci: warm Table V differs from cold Table V" >&2
+    diff "$tmp/t5_cold.out" "$tmp/t5_warm.out" >&2 || true
+    exit 1
+}
+set -- $(t5_summary cold)
+t5_stores=${3:-0}
+set -- $(t5_summary warm)
+t5_hits=${1:-0}
+t5_misses=${2:-mis}
+if [ "$t5_hits" = 0 ] || [ "$t5_hits" != "$t5_stores" ] || [ "$t5_misses" != 0 ]; then
+    echo "ci: warm Table V was not answered from cache ($t5_hits hits, $t5_misses misses, $t5_stores cold stores):" >&2
+    cat "$tmp/t5_cold.err" "$tmp/t5_warm.err" >&2
+    exit 1
+fi
+echo "ci: warm Table V byte-identical, ${t5_hits}/${t5_stores} hits, 0 misses"
 
 echo "== rild daemon gate: load, metrics, drain =="
 # The service daemon, built with the race detector, is flooded with

@@ -21,6 +21,10 @@
 //	netlint -scan chains.json -json locked.bench
 //	netlint -json -analyzers comb-cycle,key-influence locked.bench
 //
+// A -key file may leave key inputs out, but every name it gives must be
+// a key input (by -keyprefix) of each linted netlist: a key written for
+// another netlist exits 2.
+//
 // The -scan file is the JSON form of netlint.ScanSpec:
 //
 //	{"chains": [{"name": "...", "width": 2, "cells": ["...", "..."], "key_chain": false}]}
@@ -120,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	failed := false
 	var results []*netlint.Result
 	for _, path := range files {
-		res, err := lintFile(path, opts, analyzers)
+		res, err := lintFile(path, opts, *keyFile, analyzers)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -179,7 +183,7 @@ func printText(w io.Writer, path string, res *netlint.Result, threshold netlint.
 	}
 }
 
-func lintFile(path string, opts netlint.Options, analyzers []*netlint.Analyzer) (*netlint.Result, error) {
+func lintFile(path string, opts netlint.Options, keyFile string, analyzers []*netlint.Analyzer) (*netlint.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -191,7 +195,38 @@ func lintFile(path string, opts netlint.Options, analyzers []*netlint.Analyzer) 
 	if err != nil {
 		return nil, err
 	}
+	if err := checkKeyNames(nl, path, opts, keyFile); err != nil {
+		return nil, err
+	}
 	return netlint.Run(nl, opts, analyzers...)
+}
+
+// checkKeyNames rejects a key file written for another netlist: every
+// name it gives must be a key input of nl (read from path), by the key
+// prefix. A key may leave key inputs out, since const-lut evaluates
+// only the LUTs whose key values it is given.
+func checkKeyNames(nl *netlist.Netlist, path string, opts netlint.Options, keyFile string) error {
+	prefix := opts.KeyPrefix
+	if prefix == "" {
+		prefix = "keyinput"
+	}
+	isKey := make(map[string]bool, len(nl.Inputs))
+	for _, id := range nl.Inputs {
+		if name := nl.Gates[id].Name; strings.HasPrefix(name, prefix) {
+			isKey[name] = true
+		}
+	}
+	var unknown []string
+	for name := range opts.Key {
+		if !isKey[name] {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("key %s: %q is not a key input of %s", keyFile, unknown[0], path)
 }
 
 // expandPaths resolves files, directories and Go-style dir/...

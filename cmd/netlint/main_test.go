@@ -35,6 +35,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad-analyzer", []string{"-analyzers", "nope", "testdata/clean.bench"}, 2},
 		{"bad-scan-json", []string{"-scan", "testdata/audit_redundant.bench", "testdata/clean.bench"}, 2},
 		{"bad-key-bit", []string{"-key", "testdata/badbit.key", "testdata/clean.bench"}, 2},
+		{"foreign-key", []string{"-key", "testdata/foreign.key", "testdata/clean.bench"}, 2},
 		{"list", []string{"-list"}, 0},
 		// Error findings fail the run even when the severity filter
 		// hides them from the text output.

@@ -11,16 +11,10 @@
 // Pass -cache-dir to memoize attack-table cells in the authenticated
 // result cache: a repeated run with identical inputs is served from
 // disk without re-running oracles or solvers (-no-cache bypasses,
-// -cache-max caps the size GC enforces on exit).
-//
-// Not every flag reaches every experiment. -jobs and
-// -checkpoint-dir/-resume reach the experiments that run on the sweep
-// runner: table1, table3, satruntime, dip, ablation, onehot, lutsize
-// and audit. -cache-dir reaches table1, table3, satruntime and dip
-// only, and -portfolio the SAT-attack cells of table1, table3 and
-// satruntime only. table5, fig1, sensitize and dynamic run their
-// attacks serially: they ignore all four flags, and they notice
-// SIGINT only when the table ends.
+// -cache-max caps the size GC enforces on exit). Every attack table
+// runs its cells on the sweep runner, so -jobs, -checkpoint-dir/-resume,
+// -cache-dir and -portfolio reach every experiment that runs an
+// attack, and SIGINT stops such a table at its next cell.
 //
 // Runtimes are scaled: the paper used a 5-day timeout on full-size
 // benchmarks; pass -scale 1.0 -timeout 120h to approximate that run.
@@ -45,15 +39,11 @@ import (
 	"repro/internal/report"
 )
 
-// sweepExps names the experiments that run on the sweep runner, the
-// only ones -jobs and -checkpoint-dir reach.
-const sweepExps = "table1, table3, satruntime, dip, ablation, onehot, lutsize and audit"
-
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|table3|table4|table5|fig1|fig5|fig6|overhead|psca|satruntime|dip|ablation|onehot|sensitize|ppa|lutsize|dynamic|audit|all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(expNames(), "|")+"|all")
 		timeout = flag.Duration("timeout", 2*time.Second, "SAT-attack timeout per run (paper: 120h)")
-		jobs    = flag.Int("jobs", 0, "parallel attack workers for "+sweepExps+" (0 = all CPUs, 1 = sequential)")
+		jobs    = flag.Int("jobs", 0, "parallel attack workers (0 = all CPUs, 1 = sequential)")
 		scale   = flag.Float64("scale", 0.25, "benchmark circuit scale in (0,1]")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		counts  = flag.String("counts", "1,2,3,4,5,10,25,50,75,100", "Table I block counts")
@@ -62,14 +52,13 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir = flag.String("json", "", "also write each table as JSON into this directory")
 		nolint  = flag.Bool("nolint", false, "skip the netlint gate on freshly locked circuits")
-		ckptDir = flag.String("checkpoint-dir", "", "persist the sweep manifests of "+sweepExps+" under this directory")
+		ckptDir = flag.String("checkpoint-dir", "", "persist every attack table's sweep manifest under this directory")
 		resume  = flag.Bool("resume", false, "resume from -checkpoint-dir: skip table cells already recorded done")
-		pfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per solver call in the SAT-attack cells of table1, table3 and satruntime (<2 = sequential)")
+		pfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per solver call in the SAT-attack cells (<2 = sequential)")
 		circs   = flag.String("circuit", "", "comma-separated circuits for -exp satruntime: ISCAS profile names and/or .bench file paths")
 	)
 	var cacheFlags cache.Flags
 	cacheFlags.Register(flag.CommandLine)
-	flag.Lookup("cache-dir").Usage += "; read by table1, table3, satruntime and dip only"
 	flag.Parse()
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "rilbench: -resume requires -checkpoint-dir")
@@ -123,150 +112,155 @@ var csvOut, jsonOut string
 
 var csvSeq int
 
-func run(exp string, cfg report.AttackConfig, countsCSV, circs string, mc, traces int) error {
-	show := func(t *report.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Println(t.String())
-		if csvOut != "" || jsonOut != "" {
-			csvSeq++
-		}
-		if csvOut != "" {
-			name := fmt.Sprintf("%s/%02d_%s.csv", csvOut, csvSeq, slug(t.Title))
-			f, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			if err := t.WriteCSV(f); err != nil {
-				return errors.Join(err, f.Close())
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "rilbench: wrote", name)
-		}
-		if jsonOut != "" {
-			name := fmt.Sprintf("%s/%02d_%s.json", jsonOut, csvSeq, slug(t.Title))
-			f, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(t); err != nil {
-				return errors.Join(err, f.Close())
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "rilbench: wrote", name)
-		}
-		return nil
+// show prints a table and writes its CSV and JSON copies.
+func show(t *report.Table, err error) error {
+	if err != nil {
+		return err
 	}
-	switch exp {
-	case "table1":
-		counts, err := parseCounts(countsCSV)
+	fmt.Println(t.String())
+	if csvOut != "" || jsonOut != "" {
+		csvSeq++
+	}
+	if csvOut != "" {
+		name := fmt.Sprintf("%s/%02d_%s.csv", csvOut, csvSeq, slug(t.Title))
+		f, err := os.Create(name)
 		if err != nil {
 			return err
 		}
-		return show(report.Table1(cfg, counts))
-	case "table2":
-		return show(report.Table2(), nil)
-	case "table3":
-		return show(report.Table3(cfg))
-	case "table4":
-		return show(report.Table4(cfg.Seed))
-	case "table5":
-		return show(report.Table5(cfg))
-	case "fig1":
-		return show(report.Fig1(cfg, 8))
-	case "fig5":
-		return report.Fig5(os.Stdout)
-	case "fig6":
-		t, _ := report.Fig6(mc, cfg.Seed)
+		if err := t.WriteCSV(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "rilbench: wrote", name)
+	}
+	if jsonOut != "" {
+		name := fmt.Sprintf("%s/%02d_%s.json", jsonOut, csvSeq, slug(t.Title))
+		f, err := os.Create(name)
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(t); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "rilbench: wrote", name)
+	}
+	return nil
+}
+
+// args are the flags the experiments read.
+type args struct {
+	cfg              report.AttackConfig
+	countsCSV, circs string
+	mc, traces       int
+}
+
+// experiment is one -exp name; all marks the experiments -exp all runs.
+type experiment struct {
+	name string
+	all  bool
+	run  func(a args) error
+}
+
+// experiments lists every experiment in help order, which is also the
+// order -exp all runs its share in.
+var experiments = []experiment{
+	{"table1", true, func(a args) error {
+		counts, err := parseCounts(a.countsCSV)
+		if err != nil {
+			return err
+		}
+		return show(report.Table1(a.cfg, counts))
+	}},
+	{"table2", true, func(args) error { return show(report.Table2(), nil) }},
+	{"table3", true, func(a args) error { return show(report.Table3(a.cfg)) }},
+	{"table4", true, func(a args) error { return show(report.Table4(a.cfg.Seed)) }},
+	{"table5", true, func(a args) error { return show(report.Table5(a.cfg)) }},
+	{"fig1", true, func(a args) error { return show(report.Fig1(a.cfg, 8)) }},
+	{"fig5", false, func(args) error { return report.Fig5(os.Stdout) }},
+	{"fig6", true, func(a args) error {
+		t, _ := report.Fig6(a.mc, a.cfg.Seed)
 		return show(t, nil)
-	case "overhead":
-		return show(report.OverheadTable(), nil)
-	case "psca":
-		return show(report.PSCATable(traces, 0.05, cfg.Seed))
-	case "satruntime":
-		counts, err := parseCounts(countsCSV)
-		if err != nil {
-			return err
-		}
-		if strings.TrimSpace(circs) == "" {
-			return fmt.Errorf("-exp satruntime requires -circuit")
-		}
-		for _, name := range strings.Split(circs, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			orig, err := loadCircuit(name, cfg.Scale)
-			if err != nil {
-				return err
-			}
-			if err := show(report.SATRuntimeTable(cfg, orig, counts, nil)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "dip":
-		return show(report.DIPGrowth(cfg, []int{4, 6, 8, 10}))
-	case "ablation":
-		return show(report.Ablation(cfg))
-	case "onehot":
-		return show(report.OneHotEncoding(cfg))
-	case "sensitize":
-		return show(report.Sensitization(cfg))
-	case "ppa":
-		return show(report.PPATable(cfg))
-	case "lutsize":
-		return show(report.LUTSizeTable(cfg, 6))
-	case "dynamic":
-		return show(report.DynamicMorphing(cfg, 2))
-	case "audit":
-		return show(report.ResilienceTable(cfg))
-	case "all":
-		counts, err := parseCounts(countsCSV)
-		if err != nil {
-			return err
-		}
-		if err := show(report.Table1(cfg, counts)); err != nil {
-			return err
-		}
-		if err := show(report.Table2(), nil); err != nil {
-			return err
-		}
-		if err := show(report.Table3(cfg)); err != nil {
-			return err
-		}
-		if err := show(report.Table4(cfg.Seed)); err != nil {
-			return err
-		}
-		if err := show(report.Table5(cfg)); err != nil {
-			return err
-		}
-		if err := show(report.Fig1(cfg, 8)); err != nil {
-			return err
-		}
-		t6, _ := report.Fig6(mc, cfg.Seed)
-		if err := show(t6, nil); err != nil {
-			return err
-		}
-		if err := show(report.OverheadTable(), nil); err != nil {
-			return err
-		}
-		if err := show(report.PSCATable(traces, 0.05, cfg.Seed)); err != nil {
-			return err
-		}
-		if err := show(report.Ablation(cfg)); err != nil {
-			return err
-		}
-		return show(report.DynamicMorphing(cfg, 2))
+	}},
+	{"overhead", true, func(args) error { return show(report.OverheadTable(), nil) }},
+	{"psca", true, func(a args) error { return show(report.PSCATable(a.traces, 0.05, a.cfg.Seed)) }},
+	{"satruntime", false, satRuntime},
+	{"dip", false, func(a args) error { return show(report.DIPGrowth(a.cfg, []int{4, 6, 8, 10})) }},
+	{"ablation", true, func(a args) error { return show(report.Ablation(a.cfg)) }},
+	{"onehot", false, func(a args) error { return show(report.OneHotEncoding(a.cfg)) }},
+	{"sensitize", false, func(a args) error { return show(report.Sensitization(a.cfg)) }},
+	{"ppa", false, func(a args) error { return show(report.PPATable(a.cfg)) }},
+	{"lutsize", false, func(a args) error { return show(report.LUTSizeTable(a.cfg, 6)) }},
+	{"dynamic", true, func(a args) error { return show(report.DynamicMorphing(a.cfg, 2)) }},
+	{"audit", false, func(a args) error { return show(report.ResilienceTable(a.cfg)) }},
+}
+
+// expNames lists the experiment names in help order.
+func expNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return names
+}
+
+// selectExps returns the experiments -exp name runs.
+func selectExps(name string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range experiments {
+		if e.name == name || (name == "all" && e.all) {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return out, nil
+}
+
+func run(exp string, cfg report.AttackConfig, countsCSV, circs string, mc, traces int) error {
+	exps, err := selectExps(exp)
+	if err != nil {
+		return err
+	}
+	a := args{cfg: cfg, countsCSV: countsCSV, circs: circs, mc: mc, traces: traces}
+	for _, e := range exps {
+		if err := e.run(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// satRuntime prints the Table I layout for each -circuit.
+func satRuntime(a args) error {
+	counts, err := parseCounts(a.countsCSV)
+	if err != nil {
+		return err
+	}
+	if strings.TrimSpace(a.circs) == "" {
+		return fmt.Errorf("-exp satruntime requires -circuit")
+	}
+	for _, name := range strings.Split(a.circs, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		orig, err := loadCircuit(name, a.cfg.Scale)
+		if err != nil {
+			return err
+		}
+		if err := show(report.SATRuntimeTable(a.cfg, orig, counts, nil)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // loadCircuit resolves one -circuit element: an ISCAS/ITC profile name

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/baselines"
+	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlist"
@@ -41,27 +42,17 @@ func Ablation(cfg AttackConfig) (*Table, error) {
 	}
 	// One sweep job per geometry row; a lock failure renders the row
 	// as n/a rather than failing the table.
+	sum := cache.NetlistSum(orig)
 	var jobs []sweep.Job
 	for _, r := range rows {
-		r := r
-		jobs = append(jobs, sweep.Job{
-			Name: "ablation/" + r.label,
-			Seed: cfg.Seed,
-			Run: func(ctx context.Context, _ int64) (any, error) {
+		jobs = append(jobs, cfg.cell("ablation/"+r.label, "ablation-cell", sum,
+			map[string]any{"blocks": r.blocks, "size": r.size.String()},
+			func(ctx context.Context) (any, error) {
 				res, err := core.Lock(orig, core.Options{Blocks: r.blocks, Size: r.size, Seed: cfg.Seed})
 				if err != nil {
 					return []string{r.label, "n/a", "n/a", "n/a", "n/a"}, nil
 				}
-				bound, err := res.ApplyKey(res.Key)
-				if err != nil {
-					return nil, err
-				}
-				oracle, err := attack.NewSimOracle(bound)
-				if err != nil {
-					return nil, err
-				}
-				ar, err := attack.SATAttack(res.Locked, res.KeyInputPos, oracle,
-					attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
+				ar, err := cfg.satAttack(ctx, res.Locked, res.KeyInputPos, res.Key)
 				if err != nil {
 					return nil, err
 				}
@@ -70,21 +61,9 @@ func Ablation(cfg AttackConfig) (*Table, error) {
 					fmt.Sprintf("%d", ar.Iterations),
 					fmtDuration(ar.Elapsed, ar.Status != attack.KeyFound),
 					ar.Status.String()}, nil
-			},
-		})
+			}))
 	}
-	results, err := runSweep(cfg, "ablation", jobs)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		row, err := cellValue[[]string](res)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return rowTable(t, cfg, "ablation", jobs)
 }
 
 // OneHotEncoding reproduces the §IV-B pre-processing comparison: the
@@ -108,23 +87,15 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 		},
 	}
 
-	row := func(scheme, label string, iterations int, status attack.Status, correct string) []string {
-		return []string{scheme, label, fmt.Sprintf("%d", iterations), status.String(), correct}
-	}
-
-	// The two locks are built once (cheap, deterministic); the four
-	// attacks — the expensive part — run as sweep jobs. The oracles are
-	// shared between the plain and one-hot attacks of each scheme,
-	// which SimOracle's internal locking makes safe.
+	// The two locks and their oracles are built once (cheap,
+	// deterministic); the four attacks — the expensive part — run as
+	// sweep jobs. The plain and one-hot attacks of each scheme share its
+	// oracle, which SimOracle's internal locking makes safe.
 	rl, net, err := baselines.RoutingLock(orig, 8, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	rlBound, err := rl.Netlist.BindInputs(rl.KeyPos, rl.Key)
-	if err != nil {
-		return nil, err
-	}
-	rlOracle, err := attack.NewSimOracle(rlBound)
+	rlOracle, err := activate(rl.Netlist, rl.KeyPos, rl.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -132,74 +103,53 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rilBound, err := ril.ApplyKey(ril.Key)
+	rilOracle, err := activate(ril.Locked, ril.KeyInputPos, ril.Key)
 	if err != nil {
 		return nil, err
 	}
-	rilOracle, err := attack.NewSimOracle(rilBound)
-	if err != nil {
-		return nil, err
-	}
-
-	jobs := []sweep.Job{
-		{Name: "onehot/routing/plain", Seed: cfg.Seed, Run: func(ctx context.Context, _ int64) (any, error) {
-			plain, err := attack.SATAttack(rl.Netlist, rl.KeyPos, rlOracle,
-				attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
-			if err != nil {
-				return nil, err
-			}
-			return row("routing-only 8x8", "plain SAT", plain.Iterations, plain.Status,
-				verdict(rl.Netlist, rl.KeyPos, plain.Key, plain.Status, rlOracle)), nil
-		}},
-		{Name: "onehot/routing/onehot", Seed: cfg.Seed, Run: func(ctx context.Context, _ int64) (any, error) {
-			hints := []attack.RoutingHint{attack.HintFromRoutingNetwork(net.Width, net.InputNames, net.OutputNames, net.KeyPos)}
-			oh, err := attack.SATAttackOneHot(rl.Netlist, rl.KeyPos, hints, rlOracle,
-				attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
-			if err != nil {
-				return nil, err
-			}
-			ohKey := oh.Key
-			if !oh.Realizable {
-				ohKey = nil
-			}
-			return row("routing-only 8x8", "one-hot SAT", oh.SAT.Iterations, oh.SAT.Status,
-				verdict(rl.Netlist, rl.KeyPos, ohKey, oh.SAT.Status, rlOracle)), nil
-		}},
-		{Name: "onehot/ril/plain", Seed: cfg.Seed, Run: func(ctx context.Context, _ int64) (any, error) {
-			plain2, err := attack.SATAttack(ril.Locked, ril.KeyInputPos, rilOracle,
-				attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
-			if err != nil {
-				return nil, err
-			}
-			return row("RIL 2x 8x8x8", "plain SAT", plain2.Iterations, plain2.Status,
-				verdict(ril.Locked, ril.KeyInputPos, plain2.Key, plain2.Status, rilOracle)), nil
-		}},
-		{Name: "onehot/ril/onehot", Seed: cfg.Seed, Run: func(ctx context.Context, _ int64) (any, error) {
-			oh2, err := attack.SATAttackOneHot(ril.Locked, ril.KeyInputPos, attack.HintsFromRIL(ril), rilOracle,
-				attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
-			if err != nil {
-				return nil, err
-			}
-			oh2Key := oh2.Key
-			if !oh2.Realizable {
-				oh2Key = nil
-			}
-			return row("RIL 2x 8x8x8", "one-hot SAT", oh2.SAT.Iterations, oh2.SAT.Status,
-				verdict(ril.Locked, ril.KeyInputPos, oh2Key, oh2.SAT.Status, rilOracle)), nil
-		}},
-	}
-	results, err := runSweep(cfg, "onehot", jobs)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		row, err := cellValue[[]string](res)
-		if err != nil {
-			return nil, err
+	sum := cache.NetlistSum(orig)
+	var jobs []sweep.Job
+	for _, s := range []struct {
+		scheme, label string
+		lock          map[string]any // the lock's parameters, for the cell keys
+		nl            *netlist.Netlist
+		keyPos        []int
+		oracle        *attack.SimOracle
+		hints         []attack.RoutingHint
+	}{
+		{"routing", "routing-only 8x8", map[string]any{"width": 8}, rl.Netlist, rl.KeyPos, rlOracle,
+			[]attack.RoutingHint{attack.HintFromRoutingNetwork(net.Width, net.InputNames, net.OutputNames, net.KeyPos)}},
+		{"ril", "RIL 2x 8x8x8", map[string]any{"blocks": 2, "size": core.Size8x8x8.String()}, ril.Locked, ril.KeyInputPos, rilOracle,
+			attack.HintsFromRIL(ril)},
+	} {
+		row := func(label string, res *attack.SATResult, key []bool) []string {
+			return []string{s.label, label, fmt.Sprintf("%d", res.Iterations), res.Status.String(),
+				verdict(s.nl, s.keyPos, key, res.Status, s.oracle)}
 		}
-		t.AddRow(row...)
+		opts := func(attack string) map[string]any {
+			return map[string]any{"scheme": s.scheme, "lock": s.lock, "attack": attack}
+		}
+		jobs = append(jobs,
+			cfg.cell("onehot/"+s.scheme+"/plain", "onehot-cell", sum, opts("plain"), func(ctx context.Context) (any, error) {
+				plain, err := attack.SATAttack(s.nl, s.keyPos, s.oracle, cfg.satOptions(ctx))
+				if err != nil {
+					return nil, err
+				}
+				return row("plain SAT", plain, plain.Key), nil
+			}),
+			cfg.cell("onehot/"+s.scheme+"/onehot", "onehot-cell", sum, opts("onehot"), func(ctx context.Context) (any, error) {
+				oh, err := attack.SATAttackOneHot(s.nl, s.keyPos, s.hints, s.oracle, cfg.satOptions(ctx))
+				if err != nil {
+					return nil, err
+				}
+				key := oh.Key
+				if !oh.Realizable {
+					key = nil
+				}
+				return row("one-hot SAT", oh.SAT, key), nil
+			}))
 	}
-	return t, nil
+	return rowTable(t, cfg, "onehot", jobs)
 }
 
 // Sensitization compares the key-sensitization attack (the paper's
@@ -218,44 +168,36 @@ func Sensitization(cfg AttackConfig) (*Table, error) {
 		Title:  "Key sensitization: golden-pattern leakage, XOR locking vs RIL-Blocks",
 		Header: []string{"scheme", "key bits", "resolved", "oracle queries"},
 	}
-	xor, err := baselines.XORLock(orig, 10, cfg.Seed)
-	if err != nil {
-		return nil, err
+	sum := cache.NetlistSum(orig)
+	var jobs []sweep.Job
+	for _, s := range []struct {
+		label, scheme string
+		params        baselines.Params
+		budget        int // Sensitize's per-bit budget
+	}{
+		{"XOR lock", "xor", baselines.Params{KeyBits: 10, Seed: cfg.Seed}, 16},
+		{"RIL 8x8", "ril", baselines.Params{Size: "8x8", Blocks: 1, Seed: cfg.Seed}, 4},
+	} {
+		jobs = append(jobs, cfg.cell("sensitize/"+s.scheme, "sensitize-cell", sum,
+			map[string]any{"scheme": s.scheme, "lock": s.params, "budget": s.budget},
+			func(context.Context) (any, error) {
+				l, _, err := baselines.LockScheme(s.scheme, orig, s.params)
+				if err != nil {
+					return nil, err
+				}
+				oracle, err := activate(l.Netlist, l.KeyPos, l.Key)
+				if err != nil {
+					return nil, err
+				}
+				r, err := attack.Sensitize(l.Netlist, l.KeyPos, oracle, s.budget, cfg.Timeout)
+				if err != nil {
+					return nil, err
+				}
+				return []string{s.label, fmt.Sprintf("%d", l.KeyBits()),
+					fmt.Sprintf("%d", r.Resolved), fmt.Sprintf("%d", r.Queries)}, nil
+			}))
 	}
-	xb, err := xor.Netlist.BindInputs(xor.KeyPos, xor.Key)
-	if err != nil {
-		return nil, err
-	}
-	xOracle, err := attack.NewSimOracle(xb)
-	if err != nil {
-		return nil, err
-	}
-	xr, err := attack.Sensitize(xor.Netlist, xor.KeyPos, xOracle, 16, cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("XOR lock", fmt.Sprintf("%d", xor.KeyBits()),
-		fmt.Sprintf("%d", xr.Resolved), fmt.Sprintf("%d", xr.Queries))
-
-	ril, err := core.Lock(orig, core.Options{Blocks: 1, Size: core.Size8x8, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	rb, err := ril.ApplyKey(ril.Key)
-	if err != nil {
-		return nil, err
-	}
-	rOracle, err := attack.NewSimOracle(rb)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := attack.Sensitize(ril.Locked, ril.KeyInputPos, rOracle, 4, cfg.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("RIL 8x8", fmt.Sprintf("%d", ril.KeyBits()),
-		fmt.Sprintf("%d", rr.Resolved), fmt.Sprintf("%d", rr.Queries))
-	return t, nil
+	return rowTable(t, cfg, "sensitize", jobs)
 }
 
 // verdict renders whether a recovered key matches the oracle. The
@@ -297,75 +239,64 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 		Header: []string{"mode", "DIPs", "oracle queries", "epochs", "result", "functional key?"},
 	}
 
-	run := func(label string, dynamic bool) error {
-		res, err := core.Lock(orig, core.Options{
-			Blocks: 1, Size: core.Size8x8, Seed: cfg.Seed, ScanEnable: true,
-		})
-		if err != nil {
-			return err
-		}
-		var oracle attack.Oracle
-		var dyn *core.DynamicOracle
-		if dynamic {
-			dyn, err = core.NewDynamicOracle(res, epochQueries, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			oracle = dyn
-		} else {
-			sv, err := res.ScanView()
-			if err != nil {
-				return err
-			}
-			bound, err := sv.BindInputs(res.KeyInputPos, res.Key)
-			if err != nil {
-				return err
-			}
-			oracle, err = attack.NewSimOracle(bound)
-			if err != nil {
-				return err
-			}
-		}
-		ar, err := attack.SATAttack(res.Locked, res.KeyInputPos, oracle,
-			attack.SATOptions{Timeout: cfg.Timeout})
-		if err != nil {
-			return err
-		}
-		// Snapshot before key validation: the column must report what
-		// the attack spent, not the validation patterns (which run
-		// against a separate functional oracle below anyway).
-		attackQueries := oracle.Queries()
-		funcKey := "no"
-		if ar.Status == attack.KeyFound {
-			fBound, err := res.ApplyKey(res.Key)
-			if err != nil {
-				return err
-			}
-			funcOracle, err := attack.NewSimOracle(fBound)
-			if err != nil {
-				return err
-			}
-			e, err := attack.VerifyKey(res.Locked, res.KeyInputPos, ar.Key, funcOracle, 8, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			if e == 0 {
-				funcKey = "yes"
-			}
-		}
-		epochs := "0"
-		if dyn != nil {
-			epochs = fmt.Sprintf("%d", dyn.Epochs())
-		}
-		t.AddRow(label, fmt.Sprintf("%d", ar.Iterations), fmt.Sprintf("%d", attackQueries),
-			epochs, ar.Status.String(), funcKey)
-		return nil
+	sum := cache.NetlistSum(orig)
+	lock := core.Options{Blocks: 1, Size: core.Size8x8, Seed: cfg.Seed, ScanEnable: true}
+	var jobs []sweep.Job
+	for _, m := range []struct {
+		oracle, label string
+		epoch         int // queries per morph epoch; 0 = the static scan oracle
+	}{
+		{"static", "static scan oracle", 0},
+		{"morphing", fmt.Sprintf("morphing every %d queries", epochQueries), epochQueries},
+	} {
+		jobs = append(jobs, cfg.cell("dynamic/"+m.oracle, "dynamic-morphing-cell", sum,
+			map[string]any{"lock": lock, "epoch_queries": m.epoch},
+			func(ctx context.Context) (any, error) {
+				res, err := core.Lock(orig, lock)
+				if err != nil {
+					return nil, err
+				}
+				var oracle attack.Oracle
+				var dyn *core.DynamicOracle
+				if m.epoch > 0 {
+					if dyn, err = core.NewDynamicOracle(res, m.epoch, cfg.Seed); err != nil {
+						return nil, err
+					}
+					oracle = dyn
+				} else {
+					sv, err := res.ScanView()
+					if err != nil {
+						return nil, err
+					}
+					if oracle, err = activate(sv, res.KeyInputPos, res.Key); err != nil {
+						return nil, err
+					}
+				}
+				ar, err := attack.SATAttack(res.Locked, res.KeyInputPos, oracle, cfg.satOptions(ctx))
+				if err != nil {
+					return nil, err
+				}
+				// Snapshot before key validation: the column must report
+				// what the attack spent, not the validation patterns
+				// (which run against a separate functional oracle anyway).
+				attackQueries := oracle.Queries()
+				funcKey := "no"
+				if ar.Status == attack.KeyFound {
+					e, err := functionalError(res, ar.Key, cfg.Seed)
+					if err != nil {
+						return nil, err
+					}
+					if e == 0 {
+						funcKey = "yes"
+					}
+				}
+				epochs := 0
+				if dyn != nil {
+					epochs = dyn.Epochs()
+				}
+				return []string{m.label, fmt.Sprintf("%d", ar.Iterations), fmt.Sprintf("%d", attackQueries),
+					fmt.Sprintf("%d", epochs), ar.Status.String(), funcKey}, nil
+			}))
 	}
-	if err := run("static scan oracle", false); err != nil {
-		return nil, err
-	}
-	if err := run(fmt.Sprintf("morphing every %d queries", epochQueries), true); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return rowTable(t, cfg, "dynamic", jobs)
 }

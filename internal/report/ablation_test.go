@@ -13,10 +13,7 @@ func TestAblationShape(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = time.Second
-	tb, err := Ablation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, Ablation)
 	if len(tb.Rows) != 5 {
 		t.Fatalf("ablation rows = %d, want 5", len(tb.Rows))
 	}
@@ -37,10 +34,7 @@ func TestOneHotEncodingTable(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Scale = 0.1
 	cfg.Timeout = 2 * time.Second
-	tb, err := OneHotEncoding(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, OneHotEncoding)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("one-hot rows = %d, want 4", len(tb.Rows))
 	}
@@ -57,10 +51,7 @@ func TestDynamicMorphingTable(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = 3 * time.Second
-	tb, err := DynamicMorphing(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, func(cfg AttackConfig) (*Table, error) { return DynamicMorphing(cfg, 2) })
 	if len(tb.Rows) != 2 {
 		t.Fatalf("dynamic rows = %d, want 2", len(tb.Rows))
 	}

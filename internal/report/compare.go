@@ -34,37 +34,180 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 		Title:  "Fig. 1: SAT-attack runtime, MESO encoding vs LUT-2 re-encoding (same gates)",
 		Header: []string{"encoding", "key bits", "extra gates", "DIPs", "runtime (s)"},
 	}
-	run := func(l *baselines.Locked, err error) error {
-		if err != nil {
-			return err
-		}
-		bound, err := l.Netlist.BindInputs(l.KeyPos, l.Key)
-		if err != nil {
-			return err
-		}
-		oracle, err := attack.NewSimOracle(bound)
-		if err != nil {
-			return err
-		}
-		res, err := attack.SATAttack(l.Netlist, l.KeyPos, oracle, attack.SATOptions{Timeout: cfg.Timeout})
-		if err != nil {
-			return err
-		}
-		rt := fmtDuration(res.Elapsed, res.Status != attack.KeyFound)
-		t.AddRow(l.Scheme,
-			fmt.Sprintf("%d", l.KeyBits()),
-			fmt.Sprintf("%d", l.Netlist.NumLogicGates()-orig.NumLogicGates()),
-			fmt.Sprintf("%d", res.Iterations),
-			rt)
-		return nil
+	sum := cache.NetlistSum(orig)
+	var jobs []sweep.Job
+	for _, enc := range []struct {
+		name string
+		lock func(*netlist.Netlist, int, int64) (*baselines.Locked, error)
+	}{
+		{"meso", baselines.MESOLock},
+		{"meso-as-lut2", baselines.MESOAsLUT2},
+	} {
+		jobs = append(jobs, cfg.cell("fig1/"+enc.name, "fig1-encoding-cell", sum,
+			map[string]any{"encoding": enc.name, "gates": nGates},
+			func(ctx context.Context) (any, error) {
+				l, err := enc.lock(orig, nGates, cfg.Seed)
+				if err != nil {
+					return nil, err
+				}
+				res, err := cfg.satAttack(ctx, l.Netlist, l.KeyPos, l.Key)
+				if err != nil {
+					return nil, err
+				}
+				return []string{l.Scheme,
+					fmt.Sprintf("%d", l.KeyBits()),
+					fmt.Sprintf("%d", l.Netlist.NumLogicGates()-orig.NumLogicGates()),
+					fmt.Sprintf("%d", res.Iterations),
+					fmtDuration(res.Elapsed, res.Status != attack.KeyFound)}, nil
+			}))
 	}
-	if err := run(baselines.MESOLock(orig, nGates, cfg.Seed)); err != nil {
-		return nil, err
+	return rowTable(t, cfg, "fig1", jobs)
+}
+
+// matrixColumn is one Table V scheme. Its lock is built once and only
+// read by the column's cell jobs, which may run concurrently; each job
+// activates oracles of its own, since a batched query's answer buffer
+// belongs to one caller at a time.
+type matrixColumn struct {
+	name, scheme string
+	params       baselines.Params // fixes the lock: every cell key carries it
+	lock         *baselines.Locked
+	ril          *core.Result     // the proposed scheme only
+	scan         *netlist.Netlist // ril's scan-mode view, what the scan chain shows
+}
+
+// matrixColumns locks orig with Table V's schemes, in column order: five
+// baselines through the scheme table, then the proposed scheme with
+// scan-enable obfuscation.
+func matrixColumns(orig *netlist.Netlist, seed int64) ([]*matrixColumn, error) {
+	cols := []*matrixColumn{
+		{name: "SFLL-HD", scheme: "sfll", params: baselines.Params{KeyBits: 12}},
+		{name: "MESO", scheme: "meso", params: baselines.Params{Blocks: 4}},
+		{name: "CAS-Lock", scheme: "caslock", params: baselines.Params{KeyBits: 8}},
+		{name: "LUT-lock", scheme: "lut", params: baselines.Params{Blocks: 6}},
+		{name: "XOR", scheme: "xor", params: baselines.Params{KeyBits: 10}},
+		{name: "RIL (proposed)", scheme: "ril", params: baselines.Params{Size: "8x8x8", Blocks: 2, Scan: true}},
 	}
-	if err := run(baselines.MESOAsLUT2(orig, nGates, cfg.Seed)); err != nil {
-		return nil, err
+	for _, c := range cols {
+		c.params.Seed = seed
+		var err error
+		if c.scheme != "ril" {
+			if c.lock, _, err = baselines.LockScheme(c.scheme, orig, c.params); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		size, err := core.ParseSize(c.params.Size)
+		if err != nil {
+			return nil, err
+		}
+		c.ril, err = core.Lock(orig, core.Options{Blocks: c.params.Blocks, Size: size, Seed: seed, ScanEnable: c.params.Scan})
+		if err != nil {
+			return nil, err
+		}
+		if c.scan, err = c.ril.ScanView(); err != nil {
+			return nil, err
+		}
+		c.lock = &baselines.Locked{Scheme: "ril", Netlist: c.ril.Locked, KeyPos: c.ril.KeyInputPos, Key: c.ril.Key}
 	}
-	return t, nil
+	return cols, nil
+}
+
+// equivalent proves a circuit equal to the column's activated lock
+// within the budget. Undecided counts as not equal: the attacker cannot
+// confirm a recovery either.
+func (c *matrixColumn) equivalent(nl *netlist.Netlist, timeout time.Duration) (bool, error) {
+	truth, err := c.lock.Netlist.BindInputs(c.lock.KeyPos, c.lock.Key)
+	if err != nil {
+		return false, err
+	}
+	eq, _, err := attack.EquivalentSAT(nl, truth, timeout)
+	return err == nil && eq, nil
+}
+
+// matrixRows are Table V's attacks, in row order. resists runs one
+// cell's attack and reports whether the column's scheme survives it;
+// scanOnly rows apply only to the scan-obfuscated scheme, and the power
+// row (no resists) is drawn outside the sweep by powerMarks.
+var matrixRows = []struct {
+	label, attack string
+	rounds        int // AppSAT's outer-loop bound, part of its cells' keys
+	scanOnly      bool
+	resists       func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error)
+}{
+	{"SAT attack", "sat", 0, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+		res, err := cfg.satAttack(ctx, c.lock.Netlist, c.lock.KeyPos, c.lock.Key)
+		if err != nil {
+			return false, err
+		}
+		// Resilient when the attack times out or the DIP count grows
+		// exponentially in the key width (point-function behaviour).
+		threshold := 1 << min(c.lock.KeyBits()/2, 20)
+		return res.Status != attack.KeyFound || res.Iterations >= threshold, nil
+	}},
+	{"AppSAT", "appsat", appSATRounds, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+		// The proposed scheme answers through its scan chain.
+		view := c.lock.Netlist
+		if c.scan != nil {
+			view = c.scan
+		}
+		oracle, err := activate(view, c.lock.KeyPos, c.lock.Key)
+		if err != nil {
+			return false, err
+		}
+		ar, err := attack.AppSAT(c.lock.Netlist, c.lock.KeyPos, oracle, cfg.appSATOptions(ctx))
+		if err != nil || ar.Status != attack.KeyFound {
+			return true, err
+		}
+		// Point-function corruption is a needle random sampling
+		// misses; require a SAT proof that the recovered key's
+		// circuit equals the activated one.
+		cand, err := c.lock.Netlist.BindInputs(c.lock.KeyPos, ar.Key)
+		if err != nil {
+			return false, err
+		}
+		broken, err := c.equivalent(cand, cfg.Timeout)
+		return !broken, err
+	}},
+	// Power side channel: CPA on the scheme's key-storage cell.
+	{"Power side channel", "power", 0, false, nil},
+	// Removal: the structural bypass strips key-dependent flip logic;
+	// the scheme is broken when the stripped circuit is provably
+	// equivalent to the activated oracle.
+	{"Removal attack", "removal", 0, false, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+		stripped, err := attack.StructuralRemoval(c.lock.Netlist, c.lock.KeyPos, cfg.Seed)
+		if err != nil {
+			return false, err
+		}
+		broken, err := c.equivalent(stripped, cfg.Timeout)
+		return !broken, err
+	}},
+	{"ScanSAT", "scansat", 0, true, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+		scanOracle, err := activate(c.scan, c.lock.KeyPos, c.lock.Key)
+		if err != nil {
+			return false, err
+		}
+		funcOracle, err := activate(c.lock.Netlist, c.lock.KeyPos, c.lock.Key)
+		if err != nil {
+			return false, err
+		}
+		var luts []string
+		for _, blk := range c.ril.Blocks {
+			luts = append(luts, blk.LUTOut...)
+		}
+		sr, err := attack.ScanSAT(c.lock.Netlist, c.lock.KeyPos, luts, scanOracle, funcOracle, cfg.satOptions(ctx))
+		if err != nil {
+			return false, err
+		}
+		return sr.Defeated, nil
+	}},
+	// Shift and scan: the proposed scheme keeps key registers on a
+	// separate secure-cell chain with a gated scan-out (§IV-C); the
+	// attack model measures how many key bits leak beyond guessing.
+	{"Shift and scan", "shift-scan", 0, true, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+		learned, err := core.ShiftAndScanAttack(c.ril, cfg.Seed)
+		return learned == 0, err
+	}},
 }
 
 // Table5 reproduces the paper's comparison matrix: which schemes
@@ -72,76 +215,22 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 // attack on a small locked instance (not transcribed from the paper).
 // Marks: "Y" resilient, "x" broken, "-" not applicable.
 func Table5(cfg AttackConfig) (*Table, error) {
-	gates := int(2500 * cfg.Scale)
-	if gates < 500 {
-		gates = 500 // two 8x8x8 blocks need enough compatible gates
-	}
 	orig, err := netlist.Random(netlist.RandomProfile{
 		Name: "tbl5", Inputs: 14, Outputs: 6,
-		Gates: gates, Locality: 0.6,
+		// Two 8x8x8 blocks need enough compatible gates.
+		Gates: max(int(2500*cfg.Scale), 500), Locality: 0.6,
 	}, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	type scheme struct {
-		name string
-		lock *baselines.Locked
-		ril  *core.Result // non-nil for the proposed scheme
-		mram bool         // key storage is complementary-MRAM
-	}
-	var schemes []scheme
-	addErr := func(name string, l *baselines.Locked, err error, mram bool) error {
-		if err != nil {
-			return fmt.Errorf("report: %s: %w", name, err)
-		}
-		schemes = append(schemes, scheme{name: name, lock: l, mram: mram})
-		return nil
-	}
-	if l, err := baselines.SFLLHD(orig, 12, 0, cfg.Seed); err != nil {
-		return nil, err
-	} else if err := addErr("SFLL-HD", l, nil, false); err != nil {
-		return nil, err
-	}
-	if l, err := baselines.MESOLock(orig, 4, cfg.Seed); err != nil {
-		return nil, err
-	} else if err := addErr("MESO", l, nil, false); err != nil {
-		return nil, err
-	}
-	if l, err := baselines.CASLock(orig, 8, cfg.Seed); err != nil {
-		return nil, err
-	} else if err := addErr("CAS-Lock", l, nil, false); err != nil {
-		return nil, err
-	}
-	if l, err := baselines.LUTLock(orig, 6, cfg.Seed); err != nil {
-		return nil, err
-	} else if err := addErr("LUT-lock", l, nil, false); err != nil {
-		return nil, err
-	}
-	if l, err := baselines.XORLock(orig, 10, cfg.Seed); err != nil {
-		return nil, err
-	} else if err := addErr("XOR", l, nil, false); err != nil {
-		return nil, err
-	}
-	// The proposed scheme, with scan-enable obfuscation.
-	rilRes, err := core.Lock(orig, core.Options{
-		Blocks: 2, Size: core.Size8x8x8, Seed: cfg.Seed, ScanEnable: true,
-	})
+	cols, err := matrixColumns(orig, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	schemes = append(schemes, scheme{
-		name: "RIL (proposed)",
-		lock: &baselines.Locked{
-			Scheme:  "ril",
-			Netlist: rilRes.Locked,
-			KeyPos:  rilRes.KeyInputPos,
-			Key:     rilRes.Key,
-		},
-		ril:  rilRes,
-		mram: true,
-	})
-
+	power, err := powerMarks(cols, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Table V: measured attack resilience (Y resilient, x broken, - n/a)",
 		Header: []string{"attack"},
@@ -150,96 +239,57 @@ func Table5(cfg AttackConfig) (*Table, error) {
 			"SAT resilience = timeout or exponential DIP growth in the key length",
 		},
 	}
-	for _, s := range schemes {
-		t.Header = append(t.Header, s.name)
+	for _, c := range cols {
+		t.Header = append(t.Header, c.name)
 	}
-
-	oracleOf := func(s scheme) (attack.Oracle, error) {
-		bound, err := s.lock.Netlist.BindInputs(s.lock.KeyPos, s.lock.Key)
-		if err != nil {
-			return nil, err
+	// Lay the matrix out, then fill it: "-" where the attack has no
+	// target, the power marks as drawn, and a sweep job for every other
+	// cell, whose mark lands in its slot after the sweep.
+	sum := cache.NetlistSum(orig)
+	var jobs []sweep.Job
+	var slots []*string
+	for _, r := range matrixRows {
+		row := make([]string, 1+len(cols))
+		row[0] = r.label
+		for i, c := range cols {
+			switch {
+			case r.resists == nil:
+				row[1+i] = power[i]
+			case r.scanOnly && c.ril == nil:
+				row[1+i] = "-"
+			default:
+				slots = append(slots, &row[1+i])
+				jobs = append(jobs, cfg.cell("table5/"+r.attack+"/"+c.scheme, "attack-mark-cell", sum,
+					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "scheme": c.scheme, "lock": c.params},
+					func(ctx context.Context) (any, error) {
+						resilient, err := r.resists(ctx, cfg, c)
+						return mark(resilient), err
+					}))
+			}
 		}
-		return attack.NewSimOracle(bound)
+		t.AddRow(row...)
 	}
-
-	// Row: SAT attack.
-	satRow := []string{"SAT attack"}
-	for _, s := range schemes {
-		oracle, err := oracleOf(s)
-		if err != nil {
-			return nil, err
-		}
-		res, err := attack.SATAttack(s.lock.Netlist, s.lock.KeyPos, oracle, attack.SATOptions{Timeout: cfg.Timeout})
-		if err != nil {
-			return nil, err
-		}
-		// Resilient when the attack times out or the DIP count grows
-		// exponentially in the key width (point-function behaviour).
-		threshold := 1 << min(s.lock.KeyBits()/2, 20)
-		resilient := res.Status != attack.KeyFound || res.Iterations >= threshold
-		satRow = append(satRow, mark(resilient))
+	marks, err := runCells[string](cfg, "table5", jobs)
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow(satRow...)
-
-	// Row: AppSAT (against the scan oracle for the proposed scheme).
-	appRow := []string{"AppSAT"}
-	for _, s := range schemes {
-		var oracle attack.Oracle
-		var err error
-		if s.ril != nil {
-			sv, err2 := s.ril.ScanView()
-			if err2 != nil {
-				return nil, err2
-			}
-			svBound, err2 := sv.BindInputs(s.ril.KeyInputPos, s.ril.Key)
-			if err2 != nil {
-				return nil, err2
-			}
-			oracle, err = attack.NewSimOracle(svBound)
-		} else {
-			oracle, err = oracleOf(s)
-		}
-		if err != nil {
-			return nil, err
-		}
-		opt := attack.DefaultAppSAT()
-		opt.Timeout = cfg.Timeout
-		opt.MaxRounds = 16
-		ar, err := attack.AppSAT(s.lock.Netlist, s.lock.KeyPos, oracle, opt)
-		if err != nil {
-			return nil, err
-		}
-		broken := false
-		if ar.Status == attack.KeyFound {
-			// Point-function corruption is a needle random sampling
-			// misses; require a SAT proof that the recovered key's
-			// circuit equals the activated one.
-			cand, err := s.lock.Netlist.BindInputs(s.lock.KeyPos, ar.Key)
-			if err != nil {
-				return nil, err
-			}
-			truth, err := s.lock.Netlist.BindInputs(s.lock.KeyPos, s.lock.Key)
-			if err != nil {
-				return nil, err
-			}
-			eq, _, err := attack.EquivalentSAT(cand, truth, cfg.Timeout)
-			if err != nil {
-				eq = false // undecided: attacker cannot confirm either
-			}
-			broken = eq
-		}
-		appRow = append(appRow, mark(!broken))
+	for i, m := range marks {
+		*slots[i] = m
 	}
-	t.AddRow(appRow...)
+	return t, nil
+}
 
-	// Row: power side channel — CPA on the scheme's key-storage cell
-	// technology (complementary MRAM for the proposed scheme, CMOS/SRAM
-	// for the rest).
-	pscaRow := []string{"Power side channel"}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for _, s := range schemes {
+// powerMarks runs CPA on each column's key-storage cell technology:
+// complementary MRAM for the proposed scheme, CMOS/SRAM for the rest.
+// Every device draws from one stream seeded with seed, in column order,
+// so the row is computed in one piece; it queries no oracle and calls
+// no solver.
+func powerMarks(cols []*matrixColumn, seed int64) ([]string, error) {
+	rng := rand.New(rand.NewSource(seed))
+	marks := make([]string, len(cols))
+	for i, c := range cols {
 		var traces []psca.Trace
-		if s.mram {
+		if c.ril != nil {
 			l := lutsim.Sample(lutsim.DefaultConfig(), mtj.DefaultVariation(), lutsim.DefaultMOSVariation(), rng)
 			l.Configure(logic.AND)
 			traces = psca.CollectMRAM(l, 300, 0.05, rng.Int63())
@@ -252,87 +302,9 @@ func Table5(cfg AttackConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pscaRow = append(pscaRow, mark(!cpa.Recovered(logic.AND)))
+		marks[i] = mark(!cpa.Recovered(logic.AND))
 	}
-	t.AddRow(pscaRow...)
-
-	// Row: removal attack — the structural bypass strips key-dependent
-	// flip logic; the scheme is broken when the stripped circuit is
-	// provably equivalent to the activated oracle.
-	remRow := []string{"Removal attack"}
-	for _, s := range schemes {
-		stripped, err := attack.StructuralRemoval(s.lock.Netlist, s.lock.KeyPos, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		bound, err := s.lock.Netlist.BindInputs(s.lock.KeyPos, s.lock.Key)
-		if err != nil {
-			return nil, err
-		}
-		eq, _, err := attack.EquivalentSAT(stripped, bound, cfg.Timeout)
-		if err != nil {
-			// Equivalence undecided within the timeout: the attacker
-			// cannot confirm a recovery either.
-			eq = false
-		}
-		remRow = append(remRow, mark(!eq))
-	}
-	t.AddRow(remRow...)
-
-	// Row: ScanSAT — only meaningful for scan-obfuscated designs.
-	scanRow := []string{"ScanSAT"}
-	for _, s := range schemes {
-		if s.ril == nil {
-			scanRow = append(scanRow, "-")
-			continue
-		}
-		sv, err := s.ril.ScanView()
-		if err != nil {
-			return nil, err
-		}
-		svBound, err := sv.BindInputs(s.ril.KeyInputPos, s.ril.Key)
-		if err != nil {
-			return nil, err
-		}
-		scanOracle, err := attack.NewSimOracle(svBound)
-		if err != nil {
-			return nil, err
-		}
-		funcOracle, err := oracleOf(s)
-		if err != nil {
-			return nil, err
-		}
-		var luts []string
-		for _, blk := range s.ril.Blocks {
-			luts = append(luts, blk.LUTOut...)
-		}
-		sr, err := attack.ScanSAT(s.lock.Netlist, s.lock.KeyPos, luts, scanOracle, funcOracle,
-			attack.SATOptions{Timeout: cfg.Timeout})
-		if err != nil {
-			return nil, err
-		}
-		scanRow = append(scanRow, mark(sr.Defeated))
-	}
-	t.AddRow(scanRow...)
-
-	// Row: shift-and-scan — the proposed scheme keeps key registers on
-	// a separate secure-cell chain with a gated scan-out (§IV-C); the
-	// attack model measures how many key bits leak beyond guessing.
-	shiftRow := []string{"Shift and scan"}
-	for _, s := range schemes {
-		if s.ril == nil {
-			shiftRow = append(shiftRow, "-")
-			continue
-		}
-		learned, err := core.ShiftAndScanAttack(s.ril, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		shiftRow = append(shiftRow, mark(learned == 0))
-	}
-	t.AddRow(shiftRow...)
-
-	return t, nil
+	return marks, nil
 }
 
 func mark(resilient bool) string {
@@ -357,64 +329,35 @@ func DIPGrowth(cfg AttackConfig, widths []int) (*Table, error) {
 		Header: []string{"key bits", "sarlock DIPs", "xor DIPs"},
 	}
 	sum := cache.NetlistSum(orig)
-	// One sweep job per (width, scheme) cell.
-	type lockFn func() (*baselines.Locked, error)
+	// Each cell runs under its own fixed 30s solver budget, so the key
+	// pins that too (cellKey already folds cfg.Timeout, which these
+	// cells ignore; over-keying only costs hits).
+	budget := cfg
+	budget.Timeout = 30 * time.Second
 	var jobs []sweep.Job
 	for _, w := range widths {
-		w := w
-		for _, mk := range []struct {
-			scheme string
-			lock   lockFn
-		}{
-			{"sarlock", func() (*baselines.Locked, error) { return baselines.SARLock(orig, w, cfg.Seed) }},
-			{"xor", func() (*baselines.Locked, error) { return baselines.XORLock(orig, w, cfg.Seed) }},
-		} {
-			mk := mk
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("dip/%s/%d", mk.scheme, w),
-				Seed: cfg.Seed,
-				// The cell runs under its own fixed 30s solver budget, so
-				// the key pins that too (cellKey already folds cfg.Timeout,
-				// which this cell ignores; over-keying only costs hits).
-				CacheKey: cellKey(cfg, "dip-growth-cell", sum,
-					map[string]any{"scheme": mk.scheme, "width": w, "solver_timeout": "30s"}),
-				Run: func(ctx context.Context, _ int64) (any, error) {
-					l, err := mk.lock()
+		for _, scheme := range []string{"sarlock", "xor"} {
+			jobs = append(jobs, cfg.cell(fmt.Sprintf("dip/%s/%d", scheme, w), "dip-growth-cell", sum,
+				map[string]any{"scheme": scheme, "width": w, "solver_timeout": "30s"},
+				func(ctx context.Context) (any, error) {
+					l, _, err := baselines.LockScheme(scheme, orig, baselines.Params{KeyBits: w, Seed: cfg.Seed})
 					if err != nil {
 						return nil, err
 					}
-					bound, err := l.Netlist.BindInputs(l.KeyPos, l.Key)
-					if err != nil {
-						return nil, err
-					}
-					oracle, err := attack.NewSimOracle(bound)
-					if err != nil {
-						return nil, err
-					}
-					res, err := attack.SATAttack(l.Netlist, l.KeyPos, oracle,
-						attack.SATOptions{Timeout: 30 * time.Second, Context: ctx})
+					res, err := budget.satAttack(ctx, l.Netlist, l.KeyPos, l.Key)
 					if err != nil {
 						return nil, err
 					}
 					return fmt.Sprintf("%d", res.Iterations), nil
-				},
-			})
+				}))
 		}
 	}
-	results, err := runSweep(cfg, "dipgrowth", jobs)
+	cells, err := runCells[string](cfg, "dipgrowth", jobs)
 	if err != nil {
 		return nil, err
 	}
 	for i, w := range widths {
-		ril, err := cellValue[string](results[2*i])
-		if err != nil {
-			return nil, err
-		}
-		xor, err := cellValue[string](results[2*i+1])
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", w), ril, xor)
+		t.AddRow(fmt.Sprintf("%d", w), cells[2*i], cells[2*i+1])
 	}
 	return t, nil
 }

@@ -54,52 +54,58 @@ type AttackConfig struct {
 	Cache *cache.Cache
 }
 
-// runSweep executes the table's attack jobs on the sweep worker pool
-// and fails the whole table on the first job error (matching the
-// sequential error behaviour the tables had before parallelization).
-// The scope names the table's private checkpoint subdirectory when
-// AttackConfig.CheckpointDir is set; distinct tables must use distinct
-// scopes so their manifests never clobber each other.
-func runSweep(cfg AttackConfig, scope string, jobs []sweep.Job) ([]sweep.Result, error) {
+// runCells runs a table's cell jobs on the sweep worker pool and
+// returns each cell's value of type T, in job order; the first job
+// error fails the whole table. The scope names the table's private
+// checkpoint subdirectory when AttackConfig.CheckpointDir is set;
+// distinct tables must use distinct scopes so their manifests never
+// clobber each other. A live job returns T directly; a job served from
+// the cache or skipped on resume carries its recorded JSON instead,
+// which decodes back into T.
+func runCells[T any](cfg AttackConfig, scope string, jobs []sweep.Job) ([]T, error) {
 	r := &sweep.Runner{Workers: cfg.Jobs, Cache: cfg.Cache}
 	if cfg.CheckpointDir != "" {
 		dir := filepath.Join(cfg.CheckpointDir, scope)
-		var ckpt *sweep.Checkpoint
 		var err error
 		if cfg.Resume {
-			ckpt, err = sweep.ResumeCheckpoint(dir)
+			r.Checkpoint, err = sweep.ResumeCheckpoint(dir)
 		} else {
-			ckpt, err = sweep.NewCheckpoint(dir)
+			r.Checkpoint, err = sweep.NewCheckpoint(dir)
 		}
 		if err != nil {
 			return nil, err
 		}
-		r.Checkpoint = ckpt
 	}
 	results := r.Run(cfg.Context, jobs)
 	if err := sweep.FirstErr(results); err != nil {
 		return nil, err
 	}
-	return results, nil
+	vals := make([]T, len(results))
+	for i, res := range results {
+		if v, ok := res.Value.(T); ok {
+			vals[i] = v
+			continue
+		}
+		raw, ok := res.Value.(json.RawMessage)
+		if !ok {
+			return nil, fmt.Errorf("report: job %q result is %T, want %T", res.Name, res.Value, vals[i])
+		}
+		if err := json.Unmarshal(raw, &vals[i]); err != nil {
+			return nil, fmt.Errorf("report: job %q recorded result: %w", res.Name, err)
+		}
+	}
+	return vals, nil
 }
 
-// cellValue decodes one sweep result's table payload of type T. A live
-// job returns T directly; a job skipped on resume carries the
-// manifest's recorded JSON instead, which decodes back into T.
-func cellValue[T any](res sweep.Result) (T, error) {
-	var zero T
-	if v, ok := res.Value.(T); ok {
-		return v, nil
+// rowTable fills t with the rows its jobs compute, one whole row per
+// job, in job order.
+func rowTable(t *Table, cfg AttackConfig, scope string, jobs []sweep.Job) (*Table, error) {
+	rows, err := runCells[[]string](cfg, scope, jobs)
+	if err != nil {
+		return nil, err
 	}
-	raw, ok := res.Value.(json.RawMessage)
-	if !ok {
-		return zero, fmt.Errorf("report: job %q result is %T, want %T", res.Name, res.Value, zero)
-	}
-	var v T
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return zero, fmt.Errorf("report: job %q checkpointed result: %w", res.Name, err)
-	}
-	return v, nil
+	t.Rows = append(t.Rows, rows...)
+	return t, nil
 }
 
 // scopeSlug renders a circuit name as a checkpoint/cache scope
@@ -155,6 +161,65 @@ func cellKey(cfg AttackConfig, kind string, sum cache.Digest, opts map[string]an
 	return k
 }
 
+// cell builds the sweep job of one table cell: its name, its cache key
+// (cellKey of the kind over the circuit digest and the cell's options)
+// and its computation, which gets the job's context. Every attack the
+// tables run goes through here, so every cell is cached, checkpointed
+// and spread over the workers alike.
+func (cfg AttackConfig) cell(name, kind string, sum cache.Digest, opts map[string]any, run func(context.Context) (any, error)) sweep.Job {
+	return sweep.Job{Name: name, Seed: cfg.Seed, CacheKey: cellKey(cfg, kind, sum, opts),
+		Run: func(ctx context.Context, _ int64) (any, error) { return run(ctx) }}
+}
+
+// satOptions are the options of every exact SAT attack the tables run:
+// the table's budget and portfolio, and the job's context.
+func (cfg AttackConfig) satOptions(ctx context.Context) attack.SATOptions {
+	return attack.SATOptions{Timeout: cfg.Timeout, Context: ctx, Portfolio: cfg.Portfolio}
+}
+
+// appSATRounds bounds the outer loop of every AppSAT cell; the cells'
+// keys carry it.
+const appSATRounds = 16
+
+// appSATOptions are satOptions' AppSAT counterpart.
+func (cfg AttackConfig) appSATOptions(ctx context.Context) attack.AppSATOptions {
+	opt := attack.DefaultAppSAT()
+	opt.Timeout, opt.Context, opt.MaxRounds = cfg.Timeout, ctx, appSATRounds
+	return opt
+}
+
+// activate binds key to nl's key inputs and returns the activated chip
+// as an oracle. nl may be a lock or its scan-mode view.
+func activate(nl *netlist.Netlist, keyPos []int, key []bool) (*attack.SimOracle, error) {
+	bound, err := nl.BindInputs(keyPos, key)
+	if err != nil {
+		return nil, err
+	}
+	return attack.NewSimOracle(bound)
+}
+
+// satAttack runs the exact SAT attack on a lock against the honest
+// oracle its correct key activates (static operational mode).
+func (cfg AttackConfig) satAttack(ctx context.Context, locked *netlist.Netlist, keyPos []int, key []bool) (*attack.SATResult, error) {
+	oracle, err := activate(locked, keyPos, key)
+	if err != nil {
+		return nil, err
+	}
+	return attack.SATAttack(locked, keyPos, oracle, cfg.satOptions(ctx))
+}
+
+// functionalError is the output error rate of a recovered key over 8×64
+// patterns against the real functional circuit. Its oracle is its own,
+// so the patterns never inflate an attack oracle's query count (the
+// quantity the paper's tables budget).
+func functionalError(res *core.Result, key []bool, seed int64) (float64, error) {
+	oracle, err := activate(res.Locked, res.KeyInputPos, res.Key)
+	if err != nil {
+		return 0, err
+	}
+	return attack.VerifyKey(res.Locked, res.KeyInputPos, key, oracle, 8, seed)
+}
+
 // lintLock gates every experiment on a structurally sound, full-
 // strength lock: a cycle, an undriven net or dead key material would
 // silently skew the reported SAT-hardness numbers (the nominal key
@@ -179,29 +244,28 @@ func lintLock(res *core.Result, cfg AttackConfig) error {
 	return nil
 }
 
-// lockAndAttack locks the circuit and runs the SAT attack against an
-// honest oracle (static operational mode, paper Table I/III). The
-// context cancels the attack mid-solve; the seed fixes the lock, so a
-// given (circuit, blocks, size, seed) cell is reproducible no matter
-// which sweep worker runs it.
-func lockAndAttack(ctx context.Context, orig *netlist.Netlist, blocks int, size core.Size, cfg AttackConfig) (*attack.SATResult, error) {
-	res, err := core.Lock(orig, core.Options{Blocks: blocks, Size: size, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	if err := lintLock(res, cfg); err != nil {
-		return nil, err
-	}
-	bound, err := res.ApplyKey(res.Key)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := attack.NewSimOracle(bound)
-	if err != nil {
-		return nil, err
-	}
-	return attack.SATAttack(res.Locked, res.KeyInputPos, oracle,
-		attack.SATOptions{Timeout: cfg.Timeout, Context: ctx, Portfolio: cfg.Portfolio})
+// satRuntimeCell is one cell of Table I, of Table III's SAT columns and
+// of -exp satruntime: orig locked with n blocks of the size, linted,
+// and the SAT attack's runtime, "inf" at the budget. A cell whose lock
+// fails renders "n/a" (some circuits cannot host the blocks), so lock
+// errors stay cell-local instead of failing the table. The seed fixes
+// the lock, so the cell is reproducible no matter which worker runs it.
+func satRuntimeCell(cfg AttackConfig, name string, orig *netlist.Netlist, sum cache.Digest, n int, size core.Size) sweep.Job {
+	return cfg.cell(name, "sat-runtime-cell", sum, map[string]any{"blocks": n, "size": size.String()},
+		func(ctx context.Context) (any, error) {
+			res, err := core.Lock(orig, core.Options{Blocks: n, Size: size, Seed: cfg.Seed})
+			if err == nil {
+				err = lintLock(res, cfg)
+			}
+			if err != nil {
+				return "n/a", nil
+			}
+			ar, err := cfg.satAttack(ctx, res.Locked, res.KeyInputPos, res.Key)
+			if err != nil {
+				return "n/a", nil
+			}
+			return fmtDuration(ar.Elapsed, ar.Status != attack.KeyFound), nil
+		})
 }
 
 // Table1 reproduces paper Table I: SAT-attack runtime for c7552 locked
@@ -249,46 +313,18 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig *netlist.Netlist, coun
 		},
 	}
 	sum := cache.NetlistSum(orig)
-	// One sweep job per (block count, size) cell. A cell whose lock
-	// fails renders "n/a" (some circuits cannot host the blocks), so
-	// lock errors stay cell-local instead of failing the table.
 	var jobs []sweep.Job
 	for _, n := range counts {
 		for _, size := range sizes {
-			n, size := n, size
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("%s/%d/%s", scope, n, size),
-				Seed: cfg.Seed,
-				CacheKey: cellKey(cfg, "sat-runtime-cell", sum,
-					map[string]any{"blocks": n, "size": size.String()}),
-				Run: func(ctx context.Context, _ int64) (any, error) {
-					res, err := lockAndAttack(ctx, orig, n, size, cfg)
-					switch {
-					case err != nil:
-						return "n/a", nil
-					case res.Status == attack.KeyFound:
-						return fmtDuration(res.Elapsed, false), nil
-					default:
-						return fmtDuration(res.Elapsed, true), nil
-					}
-				},
-			})
+			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, sum, n, size))
 		}
 	}
-	results, err := runSweep(cfg, scope, jobs)
+	cells, err := runCells[string](cfg, scope, jobs)
 	if err != nil {
 		return nil, err
 	}
 	for i, n := range counts {
-		row := []string{fmt.Sprintf("%d", n)}
-		for j := range sizes {
-			cell, err := cellValue[string](results[i*len(sizes)+j])
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, cell)
-		}
-		t.AddRow(row...)
+		t.AddRow(append([]string{fmt.Sprintf("%d", n)}, cells[i*len(sizes):(i+1)*len(sizes)]...)...)
 	}
 	return t, nil
 }
@@ -333,59 +369,26 @@ func Table3(cfg AttackConfig) (*Table, error) {
 	const perBench = 4
 	var jobs []sweep.Job
 	for _, b := range benches {
-		b := b
 		sum := cache.NetlistSum(b.nl)
 		for _, blocks := range []int{1, 2, 3} {
-			blocks := blocks
-			jobs = append(jobs, sweep.Job{
-				Name: fmt.Sprintf("table3/%s/%dblk", b.name, blocks),
-				Seed: cfg.Seed,
-				CacheKey: cellKey(cfg, "sat-runtime-cell", sum,
-					map[string]any{"blocks": blocks, "size": core.Size8x8x8.String()}),
-				Run: func(ctx context.Context, _ int64) (any, error) {
-					res, err := lockAndAttack(ctx, b.nl, blocks, core.Size8x8x8, cfg)
-					switch {
-					case err != nil:
-						return "n/a", nil
-					case res.Status == attack.KeyFound:
-						return fmtDuration(res.Elapsed, false), nil
-					default:
-						return fmtDuration(res.Elapsed, true), nil
-					}
-				},
-			})
+			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("table3/%s/%dblk", b.name, blocks), b.nl, sum, blocks, core.Size8x8x8))
 		}
-		jobs = append(jobs, sweep.Job{
-			Name: fmt.Sprintf("table3/%s/appsat", b.name),
-			Seed: cfg.Seed,
-			CacheKey: cellKey(cfg, "appsat-scan-cell", sum,
-				map[string]any{"blocks": 1, "size": core.Size8x8x8.String(), "maxrounds": 16}),
-			Run: func(ctx context.Context, _ int64) (any, error) {
+		jobs = append(jobs, cfg.cell(fmt.Sprintf("table3/%s/appsat", b.name), "appsat-scan-cell", sum,
+			map[string]any{"blocks": 1, "size": core.Size8x8x8.String(), "maxrounds": appSATRounds},
+			func(ctx context.Context) (any, error) {
 				ok, err := appSATSucceeds(ctx, b.nl, cfg)
-				if err != nil {
-					return nil, err
+				if err != nil || !ok {
+					return "x", err
 				}
-				if ok {
-					return "yes", nil
-				}
-				return "x", nil
-			},
-		})
+				return "yes", nil
+			}))
 	}
-	results, err := runSweep(cfg, "table3", jobs)
+	cells, err := runCells[string](cfg, "table3", jobs)
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		row := []string{b.suite, b.name}
-		for j := 0; j < perBench; j++ {
-			cell, err := cellValue[string](results[i*perBench+j])
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, cell)
-		}
-		t.AddRow(row...)
+		t.AddRow(append([]string{b.suite, b.name}, cells[i*perBench:(i+1)*perBench]...)...)
 	}
 	return t, nil
 }
@@ -436,42 +439,16 @@ func appSATSucceeds(ctx context.Context, orig *netlist.Netlist, cfg AttackConfig
 	if err != nil {
 		return false, err
 	}
-	svBound, err := sv.BindInputs(res.KeyInputPos, res.Key)
+	scanOracle, err := activate(sv, res.KeyInputPos, res.Key)
 	if err != nil {
 		return false, err
 	}
-	scanOracle, err := attack.NewSimOracle(svBound)
-	if err != nil {
+	ar, err := attack.AppSAT(res.Locked, res.KeyInputPos, scanOracle, cfg.appSATOptions(ctx))
+	if err != nil || ar.Status != attack.KeyFound {
 		return false, err
 	}
-	opt := attack.DefaultAppSAT()
-	opt.Timeout = cfg.Timeout
-	opt.Context = ctx
-	opt.MaxRounds = 16
-	ar, err := attack.AppSAT(res.Locked, res.KeyInputPos, scanOracle, opt)
-	if err != nil {
-		return false, err
-	}
-	if ar.Status != attack.KeyFound {
-		return false, nil
-	}
-	// Validate against the real functional circuit. The validation
-	// oracle is deliberately separate from scanOracle: the 8×64
-	// verification patterns must never inflate the attack oracle's
-	// query count (the quantity the paper's tables budget).
-	fBound, err := res.ApplyKey(res.Key)
-	if err != nil {
-		return false, err
-	}
-	funcOracle, err := attack.NewSimOracle(fBound)
-	if err != nil {
-		return false, err
-	}
-	e, err := attack.VerifyKey(res.Locked, res.KeyInputPos, ar.Key, funcOracle, 8, cfg.Seed)
-	if err != nil {
-		return false, err
-	}
-	return e == 0, nil
+	e, err := functionalError(res, ar.Key, cfg.Seed)
+	return err == nil && e == 0, err
 }
 
 // OverheadTable reproduces the §III-A overhead claim: 3 blocks of

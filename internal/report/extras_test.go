@@ -48,10 +48,7 @@ func TestLUTSizeTableShape(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Scale = 0.1
 	cfg.Timeout = 2 * time.Second
-	tb, err := LUTSizeTable(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, func(cfg AttackConfig) (*Table, error) { return LUTSizeTable(cfg, 4) })
 	if len(tb.Rows) != 3 {
 		t.Fatalf("lutsize rows = %d, want 3", len(tb.Rows))
 	}
@@ -83,10 +80,7 @@ func TestSensitizationTable(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = 5 * time.Second
-	tb, err := Sensitization(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, Sensitization)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/sweep"
@@ -27,27 +28,17 @@ func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
 			"T/LUT", "T/key bit"},
 		Notes: []string{fmt.Sprintf("%d LUTs per configuration, scale=%.2f timeout=%v", nLUTs, cfg.Scale, cfg.Timeout)},
 	}
+	sum := cache.NetlistSum(orig)
 	var jobs []sweep.Job
 	for _, m := range []int{2, 3, 4} {
-		m := m
-		jobs = append(jobs, sweep.Job{
-			Name: fmt.Sprintf("lutsize/lut%d", m),
-			Seed: cfg.Seed,
-			Run: func(ctx context.Context, _ int64) (any, error) {
+		jobs = append(jobs, cfg.cell(fmt.Sprintf("lutsize/lut%d", m), "lut-size-cell", sum,
+			map[string]any{"luts": nLUTs, "lut_inputs": m},
+			func(ctx context.Context) (any, error) {
 				res, err := core.LockLUTM(orig, nLUTs, m, cfg.Seed)
 				if err != nil {
 					return []string{fmt.Sprintf("LUT%d", m), "n/a", "n/a", "n/a", "n/a", "n/a", "n/a", "n/a"}, nil
 				}
-				bound, err := res.ApplyKey(res.Key)
-				if err != nil {
-					return nil, err
-				}
-				oracle, err := attack.NewSimOracle(bound)
-				if err != nil {
-					return nil, err
-				}
-				ar, err := attack.SATAttack(res.Locked, res.KeyInputPos, oracle,
-					attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
+				ar, err := cfg.satAttack(ctx, res.Locked, res.KeyInputPos, res.Key)
 				if err != nil {
 					return nil, err
 				}
@@ -62,19 +53,7 @@ func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
 					fmt.Sprintf("%d", trans),
 					fmt.Sprintf("%.2f", float64(trans)/float64(int(1)<<uint(m))),
 				}, nil
-			},
-		})
+			}))
 	}
-	results, err := runSweep(cfg, "lutsize", jobs)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		row, err := cellValue[[]string](res)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return rowTable(t, cfg, "lutsize", jobs)
 }

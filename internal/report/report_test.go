@@ -2,13 +2,58 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/attack"
+	"repro/internal/cache"
+	"repro/internal/sat"
 )
 
 func fastCfg() AttackConfig {
 	return AttackConfig{Timeout: 500 * time.Millisecond, Scale: 0.06, Seed: 1}
+}
+
+// coldWarmResumed runs a table cold into a fresh cache and checkpoint
+// directory, then twice more: warm from the cache with no checkpoint
+// directory (a fresh checkpoint would reset the manifest), and resumed
+// from the checkpoint with no cache. Both repeats must return the cold
+// table and issue no oracle query and no solver call. It returns the
+// cold table for the caller's own assertions.
+func coldWarmResumed(t *testing.T, cfg AttackConfig, table func(AttackConfig) (*Table, error)) *Table {
+	t.Helper()
+	c, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cold, warm, resumed := cfg, cfg, cfg
+	cold.Cache, cold.CheckpointDir = c, dir
+	warm.Cache = c
+	resumed.CheckpointDir, resumed.Resume = dir, true
+	want, err := table(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range []struct {
+		name string
+		cfg  AttackConfig
+	}{{"warm", warm}, {"resumed", resumed}} {
+		q0, s0 := attack.OracleQueriesTotal(), sat.SolveCallsTotal()
+		got, err := table(rep.cfg)
+		if err != nil {
+			t.Fatalf("%s run: %v", rep.name, err)
+		}
+		if dq, ds := attack.OracleQueriesTotal()-q0, sat.SolveCallsTotal()-s0; dq != 0 || ds != 0 {
+			t.Errorf("%s run made %d oracle queries and %d solver calls, want 0", rep.name, dq, ds)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s table differs from the cold one:\ncold:\n%s\n%s:\n%s", rep.name, want, rep.name, got)
+		}
+	}
+	return want
 }
 
 func TestTableFormatting(t *testing.T) {
@@ -159,10 +204,7 @@ func TestPSCATable(t *testing.T) {
 func TestFig1Encodings(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Timeout = 5 * time.Second
-	tb, err := Fig1(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, func(cfg AttackConfig) (*Table, error) { return Fig1(cfg, 4) })
 	if len(tb.Rows) != 2 {
 		t.Fatalf("fig1 rows = %d", len(tb.Rows))
 	}
@@ -177,10 +219,7 @@ func TestTable5Matrix(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Scale = 0.12
-	tb, err := Table5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := coldWarmResumed(t, cfg, Table5)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("Table V rows = %d, want 6", len(tb.Rows))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlint"
@@ -82,28 +83,22 @@ func ResilienceTable(cfg AttackConfig) (*Table, error) {
 	}
 	var jobs []sweep.Job
 	for _, r := range rows {
-		r := r
 		name := fmt.Sprintf("audit/%s/%dx%s", r.circuit, r.blocks, r.size)
 		if r.planted {
 			name += "/planted"
 		}
-		jobs = append(jobs, sweep.Job{
-			Name: name,
-			Seed: cfg.Seed,
-			Run: func(ctx context.Context, _ int64) (any, error) {
+		jobs = append(jobs, cfg.cell(name, "audit-cell", cache.NetlistSum(r.nl),
+			map[string]any{"blocks": r.blocks, "size": r.size.String(), "planted": r.planted},
+			func(ctx context.Context) (any, error) {
 				return auditLockRow(ctx, r.nl, r.blocks, r.size, r.planted, cfg)
-			},
-		})
+			}))
 	}
-	results, err := runSweep(cfg, "audit", jobs)
+	cells, err := runCells[resilienceRow](cfg, "audit", jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range rows {
-		row, err := cellValue[resilienceRow](results[i])
-		if err != nil {
-			return nil, err
-		}
+	for i, row := range cells {
+		r := rows[i]
 		config := fmt.Sprintf("%dx %s", r.blocks, r.size)
 		if r.planted {
 			config += " planted"
@@ -199,16 +194,7 @@ func auditLockRow(ctx context.Context, orig *netlist.Netlist, blocks int, size c
 		row.OracleCheck = fmt.Sprintf("FAIL (%.3g)", maxErr)
 	}
 
-	bound, err := locked.BindInputs(keyPos, key)
-	if err != nil {
-		return zero, err
-	}
-	oracle, err := attack.NewSimOracle(bound)
-	if err != nil {
-		return zero, err
-	}
-	sat, err := attack.SATAttack(locked, keyPos, oracle,
-		attack.SATOptions{Timeout: cfg.Timeout, Context: ctx})
+	sat, err := cfg.satAttack(ctx, locked, keyPos, key)
 	if err != nil {
 		return zero, err
 	}
