@@ -91,7 +91,8 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 	// deterministic); the four attacks — the expensive part — run as
 	// sweep jobs. The plain and one-hot attacks of each scheme share its
 	// oracle, which SimOracle's internal locking makes safe.
-	rl, net, err := baselines.RoutingLock(orig, 8, cfg.Seed)
+	const width = 8 // the routing-only lock's crossbar
+	rl, net, err := baselines.RoutingLock(orig, width, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,8 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ril, err := core.Lock(orig, core.Options{Blocks: 2, Size: core.Size8x8x8, Seed: cfg.Seed})
+	rilOpts := core.Options{Blocks: 2, Size: core.Size8x8x8, Seed: cfg.Seed}
+	ril, err := core.Lock(orig, rilOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -111,16 +113,15 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 	var jobs []sweep.Job
 	for _, s := range []struct {
 		scheme, label string
-		lock          map[string]any // the lock's parameters, for the cell keys
+		lock          any // the lock's parameters, for the cell keys
 		nl            *netlist.Netlist
 		keyPos        []int
 		oracle        *attack.SimOracle
 		hints         []attack.RoutingHint
 	}{
-		{"routing", "routing-only 8x8", map[string]any{"width": 8}, rl.Netlist, rl.KeyPos, rlOracle,
+		{"routing", "routing-only 8x8", map[string]any{"width": width}, rl.Netlist, rl.KeyPos, rlOracle,
 			[]attack.RoutingHint{attack.HintFromRoutingNetwork(net.Width, net.InputNames, net.OutputNames, net.KeyPos)}},
-		{"ril", "RIL 2x 8x8x8", map[string]any{"blocks": 2, "size": core.Size8x8x8.String()}, ril.Locked, ril.KeyInputPos, rilOracle,
-			attack.HintsFromRIL(ril)},
+		{"ril", "RIL 2x 8x8x8", rilOpts, ril.Locked, ril.KeyInputPos, rilOracle, attack.HintsFromRIL(ril)},
 	} {
 		row := func(label string, res *attack.SATResult, key []bool) []string {
 			return []string{s.label, label, fmt.Sprintf("%d", res.Iterations), res.Status.String(),
