@@ -206,15 +206,9 @@ func lintFile(path string, opts netlint.Options, keyFile string, analyzers []*ne
 // prefix. A key may leave key inputs out, since const-lut evaluates
 // only the LUTs whose key values it is given.
 func checkKeyNames(nl *netlist.Netlist, path string, opts netlint.Options, keyFile string) error {
-	prefix := opts.KeyPrefix
-	if prefix == "" {
-		prefix = "keyinput"
-	}
-	isKey := make(map[string]bool, len(nl.Inputs))
-	for _, id := range nl.Inputs {
-		if name := nl.Gates[id].Name; strings.HasPrefix(name, prefix) {
-			isKey[name] = true
-		}
+	isKey := make(map[string]bool)
+	for _, pos := range nl.GateIDsByPrefix(opts.KeyInputPrefix()) {
+		isKey[nl.Gates[nl.Inputs[pos]].Name] = true
 	}
 	var unknown []string
 	for name := range opts.Key {

@@ -158,7 +158,9 @@ type Options struct {
 	AuditMaxPairs int
 }
 
-func (o Options) keyPrefix() string {
+// KeyInputPrefix is the name prefix of key inputs: KeyPrefix, or
+// "keyinput" when it is empty.
+func (o Options) KeyInputPrefix() string {
 	if o.KeyPrefix == "" {
 		return "keyinput"
 	}
@@ -231,7 +233,7 @@ func (p *Pass) IsPrimaryInput(id int) bool {
 // prefix, in input-vector order.
 func (p *Pass) KeyInputs() []int {
 	var ids []int
-	prefix := p.Opts.keyPrefix()
+	prefix := p.Opts.KeyInputPrefix()
 	for _, id := range p.Netlist.Inputs {
 		if strings.HasPrefix(p.Netlist.Gates[id].Name, prefix) {
 			ids = append(ids, id)
@@ -244,7 +246,7 @@ func (p *Pass) KeyInputs() []int {
 // prefix.
 func (p *Pass) IsKeyInput(id int) bool {
 	return p.IsPrimaryInput(id) &&
-		strings.HasPrefix(p.Netlist.Gates[id].Name, p.Opts.keyPrefix())
+		strings.HasPrefix(p.Netlist.Gates[id].Name, p.Opts.KeyInputPrefix())
 }
 
 // KeyBitInfluence records, for one key bit, how many primary outputs

@@ -70,7 +70,7 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 // belongs to one caller at a time.
 type matrixColumn struct {
 	name, scheme string
-	params       baselines.Params // fixes the lock: every cell key carries it
+	spec         any // the lock's parameters, which every cell key carries
 	lock         *baselines.Locked
 	ril          *core.Result     // the proposed scheme only
 	scan         *netlist.Netlist // ril's scan-mode view, what the scan chain shows
@@ -80,37 +80,34 @@ type matrixColumn struct {
 // baselines through the scheme table, then the proposed scheme with
 // scan-enable obfuscation.
 func matrixColumns(orig *netlist.Netlist, seed int64) ([]*matrixColumn, error) {
-	cols := []*matrixColumn{
-		{name: "SFLL-HD", scheme: "sfll", params: baselines.Params{KeyBits: 12}},
-		{name: "MESO", scheme: "meso", params: baselines.Params{Blocks: 4}},
-		{name: "CAS-Lock", scheme: "caslock", params: baselines.Params{KeyBits: 8}},
-		{name: "LUT-lock", scheme: "lut", params: baselines.Params{Blocks: 6}},
-		{name: "XOR", scheme: "xor", params: baselines.Params{KeyBits: 10}},
-		{name: "RIL (proposed)", scheme: "ril", params: baselines.Params{Size: "8x8x8", Blocks: 2, Scan: true}},
-	}
-	for _, c := range cols {
-		c.params.Seed = seed
-		var err error
-		if c.scheme != "ril" {
-			if c.lock, _, err = baselines.LockScheme(c.scheme, orig, c.params); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		size, err := core.ParseSize(c.params.Size)
+	var cols []*matrixColumn
+	for _, b := range []struct {
+		name, scheme string
+		params       baselines.Params
+	}{
+		{"SFLL-HD", "sfll", baselines.Params{KeyBits: 12, Seed: seed}},
+		{"MESO", "meso", baselines.Params{Blocks: 4, Seed: seed}},
+		{"CAS-Lock", "caslock", baselines.Params{KeyBits: 8, Seed: seed}},
+		{"LUT-lock", "lut", baselines.Params{Blocks: 6, Seed: seed}},
+		{"XOR", "xor", baselines.Params{KeyBits: 10, Seed: seed}},
+	} {
+		l, _, err := baselines.LockScheme(b.scheme, orig, b.params)
 		if err != nil {
 			return nil, err
 		}
-		c.ril, err = core.Lock(orig, core.Options{Blocks: c.params.Blocks, Size: size, Seed: seed, ScanEnable: c.params.Scan})
-		if err != nil {
-			return nil, err
-		}
-		if c.scan, err = c.ril.ScanView(); err != nil {
-			return nil, err
-		}
-		c.lock = &baselines.Locked{Scheme: "ril", Netlist: c.ril.Locked, KeyPos: c.ril.KeyInputPos, Key: c.ril.Key}
+		cols = append(cols, &matrixColumn{name: b.name, scheme: b.scheme, spec: b.params, lock: l})
 	}
-	return cols, nil
+	opt := core.Options{Blocks: 2, Size: core.Size8x8x8, Seed: seed, ScanEnable: true}
+	res, err := core.Lock(orig, opt)
+	if err != nil {
+		return nil, err
+	}
+	scan, err := res.ScanView()
+	if err != nil {
+		return nil, err
+	}
+	return append(cols, &matrixColumn{name: "RIL (proposed)", scheme: "ril", spec: opt, ril: res, scan: scan,
+		lock: &baselines.Locked{Scheme: "ril", Netlist: res.Locked, KeyPos: res.KeyInputPos, Key: res.Key}}), nil
 }
 
 // equivalent proves a circuit equal to the column's activated lock
@@ -242,39 +239,42 @@ func Table5(cfg AttackConfig) (*Table, error) {
 	for _, c := range cols {
 		t.Header = append(t.Header, c.name)
 	}
-	// Lay the matrix out, then fill it: "-" where the attack has no
-	// target, the power marks as drawn, and a sweep job for every other
-	// cell, whose mark lands in its slot after the sweep.
+	// Lay the matrix out: "-" where the attack has no target, the power
+	// marks as drawn, and a sweep job for every other cell, whose mark
+	// fills its (row, column) place once the sweep returns.
 	sum := cache.NetlistSum(orig)
+	rows := make([][]string, len(matrixRows))
 	var jobs []sweep.Job
-	var slots []*string
-	for _, r := range matrixRows {
-		row := make([]string, 1+len(cols))
-		row[0] = r.label
-		for i, c := range cols {
+	var at [][2]int
+	for ri, r := range matrixRows {
+		rows[ri] = make([]string, 1+len(cols))
+		rows[ri][0] = r.label
+		for ci, c := range cols {
 			switch {
 			case r.resists == nil:
-				row[1+i] = power[i]
+				rows[ri][1+ci] = power[ci]
 			case r.scanOnly && c.ril == nil:
-				row[1+i] = "-"
+				rows[ri][1+ci] = "-"
 			default:
-				slots = append(slots, &row[1+i])
+				at = append(at, [2]int{ri, 1 + ci})
 				jobs = append(jobs, cfg.cell("table5/"+r.attack+"/"+c.scheme, "attack-mark-cell", sum,
-					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "scheme": c.scheme, "lock": c.params},
+					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "scheme": c.scheme, "lock": c.spec},
 					func(ctx context.Context) (any, error) {
 						resilient, err := r.resists(ctx, cfg, c)
 						return mark(resilient), err
 					}))
 			}
 		}
-		t.AddRow(row...)
 	}
 	marks, err := runCells[string](cfg, "table5", jobs)
 	if err != nil {
 		return nil, err
 	}
 	for i, m := range marks {
-		*slots[i] = m
+		rows[at[i][0]][at[i][1]] = m
+	}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	return t, nil
 }
