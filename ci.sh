@@ -32,7 +32,9 @@
 # workloads with exact gates in quick mode, each op through its
 # correctness gate) — a kill-and-resume smoke: a checkpointed attack
 # sweep is SIGKILLed mid-run, resumed, and must end with a complete
-# manifest; its key-file smoke checks that locker's key binds back
+# manifest; its single-target leg checks that one checkpointed target
+# is recorded done in the manifest, and still after -resume; its
+# key-file smoke checks that locker's key binds back
 # through nettool to a circuit equivalent to c17, and that satattack
 # rejects a key bit other than 0 or 1 and names the line — and finally the result-cache gate: the same report
 # sweep, with real solver work, runs cold then warm against one
@@ -337,6 +339,30 @@ if [ "$done_count" != 2 ]; then
     exit 1
 fi
 echo "ci: kill-and-resume manifest complete (2/2 done)"
+# Single-target leg: one target runs as a sweep job too, so a
+# checkpointed run of the quick target records it done, and a resumed
+# run finds it done and runs nothing.
+one_target() {
+    "$tmp/satattack" -locked "$tmp/quick.bench" -key "$tmp/quick.key" \
+        -timeout 120s -checkpoint-dir "$tmp/ckpt_one" "$@" > "$tmp/one.out" 2>&1 || {
+        echo "ci: single-target run${*:+ with $*} failed:" >&2
+        cat "$tmp/one.out" >&2
+        exit 1
+    }
+    manifest_done "$tmp/ckpt_one/manifest.json" "$tmp/quick.bench" || {
+        echo "ci: single target not recorded done after the run${*:+ with $*}:" >&2
+        cat "$tmp/one.out" >&2
+        exit 1
+    }
+}
+one_target
+one_target -resume
+grep -q 'done in a previous run' "$tmp/one.out" || {
+    echo "ci: resumed single target ran again:" >&2
+    cat "$tmp/one.out" >&2
+    exit 1
+}
+echo "ci: single target recorded done, and resumed without running (1/1 done)"
 
 echo "== SIGINT smoke =="
 # The same two targets, interrupted by SIGINT at 2s instead of killed:

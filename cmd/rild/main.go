@@ -16,6 +16,11 @@
 // Load-test an already-running daemon:
 //
 //	rild -load 1000 -addr 127.0.0.1:8372
+//
+// The load harness (load.go) submits N attack jobs on 8 locked c17
+// circuits from 4 tenants, each with a 30 s deadline and no_cache set
+// so that every job runs live, and fails unless every job reaches a
+// terminal state exactly once.
 package main
 
 import (
@@ -28,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,18 +42,13 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8372", "listen address (serve) or daemon address (-load)")
-		stateDir     = flag.String("state", "", "persistent state directory (required to serve)")
-		workers      = flag.Int("workers", 0, "job workers (0 = all CPUs)")
-		defTimeout   = flag.Duration("default-timeout", 2*time.Minute, "job deadline when the spec sets none (0 = none)")
-		drainGrace   = flag.Duration("drain-grace", 10*time.Second, "how long a drain lets running jobs finish before interrupting them")
-		loadJobs     = flag.Int("load", 0, "run as a load-test client: submit N attack jobs against -addr and exit")
-		loadConc     = flag.Int("load-concurrency", 32, "load client goroutines")
-		loadTenants  = flag.Int("load-tenants", 4, "load tenants")
-		loadVariants = flag.Int("load-variants", 8, "distinct locked circuits in the load mix")
-		loadKeyBits  = flag.Int("load-keybits", 5, "key bits per load circuit")
-		loadTimeout  = flag.Duration("load-timeout", 30*time.Second, "server-side deadline per load job")
-		loadNoCache  = flag.Bool("load-nocache", true, "submit load jobs with no_cache so every job runs live")
+		addr       = flag.String("addr", "127.0.0.1:8372", "listen address (serve) or daemon address (-load)")
+		stateDir   = flag.String("state", "", "persistent state directory (required to serve)")
+		workers    = flag.Int("workers", 0, "job workers (0 = all CPUs)")
+		defTimeout = flag.Duration("default-timeout", 2*time.Minute, "job deadline when the spec sets none (0 = none)")
+		drainGrace = flag.Duration("drain-grace", 10*time.Second, "how long a drain lets running jobs finish before interrupting them")
+		loadJobs   = flag.Int("load", 0, "run as a load-test client: submit N attack jobs against -addr and exit")
+		loadConc   = flag.Int("load-concurrency", 32, "load client goroutines")
 	)
 	var cacheFlags cache.Flags
 	cacheFlags.Register(flag.CommandLine)
@@ -59,15 +58,7 @@ func main() {
 	defer stop()
 
 	if *loadJobs > 0 {
-		if err := runLoad(ctx, *addr, serve.LoadOptions{
-			Jobs:        *loadJobs,
-			Concurrency: *loadConc,
-			Tenants:     *loadTenants,
-			Variants:    *loadVariants,
-			KeyBits:     *loadKeyBits,
-			JobTimeout:  *loadTimeout,
-			NoCache:     *loadNoCache,
-		}); err != nil {
+		if err := runLoad(ctx, *addr, LoadOptions{Jobs: *loadJobs, Concurrency: *loadConc}); err != nil {
 			fail(err)
 		}
 		return
@@ -125,27 +116,6 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-// runLoad drives the load harness against a running daemon.
-func runLoad(ctx context.Context, addr string, opt serve.LoadOptions) error {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	logger := log.New(os.Stderr, "rild: ", log.LstdFlags)
-	rep, err := serve.LoadTest(ctx, base, opt, logger.Printf)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rild: %s\n", rep)
-	if rep.Lost > 0 || rep.Duplicated > 0 {
-		return fmt.Errorf("load test lost %d and duplicated %d jobs", rep.Lost, rep.Duplicated)
-	}
-	if rep.Done == 0 {
-		return fmt.Errorf("load test completed no jobs")
-	}
-	return nil
 }
 
 // recoverToErr converts a panic in the HTTP serve goroutine into an

@@ -10,25 +10,29 @@
 //	satattack -locked a.bench,b.bench,c.bench -key a.key,b.key,c.key \
 //	          -jobs 4 -json results.json
 //
-// With comma-separated -locked/-key lists the targets run as a
-// parallel sweep on -jobs workers (0 = all CPUs); -timeout applies per
-// target. -json writes the full machine-readable results (status, key,
-// DIP count, oracle queries, CDCL solver statistics) to a file, or to
-// stdout with "-json -".
+// Every target is a sweep job, so one target and many run alike: on
+// -jobs workers (0 = all CPUs), with -timeout per target plus 30 s of
+// headroom as the job's deadline (none with -timeout 0), and with
+// panic isolation. One target gets the full report; a sweep gets one
+// line per target. -json writes the full machine-readable results
+// (status, key, DIP count, oracle queries, CDCL solver statistics) to
+// a file, or to stdout with "-json -", which moves the report to
+// stderr so that stdout holds only the JSON.
 //
 // -checkpoint-dir makes the attack crash-safe: every DIP and oracle
 // response is journaled (fsync per record) to a per-target file in the
-// directory, and sweeps record per-job completion in a manifest.
-// Re-running with -resume skips targets the manifest records done and
-// replays each partial journal without re-querying the oracle, then
-// continues the attack. Corrupt checkpoint files degrade to a fresh
-// start with a warning, never an error.
+// directory, and a manifest records each finished target. Re-running
+// with -resume skips targets the manifest records done and replays
+// each partial journal without re-querying the oracle, then continues
+// the attack. Corrupt checkpoint files degrade to a fresh start with a
+// warning, never an error.
 //
 // -cache-dir memoizes finished targets in the authenticated result
 // cache, keyed by the locked netlist, key file and attack options:
 // re-attacking an unchanged target is answered from disk with zero
 // oracle queries and zero solver calls (-no-cache bypasses, -cache-max
-// caps the size enforced by GC on exit).
+// caps the size enforced by GC on exit). -sensitize, -removal and
+// -trace take a single target and always run live.
 package main
 
 import (
@@ -37,9 +41,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -70,51 +76,72 @@ type options struct {
 	appsat    bool
 	bva       bool
 	resume    bool
+	sensitize bool
+	removal   bool
+	trace     string
 }
 
 func main() {
-	var (
-		lockedPath = flag.String("locked", "", "locked .bench netlist, or comma-separated list for a sweep")
-		keyPath    = flag.String("key", "", "key file (name=bit per line), or comma-separated list matching -locked")
-		prefix     = flag.String("keyprefix", "keyinput", "key input name prefix")
-		timeout    = flag.Duration("timeout", 10*time.Second, "attack timeout per target (paper: 120h)")
-		jobs       = flag.Int("jobs", 0, "parallel attack workers for multi-target sweeps (0 = all CPUs)")
-		jsonOut    = flag.String("json", "", "write JSON results to this file ('-' = stdout)")
-		appsat     = flag.Bool("appsat", false, "run AppSAT instead of the exact SAT attack")
-		bva        = flag.Bool("bva", false, "apply BVA preprocessing to the encoding")
-		sensitize  = flag.Bool("sensitize", false, "run the key-sensitization attack instead")
-		removal    = flag.Bool("removal", false, "run the structural removal attack instead")
-		tracePath  = flag.String("trace", "", "write a per-DIP CSV trace (iteration,dip,oracle) to this file")
-		portfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per solver call (exact SAT attack only; <2 = sequential)")
-		ckptDir    = flag.String("checkpoint-dir", "", "journal DIP progress (and sweep manifest) into this directory")
-		resume     = flag.Bool("resume", false, "resume from -checkpoint-dir: skip done targets, replay partial journals")
-	)
-	var cacheFlags cache.Flags
-	cacheFlags.Register(flag.CommandLine)
-	flag.Parse()
-
 	// SIGINT/SIGTERM cancels the attack context: running solver loops
 	// stop at the next DIP boundary, journals keep what they paid for,
 	// and cache GC still runs before the nonzero exit. A second signal
 	// kills immediately.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stopSignals()
+	os.Exit(code)
+}
+
+// run drives the command as main does, minus the signal wiring and
+// os.Exit: it returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("satattack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		lockedPath = fs.String("locked", "", "locked .bench netlist, or comma-separated list for a sweep")
+		keyPath    = fs.String("key", "", "key file (name=bit per line), or comma-separated list matching -locked")
+		prefix     = fs.String("keyprefix", "keyinput", "key input name prefix")
+		timeout    = fs.Duration("timeout", 10*time.Second, "attack timeout per target (paper: 120h)")
+		jobs       = fs.Int("jobs", 0, "parallel attack workers for multi-target sweeps (0 = all CPUs)")
+		jsonOut    = fs.String("json", "", "write JSON results to this file ('-' = stdout)")
+		appsat     = fs.Bool("appsat", false, "run AppSAT instead of the exact SAT attack")
+		bva        = fs.Bool("bva", false, "apply BVA preprocessing to the encoding")
+		sensitize  = fs.Bool("sensitize", false, "run the key-sensitization attack instead")
+		removal    = fs.Bool("removal", false, "run the structural removal attack instead")
+		tracePath  = fs.String("trace", "", "write a per-DIP CSV trace (iteration,dip,oracle) to this file")
+		portfolio  = fs.Int("portfolio", 1, "race N diversified CDCL workers per solver call (exact SAT attack only; <2 = sequential)")
+		ckptDir    = fs.String("checkpoint-dir", "", "journal DIP progress (and sweep manifest) into this directory")
+		resume     = fs.Bool("resume", false, "resume from -checkpoint-dir: skip done targets, replay partial journals")
+	)
+	var cacheFlags cache.Flags
+	cacheFlags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "satattack:", err)
+		return 1
+	}
 
 	if *lockedPath == "" || *keyPath == "" {
-		fmt.Fprintln(os.Stderr, "satattack: -locked and -key are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "satattack: -locked and -key are required")
+		return 2
 	}
 	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "satattack: -resume requires -checkpoint-dir")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "satattack: -resume requires -checkpoint-dir")
+		return 2
 	}
 	if *ckptDir != "" && (*appsat || *sensitize || *removal) {
-		fail(fmt.Errorf("-checkpoint-dir supports the exact SAT attack only"))
+		return fail(fmt.Errorf("-checkpoint-dir supports the exact SAT attack only"))
 	}
 	if *portfolio >= 2 && (*appsat || *sensitize || *removal) {
-		fail(fmt.Errorf("-portfolio supports the exact SAT attack only"))
+		return fail(fmt.Errorf("-portfolio supports the exact SAT attack only"))
 	}
-	o := options{prefix: *prefix, timeout: *timeout, portfolio: *portfolio, appsat: *appsat, bva: *bva, resume: *resume}
+	o := options{prefix: *prefix, timeout: *timeout, portfolio: *portfolio, appsat: *appsat, bva: *bva,
+		resume: *resume, sensitize: *sensitize, removal: *removal, trace: *tracePath}
 
 	lockedList := splitList(*lockedPath)
 	keyList := splitList(*keyPath)
@@ -125,10 +152,10 @@ func main() {
 		}
 	}
 	if len(keyList) != len(lockedList) {
-		fail(fmt.Errorf("%d locked netlists but %d key files", len(lockedList), len(keyList)))
+		return fail(fmt.Errorf("%d locked netlists but %d key files", len(lockedList), len(keyList)))
 	}
-	if len(lockedList) > 1 && (*sensitize || *removal || *tracePath != "") {
-		fail(fmt.Errorf("-sensitize, -removal and -trace support a single target only"))
+	if len(lockedList) > 1 && (o.sensitize || o.removal || o.trace != "") {
+		return fail(fmt.Errorf("-sensitize, -removal and -trace support a single target only"))
 	}
 
 	var ckpt *sweep.Checkpoint
@@ -140,121 +167,108 @@ func main() {
 			ckpt, err = sweep.NewCheckpoint(*ckptDir)
 		}
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if ckpt.Degraded() {
-			fmt.Fprintln(os.Stderr, "satattack: checkpoint manifest corrupt, re-running all targets")
+			fmt.Fprintln(stderr, "satattack: checkpoint manifest corrupt, re-running all targets")
 		}
 	}
 
 	c, err := cacheFlags.Open()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	if len(lockedList) == 1 {
-		runErr := runSingle(ctx, lockedList[0], keyList[0], o, *sensitize, *removal, *tracePath, *jsonOut, ckpt, c)
-		if err := cacheFlags.Close(c, os.Stderr, "satattack"); err != nil {
-			fmt.Fprintln(os.Stderr, "satattack: cache gc:", err)
-		}
-		if runErr != nil {
-			failInterruptible(ctx, runErr)
-		}
-		return
+	a := &attacker{options: o, out: stdout, stderr: stderr}
+	if *jsonOut == "-" {
+		a.out = stderr // stdout holds only the JSON
 	}
-
 	var jobList []sweep.Job
 	for i := range lockedList {
-		lockedPath, keyPath := lockedList[i], keyList[i]
-		bench, key, readErr := readTarget(lockedPath, keyPath)
-		var ck cache.Key
-		if readErr == nil {
-			ck = targetCacheKey(c, bench, key, o)
+		tg := readTarget(lockedList[i], keyList[i])
+		if len(lockedList) == 1 {
+			a.single = tg
 		}
-		jobList = append(jobList, sweep.Job{
-			Name:     lockedPath,
-			Seed:     sweep.DeriveSeed(1, i),
-			Timeout:  *timeout + 30*time.Second, // headroom over the attack's own deadline
-			CacheKey: ck,
-			Run: func(ctx context.Context, _ int64) (any, error) {
-				if readErr != nil {
-					return nil, readErr
-				}
-				t, err := attack.LoadTarget(lockedPath, string(bench), keyPath, string(key), o.prefix)
-				if err != nil {
-					return nil, err
-				}
-				return attackOne(ctx, lockedPath, t, o, nil, jobJournalPath(ckpt, lockedPath))
-			},
-		})
+		journal := ""
+		if ckpt != nil {
+			journal = ckpt.JobFile(tg.locked)
+		}
+		jobList = append(jobList, sweep.Job{Name: tg.locked, Timeout: jobTimeout(o.timeout), CacheKey: targetCacheKey(c, tg, o),
+			Run: func(ctx context.Context) (any, error) { return a.attack(ctx, tg, journal) }})
 	}
-	runner := &sweep.Runner{
-		Workers:    *jobs,
-		Checkpoint: ckpt,
-		Cache:      c,
-		Progress: func(res sweep.Result) {
-			if res.Err != nil {
-				fmt.Fprintf(os.Stderr, "satattack: %s: FAILED: %v\n", res.Name, res.Err)
-				return
-			}
-			if res.Resumed {
-				fmt.Printf("satattack: %s: done in a previous run, skipped\n", res.Name)
-				return
-			}
-			if res.Cached {
-				fmt.Printf("satattack: %s: served from result cache\n", res.Name)
-				return
-			}
-			tr := res.Value.(*targetResult)
-			fmt.Printf("satattack: %s: %s after %d DIPs, %d oracle queries (%d replayed), %.2fs\n",
-				tr.Target, tr.Status, tr.Iterations, tr.Queries, tr.Replayed, res.Seconds)
-		},
-	}
-	results := runner.Run(ctx, jobList)
-	if err := cacheFlags.Close(c, os.Stderr, "satattack"); err != nil {
-		fmt.Fprintln(os.Stderr, "satattack: cache gc:", err)
+	results := (&sweep.Runner{Workers: *jobs, Checkpoint: ckpt, Cache: c, Progress: a.progress}).Run(ctx, jobList)
+	if err := cacheFlags.Close(c, stderr, "satattack"); err != nil {
+		fmt.Fprintln(stderr, "satattack: cache gc:", err)
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, results); err != nil {
-			fail(err)
+		if err := writeJSON(*jsonOut, stdout, stderr, results); err != nil {
+			return fail(err)
 		}
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "satattack: interrupted; journals and cache are flushed, re-run with -resume to continue")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "satattack: interrupted; journals and cache are flushed, re-run with -resume to continue")
+		return 1
 	}
 	if errs := sweep.Errs(results); len(errs) > 0 {
-		fmt.Fprintf(os.Stderr, "satattack: %d/%d targets failed\n", len(errs), len(results))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "satattack: %d/%d targets failed\n", len(errs), len(results))
+		return 1
 	}
-	if ckpt != nil && sweep.FirstErr(results) == nil {
-		fmt.Fprintf(os.Stderr, "satattack: sweep complete, manifest at %s\n", sweep.ManifestPath(ckpt.Dir()))
+	if ckpt != nil {
+		fmt.Fprintf(stderr, "satattack: sweep complete, manifest at %s\n", sweep.ManifestPath(ckpt.Dir()))
 	}
+	return 0
 }
 
-// readTarget reads one target's locked netlist and key file. Each is
-// read once: the bytes key the result cache and feed the loader.
-func readTarget(lockedPath, keyPath string) (bench, key []byte, err error) {
-	if bench, err = os.ReadFile(lockedPath); err != nil {
-		return nil, nil, err
+// jobTimeout is a target's job deadline: 30 s of headroom over the
+// attack's own budget, so that a budget that runs out ends the attack
+// with Status Timeout (the paper's ∞) rather than at the deadline. An
+// attack without a budget gets no deadline.
+func jobTimeout(budget time.Duration) time.Duration {
+	if budget == 0 {
+		return 0
 	}
-	if key, err = os.ReadFile(keyPath); err != nil {
-		return nil, nil, err
+	return budget + 30*time.Second
+}
+
+// target is one locked netlist and its key file, each read once: the
+// bytes key the result cache and feed the loader.
+type target struct {
+	locked, key    string // the paths
+	bench, keyText []byte
+	err            error // from reading either file
+}
+
+func readTarget(lockedPath, keyPath string) *target {
+	tg := &target{locked: lockedPath, key: keyPath}
+	if tg.bench, tg.err = os.ReadFile(lockedPath); tg.err == nil {
+		tg.keyText, tg.err = os.ReadFile(keyPath)
 	}
-	return bench, key, nil
+	return tg
+}
+
+// load parses the target. It runs at most once per target: in the job
+// that attacks it, or for the header of a single target the cache
+// serves.
+func (tg *target) load(prefix string) (*attack.Target, error) {
+	if tg.err != nil {
+		return nil, tg.err
+	}
+	return attack.LoadTarget(tg.locked, string(tg.bench), tg.key, string(tg.keyText), prefix)
 }
 
 // targetCacheKey derives the content-addressed cache key for one
 // attack target: the raw bytes of the locked netlist and key files
 // plus every option that shapes the attack and the attack's search
 // version. Returns the zero Key, opting the target out of caching,
-// when the cache is off.
-func targetCacheKey(c *cache.Cache, bench, key []byte, o options) cache.Key {
-	if c == nil {
+// when the cache is off, a file could not be read, or the run is a
+// sensitization, removal or -trace run (whose point is the side-effect
+// trace file).
+func targetCacheKey(c *cache.Cache, tg *target, o options) cache.Key {
+	if c == nil || tg.err != nil || o.sensitize || o.removal || o.trace != "" {
 		return cache.Key{}
 	}
 	k, err := cache.NewKey("satattack-target").
-		Bytes("locked", bench).
-		Bytes("key", key).
+		Bytes("locked", tg.bench).
+		Bytes("key", tg.keyText).
 		Options("opts", map[string]any{
 			"prefix":    o.prefix,
 			"timeout":   o.timeout.Nanoseconds(),
@@ -270,182 +284,141 @@ func targetCacheKey(c *cache.Cache, bench, key []byte, o options) cache.Key {
 	return k
 }
 
-// jobJournalPath maps a sweep job onto its journal file, or "" when
-// checkpointing is off.
-func jobJournalPath(ckpt *sweep.Checkpoint, name string) string {
-	if ckpt == nil {
-		return ""
-	}
-	return ckpt.JobFile(name)
+// attacker runs every target with the same options and reports each
+// outcome as its job finishes: the full report for a single target,
+// one line per target for a sweep.
+type attacker struct {
+	options
+	mu          sync.Mutex
+	out, stderr io.Writer // out is stderr too when -json - takes stdout
+	single      *target   // the only target, or nil for a sweep
 }
 
-// logf reports a journal the attack had to replace.
-func logf(format string, args ...any) {
-	fmt.Fprintln(os.Stderr, "satattack: "+fmt.Sprintf(format, args...))
-}
-
-// attackOne runs the selected attack on one loaded target and returns
-// the JSON summary. With journalPath set the exact attack journals
-// every DIP there, and o.resume replays an existing journal first.
-func attackOne(ctx context.Context, name string, t *attack.Target, o options,
-	trace *os.File, journalPath string) (*targetResult, error) {
-	tr := &targetResult{Target: name, KeyBits: len(t.KeyPos)}
-	var status attack.Status
-	var recovered []bool
-	if o.appsat {
-		opt := attack.DefaultAppSAT()
-		opt.Timeout = o.timeout
-		opt.Context = ctx
-		res, err := attack.AppSAT(t.Locked, t.KeyPos, t.Oracle, opt)
-		if err != nil {
-			return nil, err
-		}
-		status, recovered, tr.Iterations = res.Status, res.Key, res.DIPs
-	} else {
-		opts := attack.SATOptions{Timeout: o.timeout, BVA: o.bva, Context: ctx, Portfolio: o.portfolio}
-		if trace != nil {
-			opts.Trace = trace
-		}
-		res, err := attack.JournaledSATAttack(journalPath, o.resume, logf, t.Locked, t.KeyPos, t.Oracle, opts)
-		if err != nil {
-			return nil, err
-		}
-		status, recovered, tr.Iterations, tr.Replayed, tr.Solver =
-			res.Status, res.Key, res.Iterations, res.Replayed, res.Solver
-	}
-	tr.Status = status.String()
-	tr.Queries = t.Oracle.Queries()
-	if status == attack.KeyFound {
-		tr.Key = attack.BitString(recovered)
-		e, err := attack.VerifyKey(t.Locked, t.KeyPos, recovered, t.Oracle, 16, 1)
-		if err != nil {
-			return nil, err
-		}
-		tr.ErrorRate = e
-	}
-	return tr, nil
-}
-
-// failInterruptible reports err and exits nonzero, labelling the
-// signal-cancelled case explicitly.
-func failInterruptible(ctx context.Context, err error) {
-	if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "satattack: interrupted; journals and cache are flushed, re-run with -resume to continue")
-		os.Exit(1)
-	}
-	fail(err)
-}
-
-// runSingle preserves the original single-target output format. The
-// result cache applies to the standard SAT/AppSAT attack only; the
-// sensitization/removal analyses and -trace runs (whose point is the
-// side-effect trace file) always run live. The returned error is
-// reported by main after cache teardown.
-func runSingle(ctx context.Context, lockedPath, keyPath string, o options,
-	sensitize, removal bool, tracePath, jsonOut string, ckpt *sweep.Checkpoint, c *cache.Cache) error {
-	bench, key, err := readTarget(lockedPath, keyPath)
+// attack loads one target and runs the selected attack on it. The
+// sensitization and removal attacks return their one-line report; the
+// SAT attack (AppSAT with -appsat) returns the JSON summary. With
+// journal set the exact attack journals every DIP there, and -resume
+// replays an existing journal first.
+func (a *attacker) attack(ctx context.Context, tg *target, journal string) (_ any, err error) {
+	t, err := tg.load(a.prefix)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	t, err := attack.LoadTarget(lockedPath, string(bench), keyPath, string(key), o.prefix)
-	if err != nil {
-		return err
+	if a.single != nil {
+		a.header(t)
 	}
-
-	fmt.Printf("satattack: %d key bits, %d functional inputs, %d outputs, timeout %v\n",
-		len(t.KeyPos), len(t.Locked.Inputs)-len(t.KeyPos), len(t.Locked.Outputs), o.timeout)
-
-	if sensitize {
-		res, err := attack.Sensitize(t.Locked, t.KeyPos, t.Oracle, 16, o.timeout)
+	switch {
+	case a.sensitize:
+		res, err := attack.Sensitize(t.Locked, t.KeyPos, t.Oracle, 16, a.timeout)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Println("satattack:", res)
-		return nil
-	}
-	if removal {
+		return res.String(), nil
+	case a.removal:
 		stripped, err := attack.StructuralRemoval(t.Locked, t.KeyPos, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		strippedOracle, err := attack.NewSimOracle(stripped)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e, err := attack.OracleErrorRate(strippedOracle, t.Oracle, 16, 2)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Printf("satattack: removal attack output error rate %.6f (0 = circuit recovered exactly)\n", e)
-		return nil
+		return fmt.Sprintf("removal attack output error rate %.6f (0 = circuit recovered exactly)", e), nil
 	}
-
-	var ck cache.Key
-	if tracePath == "" {
-		ck = targetCacheKey(c, bench, key, o)
-	}
-	var trace *os.File
-	if tracePath != "" {
-		trace, err = os.Create(tracePath)
+	opts := attack.SATOptions{Timeout: a.timeout, BVA: a.bva, Context: ctx, Portfolio: a.portfolio}
+	if a.trace != "" {
+		f, err := os.Create(a.trace)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		defer func() { err = errors.Join(err, f.Close()) }()
+		opts.Trace = f
 	}
-	start := time.Now()
-	var tr *targetResult
-	cached := false
-	seconds := 0.0
-	if ck.Valid() {
-		if raw, storedSecs, ok := c.GetTimed(ck); ok {
-			var hit targetResult
-			if err := json.Unmarshal(raw, &hit); err == nil {
-				tr, cached, seconds = &hit, true, storedSecs
-			}
-		}
+	r, err := t.Run(attack.RunOptions{SAT: opts, AppSAT: a.appsat, Journal: journal, Resume: a.resume,
+		Logf:   func(format string, args ...any) { fmt.Fprintln(a.stderr, "satattack: "+fmt.Sprintf(format, args...)) },
+		Verify: true})
+	if err != nil {
+		return nil, err
 	}
-	if tr == nil {
-		tr, err = attackOne(ctx, lockedPath, t, o, trace, jobJournalPath(ckpt, lockedPath))
-		if trace != nil {
-			err = errors.Join(err, trace.Close())
-		}
-		if err != nil {
-			return err
-		}
-		seconds = time.Since(start).Seconds()
-		if ck.Valid() {
-			if raw, err := json.Marshal(tr); err == nil {
-				_ = c.PutTimed(ck, raw, seconds)
-			}
-		}
-	}
-	if cached {
-		fmt.Printf("satattack: result served from cache (no oracle queries, no solver calls; originally %.2fs)\n", seconds)
-	}
-	fmt.Printf("satattack: %s after %d DIPs in %v (%+v)\n",
-		tr.Status, tr.Iterations, time.Since(start).Round(time.Millisecond), tr.Solver)
-	fmt.Printf("satattack: oracle queries: %d (%d replayed from journal)\n", tr.Queries, tr.Replayed)
-	if tr.Key != "" {
-		fmt.Printf("satattack: recovered key verified, error rate %.6f\n", tr.ErrorRate)
-		fmt.Println("satattack: key =", tr.Key)
-	} else {
-		fmt.Println("satattack: TIMEOUT — the paper reports this outcome as infinity")
-	}
-	if jsonOut != "" {
-		res := sweep.Result{Name: lockedPath, Value: tr, Seconds: seconds}
-		return writeJSON(jsonOut, []sweep.Result{res})
-	}
-	return nil
+	return &targetResult{Target: tg.locked, KeyBits: len(t.KeyPos), Status: r.Status.String(), Key: r.Key,
+		Iterations: r.Iterations, Queries: r.Queries, Replayed: r.Replayed, ErrorRate: r.ErrorRate, Solver: r.Solver}, nil
 }
 
-func writeJSON(path string, results []sweep.Result) error {
+// header prints a single target's shape and budget ahead of its report.
+func (a *attacker) header(t *attack.Target) {
+	fmt.Fprintf(a.out, "satattack: %d key bits, %d functional inputs, %d outputs, timeout %v\n",
+		len(t.KeyPos), len(t.Locked.Inputs)-len(t.KeyPos), len(t.Locked.Outputs), a.timeout)
+}
+
+// progress reports one finished job; the runner calls it from its
+// workers.
+func (a *attacker) progress(res sweep.Result) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch {
+	case res.Err != nil:
+		fmt.Fprintf(a.stderr, "satattack: %s: FAILED: %v\n", res.Name, res.Err)
+	case a.single != nil:
+		a.report(res)
+	case res.Resumed:
+		fmt.Fprintf(a.out, "satattack: %s: done in a previous run, skipped\n", res.Name)
+	case res.Cached:
+		fmt.Fprintf(a.out, "satattack: %s: served from result cache\n", res.Name)
+	default:
+		tr := res.Value.(*targetResult)
+		fmt.Fprintf(a.out, "satattack: %s: %s after %d DIPs, %d oracle queries (%d replayed), %.2fs\n",
+			tr.Target, tr.Status, tr.Iterations, tr.Queries, tr.Replayed, res.Seconds)
+	}
+}
+
+// report prints the single target's full report.
+func (a *attacker) report(res sweep.Result) {
+	var tr targetResult
+	switch v := res.Value.(type) {
+	case string: // the sensitization or removal report
+		fmt.Fprintln(a.out, "satattack:", v)
+		return
+	case *targetResult:
+		tr = *v
+	case json.RawMessage: // the value a previous run recorded or cached
+		if err := json.Unmarshal(v, &tr); err != nil {
+			fmt.Fprintf(a.stderr, "satattack: %s: recorded result: %v\n", res.Name, err)
+			return
+		}
+	}
+	switch {
+	case res.Resumed:
+		fmt.Fprintf(a.out, "satattack: done in a previous run (no oracle queries, no solver calls; originally %.2fs)\n", res.Seconds)
+	case res.Cached:
+		if t, err := a.single.load(a.prefix); err == nil {
+			a.header(t)
+		}
+		fmt.Fprintf(a.out, "satattack: result served from cache (no oracle queries, no solver calls; originally %.2fs)\n", res.Seconds)
+	}
+	fmt.Fprintf(a.out, "satattack: %s after %d DIPs in %v (%+v)\n", tr.Status, tr.Iterations,
+		time.Duration(res.Seconds*float64(time.Second)).Round(time.Millisecond), tr.Solver)
+	fmt.Fprintf(a.out, "satattack: oracle queries: %d (%d replayed from journal)\n", tr.Queries, tr.Replayed)
+	if tr.Key != "" {
+		fmt.Fprintf(a.out, "satattack: recovered key verified, error rate %.6f\n", tr.ErrorRate)
+		fmt.Fprintln(a.out, "satattack: key =", tr.Key)
+	} else {
+		fmt.Fprintln(a.out, "satattack: TIMEOUT — the paper reports this outcome as infinity")
+	}
+}
+
+func writeJSON(path string, stdout, stderr io.Writer, results []sweep.Result) error {
 	if path == "-" {
-		return sweep.WriteJSON(os.Stdout, results)
+		return sweep.WriteJSON(stdout, results)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "satattack: writing", path)
+	fmt.Fprintln(stderr, "satattack: writing", path)
 	if err := sweep.WriteJSON(f, results); err != nil {
 		return errors.Join(err, f.Close())
 	}
@@ -460,9 +433,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "satattack:", err)
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/baselines"
 	"repro/internal/netlist"
+	"repro/internal/sat"
+	"repro/internal/sweep"
 )
 
 // quickTarget writes ci's quick target, c17 locked with one 2x2
@@ -52,9 +56,8 @@ func quickTarget(t *testing.T) (lockedPath, keyPath string) {
 func TestQuickTargetJSON(t *testing.T) {
 	lockedPath, keyPath := quickTarget(t)
 	jsonPath := filepath.Join(filepath.Dir(lockedPath), "out.json")
-	o := options{prefix: "keyinput", timeout: 2 * time.Minute, portfolio: 1}
-	if err := runSingle(context.Background(), lockedPath, keyPath, o, false, false, "", jsonPath, nil, nil); err != nil {
-		t.Fatal(err)
+	if code, _, stderr := satattack(t, "-locked", lockedPath, "-key", keyPath, "-timeout", "2m", "-json", jsonPath); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
 	}
 	raw, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -107,9 +110,150 @@ func TestMalformedKeyNamesLine(t *testing.T) {
 	if err := os.WriteFile(keyPath, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := options{prefix: "keyinput", timeout: 2 * time.Minute, portfolio: 1}
-	err = runSingle(context.Background(), lockedPath, keyPath, o, false, false, "", "", nil, nil)
-	if err == nil || !strings.Contains(err.Error(), `line 2: bit "I" is not 0 or 1`) {
-		t.Fatalf("runSingle with a malformed key: error %v, want it to name line 2", err)
+	code, _, stderr := satattack(t, "-locked", lockedPath, "-key", keyPath, "-timeout", "2m")
+	if code == 0 || !strings.Contains(stderr, `line 2: bit "I" is not 0 or 1`) {
+		t.Fatalf("satattack with a malformed key: exit %d, stderr %q, want it to name line 2", code, stderr)
 	}
+}
+
+// TestJobTimeout pins a target's job deadline: none for an attack
+// without a budget, whose deadline would otherwise cut it off at 30 s,
+// and 30 s of headroom over a budget.
+func TestJobTimeout(t *testing.T) {
+	for _, tc := range []struct{ budget, want time.Duration }{
+		{0, 0},
+		{10 * time.Second, 40 * time.Second},
+	} {
+		if got := jobTimeout(tc.budget); got != tc.want {
+			t.Errorf("jobTimeout(%v) = %v, want %v", tc.budget, got, tc.want)
+		}
+	}
+}
+
+// TestJSONDashWritesOnlyJSON: with "-json -" stdout holds one JSON
+// array and nothing else, for one target and for a sweep; the report
+// goes to stderr.
+func TestJSONDashWritesOnlyJSON(t *testing.T) {
+	lockedPath, keyPath := quickTarget(t)
+	raw, err := os.ReadFile(lockedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := filepath.Join(filepath.Dir(lockedPath), "second.bench")
+	if err := os.WriteFile(second, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, locked := range []string{lockedPath, lockedPath + "," + second} {
+		code, stdout, stderr := satattack(t, "-locked", locked, "-key", keyPath, "-json", "-")
+		if code != 0 {
+			t.Fatalf("-locked %s: exit %d:\n%s", locked, code, stderr)
+		}
+		var results []jsonResult
+		if err := json.Unmarshal([]byte(stdout), &results); err != nil {
+			t.Fatalf("-locked %s -json -: stdout is not one JSON array: %v\n%s", locked, err, stdout)
+		}
+		if want := len(strings.Split(locked, ",")); len(results) != want {
+			t.Fatalf("-locked %s: %d results, want %d", locked, len(results), want)
+		}
+		if !strings.Contains(stderr, "key-found after 6 DIPs") {
+			t.Fatalf("-locked %s: the report is not on stderr:\n%s", locked, stderr)
+		}
+	}
+}
+
+// TestResumeFinishedSingleTarget: a checkpointed single target is
+// recorded done in the manifest, and -resume returns the recorded
+// result without an oracle query or a solver call.
+func TestResumeFinishedSingleTarget(t *testing.T) {
+	lockedPath, keyPath := quickTarget(t)
+	dir := filepath.Dir(lockedPath)
+	ckptDir := filepath.Join(dir, "ckpt")
+	first, resumed := filepath.Join(dir, "first.json"), filepath.Join(dir, "resumed.json")
+	args := []string{"-locked", lockedPath, "-key", keyPath, "-checkpoint-dir", ckptDir}
+	if code, _, stderr := satattack(t, append(args, "-json", first)...); code != 0 {
+		t.Fatalf("checkpointed run: exit %d:\n%s", code, stderr)
+	}
+	ckpt, err := sweep.ResumeCheckpoint(ckptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ckpt.Completed(lockedPath); !ok {
+		t.Fatalf("the manifest does not record %s done", lockedPath)
+	}
+	queries, solves := attack.OracleQueriesTotal(), sat.SolveCallsTotal()
+	code, stdout, stderr := satattack(t, append(args, "-resume", "-json", resumed)...)
+	if code != 0 {
+		t.Fatalf("resumed run: exit %d:\n%s", code, stderr)
+	}
+	if q, s := attack.OracleQueriesTotal()-queries, sat.SolveCallsTotal()-solves; q != 0 || s != 0 {
+		t.Fatalf("resuming a finished target made %d oracle queries and %d solver calls, want 0 and 0", q, s)
+	}
+	if !strings.Contains(stdout, "satattack: done in a previous run") {
+		t.Fatalf("resumed report does not say the target finished in a previous run:\n%s", stdout)
+	}
+	was, now := readResults(t, first), readResults(t, resumed)
+	if !now[0].Resumed || now[0].Value != was[0].Value {
+		t.Fatalf("resumed result %+v, want the recorded %+v", now[0], was[0])
+	}
+}
+
+// TestWarmSingleTargetCached: a second run of one target against the
+// cache the first filled is served from it, prints the same header,
+// and its -json element is marked cached with the cold value.
+func TestWarmSingleTargetCached(t *testing.T) {
+	lockedPath, keyPath := quickTarget(t)
+	dir := filepath.Dir(lockedPath)
+	args := []string{"-locked", lockedPath, "-key", keyPath, "-cache-dir", filepath.Join(dir, "cache")}
+	cold, warm := filepath.Join(dir, "cold.json"), filepath.Join(dir, "warm.json")
+	code, coldOut, stderr := satattack(t, append(args, "-json", cold)...)
+	if code != 0 {
+		t.Fatalf("cold run: exit %d:\n%s", code, stderr)
+	}
+	code, warmOut, stderr := satattack(t, append(args, "-json", warm)...)
+	if code != 0 {
+		t.Fatalf("warm run: exit %d:\n%s", code, stderr)
+	}
+	header := strings.SplitAfter(coldOut, "\n")[0]
+	if !strings.HasPrefix(warmOut, header+"satattack: result served from cache") {
+		t.Fatalf("warm report:\n%s\nwant the header %q, then the cache line", warmOut, header)
+	}
+	was, now := readResults(t, cold), readResults(t, warm)
+	if !now[0].Cached || now[0].Worker != -1 || now[0].Value != was[0].Value {
+		t.Fatalf("warm result %+v, want a cached copy of %+v", now[0], was[0])
+	}
+}
+
+// jsonResult is one element of satattack's -json array.
+type jsonResult struct {
+	Name    string       `json:"name"`
+	Worker  int          `json:"worker"`
+	Value   targetResult `json:"value"`
+	Resumed bool         `json:"resumed"`
+	Cached  bool         `json:"cached"`
+}
+
+// readResults decodes a one-target -json file.
+func readResults(t *testing.T, path string) []jsonResult {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []jsonResult
+	if err := json.Unmarshal(raw, &results); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 {
+		t.Fatalf("%s holds %d results, want 1", path, len(results))
+	}
+	return results
+}
+
+// satattack runs the command on args and returns its exit code, stdout
+// and stderr.
+func satattack(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
 }

@@ -167,8 +167,7 @@ func cellKey(cfg AttackConfig, kind string, sum cache.Digest, opts map[string]an
 // tables run goes through here, so every cell is cached, checkpointed
 // and spread over the workers alike.
 func (cfg AttackConfig) cell(name, kind string, sum cache.Digest, opts map[string]any, run func(context.Context) (any, error)) sweep.Job {
-	return sweep.Job{Name: name, Seed: cfg.Seed, CacheKey: cellKey(cfg, kind, sum, opts),
-		Run: func(ctx context.Context, _ int64) (any, error) { return run(ctx) }}
+	return sweep.Job{Name: name, CacheKey: cellKey(cfg, kind, sum, opts), Run: run}
 }
 
 // satOptions are the options of every exact SAT attack the tables run:

@@ -77,63 +77,34 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 	if err != nil {
 		return nil, err
 	}
-	out := &AttackResult{KeyBits: len(at.KeyPos)}
-	start := time.Now()
-
-	var status attack.Status
-	var recovered []bool
-	if spec.AppSAT {
-		opt := attack.DefaultAppSAT()
-		opt.Timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
-		opt.Context = ctx
-		r, err := attack.AppSAT(at.Locked, at.KeyPos, at.Oracle, opt)
-		if err != nil {
-			return nil, err
-		}
-		status, recovered, out.Iterations = r.Status, r.Key, r.DIPs
-	} else {
-		opts := attack.SATOptions{
-			Timeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
-			Context:   ctx,
-			BVA:       spec.BVA,
-			Portfolio: spec.Portfolio,
-		}
-		if publish != nil {
-			opts.Progress = func(p attack.Progress) {
-				publish(ProgressEvent{
-					Target:    target,
-					Iteration: p.Iteration,
-					Queries:   at.Oracle.Queries(),
-					ElapsedMS: p.Elapsed.Milliseconds(),
-					Solver:    p.Solver,
-				})
-			}
-		}
-		// A journal in the state directory can only mean a previous run
-		// of this same job, so the daemon always resumes.
-		logf := func(format string, args ...any) { s.logf("serve: %s", fmt.Sprintf(format, args...)) }
-		r, err := attack.JournaledSATAttack(s.ckpt.JobFile(journalKey), true, logf, at.Locked, at.KeyPos, at.Oracle, opts)
-		if err != nil {
-			return nil, err
-		}
-		status, recovered = r.Status, r.Key
-		out.Iterations, out.Replayed, out.Solver = r.Iterations, r.Replayed, r.Solver
+	opts := attack.SATOptions{
+		Timeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
+		Context:   ctx,
+		BVA:       spec.BVA,
+		Portfolio: spec.Portfolio,
 	}
-
-	out.Status = status.String()
-	out.Queries = at.Oracle.Queries()
-	out.ElapsedMS = time.Since(start).Milliseconds()
-	if status == attack.KeyFound {
-		out.Key = attack.BitString(recovered)
-		if spec.Verify {
-			e, err := attack.VerifyKey(at.Locked, at.KeyPos, recovered, at.Oracle, 16, 1)
-			if err != nil {
-				return nil, err
-			}
-			out.ErrorRate, out.Verified = e, true
+	if publish != nil {
+		opts.Progress = func(p attack.Progress) {
+			publish(ProgressEvent{
+				Target:    target,
+				Iteration: p.Iteration,
+				Queries:   at.Oracle.Queries(),
+				ElapsedMS: p.Elapsed.Milliseconds(),
+				Solver:    p.Solver,
+			})
 		}
 	}
-	return out, nil
+	// A journal in the state directory can only mean a previous run of
+	// this same job, so the daemon always resumes.
+	r, err := at.Run(attack.RunOptions{SAT: opts, AppSAT: spec.AppSAT, Journal: s.ckpt.JobFile(journalKey), Resume: true,
+		Logf:   func(format string, args ...any) { s.logf("serve: %s", fmt.Sprintf(format, args...)) },
+		Verify: spec.Verify})
+	if err != nil {
+		return nil, err
+	}
+	return &AttackResult{Status: r.Status.String(), Key: r.Key, KeyBits: len(at.KeyPos),
+		Iterations: r.Iterations, Replayed: r.Replayed, Queries: r.Queries, ElapsedMS: r.Elapsed.Milliseconds(),
+		Solver: r.Solver, ErrorRate: r.ErrorRate, Verified: r.Verified}, nil
 }
 
 // runLock locks the spec's bench, gates the result on the netlint

@@ -456,11 +456,8 @@ func (s *Server) runJob(js *jobState) {
 	js.mu.Unlock()
 	res := s.runner.RunOne(jctx, sweep.Job{
 		Name:    js.id,
-		Seed:    1,
 		Timeout: js.spec.jobTimeout(s.opt.DefaultTimeout),
-		Run: func(ctx context.Context, _ int64) (any, error) {
-			return s.execute(ctx, js)
-		},
+		Run:     func(ctx context.Context) (any, error) { return s.execute(ctx, js) },
 	})
 	cancel()
 	s.finish(js, res)

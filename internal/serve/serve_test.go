@@ -466,7 +466,7 @@ func TestMetricsAndList(t *testing.T) {
 func TestSSEStream(t *testing.T) {
 	_, client := startServer(t, Options{Workers: 1})
 	ctx := testCtx(t)
-	targets, err := MakeLoadTargets(1, 5)
+	targets, err := MakeLoadTargets(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,27 +543,6 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 				t.Fatalf("drain left temp file %s/%s", sub, e.Name())
 			}
 		}
-	}
-}
-
-// TestLoadTestSmall exercises the load harness end to end at unit-test
-// scale: every job terminal, none lost or duplicated.
-func TestLoadTestSmall(t *testing.T) {
-	_, client := startServer(t, Options{Workers: 4})
-	rep, err := LoadTest(testCtx(t), client.Base, LoadOptions{
-		Jobs:        40,
-		Concurrency: 8,
-		Tenants:     3,
-		Variants:    4,
-	}, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Lost != 0 || rep.Duplicated != 0 {
-		t.Fatalf("load report: %s", rep)
-	}
-	if rep.Done != 40 {
-		t.Fatalf("completed %d/40: %s", rep.Done, rep)
 	}
 }
 

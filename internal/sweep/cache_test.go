@@ -28,9 +28,8 @@ func cacheJobs(t *testing.T, n int, ran *atomic.Int64) []Job {
 		}
 		jobs[i] = Job{
 			Name:     fmt.Sprintf("job%d", i),
-			Seed:     DeriveSeed(7, i),
 			CacheKey: k,
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context) (any, error) {
 				ran.Add(1)
 				return &cellPayload{N: i, Verdict: "done"}, nil
 			},
@@ -87,7 +86,7 @@ func TestRunnerCacheWarm(t *testing.T) {
 
 	// Jobs without a key always run.
 	var keyless atomic.Int64
-	nk := []Job{{Name: "nokey", Run: func(ctx context.Context, seed int64) (any, error) {
+	nk := []Job{{Name: "nokey", Run: func(ctx context.Context) (any, error) {
 		keyless.Add(1)
 		return "x", nil
 	}}}
@@ -114,7 +113,7 @@ func TestRunnerCacheSkipsFailures(t *testing.T) {
 	}
 	var ran atomic.Int64
 	jobs := []Job{{Name: "flaky", CacheKey: k,
-		Run: func(ctx context.Context, seed int64) (any, error) {
+		Run: func(ctx context.Context) (any, error) {
 			ran.Add(1)
 			return nil, fmt.Errorf("boom")
 		}}}
@@ -208,7 +207,7 @@ func TestRunnerCacheWarmKeepsSeconds(t *testing.T) {
 	jobs := []Job{{
 		Name:     "slow",
 		CacheKey: k,
-		Run: func(ctx context.Context, _ int64) (any, error) {
+		Run: func(ctx context.Context) (any, error) {
 			time.Sleep(30 * time.Millisecond)
 			return &cellPayload{N: 1, Verdict: "done"}, nil
 		},
@@ -229,8 +228,5 @@ func TestRunnerCacheWarmKeepsSeconds(t *testing.T) {
 	}
 	if warm[0].Seconds != cold[0].Seconds {
 		t.Fatalf("warm Seconds = %v, want the original %v", warm[0].Seconds, cold[0].Seconds)
-	}
-	if warm[0].Elapsed <= 0 {
-		t.Fatalf("warm Elapsed = %v, want the restored duration", warm[0].Elapsed)
 	}
 }

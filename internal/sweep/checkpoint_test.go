@@ -19,11 +19,10 @@ import (
 func checkpointJobs(n int, ran *int32, failing map[int]bool) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		i := i
+		i, seed := i, DeriveSeed(7, i)
 		jobs[i] = Job{
 			Name: fmt.Sprintf("job-%02d", i),
-			Seed: DeriveSeed(7, i),
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context) (any, error) {
 				atomic.AddInt32(ran, 1)
 				if failing[i] {
 					return nil, errors.New("deliberate failure")
@@ -555,7 +554,7 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		i := i
 		jobs[i] = Job{
 			Name: fmt.Sprintf("job-%02d", i),
-			Run: func(jctx context.Context, seed int64) (any, error) {
+			Run: func(jctx context.Context) (any, error) {
 				atomic.AddInt32(&ran, 1)
 				if i == 2 {
 					cancel() // "kill" arrives while the sweep is mid-flight
@@ -579,7 +578,7 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 	for i := range jobs2 {
 		i := i
 		jobs2[i] = Job{Name: fmt.Sprintf("job-%02d", i),
-			Run: func(context.Context, int64) (any, error) { atomic.AddInt32(&ran, 1); return i, nil }}
+			Run: func(context.Context) (any, error) { atomic.AddInt32(&ran, 1); return i, nil }}
 	}
 	results := (&Runner{Workers: 1, Checkpoint: resumed}).Run(context.Background(), jobs2)
 	if err := FirstErr(results); err != nil {

@@ -5,8 +5,9 @@
 // and the jobs are mutually independent, so the sweep parallelizes
 // perfectly up to the core count. The runner guarantees:
 //
-//   - per-job deterministic seeds (DeriveSeed splits a base seed so
-//     results are identical regardless of worker count or schedule)
+//   - schedule-independent seeds: a job captures its own seed, and
+//     DeriveSeed splits a base seed so results are identical
+//     regardless of worker count or schedule
 //   - per-job deadlines via context.Context, threaded down through
 //     attack.SATOptions into the CDCL solver's abort poll
 //   - panic isolation: a crashing job becomes a failed Result, not a
@@ -29,20 +30,17 @@ import (
 )
 
 // Job is one unit of sweep work. Run receives a context that is
-// cancelled at the job's deadline (Job.Timeout, falling back to
-// Runner.Timeout) or when the whole sweep is cancelled, plus the job's
-// deterministic seed.
+// cancelled at the job's deadline (Job.Timeout) or when the whole
+// sweep is cancelled. A job that needs a seed captures it: runners do
+// not invent seeds, so build them with DeriveSeed and a sweep is
+// reproducible from its base seed alone.
 type Job struct {
 	// Name identifies the job in results and progress output.
 	Name string
-	// Seed is the job's deterministic seed. Runners do not invent
-	// seeds: build jobs with DeriveSeed so a sweep is reproducible
-	// from its base seed alone.
-	Seed int64
-	// Timeout overrides the runner's default per-job timeout
-	// (0 = inherit). A negative Timeout is a configuration error, not a
-	// "no deadline" request: Run and RunOne reject it up front with
-	// ErrNegativeTimeout instead of silently running unbounded.
+	// Timeout is the job's deadline (0 = none). A negative Timeout is a
+	// configuration error, not a "no deadline" request: Run and RunOne
+	// reject it up front with ErrNegativeTimeout instead of silently
+	// running unbounded.
 	Timeout time.Duration
 	// CacheKey, when valid and Runner.Cache is set, identifies the
 	// job's result in the content-addressed cache: the job is served
@@ -52,20 +50,19 @@ type Job struct {
 	// options, the seed) — the cache trusts the key completely.
 	CacheKey cache.Key
 	// Run executes the job. The returned value lands in Result.Value.
-	Run func(ctx context.Context, seed int64) (any, error)
+	Run func(ctx context.Context) (any, error)
 }
 
 // Result is the outcome of one job.
 type Result struct {
-	Name    string        `json:"name"`
-	Index   int           `json:"index"`
-	Worker  int           `json:"worker"`
-	Value   any           `json:"value,omitempty"`
-	Err     error         `json:"-"`
-	Error   string        `json:"error,omitempty"` // Err rendered for JSON
-	Panic   bool          `json:"panic,omitempty"`
-	Elapsed time.Duration `json:"-"`
-	Seconds float64       `json:"seconds"`
+	Name    string  `json:"name"`
+	Index   int     `json:"index"`
+	Worker  int     `json:"worker"`
+	Value   any     `json:"value,omitempty"`
+	Err     error   `json:"-"`
+	Error   string  `json:"error,omitempty"` // Err rendered for JSON
+	Panic   bool    `json:"panic,omitempty"`
+	Seconds float64 `json:"seconds"`
 	// Resumed marks a job that was not run because a checkpoint
 	// manifest already records it done; Value then holds the recorded
 	// json.RawMessage payload, not the job's native result type.
@@ -91,8 +88,6 @@ func (e *PanicError) Error() string {
 type Runner struct {
 	// Workers is the pool size; 0 or negative means runtime.NumCPU().
 	Workers int
-	// Timeout is the default per-job deadline (0 = none).
-	Timeout time.Duration
 	// Progress, when non-nil, is called from worker goroutines as each
 	// job finishes (in completion order, not job order). It must be
 	// safe for concurrent use. Jobs skipped via a checkpoint manifest
@@ -116,11 +111,11 @@ type Runner struct {
 }
 
 // ErrNegativeTimeout reports a Job built with a negative Timeout. The
-// field's contract is "0 = inherit the runner default, positive =
-// override"; a negative value is always a caller bug (most often a
-// subtraction that went past zero), and silently treating it as "no
-// deadline" would disable the very guardrail the field exists for. Run
-// and RunOne fail fast at entry instead of running anything.
+// field's contract is "0 = no deadline, positive = deadline"; a
+// negative value is always a caller bug (most often a subtraction that
+// went past zero), and silently treating it as "no deadline" would
+// disable the very guardrail the field exists for. Run and RunOne fail
+// fast at entry instead of running anything.
 var ErrNegativeTimeout = errors.New("sweep: negative job timeout")
 
 // checkTimeouts validates every job's Timeout before any job runs,
@@ -195,8 +190,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 			// PutTimed below) so warm report cells and JSON results never
 			// show a 0-second runtime for real solver work.
 			results[i] = Result{Name: jobs[i].Name, Index: i, Worker: -1,
-				Value: json.RawMessage(raw), Cached: true,
-				Seconds: seconds, Elapsed: time.Duration(seconds * float64(time.Second))}
+				Value: json.RawMessage(raw), Cached: true, Seconds: seconds}
 			if r.Checkpoint != nil {
 				if err := r.Checkpoint.Record(results[i]); err != nil {
 					results[i].Err = fmt.Errorf("checkpoint: %w", err)
@@ -261,10 +255,10 @@ feed:
 	return results
 }
 
-// RunOne executes a single job with the runner's default deadline and
-// panic isolation but without the batch pool: long-lived consumers
-// (the rild daemon's queue workers) dequeue jobs one at a time and run
-// each through RunOne, getting the exact per-job semantics of Run —
+// RunOne executes a single job with its deadline and panic isolation
+// but without the batch pool: long-lived consumers (the rild daemon's
+// queue workers) dequeue jobs one at a time and run each through
+// RunOne, getting the exact per-job semantics of Run —
 // including the negative-Timeout contract and the interrupted-result
 // accounting on a cancelled ctx.
 func (r *Runner) RunOne(ctx context.Context, job Job) Result {
@@ -280,20 +274,15 @@ func (r *Runner) RunOne(ctx context.Context, job Job) Result {
 // runOne executes a single job with deadline and panic isolation.
 func (r *Runner) runOne(ctx context.Context, worker, index int, job Job) (res Result) {
 	res = Result{Name: job.Name, Index: index, Worker: worker}
-	timeout := job.Timeout
-	if timeout == 0 {
-		timeout = r.Timeout
-	}
 	jctx := ctx
-	if timeout > 0 {
+	if job.Timeout > 0 {
 		var cancel context.CancelFunc
-		jctx, cancel = context.WithTimeout(ctx, timeout)
+		jctx, cancel = context.WithTimeout(ctx, job.Timeout)
 		defer cancel()
 	}
 	start := time.Now()
 	defer func() {
-		res.Elapsed = time.Since(start)
-		res.Seconds = res.Elapsed.Seconds()
+		res.Seconds = time.Since(start).Seconds()
 		if p := recover(); p != nil {
 			res.Err = &PanicError{Value: p, Stack: string(debug.Stack())}
 			res.Panic = true
@@ -315,7 +304,7 @@ func (r *Runner) runOne(ctx context.Context, worker, index int, job Job) (res Re
 			res.Error = res.Err.Error()
 		}
 	}()
-	res.Value, res.Err = job.Run(jctx, job.Seed)
+	res.Value, res.Err = job.Run(jctx)
 	return res
 }
 

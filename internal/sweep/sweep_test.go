@@ -24,8 +24,7 @@ func TestRunOrderAndValues(t *testing.T) {
 		i := i
 		jobs = append(jobs, sweep.Job{
 			Name: fmt.Sprintf("job%d", i),
-			Seed: sweep.DeriveSeed(1, i),
-			Run: func(ctx context.Context, seed int64) (any, error) {
+			Run: func(ctx context.Context) (any, error) {
 				return i * i, nil
 			},
 		})
@@ -54,9 +53,9 @@ func TestRunOrderAndValues(t *testing.T) {
 
 func TestPanicIsolation(t *testing.T) {
 	jobs := []sweep.Job{
-		{Name: "ok1", Run: func(context.Context, int64) (any, error) { return "a", nil }},
-		{Name: "boom", Run: func(context.Context, int64) (any, error) { panic("kaboom") }},
-		{Name: "ok2", Run: func(context.Context, int64) (any, error) { return "b", nil }},
+		{Name: "ok1", Run: func(context.Context) (any, error) { return "a", nil }},
+		{Name: "boom", Run: func(context.Context) (any, error) { panic("kaboom") }},
+		{Name: "ok2", Run: func(context.Context) (any, error) { return "b", nil }},
 	}
 	results := (&sweep.Runner{Workers: 2}).Run(context.Background(), jobs)
 	if results[0].Err != nil || results[2].Err != nil {
@@ -79,11 +78,11 @@ func TestPanicIsolation(t *testing.T) {
 
 func TestPerJobTimeout(t *testing.T) {
 	jobs := []sweep.Job{
-		{Name: "fast", Run: func(ctx context.Context, _ int64) (any, error) { return "done", nil }},
+		{Name: "fast", Run: func(ctx context.Context) (any, error) { return "done", nil }},
 		{
 			Name:    "slow",
 			Timeout: 30 * time.Millisecond,
-			Run: func(ctx context.Context, _ int64) (any, error) {
+			Run: func(ctx context.Context) (any, error) {
 				select {
 				case <-ctx.Done():
 					return nil, ctx.Err()
@@ -112,7 +111,7 @@ func TestSweepCancellation(t *testing.T) {
 	var jobs []sweep.Job
 	jobs = append(jobs, sweep.Job{
 		Name: "blocker",
-		Run: func(ctx context.Context, _ int64) (any, error) {
+		Run: func(ctx context.Context) (any, error) {
 			close(started)
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -121,7 +120,7 @@ func TestSweepCancellation(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		jobs = append(jobs, sweep.Job{
 			Name: fmt.Sprintf("queued%d", i),
-			Run:  func(context.Context, int64) (any, error) { return "ran", nil },
+			Run:  func(context.Context) (any, error) { return "ran", nil },
 		})
 	}
 	go func() {
@@ -164,10 +163,10 @@ func TestDeriveSeed(t *testing.T) {
 }
 
 // attackJob locks a fresh small circuit with one 2x2 RIL block under
-// the job seed and SAT-attacks it, returning a schedule-independent
-// summary (key string + iteration count).
-func attackJob(orig *netlist.Netlist) func(ctx context.Context, seed int64) (any, error) {
-	return func(ctx context.Context, seed int64) (any, error) {
+// seed and SAT-attacks it, returning a schedule-independent summary
+// (key string + iteration count).
+func attackJob(orig *netlist.Netlist, seed int64) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		res, err := core.Lock(orig, core.Options{Blocks: 1, Size: core.Size2x2, Seed: seed})
 		if err != nil {
 			return nil, err
@@ -215,8 +214,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			jobs = append(jobs, sweep.Job{
 				Name: fmt.Sprintf("attack%d", i),
-				Seed: sweep.DeriveSeed(42, i),
-				Run:  attackJob(orig),
+				Run:  attackJob(orig, sweep.DeriveSeed(42, i)),
 			})
 		}
 		return jobs
@@ -256,7 +254,7 @@ func TestConcurrentAttacksSharedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(ctx context.Context, _ int64) (any, error) {
+	run := func(ctx context.Context) (any, error) {
 		ar, err := attack.SATAttack(res.Locked, res.KeyInputPos, oracle,
 			attack.SATOptions{Timeout: time.Minute, Context: ctx})
 		if err != nil {
@@ -324,10 +322,10 @@ func BenchmarkLatencyBoundSweep(b *testing.B) {
 	mkJobs := func() []sweep.Job {
 		var jobs []sweep.Job
 		for i := 0; i < 8; i++ {
+			seed := sweep.DeriveSeed(42, i)
 			jobs = append(jobs, sweep.Job{
 				Name: fmt.Sprintf("attack%d", i),
-				Seed: sweep.DeriveSeed(42, i),
-				Run: func(ctx context.Context, seed int64) (any, error) {
+				Run: func(ctx context.Context) (any, error) {
 					res, err := core.Lock(orig, core.Options{Blocks: 1, Size: core.Size2x2, Seed: seed})
 					if err != nil {
 						return nil, err
@@ -373,11 +371,11 @@ func BenchmarkLatencyBoundSweep(b *testing.B) {
 func TestNegativeTimeoutFailsFast(t *testing.T) {
 	var ran atomic.Int64
 	jobs := []sweep.Job{
-		{Name: "ok", Run: func(ctx context.Context, _ int64) (any, error) {
+		{Name: "ok", Run: func(ctx context.Context) (any, error) {
 			ran.Add(1)
 			return "x", nil
 		}},
-		{Name: "bad", Timeout: -time.Second, Run: func(ctx context.Context, _ int64) (any, error) {
+		{Name: "bad", Timeout: -time.Second, Run: func(ctx context.Context) (any, error) {
 			ran.Add(1)
 			return "y", nil
 		}},
@@ -402,13 +400,13 @@ func TestNegativeTimeoutFailsFast(t *testing.T) {
 }
 
 // TestRunOne: the daemon's single-job entry point keeps Run's
-// semantics — deadline inheritance from the runner and panic
-// isolation.
+// semantics — the job's deadline and panic isolation.
 func TestRunOne(t *testing.T) {
-	r := &sweep.Runner{Timeout: 50 * time.Millisecond}
+	r := &sweep.Runner{}
 	res := r.RunOne(context.Background(), sweep.Job{
-		Name: "deadline",
-		Run: func(ctx context.Context, _ int64) (any, error) {
+		Name:    "deadline",
+		Timeout: 50 * time.Millisecond,
+		Run: func(ctx context.Context) (any, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -418,14 +416,14 @@ func TestRunOne(t *testing.T) {
 	}
 	res = r.RunOne(context.Background(), sweep.Job{
 		Name: "panics",
-		Run:  func(ctx context.Context, _ int64) (any, error) { panic("boom") },
+		Run:  func(ctx context.Context) (any, error) { panic("boom") },
 	})
 	if !res.Panic || res.Err == nil {
 		t.Fatalf("panic not isolated: %+v", res)
 	}
 	res = r.RunOne(context.Background(), sweep.Job{
 		Name: "ok",
-		Run:  func(ctx context.Context, _ int64) (any, error) { return 42, nil },
+		Run:  func(ctx context.Context) (any, error) { return 42, nil },
 	})
 	if res.Err != nil || res.Value != 42 {
 		t.Fatalf("RunOne = %+v", res)
@@ -442,7 +440,7 @@ func TestCancelledSweepNeverRecordsSuccess(t *testing.T) {
 	started := make(chan struct{})
 	jobs := []sweep.Job{{
 		Name: "truncated",
-		Run: func(jctx context.Context, _ int64) (any, error) {
+		Run: func(jctx context.Context) (any, error) {
 			close(started)
 			<-jctx.Done()
 			// A job that swallows its context returns a value that
@@ -467,7 +465,7 @@ func TestCancelledSweepNeverRecordsSuccess(t *testing.T) {
 	res := (&sweep.Runner{}).RunOne(context.Background(), sweep.Job{
 		Name:    "legit-timeout",
 		Timeout: 20 * time.Millisecond,
-		Run: func(jctx context.Context, _ int64) (any, error) {
+		Run: func(jctx context.Context) (any, error) {
 			<-jctx.Done()
 			return "inf", nil
 		},
