@@ -12,7 +12,8 @@
 //   - job.go: the per-type job runners (attack, lock, lint, sweep)
 //   - serve.go: the Server — persistence, workers, recovery, drain
 //   - http.go: the HTTP surface (submit, status, SSE, metrics)
-//   - loadtest.go: a client and load-test harness driven by cmd/rild
+//   - client.go: the API client and the locked-c17 targets that
+//     cmd/rild's load harness and the tests submit
 package serve
 
 import (
