@@ -10,7 +10,6 @@
 package repro
 
 import (
-	"io"
 	"testing"
 	"time"
 
@@ -507,16 +506,6 @@ func BenchmarkTseitin_EncodeC7552(b *testing.B) {
 	}
 }
 
-func BenchmarkLock_8x8x8x3_C7552(b *testing.B) {
-	nl := benchCircuit(b, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Lock(nl, core.Options{Blocks: 3, Size: core.Size8x8x8, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMorph_Epoch(b *testing.B) {
 	nl := benchCircuit(b, 0.1)
 	res, err := core.Lock(nl, core.Options{Blocks: 2, Size: core.Size8x8x8, Seed: 1, ScanEnable: true})
@@ -526,24 +515,5 @@ func BenchmarkMorph_Epoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res.Morph(int64(i+1), 8)
-	}
-}
-
-func BenchmarkBenchIO_WriteParse(b *testing.B) {
-	nl := benchCircuit(b, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr, pw := io.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			done <- nl.WriteBench(pw)
-			pw.Close()
-		}()
-		if _, err := netlist.ParseBench("c7552", pr); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -21,7 +21,9 @@ import (
 //	locker -in c7552.bench -scheme S ... -out O -keyout K
 //
 // write them. The netlist name, the -in path, heads the .bench text.
-// The pins were recorded before the schemes moved into one table.
+// The pins were recorded before the schemes moved into one table; the
+// many-block ril cases (100 2×2 blocks, three 8×8×8 blocks) before the
+// netlist passes became linear.
 func TestOutputPins(t *testing.T) {
 	c17, err := os.ReadFile("../../testdata/c17.bench")
 	if err != nil {
@@ -66,6 +68,10 @@ func TestOutputPins(t *testing.T) {
 			"1d554d91de2692c28024a064d0f125d3b43f2d7dd441055703e05b0299eb59a7", "e0e894b67b6daef68eb8fea14cb548d414d7ea932912a08d9fd4f411c496cbc2"},
 		{"c7552.bench", "ril", baselines.Params{Size: "8x8x8", Blocks: 1, Seed: 1, Scan: true},
 			"4a5dc744b6497fa99986b41d195a6ac0706e06de7973e7cc93056da5da6e0a86", "11995af0b694927040efc47493c5684b7266812b5895dcddb7ce05ba5569f280"},
+		{"c7552.bench", "ril", baselines.Params{Size: "2x2", Blocks: 100, Seed: 1},
+			"bd94dff0cf80fb2a220c1219759c17992b173ffc5b432162442e46d57f8bb6e1", "641c34d4838798e79c7ceb77df4fef7282ddb25d2a415a48b01de25f7fdafa8a"},
+		{"c7552.bench", "ril", baselines.Params{Size: "8x8x8", Blocks: 3, Seed: 1},
+			"5aa3beba864c47ef3ea27a52972604c7a2160884db644f86c62461ecbc68ebca", "cc819abda08f058dfa2bee34ee3673130a959f8030f030b9bd73e6231d301846"},
 		{"c7552.bench", "lut", baselines.Params{Blocks: 8, Seed: 1},
 			"42ad1c31f660d36fb2807075cd9955f09cc7f9e3ba1ff07a2ca8d6c9a0e4d625", "9c5a080b9cbb01d99257cedf4b84cb4efbf1687e77efb62261f43d4a496d5797"},
 		{"c7552.bench", "xor", baselines.Params{KeyBits: 32, Seed: 1},

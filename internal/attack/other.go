@@ -67,8 +67,8 @@ func StructuralRemoval(locked *netlist.Netlist, keyPos []int, seed int64) (*netl
 	for _, id := range keyIDs {
 		isKey[id] = true
 	}
-	tainted := c.TransitiveFanout(keyIDs...)
 	fanouts := c.FanoutLists()
+	tainted := netlist.FanoutCone(fanouts, keyIDs...)
 
 	// isDedicatedKeyModule reports whether fanin f of gate g is the
 	// sole output of a key-bearing sub-circuit: its cone contains a key
@@ -127,8 +127,8 @@ func StructuralRemoval(locked *netlist.Netlist, keyPos []int, seed int64) (*netl
 			bypassed[id] = true
 			// Recompute reachability so cascaded bypasses see the
 			// updated structure.
-			tainted = c.TransitiveFanout(keyIDs...)
 			fanouts = c.FanoutLists()
+			tainted = netlist.FanoutCone(fanouts, keyIDs...)
 			changed = true
 		}
 	}

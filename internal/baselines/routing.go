@@ -57,6 +57,7 @@ func RoutingLock(orig *netlist.Netlist, width int, seed int64) (*Locked, *Routin
 		sortByKeyDesc(cands, func(id int) int { return levels[id] })
 	}
 	var taps []int
+	fanouts := nl.FanoutLists()
 	unionTFO := make([]bool, nl.NumGates())
 	for _, cand := range cands {
 		if len(taps) == width {
@@ -65,7 +66,7 @@ func RoutingLock(orig *netlist.Netlist, width int, seed int64) (*Locked, *Routin
 		if unionTFO[cand] {
 			continue
 		}
-		tfo := nl.TransitiveFanout(cand)
+		tfo := netlist.FanoutCone(fanouts, cand)
 		ok := true
 		for _, tp := range taps {
 			if tfo[tp] {

@@ -1,6 +1,9 @@
 package baselines
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -77,6 +80,24 @@ func TestRoutingLockDeterministic(t *testing.T) {
 		if a.Key[i] != b.Key[i] {
 			t.Fatal("nondeterministic")
 		}
+	}
+
+	// A width-8 lock's .bench text followed by its key bits, pinned
+	// before the tap search walked cones over shared fanout lists.
+	w8, _, err := RoutingLock(orig, 8, 38)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w8.Netlist.WriteBench(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range w8.Key {
+		buf.WriteByte(map[bool]byte{false: '0', true: '1'}[k])
+	}
+	const want = "fb411af82fba5abeea02c84ed619d20fde93d24f8bb497624f73fbc0c3ed3122"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("width-8 routing lock SHA-256 %s, want %s", got, want)
 	}
 }
 

@@ -21,8 +21,9 @@ type Bus []int
 // operation lowers immediately to gates, so the result is an ordinary
 // gate-level netlist.
 type Builder struct {
-	N   *netlist.Netlist
-	ctr int
+	N    *netlist.Netlist
+	ctr  int
+	name []byte // fresh's scratch buffer
 }
 
 // NewBuilder starts a circuit with the given name.
@@ -30,9 +31,12 @@ func NewBuilder(name string) *Builder {
 	return &Builder{N: netlist.New(name)}
 }
 
+// fresh returns the next gate name, prefix_ctr, with one allocation.
 func (b *Builder) fresh(prefix string) string {
 	b.ctr++
-	return prefix + "_" + strconv.Itoa(b.ctr)
+	b.name = append(append(b.name[:0], prefix...), '_')
+	b.name = strconv.AppendInt(b.name, int64(b.ctr), 10)
+	return string(b.name)
 }
 
 // Input declares a width-bit primary input bus named name[i].

@@ -9,6 +9,9 @@ import (
 // ---------------------------------------------------------------------------
 // AES
 
+// aesBox is the AES S-box, computed once.
+var aesBox = aesSBox()
+
 // aesSBox computes the AES S-box from first principles (GF(2^8)
 // inversion modulo x^8+x^4+x^3+x+1, then the affine transform), so the
 // benchmark carries no opaque constant table.
@@ -92,9 +95,8 @@ func AESRound(cols int) (*netlist.Netlist, error) {
 	state := b.Input("st", cols*32)
 	rkey := b.Input("rk", cols*32)
 
-	box := aesSBox()
 	table := make([]uint64, 256)
-	for i, v := range box {
+	for i, v := range aesBox {
 		table[i] = uint64(v)
 	}
 
@@ -149,12 +151,11 @@ func AESRound(cols int) (*netlist.Netlist, error) {
 // AESRoundRef is the software reference of AESRound over byte slices
 // with the same (col,row) layout. state and rkey hold cols*4 bytes.
 func AESRoundRef(state, rkey []byte, cols int) []byte {
-	box := aesSBox()
 	get := func(s []byte, c, r int) byte { return s[c*4+r] }
 	sub := make([]byte, cols*4)
 	for c := 0; c < cols; c++ {
 		for r := 0; r < 4; r++ {
-			sub[c*4+r] = box[get(state, c, r)]
+			sub[c*4+r] = aesBox[get(state, c, r)]
 		}
 	}
 	shift := make([]byte, cols*4)

@@ -99,3 +99,19 @@ func TestWriteBenchAllocs(t *testing.T) {
 			large, small, small+2)
 	}
 }
+
+// TestCEPSuiteAllocs bounds the allocations of synthesizing the small
+// CEP cores: gates copy their fanin into arrays the netlist owns, names
+// are built with one allocation each, and the AES S-box is computed
+// once.
+func TestCEPSuiteAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := CEPSuite("small"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("CEPSuite(\"small\") allocations: %.0f", allocs)
+	if allocs > 16000 {
+		t.Errorf("CEPSuite(\"small\") allocates %.0f times, want at most 16000", allocs)
+	}
+}

@@ -140,7 +140,7 @@ func Lock(orig *netlist.Netlist, opt Options) (*Result, error) {
 	nl := orig.Clone()
 	res := &Result{Locked: nl, ScanEnable: opt.ScanEnable}
 
-	replaced := map[string]bool{}
+	var replaced []bool // by gate ID: IDs hold until the Prune below
 	for b := 0; b < opt.Blocks; b++ {
 		gates, err := selectGates(nl, opt.Size.K, replaced, rng)
 		if err != nil {
@@ -149,8 +149,9 @@ func Lock(orig *netlist.Netlist, opt Options) (*Result, error) {
 		if err := insertBlock(res, nl, gates, opt.Size, prefix, opt.ScanEnable, rng); err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", b, err)
 		}
+		replaced = append(replaced, make([]bool, nl.NumGates()-len(replaced))...)
 		for _, g := range gates {
-			replaced[nl.Gates[g].Name] = true
+			replaced[g] = true
 		}
 		renameTaps(res.Blocks)
 	}
@@ -244,11 +245,11 @@ func (r *Result) ScanView() (*netlist.Netlist, error) {
 // selectGates picks k compatible 2-input gates at random: no selected
 // gate's fanin may lie in the transitive fanout of another selected
 // gate (this would close a combinational loop through the block).
-func selectGates(nl *netlist.Netlist, k int, replaced map[string]bool, rng *rand.Rand) ([]int, error) {
+func selectGates(nl *netlist.Netlist, k int, replaced []bool, rng *rand.Rand) ([]int, error) {
 	var candidates []int
 	for id := range nl.Gates {
 		g := &nl.Gates[id]
-		if len(g.Fanin) != 2 || replaced[g.Name] {
+		if len(g.Fanin) != 2 || id < len(replaced) && replaced[id] {
 			continue
 		}
 		if _, ok := gateFunc2(g.Type); !ok {
@@ -259,7 +260,8 @@ func selectGates(nl *netlist.Netlist, k int, replaced map[string]bool, rng *rand
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if sel := greedySelect(nl, candidates, k); len(sel) == k {
+	fanouts := nl.FanoutLists()
+	if sel := greedySelect(nl, fanouts, candidates, k); len(sel) == k {
 		return sel, nil
 	}
 
@@ -290,7 +292,7 @@ func selectGates(nl *netlist.Netlist, k int, replaced map[string]bool, rng *rand
 		return d
 	}
 	sortByKey(ordered, dist)
-	if sel := greedySelect(nl, ordered, k); len(sel) == k {
+	if sel := greedySelect(nl, fanouts, ordered, k); len(sel) == k {
 		return sel, nil
 	}
 	return nil, fmt.Errorf("%w: need %d", errNoCandidates, k)
@@ -298,8 +300,13 @@ func selectGates(nl *netlist.Netlist, k int, replaced map[string]bool, rng *rand
 
 // greedySelect keeps candidates compatible with all previously kept
 // ones: no kept gate's fanin may lie in another kept gate's transitive
-// fanout.
-func greedySelect(nl *netlist.Netlist, candidates []int, k int) []int {
+// fanout. fanouts is nl's FanoutLists.
+//
+// unionTFO, the union of the kept gates' cones, is closed under fanout
+// and holds no kept gate's fanin. So a candidate's cone reaches a kept
+// fanin only through gates outside it, and each candidate walks just
+// the part of its cone that the union lacks.
+func greedySelect(nl *netlist.Netlist, fanouts [][]int, candidates []int, k int) []int {
 	var selected []int
 	var fanins []int
 	unionTFO := make([]bool, nl.NumGates())
@@ -311,24 +318,22 @@ func greedySelect(nl *netlist.Netlist, candidates []int, k int) []int {
 		if unionTFO[cf[0]] || unionTFO[cf[1]] || unionTFO[cand] {
 			continue
 		}
-		candTFO := nl.TransitiveFanout(cand)
+		added := netlist.MarkFanout(fanouts, unionTFO, cand)
 		ok := true
 		for _, f := range fanins {
-			if candTFO[f] {
+			if unionTFO[f] {
 				ok = false
 				break
 			}
 		}
 		if !ok {
+			for _, id := range added {
+				unionTFO[id] = false
+			}
 			continue
 		}
 		selected = append(selected, cand)
 		fanins = append(fanins, cf[0], cf[1])
-		for i, b := range candTFO {
-			if b {
-				unionTFO[i] = true
-			}
-		}
 	}
 	return selected
 }

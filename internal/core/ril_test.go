@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/netlist"
 )
 
@@ -237,6 +240,18 @@ func TestLockErrors(t *testing.T) {
 	if _, err := Lock(orig, Options{Blocks: 50, Size: Size8x8x8, Seed: 1}); err == nil {
 		t.Error("over-subscription accepted")
 	}
+	// Table I's n/a cells: c7552@0.1 runs out of candidates for 25 8×8
+	// blocks, at the same block as before the selection walked cones
+	// over shared fanout lists.
+	prof, _ := circuit.ProfileByName("c7552")
+	c7552, err := prof.Synthesize(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Lock(c7552, Options{Blocks: 25, Size: Size8x8, Seed: 1})
+	if !errors.Is(err, errNoCandidates) || !strings.HasPrefix(err.Error(), "core: block 14: ") {
+		t.Errorf("25 8x8 blocks on c7552@0.1: error %v, want errNoCandidates at block 14", err)
+	}
 }
 
 func TestScanViewInvertsOnlyFlaggedLUTs(t *testing.T) {
@@ -453,5 +468,26 @@ func TestApplyKeyLengthCheck(t *testing.T) {
 	}
 	if _, err := res.ApplyKey(res.Key[:1]); err == nil {
 		t.Error("short key accepted")
+	}
+}
+
+// TestLockAllocs bounds the allocations of Table I's largest lock, 100
+// 2×2 blocks on c7552@0.1: each gate selection builds the fanout lists
+// once, not once per candidate gate, and BindInputs rewrites all key
+// inputs in one pass.
+func TestLockAllocs(t *testing.T) {
+	prof, _ := circuit.ProfileByName("c7552")
+	nl, err := prof.Synthesize(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Lock(nl, Options{Blocks: 100, Size: Size2x2, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Lock allocations, 100 2x2 blocks on c7552@0.1: %.0f", allocs)
+	if allocs > 25000 {
+		t.Errorf("Lock allocates %.0f times, want at most 25000", allocs)
 	}
 }

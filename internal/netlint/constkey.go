@@ -117,7 +117,7 @@ func runKeyConstProp(p *Pass) error {
 	}
 	cones := make(map[int][]bool, len(relevant))
 	for _, ki := range relevant {
-		cones[ki] = nl.TransitiveFanout(ki)
+		cones[ki] = netlist.FanoutCone(p.Fanouts(), ki)
 	}
 	maxPairs := p.Opts.auditMaxPairs()
 	checked := 0

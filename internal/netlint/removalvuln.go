@@ -50,7 +50,7 @@ func runRemovalVuln(p *Pass) error {
 		return nil
 	}
 	p.resilience()
-	tainted := nl.TransitiveFanout(keys...)
+	tainted := netlist.FanoutCone(p.Fanouts(), keys...)
 	rounds := p.Opts.auditRounds()
 	if rounds < 4 {
 		rounds = 4 // below 256 patterns the signature map drowns in collisions

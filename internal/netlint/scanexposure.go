@@ -1,5 +1,7 @@
 package netlint
 
+import "repro/internal/netlist"
+
 // ScanExposure reports key material observable through the scan
 // infrastructure declared in Options.Scan — the leakage channel
 // ScanSAT models away even for "obfuscated" chains:
@@ -62,7 +64,7 @@ func runScanExposure(p *Pass) error {
 		return nil
 	}
 	for _, ki := range keys {
-		cone := nl.TransitiveFanout(ki)
+		cone := netlist.FanoutCone(p.Fanouts(), ki)
 		for _, c := range observable {
 			if cone[c.id] {
 				p.Report(Warn, ki,

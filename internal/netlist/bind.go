@@ -16,7 +16,8 @@ func (n *Netlist) BindInputs(positions []int, values []bool) (*Netlist, error) {
 		return nil, fmt.Errorf("netlist: BindInputs got %d positions, %d values", len(positions), len(values))
 	}
 	c := n.Clone()
-	bound := make(map[int]bool, len(positions))
+	bound := make([]bool, len(c.Inputs))
+	constOf := make([]int, len(c.Gates)) // bound input's gate ID -> its constant; 0 = not bound
 	for i, pos := range positions {
 		if pos < 0 || pos >= len(c.Inputs) {
 			return nil, fmt.Errorf("netlist: BindInputs position %d out of range", pos)
@@ -30,8 +31,21 @@ func (n *Netlist) BindInputs(positions []int, values []bool) (*Netlist, error) {
 		if values[i] {
 			t = Const1
 		}
-		constID := c.addGate(c.FreshName(c.Gates[id].Name+"_bound"), t, nil)
-		c.RedirectFanout(id, constID)
+		constOf[id] = c.addGate(c.FreshName(c.Gates[id].Name+"_bound"), t, nil)
+	}
+	// One pass moves every reader and output mark of a bound input to
+	// its constant; the constants themselves read nothing.
+	for i := range c.Gates {
+		for j, f := range c.Gates[i].Fanin {
+			if to := constOf[f]; to != 0 {
+				c.Gates[i].Fanin[j] = to
+			}
+		}
+	}
+	for i, o := range c.Outputs {
+		if to := constOf[o]; to != 0 {
+			c.Outputs[i] = to
+		}
 	}
 	kept := c.Inputs[:0]
 	for pos, id := range c.Inputs {

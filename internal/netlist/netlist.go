@@ -13,6 +13,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // GateType enumerates the supported gate functions.
@@ -68,10 +69,16 @@ func (t GateType) ArityOK(n int) bool {
 type Gate struct {
 	Name  string
 	Type  GateType
-	Fanin []int // gate IDs, ordered (order matters for Mux)
+	Fanin []int // gate IDs, ordered (order matters for Mux); cap == len
 }
 
 // Netlist is a named combinational circuit.
+//
+// AddGate, SetFanin and Clone give every gate a Fanin slice of its own
+// whose capacity equals its length, carved from a backing array the
+// netlist owns: appending to one gate's Fanin reallocates it rather
+// than writing into the next gate's. byName indexes the gates that
+// AddGate and AddInput add.
 type Netlist struct {
 	Name    string
 	Gates   []Gate
@@ -79,6 +86,7 @@ type Netlist struct {
 	Outputs []int // gate IDs of primary outputs, in declaration order
 
 	byName map[string]int
+	fanins []int // free tail of the backing array for new gates' fanin
 }
 
 // New returns an empty netlist with the given name.
@@ -126,7 +134,7 @@ func (n *Netlist) AddInput(name string) int {
 }
 
 // AddGate adds a logic gate and returns its ID. The fanin IDs must
-// already exist; arity is validated.
+// already exist; arity is validated. The gate keeps a copy of fanin.
 func (n *Netlist) AddGate(name string, t GateType, fanin ...int) int {
 	if !t.ArityOK(len(fanin)) {
 		panic(fmt.Sprintf("netlist %q: gate %q type %s cannot take %d fanins",
@@ -141,13 +149,39 @@ func (n *Netlist) AddGate(name string, t GateType, fanin ...int) int {
 }
 
 func (n *Netlist) addGate(name string, t GateType, fanin []int) int {
-	if _, dup := n.byName[name]; dup {
+	id := len(n.Gates)
+	// One hash per name: an insert that does not grow the index hit a
+	// name already there, and the first gate of that name gets its
+	// entry back before the panic.
+	size := len(n.byName)
+	n.byName[name] = id
+	if len(n.byName) == size {
+		for i := range n.Gates {
+			if n.Gates[i].Name == name {
+				n.byName[name] = i
+				break
+			}
+		}
 		panic(fmt.Sprintf("netlist %q: duplicate gate name %q", n.Name, name))
 	}
-	id := len(n.Gates)
-	n.Gates = append(n.Gates, Gate{Name: name, Type: t, Fanin: fanin})
-	n.byName[name] = id
+	n.Gates = append(n.Gates, Gate{Name: name, Type: t, Fanin: n.ownFanin(fanin)})
 	return id
+}
+
+// ownFanin copies fanin into the netlist's backing array and returns
+// the copy, its capacity clipped to its length. A full array is left
+// to the gates already pointing into it, and a new one twice its size
+// (at least 64) takes its place.
+func (n *Netlist) ownFanin(fanin []int) []int {
+	if len(fanin) == 0 {
+		return nil
+	}
+	if cap(n.fanins)-len(n.fanins) < len(fanin) {
+		n.fanins = make([]int, 0, max(2*cap(n.fanins), 64, len(fanin)))
+	}
+	start := len(n.fanins)
+	n.fanins = append(n.fanins, fanin...)
+	return n.fanins[start:len(n.fanins):len(n.fanins)]
 }
 
 // MarkOutput designates an existing gate as a primary output.
@@ -163,26 +197,36 @@ func (n *Netlist) MarkOutput(id int) {
 func (n *Netlist) FreshName(prefix string) string {
 	//rilvet:ignore ctx-loop terminates within len(n.Gates)+1 probes — gate names are unique, so some counter value in that range is always free
 	for i := len(n.Gates); ; i++ {
-		name := fmt.Sprintf("%s_%d", prefix, i)
+		name := prefix + "_" + strconv.Itoa(i)
 		if _, ok := n.byName[name]; !ok {
 			return name
 		}
 	}
 }
 
-// Clone returns a deep copy of the netlist.
+// Clone returns a deep copy of the netlist. The copy's fanin lists
+// share one new backing array and none of the original's storage.
 func (n *Netlist) Clone() *Netlist {
+	total := 0
+	for i := range n.Gates {
+		total += len(n.Gates[i].Fanin)
+	}
 	c := &Netlist{
 		Name:    n.Name,
 		Gates:   make([]Gate, len(n.Gates)),
 		Inputs:  append([]int(nil), n.Inputs...),
 		Outputs: append([]int(nil), n.Outputs...),
 		byName:  make(map[string]int, len(n.byName)),
+		fanins:  make([]int, 0, total),
 	}
 	for i, g := range n.Gates {
-		c.Gates[i] = Gate{Name: g.Name, Type: g.Type, Fanin: append([]int(nil), g.Fanin...)}
+		c.Gates[i] = Gate{Name: g.Name, Type: g.Type, Fanin: c.ownFanin(g.Fanin)}
 		c.byName[g.Name] = i
 	}
+	// The copied fanin fills its array exactly. Gates added to the clone
+	// start a small array of their own rather than one twice the size
+	// of the whole circuit's fanin.
+	c.fanins = nil
 	return c
 }
 
@@ -209,25 +253,32 @@ func (n *Netlist) RedirectFanout(oldID, newID int) {
 	}
 }
 
-// SetFanin replaces the fanin list of a gate (arity checked).
+// SetFanin replaces the fanin list of a gate (arity checked) with a
+// copy of fanin.
 func (n *Netlist) SetFanin(id int, fanin ...int) {
 	g := &n.Gates[id]
 	if !g.Type.ArityOK(len(fanin)) {
 		panic(fmt.Sprintf("netlist %q: gate %q type %s cannot take %d fanins",
 			n.Name, g.Name, g.Type, len(fanin)))
 	}
-	g.Fanin = fanin
+	g.Fanin = n.ownFanin(fanin)
 }
 
 // Validate checks structural invariants: unique names, legal arities,
 // existing fanin references, inputs truly of type Input, acyclicity.
 func (n *Netlist) Validate() error {
-	seen := make(map[string]int, len(n.Gates))
-	for i, g := range n.Gates {
-		if j, dup := seen[g.Name]; dup {
-			return fmt.Errorf("netlist %q: gates %d and %d share name %q", n.Name, j, i, g.Name)
+	// Names AddGate indexed are unique: each maps to its own gate. Only
+	// when a gate is missing from the index (appended to Gates directly,
+	// or renamed) are the names checked against a map of their own.
+	for i := range n.Gates {
+		if id, ok := n.byName[n.Gates[i].Name]; !ok || id != i {
+			if err := n.uniqueNames(); err != nil {
+				return err
+			}
+			break
 		}
-		seen[g.Name] = i
+	}
+	for _, g := range n.Gates {
 		if !g.Type.ArityOK(len(g.Fanin)) {
 			return fmt.Errorf("netlist %q: gate %q (%s) has illegal arity %d", n.Name, g.Name, g.Type, len(g.Fanin))
 		}
@@ -249,6 +300,18 @@ func (n *Netlist) Validate() error {
 	}
 	if _, err := n.TopoOrder(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// uniqueNames reports the first two gates that share a name.
+func (n *Netlist) uniqueNames() error {
+	seen := make(map[string]int, len(n.Gates))
+	for i, g := range n.Gates {
+		if j, dup := seen[g.Name]; dup {
+			return fmt.Errorf("netlist %q: gates %d and %d share name %q", n.Name, j, i, g.Name)
+		}
+		seen[g.Name] = i
 	}
 	return nil
 }

@@ -132,6 +132,62 @@ func TestValidateRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestFaninOwnership: AddGate keeps a copy of the caller's fanin, each
+// gate's Fanin has no spare capacity, so appending to one never writes
+// into the next gate's, and Clone shares no fanin storage.
+func TestFaninOwnership(t *testing.T) {
+	n := New("own")
+	a, b, c := n.AddInput("a"), n.AddInput("b"), n.AddInput("c")
+	fanin := []int{a, b}
+	g1 := n.AddGate("g1", And, fanin...)
+	g2 := n.AddGate("g2", Or, b, c)
+	fanin[0] = c
+	if got := n.Gates[g1].Fanin; got[0] != a {
+		t.Errorf("g1 fanin %v follows the caller's slice, want [%d %d]", got, a, b)
+	}
+	for _, id := range []int{g1, g2} {
+		if fin := n.Gates[id].Fanin; cap(fin) != len(fin) {
+			t.Errorf("%s: Fanin cap %d, len %d", n.Gates[id].Name, cap(fin), len(fin))
+		}
+	}
+	_ = append(n.Gates[g1].Fanin, c)
+	if got := n.Gates[g2].Fanin; got[0] != b || got[1] != c {
+		t.Errorf("appending to g1's fanin changed g2's to %v", got)
+	}
+	cl := n.Clone()
+	cl.Gates[g2].Fanin[0] = a
+	if n.Gates[g2].Fanin[0] != b {
+		t.Error("Clone shares fanin storage with the original")
+	}
+	if fin := cl.Gates[g1].Fanin; cap(fin) != len(fin) {
+		t.Errorf("clone's g1 Fanin cap %d, len %d", cap(fin), len(fin))
+	}
+}
+
+// TestDuplicateNames: AddGate panics on a name already taken and keeps
+// the index pointing at the first gate; Validate rejects two gates of
+// one name appended to Gates directly.
+func TestDuplicateNames(t *testing.T) {
+	n := New("dup")
+	a := n.AddInput("a")
+	g := n.AddGate("g", Not, a)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddGate accepted a duplicate name")
+			}
+		}()
+		n.AddGate("g", Buf, a)
+	}()
+	if id, ok := n.GateID("g"); !ok || id != g || n.NumGates() != 2 {
+		t.Errorf("after the duplicate: g -> %d (%v), %d gates; want %d and 2 gates", id, ok, n.NumGates(), g)
+	}
+	n.Gates = append(n.Gates, Gate{Name: "g", Type: Buf, Fanin: []int{a}})
+	if err := n.Validate(); err == nil || !strings.Contains(err.Error(), `share name "g"`) {
+		t.Errorf("Validate with a directly appended duplicate: %v", err)
+	}
+}
+
 func TestValidateRejectsBadArity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -188,7 +244,7 @@ func TestLevelsAndCones(t *testing.T) {
 	if cone[n.MustGateID("cout")] {
 		t.Error("sum cone should not contain cout")
 	}
-	fo := n.TransitiveFanout(n.MustGateID("axb"))
+	fo := FanoutCone(n.FanoutLists(), n.MustGateID("axb"))
 	if !fo[n.MustGateID("sum")] || !fo[n.MustGateID("cout")] {
 		t.Error("axb fans out to both outputs")
 	}

@@ -118,26 +118,43 @@ func TestPropertyBindNothing(t *testing.T) {
 }
 
 // Property: binding inputs to constants agrees with simulation under
-// those constants.
+// those constants, and writes the same .bench text as binding one
+// input at a time (bindOneByOne). Input 0 is also a primary output
+// and is bound in every trial, so a rewrite that skips Outputs fails.
 func TestPropertyBindMatchesSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	nl, err := Random(RandomProfile{Name: "bm", Inputs: 10, Outputs: 5, Gates: 120, Locality: 0.6}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nl.MarkOutput(nl.Inputs[0])
 	for trial := 0; trial < 10; trial++ {
-		// Bind a random subset of inputs.
+		// Bind a random subset of inputs, always including input 0.
 		var positions []int
 		var values []bool
 		for p := range nl.Inputs {
-			if rng.Intn(2) == 0 {
+			if p == 0 || rng.Intn(2) == 0 {
 				positions = append(positions, p)
 				values = append(values, rng.Intn(2) == 1)
 			}
 		}
+		rng.Shuffle(len(positions), func(i, j int) {
+			positions[i], positions[j] = positions[j], positions[i]
+			values[i], values[j] = values[j], values[i]
+		})
 		bound, err := nl.BindInputs(positions, values)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var text, ref bytes.Buffer
+		if err := bound.WriteBench(&text); err != nil {
+			t.Fatal(err)
+		}
+		if err := bindOneByOne(nl, positions, values).WriteBench(&ref); err != nil {
+			t.Fatal(err)
+		}
+		if text.String() != ref.String() {
+			t.Fatalf("trial %d: BindInputs writes\n%s\nwant\n%s", trial, text.String(), ref.String())
 		}
 		// Evaluate both on a random assignment of the free inputs.
 		full := make([]bool, len(nl.Inputs))
@@ -167,4 +184,30 @@ func TestPropertyBindMatchesSimulation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bindOneByOne is the reference for BindInputs: it adds each bound
+// input's constant and redirects that input's readers and output marks
+// with its own RedirectFanout scan, in the order of positions.
+func bindOneByOne(n *Netlist, positions []int, values []bool) *Netlist {
+	c := n.Clone()
+	bound := map[int]bool{}
+	for i, pos := range positions {
+		bound[pos] = true
+		id := c.Inputs[pos]
+		t := Const0
+		if values[i] {
+			t = Const1
+		}
+		c.RedirectFanout(id, c.AddGate(c.FreshName(c.Gates[id].Name+"_bound"), t))
+	}
+	var kept []int
+	for pos, id := range c.Inputs {
+		if !bound[pos] {
+			kept = append(kept, id)
+		}
+	}
+	c.Inputs = kept
+	c.Prune()
+	return c
 }

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 )
 
@@ -77,24 +78,39 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 		return types[len(types)-1]
 	}
 
-	n := New(p.Name)
+	// The circuit ends near Inputs+Gates gates: size the gate list and
+	// the name index for that once.
+	size := p.Inputs + p.Gates
+	n := &Netlist{Name: p.Name, Gates: make([]Gate, 0, size), byName: make(map[string]int, size)}
+	// frontier holds each gate without fanout once; at[id] is its index
+	// there, or -1. remove fills the hole with the last entry.
 	frontier := make([]int, 0, p.Inputs+p.Outputs)
-	inFrontier := make(map[int]bool)
+	var at []int
 	push := func(id int) {
+		for len(at) <= id {
+			at = append(at, -1)
+		}
+		at[id] = len(frontier)
 		frontier = append(frontier, id)
-		inFrontier[id] = true
 	}
-	popRandom := func() int {
-		i := rng.Intn(len(frontier))
-		id := frontier[i]
-		frontier[i] = frontier[len(frontier)-1]
+	remove := func(i int) int {
+		id, last := frontier[i], frontier[len(frontier)-1]
+		frontier[i] = last
+		at[last] = i
 		frontier = frontier[:len(frontier)-1]
-		delete(inFrontier, id)
+		at[id] = -1
 		return id
+	}
+	popRandom := func() int { return remove(rng.Intn(len(frontier))) }
+	inFrontier := func(id int) bool { return id < len(at) && at[id] >= 0 }
+	var name []byte
+	gateName := func(prefix string, i int) string {
+		name = strconv.AppendInt(append(name[:0], prefix...), int64(i), 10)
+		return string(name)
 	}
 
 	for i := 0; i < p.Inputs; i++ {
-		push(n.AddInput("pi" + strconv.Itoa(i)))
+		push(n.AddInput(gateName("pi", i)))
 	}
 
 	pickAny := func(hi int) int {
@@ -113,6 +129,7 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 
 	// Reserve budget for the final pairwise merge of surplus frontier.
 	target := p.Gates
+	var fanin []int
 	for g := 0; g < target; g++ {
 		surplus := len(frontier) - p.Outputs
 		if remaining := target - g; surplus >= remaining {
@@ -136,25 +153,7 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 			t = Buf
 			arity = 1
 		}
-		contains := func(s []int, x int) bool {
-			for _, e := range s {
-				if e == x {
-					return true
-				}
-			}
-			return false
-		}
-		removeFromFrontier := func(f int) {
-			for i, id := range frontier {
-				if id == f {
-					frontier[i] = frontier[len(frontier)-1]
-					frontier = frontier[:len(frontier)-1]
-					delete(inFrontier, f)
-					return
-				}
-			}
-		}
-		fanin := make([]int, 0, arity)
+		fanin = fanin[:0]
 		for len(fanin) < arity {
 			var f int
 			fromFrontier := false
@@ -164,14 +163,14 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 			} else {
 				f = pickAny(len(n.Gates))
 			}
-			if contains(fanin, f) {
+			if slices.Contains(fanin, f) {
 				if fromFrontier {
 					push(f) // keep it alive; it was not consumed
 				}
 				ok := false
 				for try := 0; try < 8; try++ {
 					f = rng.Intn(len(n.Gates))
-					if !contains(fanin, f) {
+					if !slices.Contains(fanin, f) {
 						ok = true
 						break
 					}
@@ -180,12 +179,12 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 					continue
 				}
 			}
-			if inFrontier[f] {
-				removeFromFrontier(f)
+			if inFrontier(f) {
+				remove(at[f])
 			}
 			fanin = append(fanin, f)
 		}
-		id := n.AddGate("g"+strconv.Itoa(len(n.Gates)-p.Inputs), t, fanin...)
+		id := n.AddGate(gateName("g", len(n.Gates)-p.Inputs), t, fanin...)
 		push(id)
 	}
 
@@ -202,19 +201,20 @@ func Random(p RandomProfile, seed int64) (*Netlist, error) {
 		if t == Not || t == Buf {
 			t = Xor
 		}
-		id := n.AddGate("g"+strconv.Itoa(len(n.Gates)-p.Inputs), t, a, b)
+		id := n.AddGate(gateName("g", len(n.Gates)-p.Inputs), t, a, b)
 		push(id)
 	}
 
 	// Frontier gates become primary outputs; top up with the deepest
 	// gates if the frontier came up short.
-	chosen := make(map[int]bool, p.Outputs)
+	chosen := make([]bool, len(n.Gates))
 	for _, id := range frontier {
 		chosen[id] = true
 	}
-	for id := len(n.Gates) - 1; id >= 0 && len(chosen) < p.Outputs; id-- {
+	for id, outs := len(n.Gates)-1, len(frontier); id >= 0 && outs < p.Outputs; id-- {
 		if !chosen[id] {
 			chosen[id] = true
+			outs++
 		}
 	}
 	for id := range n.Gates {

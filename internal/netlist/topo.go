@@ -80,9 +80,24 @@ func (n *Netlist) Levels() ([]int, int, error) {
 	return lv, depth, nil
 }
 
-// FanoutLists returns, for each gate, the IDs of gates that read it.
+// FanoutLists returns, for each gate, the IDs of the gates that read
+// it, in ascending order (a gate that reads it twice appears twice).
+// The lists share one backing array, each clipped to its length.
 func (n *Netlist) FanoutLists() [][]int {
+	start := make([]int, len(n.Gates)+1)
+	for i := range n.Gates {
+		for _, f := range n.Gates[i].Fanin {
+			start[f+1]++
+		}
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	all := make([]int, start[len(n.Gates)])
 	out := make([][]int, len(n.Gates))
+	for id := range out {
+		out[id] = all[start[id]:start[id]:start[id+1]]
+	}
 	for i := range n.Gates {
 		for _, f := range n.Gates[i].Fanin {
 			out[f] = append(out[f], i)
@@ -108,11 +123,22 @@ func (n *Netlist) TransitiveFanin(roots ...int) []bool {
 	return mask
 }
 
-// TransitiveFanout returns the set of gate IDs (as a boolean mask) in
-// the transitive fanout cone of the given gates, including themselves.
-func (n *Netlist) TransitiveFanout(roots ...int) []bool {
-	fan := n.FanoutLists()
-	mask := make([]bool, len(n.Gates))
+// FanoutCone returns the set of gate IDs (as a boolean mask) in the
+// transitive fanout cone of the given gates, including themselves,
+// walking fanouts, the netlist's FanoutLists. A caller that walks many
+// cones builds the lists once.
+func FanoutCone(fanouts [][]int, roots ...int) []bool {
+	mask := make([]bool, len(fanouts))
+	MarkFanout(fanouts, mask, roots...)
+	return mask
+}
+
+// MarkFanout adds the transitive fanout cone of the roots to mask and
+// returns the gates it added. It does not walk past a gate the mask
+// already holds, so on a mask closed under fanout, such as a union of
+// cones, a walk costs only the new part of the cone.
+func MarkFanout(fanouts [][]int, mask []bool, roots ...int) []int {
+	var added []int
 	stack := append([]int(nil), roots...)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -121,7 +147,8 @@ func (n *Netlist) TransitiveFanout(roots ...int) []bool {
 			continue
 		}
 		mask[id] = true
-		stack = append(stack, fan[id]...)
+		added = append(added, id)
+		stack = append(stack, fanouts[id]...)
 	}
-	return mask
+	return added
 }
