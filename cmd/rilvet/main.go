@@ -10,8 +10,7 @@
 //	rilvet [flags] <path ...>
 //
 //	rilvet ./...
-//	rilvet -json internal/attack
-//	rilvet -sarif rilvet.sarif -analyzers sync-errcheck,map-order ./...
+//	rilvet -analyzers sync-errcheck,map-order internal/attack
 //	rilvet -list
 //
 // False positives are silenced per line with a mandatory-reason

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,7 +180,7 @@ func Lock(orig *netlist.Netlist, opt Options) (*Result, error) {
 
 // renameTaps points the earlier blocks' recorded wires away from the
 // gates the last block replaced. An earlier block may tap such a gate;
-// RedirectFanout now feeds it from the last block's output line, and
+// the last block's rewiring now feeds it from its output line, and
 // Prune drops the gate. PortWire, FaninA and FaninB are renamed
 // together, since Reconfigure matches them by name.
 func renameTaps(blocks []BlockInfo) {
@@ -476,9 +477,13 @@ func insertBlock(res *Result, nl *netlist.Netlist, gates []int, size Size, prefi
 			blk.OutNetOut = append(blk.OutNetOut, nl.Gates[id].Name)
 		}
 	}
+	// One pass moves every reader of a replaced gate to the block
+	// output that now computes it.
+	to := make([]int, slices.Max(gates)+1)
 	for pos, id := range gates {
-		nl.RedirectFanout(id, outs[pos])
+		to[id] = outs[pos]
 	}
+	nl.RedirectFanouts(to)
 
 	// Hidden scan-enable bits.
 	if scanEnable {

@@ -1,11 +1,9 @@
 package golint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
@@ -26,8 +24,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rilvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut        = fs.Bool("json", false, "emit machine-readable JSON (findings keyed by rule/file/line)")
-		sarifPath      = fs.String("sarif", "", "also write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 		names          = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		disable        = fs.String("disable", "", "comma-separated analyzers to disable")
 		list           = fs.Bool("list", false, "list available analyzers and exit")
@@ -89,7 +85,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 
 	loader := NewLoader(opts)
 	failed := false
-	var results []*Result
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
@@ -105,35 +100,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		if len(res.Unsuppressed()) > 0 {
 			failed = true
 		}
-		results = append(results, res)
-		if !*jsonOut {
-			if err := res.WriteText(stdout, *showSuppressed); err != nil {
-				return fail(stderr, err)
-			}
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			return fail(stderr, err)
-		}
-	}
-	if *sarifPath != "" {
-		w := stdout
-		if *sarifPath != "-" {
-			f, err := os.Create(*sarifPath)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			werr := WriteSARIF(f, results)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fail(stderr, werr)
-			}
-		} else if err := WriteSARIF(w, results); err != nil {
+		if err := res.WriteText(stdout, *showSuppressed); err != nil {
 			return fail(stderr, err)
 		}
 	}

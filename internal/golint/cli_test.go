@@ -1,7 +1,6 @@
 package golint
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,81 +76,6 @@ func TestCLIList(t *testing.T) {
 		if !strings.Contains(out, a.Name) {
 			t.Errorf("-list output missing analyzer %q", a.Name)
 		}
-	}
-}
-
-func TestCLIJSON(t *testing.T) {
-	code, out, _ := runCLI(t, "-json", filepath.Join("testdata", "src", "rand-global"))
-	if code != 1 {
-		t.Fatalf("-json over findings: exit %d, want 1", code)
-	}
-	var results []Result
-	if err := json.Unmarshal([]byte(out), &results); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, out)
-	}
-	if len(results) != 1 || len(results[0].Findings) == 0 {
-		t.Fatalf("-json output has no findings: %s", out)
-	}
-	for _, f := range results[0].Findings {
-		if f.Rule == "" || f.File == "" || f.Line == 0 {
-			t.Errorf("finding not keyed by rule/file/line: %+v", f)
-		}
-	}
-}
-
-func TestCLISARIF(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.sarif")
-	code, _, _ := runCLI(t, "-sarif", path, filepath.Join("testdata", "src", "suppress"))
-	if code != 1 {
-		t.Fatalf("-sarif over findings: exit %d, want 1", code)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("SARIF file not written: %v", err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID       string `json:"ruleId"`
-				Suppressions []struct {
-					Kind string `json:"kind"`
-				} `json:"suppressions"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(raw, &log); err != nil {
-		t.Fatalf("SARIF output does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "rilvet" || len(run.Tool.Driver.Rules) == 0 {
-		t.Errorf("SARIF driver metadata incomplete: %+v", run.Tool.Driver)
-	}
-	var suppressedResults int
-	for _, r := range run.Results {
-		if r.RuleID == "" {
-			t.Errorf("SARIF result without ruleId")
-		}
-		for _, s := range r.Suppressions {
-			if s.Kind != "inSource" {
-				t.Errorf("SARIF suppression kind = %q, want inSource", s.Kind)
-			}
-			suppressedResults++
-		}
-	}
-	if len(run.Results) == 0 || suppressedResults == 0 {
-		t.Errorf("SARIF results missing (total=%d suppressed=%d)", len(run.Results), suppressedResults)
 	}
 }
 

@@ -5,8 +5,8 @@
 // produces them. Both follow the go/analysis driver pattern — each
 // check is an *Analyzer with a name, a doc string and a Run function;
 // a driver runs a configurable set of analyzers over one loaded
-// package and aggregates Findings with deterministic ordering and
-// text, JSON and SARIF output.
+// package and aggregates Findings with deterministic ordering, which
+// the CLI prints one per line.
 //
 // The analyzers encode correctness properties the reproduction's
 // headline guarantees depend on, not general style:
@@ -70,18 +70,18 @@ type Analyzer struct {
 }
 
 // Finding is one diagnostic of one analyzer, keyed by rule, file and
-// line. Suppressed findings are retained (JSON consumers and
-// -show-suppressed see them) but do not affect the exit code.
+// line. Suppressed findings are retained (-show-suppressed prints
+// them) but do not affect the exit code.
 type Finding struct {
-	Rule    string `json:"rule"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Message string `json:"message"`
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
 	// Suppressed marks a finding silenced by a //rilvet:ignore
 	// comment; Reason carries the comment's mandatory justification.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	Suppressed bool
+	Reason     string
 }
 
 func (f Finding) String() string {
@@ -229,9 +229,9 @@ func isContextType(t types.Type) bool {
 
 // Result aggregates one driver run over one package.
 type Result struct {
-	Package   string    `json:"package"`
-	Analyzers []string  `json:"analyzers"`
-	Findings  []Finding `json:"findings"`
+	Package   string
+	Analyzers []string
+	Findings  []Finding
 }
 
 // Unsuppressed returns the findings not silenced by a suppression

@@ -33,20 +33,7 @@ func (n *Netlist) BindInputs(positions []int, values []bool) (*Netlist, error) {
 		}
 		constOf[id] = c.addGate(c.FreshName(c.Gates[id].Name+"_bound"), t, nil)
 	}
-	// One pass moves every reader and output mark of a bound input to
-	// its constant; the constants themselves read nothing.
-	for i := range c.Gates {
-		for j, f := range c.Gates[i].Fanin {
-			if to := constOf[f]; to != 0 {
-				c.Gates[i].Fanin[j] = to
-			}
-		}
-	}
-	for i, o := range c.Outputs {
-		if to := constOf[o]; to != 0 {
-			c.Outputs[i] = to
-		}
-	}
+	c.RedirectFanouts(constOf)
 	kept := c.Inputs[:0]
 	for pos, id := range c.Inputs {
 		if !bound[pos] {

@@ -253,6 +253,28 @@ func (n *Netlist) RedirectFanout(oldID, newID int) {
 	}
 }
 
+// RedirectFanouts is RedirectFanout for many gates in one pass: every
+// gate that reads a gate id with to[id] != 0 reads to[id] instead, and
+// output marks move likewise. A zero entry, or an id past the end of
+// to, leaves that gate's readers alone, so gate 0 cannot be a
+// replacement. As in RedirectFanout, a replacement never gets rewired
+// to read itself.
+func (n *Netlist) RedirectFanouts(to []int) {
+	for i := range n.Gates {
+		fin := n.Gates[i].Fanin
+		for j, f := range fin {
+			if f < len(to) && to[f] != 0 && to[f] != i {
+				fin[j] = to[f]
+			}
+		}
+	}
+	for i, o := range n.Outputs {
+		if o < len(to) && to[o] != 0 {
+			n.Outputs[i] = to[o]
+		}
+	}
+}
+
 // SetFanin replaces the fanin list of a gate (arity checked) with a
 // copy of fanin.
 func (n *Netlist) SetFanin(id int, fanin ...int) {

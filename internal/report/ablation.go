@@ -7,7 +7,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/baselines"
 	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/sweep"
@@ -17,8 +16,7 @@ import (
 // SAT-hardness (the design choices §III-A argues for): LUTs alone,
 // input routing alone, and the full block, at equal LUT count.
 func Ablation(cfg AttackConfig) (*Table, error) {
-	prof, _ := circuit.ProfileByName("c7552")
-	orig, err := prof.Synthesize(cfg.Scale)
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -42,13 +40,12 @@ func Ablation(cfg AttackConfig) (*Table, error) {
 	}
 	// One sweep job per geometry row; a lock failure renders the row
 	// as n/a rather than failing the table.
-	sum := cache.NetlistSum(orig)
 	var jobs []sweep.Job
 	for _, r := range rows {
-		jobs = append(jobs, cfg.cell("ablation/"+r.label, "ablation-cell", sum,
+		jobs = append(jobs, cfg.cell("ablation/"+r.label, "ablation-cell", c7552.sum,
 			map[string]any{"blocks": r.blocks, "size": r.size.String()},
 			func(ctx context.Context) (any, error) {
-				res, err := core.Lock(orig, core.Options{Blocks: r.blocks, Size: r.size, Seed: cfg.Seed})
+				res, err := core.Lock(c7552.nl, core.Options{Blocks: r.blocks, Size: r.size, Seed: cfg.Seed})
 				if err != nil {
 					return []string{r.label, "n/a", "n/a", "n/a", "n/a"}, nil
 				}
@@ -230,8 +227,7 @@ func verdict(locked *netlist.Netlist, keyPos []int, key []bool, status attack.St
 // obtained a functionally correct key (the paper's ultimate dynamic-
 // obfuscation claim, §IV-B).
 func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
-	prof, _ := circuit.ProfileByName("c7552")
-	orig, err := prof.Synthesize(cfg.Scale)
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +236,6 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 		Header: []string{"mode", "DIPs", "oracle queries", "epochs", "result", "functional key?"},
 	}
 
-	sum := cache.NetlistSum(orig)
 	lock := core.Options{Blocks: 1, Size: core.Size8x8, Seed: cfg.Seed, ScanEnable: true}
 	var jobs []sweep.Job
 	for _, m := range []struct {
@@ -250,10 +245,10 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 		{"static", "static scan oracle", 0},
 		{"morphing", fmt.Sprintf("morphing every %d queries", epochQueries), epochQueries},
 	} {
-		jobs = append(jobs, cfg.cell("dynamic/"+m.oracle, "dynamic-morphing-cell", sum,
+		jobs = append(jobs, cfg.cell("dynamic/"+m.oracle, "dynamic-morphing-cell", c7552.sum,
 			map[string]any{"lock": lock, "epoch_queries": m.epoch},
 			func(ctx context.Context) (any, error) {
-				res, err := core.Lock(orig, lock)
+				res, err := core.Lock(c7552.nl, lock)
 				if err != nil {
 					return nil, err
 				}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/netlint"
@@ -132,11 +131,12 @@ func scopeSlug(name string) string {
 
 // cellKey derives the content-addressed cache key for one attack-table
 // cell. Everything that determines the cell's value is folded in: the
-// circuit's canonical netlist digest (cache.NetlistSum, computed once
-// per circuit and shared by all of a table's cells on it), the cell
-// options (block count, LUT size, ...), the AttackConfig knobs that
-// change the outcome (timeout, portfolio, the lint gate, the lock seed)
-// and the attack's search version (a DIP count belongs to one search).
+// circuit's canonical netlist digest (cache.NetlistSum; a benchmark
+// circuit is built and digested once per process, and is read-only,
+// see circuitMemo), the cell options (block count, LUT size, ...), the
+// AttackConfig knobs that change the outcome (timeout, portfolio, the
+// lint gate, the lock seed) and the attack's search version (a DIP
+// count belongs to one search).
 // It returns the zero Key — which opts the job out of caching — when
 // cfg.Cache is nil or the key cannot be built, so callers can assign it
 // unconditionally.
@@ -249,10 +249,10 @@ func lintLock(res *core.Result, cfg AttackConfig) error {
 // fails renders "n/a" (some circuits cannot host the blocks), so lock
 // errors stay cell-local instead of failing the table. The seed fixes
 // the lock, so the cell is reproducible no matter which worker runs it.
-func satRuntimeCell(cfg AttackConfig, name string, orig *netlist.Netlist, sum cache.Digest, n int, size core.Size) sweep.Job {
-	return cfg.cell(name, "sat-runtime-cell", sum, map[string]any{"blocks": n, "size": size.String()},
+func satRuntimeCell(cfg AttackConfig, name string, orig benchCircuit, n int, size core.Size) sweep.Job {
+	return cfg.cell(name, "sat-runtime-cell", orig.sum, map[string]any{"blocks": n, "size": size.String()},
 		func(ctx context.Context) (any, error) {
-			res, err := core.Lock(orig, core.Options{Blocks: n, Size: size, Seed: cfg.Seed})
+			res, err := core.Lock(orig.nl, core.Options{Blocks: n, Size: size, Seed: cfg.Seed})
 			if err == nil {
 				err = lintLock(res, cfg)
 			}
@@ -270,12 +270,11 @@ func satRuntimeCell(cfg AttackConfig, name string, orig *netlist.Netlist, sum ca
 // Table1 reproduces paper Table I: SAT-attack runtime for c7552 locked
 // with {counts} RIL-Blocks of sizes 2×2, 8×8 and 8×8×8.
 func Table1(cfg AttackConfig, counts []int) (*Table, error) {
-	prof, _ := circuit.ProfileByName("c7552")
-	orig, err := prof.Synthesize(cfg.Scale)
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	t, err := satRuntimeTable(cfg, "table1", orig, counts, nil)
+	t, err := satRuntimeTable(cfg, "table1", c7552, counts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -290,10 +289,10 @@ func Table1(cfg AttackConfig, counts []int) (*Table, error) {
 // -exp satruntime`, the cache differential suite and the warm/cold CI
 // benchmark, which run the same sweep over small circuits such as c17.
 func SATRuntimeTable(cfg AttackConfig, orig *netlist.Netlist, counts []int, sizes []core.Size) (*Table, error) {
-	return satRuntimeTable(cfg, "satruntime-"+scopeSlug(orig.Name), orig, counts, sizes)
+	return satRuntimeTable(cfg, "satruntime-"+scopeSlug(orig.Name), benchCircuit{orig, cache.NetlistSum(orig)}, counts, sizes)
 }
 
-func satRuntimeTable(cfg AttackConfig, scope string, orig *netlist.Netlist, counts []int, sizes []core.Size) (*Table, error) {
+func satRuntimeTable(cfg AttackConfig, scope string, orig benchCircuit, counts []int, sizes []core.Size) (*Table, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 3, 4, 5, 10, 25, 50, 75, 100}
 	}
@@ -305,17 +304,16 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig *netlist.Netlist, coun
 		header = append(header, size.String())
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("SAT-attack runtime (s) on %s vs RIL-Block count and size", orig.Name),
+		Title:  fmt.Sprintf("SAT-attack runtime (s) on %s vs RIL-Block count and size", orig.nl.Name),
 		Header: header,
 		Notes: []string{
 			fmt.Sprintf("scale=%.2f timeout=%v ('inf' = timeout, 'n/a' = circuit cannot host the blocks)", cfg.Scale, cfg.Timeout),
 		},
 	}
-	sum := cache.NetlistSum(orig)
 	var jobs []sweep.Job
 	for _, n := range counts {
 		for _, size := range sizes {
-			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, sum, n, size))
+			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, n, size))
 		}
 	}
 	cells, err := runCells[string](cfg, scope, jobs)
@@ -368,11 +366,10 @@ func Table3(cfg AttackConfig) (*Table, error) {
 	const perBench = 4
 	var jobs []sweep.Job
 	for _, b := range benches {
-		sum := cache.NetlistSum(b.nl)
 		for _, blocks := range []int{1, 2, 3} {
-			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("table3/%s/%dblk", b.name, blocks), b.nl, sum, blocks, core.Size8x8x8))
+			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("table3/%s/%dblk", b.name, blocks), b.benchCircuit, blocks, core.Size8x8x8))
 		}
-		jobs = append(jobs, cfg.cell(fmt.Sprintf("table3/%s/appsat", b.name), "appsat-scan-cell", sum,
+		jobs = append(jobs, cfg.cell(fmt.Sprintf("table3/%s/appsat", b.name), "appsat-scan-cell", b.sum,
 			map[string]any{"blocks": 1, "size": core.Size8x8x8.String(), "maxrounds": appSATRounds},
 			func(ctx context.Context) (any, error) {
 				ok, err := appSATSucceeds(ctx, b.nl, cfg)
@@ -392,34 +389,23 @@ func Table3(cfg AttackConfig) (*Table, error) {
 	return t, nil
 }
 
+// namedBench is one Table III row's circuit.
 type namedBench struct {
 	suite, name string
-	nl          *netlist.Netlist
+	benchCircuit
 }
 
 func table3Suite(scale float64) ([]namedBench, error) {
 	var out []namedBench
-	for _, name := range []string{"b15", "s35932", "s38584", "b20"} {
-		prof, ok := circuit.ProfileByName(name)
-		if !ok {
-			return nil, fmt.Errorf("report: missing profile %s", name)
-		}
-		nl, err := prof.Synthesize(scale)
+	for _, b := range []struct{ suite, name string }{
+		{"ISCAS/ITC", "b15"}, {"ISCAS/ITC", "s35932"}, {"ISCAS/ITC", "s38584"}, {"ISCAS/ITC", "b20"},
+		{"CEP", "AES"}, {"CEP", "SHA-256"}, {"CEP", "MD5"}, {"CEP", "GPS"}, {"CEP", "DES"}, {"CEP", "FIR"},
+	} {
+		c, err := benchmarks.get(b.name, scale)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, namedBench{"ISCAS/ITC", name, nl})
-	}
-	cepScale := "small"
-	if scale > 0.5 {
-		cepScale = "full"
-	}
-	cep, err := circuit.CEPSuite(cepScale)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"AES", "SHA-256", "MD5", "GPS", "DES", "FIR"} {
-		out = append(out, namedBench{"CEP", name, cep[name]})
+		out = append(out, namedBench{b.suite, b.name, c})
 	}
 	return out, nil
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/sweep"
 )
@@ -17,8 +15,7 @@ import (
 // because the write periphery is shared across cells. The three LUT
 // sizes run as parallel sweep jobs.
 func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
-	prof, _ := circuit.ProfileByName("c7552")
-	orig, err := prof.Synthesize(cfg.Scale)
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -28,13 +25,12 @@ func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
 			"T/LUT", "T/key bit"},
 		Notes: []string{fmt.Sprintf("%d LUTs per configuration, scale=%.2f timeout=%v", nLUTs, cfg.Scale, cfg.Timeout)},
 	}
-	sum := cache.NetlistSum(orig)
 	var jobs []sweep.Job
 	for _, m := range []int{2, 3, 4} {
-		jobs = append(jobs, cfg.cell(fmt.Sprintf("lutsize/lut%d", m), "lut-size-cell", sum,
+		jobs = append(jobs, cfg.cell(fmt.Sprintf("lutsize/lut%d", m), "lut-size-cell", c7552.sum,
 			map[string]any{"luts": nLUTs, "lut_inputs": m},
 			func(ctx context.Context) (any, error) {
-				res, err := core.LockLUTM(orig, nLUTs, m, cfg.Seed)
+				res, err := core.LockLUTM(c7552.nl, nLUTs, m, cfg.Seed)
 				if err != nil {
 					return []string{fmt.Sprintf("LUT%d", m), "n/a", "n/a", "n/a", "n/a", "n/a", "n/a", "n/a"}, nil
 				}

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/opt"
@@ -15,12 +14,11 @@ import (
 // transistor-count area and a switching-activity power proxy, for the
 // paper's configurations.
 func PPATable(cfg AttackConfig) (*Table, error) {
-	prof, _ := circuit.ProfileByName("c7552")
-	orig, err := prof.Synthesize(cfg.Scale)
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	base, err := sta.Measure(orig, cfg.Seed)
+	base, err := sta.Measure(c7552.nl, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +61,7 @@ func PPATable(cfg AttackConfig) (*Table, error) {
 		return nil
 	}
 	for _, c := range configs {
-		res, err := core.Lock(orig, core.Options{Blocks: c.blocks, Size: c.size, Seed: cfg.Seed})
+		res, err := core.Lock(c7552.nl, core.Options{Blocks: c.blocks, Size: c.size, Seed: cfg.Seed})
 		if err != nil {
 			t.AddRow(c.label, "n/a", "n/a", "n/a", "n/a", "-", "-", "-")
 			continue

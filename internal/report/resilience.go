@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/cache"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/netlint"
 	"repro/internal/netlist"
@@ -38,31 +36,24 @@ type resilienceRow struct {
 // pair) to demonstrate the metric catching them; every discarded bit
 // is cross-checked against the batched oracle (flip error must be 0).
 func ResilienceTable(cfg AttackConfig) (*Table, error) {
-	c17, err := buildC17()
+	c17, err := benchmarks.get("c17", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
-	synth := func(name string) (*netlist.Netlist, error) {
-		prof, ok := circuit.ProfileByName(name)
-		if !ok {
-			return nil, fmt.Errorf("report: missing profile %s", name)
-		}
-		return prof.Synthesize(cfg.Scale)
-	}
-	c432, err := synth("c432")
+	c432, err := benchmarks.get("c432", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
 	// c432 at small scales cannot host an 8x8 block, so the 8x8 row
 	// uses the larger c7552 (where the SAT attack typically times out
 	// while the audit still terminates with a key-length bound).
-	c7552, err := synth("c7552")
+	c7552, err := benchmarks.get("c7552", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
 	rows := []struct {
 		circuit string
-		nl      *netlist.Netlist
+		c       benchCircuit
 		blocks  int
 		size    core.Size
 		planted bool
@@ -87,10 +78,10 @@ func ResilienceTable(cfg AttackConfig) (*Table, error) {
 		if r.planted {
 			name += "/planted"
 		}
-		jobs = append(jobs, cfg.cell(name, "audit-cell", cache.NetlistSum(r.nl),
+		jobs = append(jobs, cfg.cell(name, "audit-cell", r.c.sum,
 			map[string]any{"blocks": r.blocks, "size": r.size.String(), "planted": r.planted},
 			func(ctx context.Context) (any, error) {
-				return auditLockRow(ctx, r.nl, r.blocks, r.size, r.planted, cfg)
+				return auditLockRow(ctx, r.c.nl, r.blocks, r.size, r.planted, cfg)
 			}))
 	}
 	cells, err := runCells[resilienceRow](cfg, "audit", jobs)
