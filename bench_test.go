@@ -23,7 +23,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/psca"
 	"repro/internal/report"
-	"repro/internal/sat"
 )
 
 const benchTimeout = 300 * time.Millisecond
@@ -442,58 +441,6 @@ func BenchmarkDynamicMorphing_Attack(b *testing.B) {
 }
 
 // --- Substrate micro-benchmarks ---------------------------------------
-
-func BenchmarkSolver_Pigeonhole7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n := 7
-		f := cnf.NewFormula()
-		v := func(p, h int) cnf.Lit {
-			for f.NumVars <= p*n+h {
-				f.NewVar()
-			}
-			return cnf.MkLit(cnf.Var(p*n+h), false)
-		}
-		for p := 0; p <= n; p++ {
-			var c []cnf.Lit
-			for h := 0; h < n; h++ {
-				c = append(c, v(p, h))
-			}
-			f.AddClause(c...)
-		}
-		for h := 0; h < n; h++ {
-			for p1 := 0; p1 <= n; p1++ {
-				for p2 := p1 + 1; p2 <= n; p2++ {
-					f.AddClause(v(p1, h).Not(), v(p2, h).Not())
-				}
-			}
-		}
-		s := sat.New()
-		s.AddFormula(f)
-		if s.Solve() != sat.Unsat {
-			b.Fatal("PHP(8,7) must be UNSAT")
-		}
-	}
-}
-
-func BenchmarkSimulator_AESRound(b *testing.B) {
-	nl, err := circuit.AESRound(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := netlist.NewSimulator(nl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := make([]uint64, len(nl.Inputs))
-	for i := range in {
-		in[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := sim.Run(in)
-		in[0] ^= out[0] // keep the loop live
-	}
-}
 
 func BenchmarkTseitin_EncodeC7552(b *testing.B) {
 	nl := benchCircuit(b, 0.25)

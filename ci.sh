@@ -15,8 +15,8 @@
 # packages plus the result cache and the durable writer, a benchmark
 # smoke that also emits .bench_build/ci/BENCH_8.json (oracle
 # fast path, miter stamping, portfolio solve, sensitization, the
-# pigeonhole solver, core.Lock on c7552), a portfolio
-# gate (three-way differential, clause exchange, portfolio-attack,
+# pigeonhole solver, the compiled simulator, core.Lock on c7552), a
+# portfolio gate (three-way differential, clause exchange, portfolio-attack,
 # golden-trajectory and journal-compatibility suites under -race, plus
 # a clause-exchange fuzz smoke), a fuzz
 # smoke stage (10s per parser/journal/stamp/audit/suppression target), the
@@ -128,19 +128,23 @@ for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/ ./internal/dur
     echo "ci: $pkg coverage ${cov}%"
 done
 
-echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization, solver, lock) =="
+echo "== benchmark smoke (oracle fast path, miter stamping, portfolio solve, sensitization, solver, simulator, lock) =="
 go test ./internal/attack/ -run='^$' -bench='Oracle|MiterStampVsReencode|SolvePortfolio|SensitizeXOR' \
     -benchtime=1x -timeout 20m | tee "$ci_out/bench_smoke.out"
 # PHP(8,7) alone: the solver layer without an attack around it, with
 # thousands of learnt-clause deletions.
-go test . -run='^$' -bench='^BenchmarkSolver_Pigeonhole7$' -benchtime=1x | tee -a "$ci_out/bench_smoke.out"
+go test ./internal/sat/ -run='^$' -bench='^BenchmarkSolver_Pigeonhole7$' -benchtime=1x | tee -a "$ci_out/bench_smoke.out"
+# The compiled simulator: one word through an AES round, and exhaustive
+# sweeps of 16-input, 300-gate random netlists (words/s); 200 ops each,
+# so a word's few microseconds are not lost in timer resolution.
+go test ./internal/netlist/ -run='^$' -bench='^BenchmarkSimulator_' -benchtime=200x | tee -a "$ci_out/bench_smoke.out"
 # core.Lock: three 8x8x8 blocks on c7552@0.25 and Table I's largest
 # lock, 100 2x2 blocks on c7552@0.1.
 go test ./internal/core/ -run='^$' -bench='^BenchmarkLock_' -benchtime=1x | tee -a "$ci_out/bench_smoke.out"
 # Publish the smoke results as BENCH_8.json (one object per benchmark)
 # so tooling can trend the oracle fast path, template stamper, portfolio
-# solver, sensitization and the sequential solver without parsing go
-# test output.
+# solver, sensitization, the sequential solver and the simulator
+# without parsing go test output.
 awk '
     BEGIN { print "["; n = 0 }
     /^Benchmark/ {

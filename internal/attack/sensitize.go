@@ -102,12 +102,14 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 	// either way. The observed output reveals each bit: since the
 	// pattern is golden, output outIdx is k ⊕ c for a fixed polarity,
 	// so comparing against the locked circuit at ki=0 (rest arbitrary,
-	// all zeros here) decodes the oracle's value.
+	// all zeros here) decodes the oracle's value. One decode run of the
+	// locked circuit, its key inputs at zero and its functional inputs
+	// on the batch's lanes, gives every lane's ki=0 value.
 	batch := AsBatch(oracle)
 	words := make([]uint64, len(funcPos))
 	inBuf := make([]bool, len(funcPos))
 	outBuf := make([]uint64, oracle.NumOutputs())
-	zeroKey := make([]bool, len(keyPos))
+	lockedWords := make([]uint64, len(locked.Inputs)) // key inputs stay 0
 	for startIdx := 0; startIdx < len(pending); startIdx += 64 {
 		n := len(pending) - startIdx
 		if n > 64 {
@@ -129,11 +131,14 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 		} else {
 			out = queryLanes(oracle, words, n, inBuf, outBuf)
 		}
+		for i, p := range funcPos {
+			lockedWords[p] = words[i]
+		}
+		decoded := decodeSim.Run(lockedWords)
 		for lane := 0; lane < n; lane++ {
 			p := pending[startIdx+lane]
-			observed := out[p.outIdx]&(1<<uint(lane)) != 0
-			v0 := evalLockedAt(decodeSim, keyPos, funcPos, zeroKey, p.pattern, p.outIdx)
-			res.Key[p.bit] = observed != v0 // if oracle differs, ki = 1
+			diff := out[p.outIdx] ^ decoded[p.outIdx]
+			res.Key[p.bit] = diff>>uint(lane)&1 != 0 // if oracle differs, ki = 1
 			res.Mask[p.bit] = true
 		}
 	}
@@ -272,17 +277,4 @@ func loadSolver(f *cnf.Formula, deadline time.Time) *sat.Solver {
 // certifies nothing, so the pattern counts as non-golden.
 func unsatUnder(s *sat.Solver, assumps ...cnf.Lit) bool {
 	return s.Solve(assumps...) == sat.Unsat
-}
-
-// evalLockedAt simulates the locked netlist on (key, pattern) via the
-// shared decode simulator and returns output outIdx.
-func evalLockedAt(sim *netlist.Simulator, keyPos, funcPos []int, key, pattern []bool, outIdx int) bool {
-	in := make([]bool, len(keyPos)+len(funcPos))
-	for i, p := range keyPos {
-		in[p] = key[i]
-	}
-	for i, p := range funcPos {
-		in[p] = pattern[i]
-	}
-	return sim.Eval(in)[outIdx]
 }

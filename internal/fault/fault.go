@@ -43,94 +43,35 @@ func Enumerate(nl *netlist.Netlist) []Fault {
 }
 
 // Simulator performs bit-parallel fault simulation: 64 patterns per
-// word, full re-simulation per fault with the faulty node forced.
+// word, full re-simulation per fault with the faulty node forced, on
+// the netlist's one compiled simulation program.
 type Simulator struct {
-	nl    *netlist.Netlist
-	order []int
-	good  []uint64
-	vals  []uint64
+	sim     *netlist.Simulator
+	good    []uint64 // every gate's good-machine word of the current batch
+	goodOut []uint64
 }
 
 // NewSimulator prepares fault simulation for the netlist.
 func NewSimulator(nl *netlist.Netlist) (*Simulator, error) {
-	order, err := nl.TopoOrder()
+	sim, err := netlist.NewSimulator(nl)
 	if err != nil {
 		return nil, err
 	}
 	return &Simulator{
-		nl:    nl,
-		order: order,
-		good:  make([]uint64, nl.NumGates()),
-		vals:  make([]uint64, nl.NumGates()),
+		sim:     sim,
+		good:    make([]uint64, nl.NumGates()),
+		goodOut: make([]uint64, len(nl.Outputs)),
 	}, nil
-}
-
-// evalInto runs 64 patterns, forcing gate `force` to `val` when
-// force >= 0, writing node values into dst and returning the outputs.
-func (s *Simulator) evalInto(dst []uint64, in []uint64, force int, val uint64) []uint64 {
-	n := s.nl
-	for i, id := range n.Inputs {
-		dst[id] = in[i]
-	}
-	for _, id := range s.order {
-		g := &n.Gates[id]
-		var v uint64
-		switch g.Type {
-		case netlist.Input:
-			v = dst[id]
-		case netlist.Const0:
-			v = 0
-		case netlist.Const1:
-			v = ^uint64(0)
-		case netlist.Not:
-			v = ^dst[g.Fanin[0]]
-		case netlist.Buf:
-			v = dst[g.Fanin[0]]
-		case netlist.And, netlist.Nand:
-			v = dst[g.Fanin[0]]
-			for _, f := range g.Fanin[1:] {
-				v &= dst[f]
-			}
-			if g.Type == netlist.Nand {
-				v = ^v
-			}
-		case netlist.Or, netlist.Nor:
-			v = dst[g.Fanin[0]]
-			for _, f := range g.Fanin[1:] {
-				v |= dst[f]
-			}
-			if g.Type == netlist.Nor {
-				v = ^v
-			}
-		case netlist.Xor, netlist.Xnor:
-			v = dst[g.Fanin[0]]
-			for _, f := range g.Fanin[1:] {
-				v ^= dst[f]
-			}
-			if g.Type == netlist.Xnor {
-				v = ^v
-			}
-		case netlist.Mux:
-			sel := dst[g.Fanin[0]]
-			v = (dst[g.Fanin[1]] &^ sel) | (dst[g.Fanin[2]] & sel)
-		}
-		if id == force {
-			v = val
-		}
-		dst[id] = v
-	}
-	out := make([]uint64, len(n.Outputs))
-	for i, id := range n.Outputs {
-		out[i] = dst[id]
-	}
-	return out
 }
 
 // DetectBatch simulates 64 patterns and reports which of the given
 // faults are detected (some output differs from the good machine on at
 // least one pattern). validMask limits which pattern bits count.
 func (s *Simulator) DetectBatch(in []uint64, validMask uint64, faults []Fault, detected []bool) {
-	goodOut := append([]uint64(nil), s.evalInto(s.good, in, -1, 0)...)
+	copy(s.goodOut, s.sim.Run(in))
+	for id := range s.good {
+		s.good[id] = s.sim.Value(id)
+	}
 	for fi, f := range faults {
 		if detected[fi] {
 			continue
@@ -144,9 +85,9 @@ func (s *Simulator) DetectBatch(in []uint64, validMask uint64, faults []Fault, d
 		if (s.good[f.Gate]^forced)&validMask == 0 {
 			continue
 		}
-		badOut := s.evalInto(s.vals, in, f.Gate, forced)
-		for i := range goodOut {
-			if (goodOut[i]^badOut[i])&validMask != 0 {
+		badOut := s.sim.RunForced(in, f.Gate, forced)
+		for i := range s.goodOut {
+			if (s.goodOut[i]^badOut[i])&validMask != 0 {
 				detected[fi] = true
 				break
 			}

@@ -171,45 +171,27 @@ func runRemovalVuln(p *Pass) error {
 // pattern when the input count permits, otherwise with fresh random
 // rounds drawn from the audit RNG.
 func confirmMatch(p *Pass, sim *netlist.Simulator, a, h int, invert bool, rng *rand.Rand) (bool, string) {
-	nl := p.Netlist
-	ni := len(nl.Inputs)
-	in := make([]uint64, ni)
-	check := func(valid uint64) bool {
+	check := func(in []uint64, valid uint64) bool {
+		sim.Run(in)
 		va, vh := sim.Value(a), sim.Value(h)
 		if invert {
 			vh = ^vh
 		}
 		return (va^vh)&valid == 0
 	}
-	if maxEx := p.Opts.auditExhaustive(); ni <= maxEx && ni < 30 {
-		total := 1 << ni
-		for base := 0; base < total; base += 64 {
-			for i := range in {
-				var w uint64
-				for bit := 0; bit < 64 && base+bit < total; bit++ {
-					if (base+bit)&(1<<i) != 0 {
-						w |= 1 << bit
-					}
-				}
-				in[i] = w
-			}
-			valid := ^uint64(0)
-			if total-base < 64 {
-				valid = 1<<uint(total-base) - 1
-			}
-			sim.Run(in)
-			if !check(valid) {
-				return false, ""
-			}
+	ni := len(p.Netlist.Inputs)
+	if netlist.Exhaustive(ni, p.Opts.auditExhaustive()) {
+		if !netlist.AllPatterns(ni, check) {
+			return false, ""
 		}
 		return true, ProofExhaustive
 	}
+	in := make([]uint64, ni)
 	for r := 0; r < p.Opts.auditRounds(); r++ {
 		for i := range in {
 			in[i] = rng.Uint64()
 		}
-		sim.Run(in)
-		if !check(^uint64(0)) {
+		if !check(in, ^uint64(0)) {
 			return false, ""
 		}
 	}

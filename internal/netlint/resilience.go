@@ -169,7 +169,7 @@ func (p *Pass) auditEquiv(a, b *netlist.Netlist) (bool, string, error) {
 	}
 	maxEx := p.Opts.auditExhaustive()
 	proof := ProofSampled
-	if ni := len(a.Inputs); ni <= maxEx && ni < 30 {
+	if netlist.Exhaustive(len(a.Inputs), maxEx) {
 		proof = ProofExhaustive
 	}
 	eq, _, err := netlist.Equivalent(a, b, maxEx, p.Opts.auditRounds(), p.Opts.auditSeed())

@@ -486,3 +486,31 @@ func TestXorChainScaling(t *testing.T) {
 		t.Fatal("model does not satisfy xor chain")
 	}
 }
+
+// BenchmarkSolver_Pigeonhole7 refutes PHP(8,7), eight pigeons in seven
+// holes: the solver alone, with thousands of learnt-clause deletions.
+func BenchmarkSolver_Pigeonhole7(b *testing.B) {
+	const n = 7
+	for i := 0; i < b.N; i++ {
+		f := cnf.NewFormula()
+		for p := 0; p <= n; p++ {
+			var c []cnf.Lit
+			for h := 0; h < n; h++ {
+				c = append(c, lit(f, p*n+h, false))
+			}
+			f.AddClause(c...)
+		}
+		for h := 0; h < n; h++ {
+			for p1 := 0; p1 <= n; p1++ {
+				for p2 := p1 + 1; p2 <= n; p2++ {
+					f.AddClause(lit(f, p1*n+h, true), lit(f, p2*n+h, true))
+				}
+			}
+		}
+		s := New()
+		s.AddFormula(f)
+		if s.Solve() != Unsat {
+			b.Fatal("PHP(8,7) must be UNSAT")
+		}
+	}
+}
