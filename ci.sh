@@ -180,7 +180,7 @@ go test ./internal/attack/ -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s
 go test ./internal/cnf/ -run='^$' -fuzz='^FuzzStampFixed$' -fuzztime=10s
 go test ./internal/netlint/ -run='^$' -fuzz='^FuzzResilienceAnalyzers$' -fuzztime=10s
 go test ./internal/golint/ -run='^$' -fuzz='^FuzzSuppressionParse$' -fuzztime=10s
-for target in FuzzCacheKeyCanonical FuzzCacheEntryDecode; do
+for target in FuzzCacheKeyCanonical FuzzCanonicalJSONReference FuzzCacheEntryDecode; do
     go test ./internal/cache/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
 done
 

@@ -84,17 +84,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	params := baselines.Params{
+		Size: *size, Blocks: *blocks, KeyBits: *keybits, HD: *hd, Seed: *seed, Scan: *scan,
+	}
 	var ck cache.Key
 	if c != nil {
-		ck, err = cache.NewKey("locker-artifact").
-			Bytes("input", raw).
-			Options("opts", map[string]any{
-				"scheme": *scheme, "size": *size, "blocks": *blocks,
-				"keybits": *keybits, "hd": *hd, "seed": *seed,
-				"scan": *scan, "nolint": *nolint,
-			}).
-			Key()
-		if err != nil {
+		if ck, err = artifactKey(raw, *scheme, params, *nolint); err != nil {
 			fail(err)
 		}
 	}
@@ -115,9 +110,7 @@ func main() {
 	}
 
 	checkInterrupted(ctx, &cacheFlags, c)
-	l, lintOpts, err := baselines.LockScheme(*scheme, orig, baselines.Params{
-		Size: *size, Blocks: *blocks, KeyBits: *keybits, HD: *hd, Seed: *seed, Scan: *scan,
-	})
+	l, lintOpts, err := baselines.LockScheme(*scheme, orig, params)
 	if err != nil {
 		fail(err)
 	}
@@ -161,6 +154,19 @@ func main() {
 		fail(err)
 	}
 	closeCache(&cacheFlags, c)
+}
+
+// artifactKey derives the cache key of one locker invocation: the
+// input netlist's bytes and every locking option.
+func artifactKey(raw []byte, scheme string, p baselines.Params, nolint bool) (cache.Key, error) {
+	return cache.NewKey("locker-artifact").
+		Bytes("input", raw).
+		Options("opts", map[string]any{
+			"scheme": scheme, "size": p.Size, "blocks": p.Blocks,
+			"keybits": p.KeyBits, "hd": p.HD, "seed": p.Seed,
+			"scan": p.Scan, "nolint": nolint,
+		}).
+		Key()
 }
 
 // newArtifact renders a lock as locker emits and caches it.

@@ -117,3 +117,32 @@ func TestOutputPins(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactKeyPins pins the cache keys of two locker invocations on
+// c17, so a change to key derivation that would orphan every cached
+// artifact shows here.
+func TestArtifactKeyPins(t *testing.T) {
+	c17, err := os.ReadFile("../../testdata/c17.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scheme string
+		p      baselines.Params
+		nolint bool
+		want   string
+	}{
+		{"ril", baselines.Params{Size: "2x2", Blocks: 1, KeyBits: 16, Seed: 1}, false,
+			"6d8412c83323be2a814e14227f5d9e7fdaf0b2e61d613ffef1d75c1f18acd4b7"},
+		{"sfll", baselines.Params{Size: "8x8x8", Blocks: 1, KeyBits: 4, HD: 1, Seed: 7, Scan: true}, true,
+			"4f434ea68c06df9fd847a978a80385494c1b127f44ed6c7014de572d5ff10a21"},
+	} {
+		k, err := artifactKey(c17, tc.scheme, tc.p, tc.nolint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.String(); got != tc.want {
+			t.Errorf("%s %+v nolint=%v: key %s, want %s", tc.scheme, tc.p, tc.nolint, got, tc.want)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/baselines"
+	"repro/internal/cache"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 	"repro/internal/sweep"
@@ -256,4 +257,23 @@ func satattack(t *testing.T, args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
 	code := run(context.Background(), args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
+}
+
+// TestTargetCacheKeyPin pins the cache key of one attack target, so a
+// change to key derivation that would orphan every cached target shows
+// here.
+func TestTargetCacheKeyPin(t *testing.T) {
+	c, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := &target{
+		bench:   []byte("INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ny = XOR(a, keyinput0)\n"),
+		keyText: []byte("keyinput0=1\n"),
+	}
+	o := options{prefix: "keyinput", timeout: 2 * time.Minute, portfolio: 4, appsat: true}
+	const want = "197026200db2960abddbd47c8f39fa05ae7deafc5a405350ab120d05514eedea"
+	if got := targetCacheKey(c, tg, o).String(); got != want {
+		t.Errorf("target key %s, want %s", got, want)
+	}
 }

@@ -81,6 +81,12 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 	wantBuf := make([]uint64, oracle.NumOutputs())
 	var est float64
 	endedInRound := false
+	// The candidate key runs on the locked netlist itself, compiled at
+	// the first round: each key input's word is all zeros or all ones,
+	// as its bit of the candidate key says, and the functional inputs
+	// carry the random patterns.
+	var candSim *netlist.Simulator
+	var candIn []uint64
 
 	// One round ends every DIPsPerRound DIPs: extract the candidate key,
 	// then estimate its error on random queries, adding every
@@ -99,13 +105,17 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 		// chunks fall back to scalar queries — so the estimate, the
 		// added constraints and the oracle query count are all
 		// bit-identical per seed.
-		bound, err := locked.BindInputs(keyPos, key)
-		if err != nil {
-			return false, err
+		if candSim == nil {
+			if candSim, err = netlist.NewSimulator(locked); err != nil {
+				return false, err
+			}
+			candIn = make([]uint64, len(locked.Inputs))
 		}
-		candSim, err := netlist.NewSimulator(bound)
-		if err != nil {
-			return false, err
+		for i, p := range m.keyPos {
+			candIn[p] = 0
+			if key[i] {
+				candIn[p] = ^uint64(0)
+			}
 		}
 		wrong := 0
 		for done := 0; done < opt.RandomQueries; {
@@ -114,13 +124,16 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 				chunk = 64
 			}
 			randPatternWords(src, words, chunk)
+			for i, p := range m.funcPos {
+				candIn[p] = words[i]
+			}
 			var want []uint64
 			if chunk == 64 {
 				want = batch.QueryWords(words)
 			} else {
 				want = queryLanes(oracle, words, chunk, inBuf, wantBuf)
 			}
-			got := candSim.Run(words)
+			got := candSim.Run(candIn)
 			var mask uint64
 			for i := range want {
 				mask |= want[i] ^ got[i]

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -46,9 +47,9 @@ import (
 //
 // Writers go through durable.WriteFile (temp file, fsync, rename,
 // directory fsync) while holding a shared flock. Eviction (size-capped
-// LRU on the entry files' modification times, which Get refreshes on
-// every hit) takes the flock exclusively, so GC never observes a
-// half-written entry and never races another GC.
+// LRU on the entry files' modification times, which a hit refreshes
+// once they are older than refreshAge) takes the flock exclusively, so
+// GC never observes a half-written entry and never races another GC.
 
 const (
 	entryMagic = "RILC"
@@ -62,6 +63,11 @@ const (
 	tagLen   = 16
 	// DefaultMaxBytes is the GC size cap when Options.MaxBytes is 0.
 	DefaultMaxBytes = 1 << 30
+	// refreshAge is how old an entry's modification time must be before
+	// a hit rewrites it. GC evicts by that time, so its LRU order holds
+	// to within this age, and an entry hit again and again costs one
+	// inode write a minute rather than one per hit.
+	refreshAge = time.Minute
 	// tmpGracePeriod is how old an orphaned .tmp file must be before
 	// GC sweeps it; younger temps may belong to an in-flight Put of an
 	// older build, which staged its temp file before taking the lock.
@@ -221,11 +227,11 @@ func associatedData(k Key) []byte {
 }
 
 // Get returns the cached payload for a key. Any failure — missing
-// entry, bad header, failed authentication — is a miss; authenticated
-// entries additionally refresh their LRU timestamp. Get never returns
-// tampered bytes and never fails the caller: a damaged entry is
-// removed, counted under Invalidations, and reported as a miss so the
-// caller recomputes.
+// entry, bad header, failed authentication — is a miss; an
+// authenticated entry whose LRU timestamp is older than refreshAge
+// gets it refreshed. Get never returns tampered bytes and never fails
+// the caller: a damaged entry is removed, counted under Invalidations,
+// and reported as a miss so the caller recomputes.
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	payload, _, ok := c.GetTimed(k)
 	return payload, ok
@@ -240,7 +246,7 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 		return nil, 0, false
 	}
 	path := c.entryPath(k)
-	raw, err := os.ReadFile(path)
+	raw, mtime, err := readEntry(path)
 	if err != nil {
 		c.misses.Add(1)
 		return nil, 0, false
@@ -265,11 +271,31 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 		seconds = 0
 	}
 	c.hits.Add(1)
-	now := time.Now()
-	// Best-effort LRU refresh; a read-only cache dir only weakens
-	// eviction order, never correctness.
-	_ = os.Chtimes(path, now, now)
+	if now := time.Now(); now.Sub(mtime) > refreshAge {
+		// Best-effort LRU refresh; a read-only cache dir only weakens
+		// eviction order, never correctness.
+		_ = os.Chtimes(path, now, now)
+	}
 	return plain[secondsPrefixLen:], seconds, true
+}
+
+// readEntry reads an entry file and its modification time through one
+// open file.
+func readEntry(path string) ([]byte, time.Time, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	raw := make([]byte, info.Size())
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, time.Time{}, err
+	}
+	return raw, info.ModTime(), nil
 }
 
 // decode parses and authenticates one entry file.
@@ -352,11 +378,11 @@ func (c *Cache) put(k Key, payload []byte, seconds float64) error {
 }
 
 // GC enforces the size cap: while the entries exceed MaxBytes, the
-// least-recently-used entries (oldest modification time — Get
-// refreshes it on every hit) are evicted, under an exclusive lock so
-// eviction never races writers' renames or another GC. Orphaned temp
-// files from crashed writers are always swept. Returns the number of
-// entries evicted.
+// least-recently-used entries (oldest modification time — a hit
+// refreshes it once it is older than refreshAge) are evicted, under an
+// exclusive lock so eviction never races writers' renames or another
+// GC. Orphaned temp files from crashed writers are always swept.
+// Returns the number of entries evicted.
 func (c *Cache) GC() (int, error) {
 	lock, err := c.flock(syscall.LOCK_EX)
 	if err != nil {

@@ -345,6 +345,94 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestCacheRefreshAge: a hit leaves the mtime of an entry younger than
+// refreshAge alone, so repeated hits write no inode, and moves an older
+// entry's mtime to now, so GC's LRU order holds to within refreshAge.
+func TestCacheRefreshAge(t *testing.T) {
+	c := openTest(t, t.TempDir())
+	k := testKey(t, "refresh")
+	if err := c.Put(k, []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	path := c.entryPath(k)
+	hitAged := func(age time.Duration) (stamp, after time.Time) {
+		t.Helper()
+		stamp = time.Now().Add(-age).Truncate(time.Second)
+		if err := os.Chtimes(path, stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(k); !ok {
+			t.Fatal("Get missed")
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stamp, info.ModTime()
+	}
+	for _, age := range []time.Duration{0, refreshAge / 2, refreshAge - 5*time.Second} {
+		if stamp, after := hitAged(age); !after.Equal(stamp) {
+			t.Errorf("a hit on an entry %v old moved its mtime from %v to %v", age, stamp, after)
+		}
+	}
+	for _, age := range []time.Duration{refreshAge + 5*time.Second, 10 * time.Hour} {
+		before := time.Now().Add(-time.Second) // room for a coarse filesystem clock
+		if stamp, after := hitAged(age); after.Before(before) {
+			t.Errorf("a hit on an entry %v old left its mtime at %v (stamped %v)", age, after, stamp)
+		}
+	}
+	if s := c.Stats(); s.Hits != 5 || s.Misses != 0 || s.Invalidations != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestCacheGetCounts: a missing entry is a miss, a damaged one a miss
+// and an invalidation that removes it, and neither touches the other
+// counters.
+func TestCacheGetCounts(t *testing.T) {
+	c := openTest(t, t.TempDir())
+	k := testKey(t, "counts")
+	path := c.entryPath(k)
+	want := Stats{}
+	check := func(what string) {
+		t.Helper()
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("%s: Get hit", what)
+		}
+		if s := c.Stats(); s != want {
+			t.Fatalf("%s: stats = %+v, want %+v", what, s, want)
+		}
+	}
+	want.Misses++
+	check("missing")
+	for _, damage := range []struct {
+		name string
+		edit func(raw []byte) []byte
+	}{
+		{"truncated", func(raw []byte) []byte { return raw[:len(raw)-1] }},
+		{"empty", func([]byte) []byte { return nil }},
+		{"tampered", func(raw []byte) []byte { raw[len(raw)-1] ^= 0x80; return raw }},
+	} {
+		if err := c.Put(k, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		want.Puts++
+		rewriteEntry(t, path, damage.edit)
+		want.Misses++
+		want.Invalidations++
+		check(damage.name)
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: damaged entry not removed", damage.name)
+		}
+	}
+	// A directory where the entry should be cannot be read: a plain miss.
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	want.Misses++
+	check("directory")
+}
+
 func TestCacheMasterKeyPersists(t *testing.T) {
 	dir := t.TempDir()
 	c1 := openTest(t, dir)

@@ -1,16 +1,20 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"hash"
+	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/netlist"
 )
@@ -58,39 +62,35 @@ func (k Key) String() string {
 // Errors are sticky: the first failure poisons the Builder and Key
 // reports it.
 type Builder struct {
-	h   io.Writer
-	sum func() [sha256.Size]byte
-	err error
+	h       hash.Hash
+	label   []byte // scratch: one section's header and label
+	payload []byte // scratch: the kind, the schema version or an Int's text
+	err     error
 }
 
 // NewKey starts a Builder for one kind of computation ("sat-attack",
 // "table-cell", "lock", ...). Results of different kinds never share
 // entries even if the rest of their inputs agree.
 func NewKey(kind string) *Builder {
-	h := sha256.New()
-	b := &Builder{h: h, sum: func() (s [sha256.Size]byte) {
-		h.Sum(s[:0])
-		return s
-	}}
-	b.section("rilcache", []byte{SchemaVersion})
-	b.section("kind", []byte(kind))
+	b := &Builder{h: sha256.New(), label: make([]byte, 0, 64), payload: make([]byte, 0, 64)}
+	b.payload = append(b.payload, SchemaVersion)
+	b.section("rilcache", "", b.payload)
+	b.payload = append(b.payload[:0], kind...)
+	b.section("kind", "", b.payload)
 	return b
 }
 
-// section writes one length-prefixed, labeled chunk into the hash.
-func (b *Builder) section(label string, payload []byte) {
+// section writes one length-prefixed chunk labeled prefix+name into
+// the hash. Writes to a hash.Hash never fail.
+func (b *Builder) section(prefix, name string, payload []byte) {
 	if b.err != nil {
 		return
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(label)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	for _, p := range [][]byte{hdr[:], []byte(label), payload} {
-		if _, err := b.h.Write(p); err != nil {
-			b.err = err
-			return
-		}
-	}
+	b.label = binary.BigEndian.AppendUint32(b.label[:0], uint32(len(prefix)+len(name)))
+	b.label = binary.BigEndian.AppendUint32(b.label, uint32(len(payload)))
+	b.label = append(append(b.label, prefix...), name...)
+	b.h.Write(b.label)
+	b.h.Write(payload)
 }
 
 // Digest is one netlist's canonical digest, as NetlistSum computes it.
@@ -139,7 +139,7 @@ func (b *Builder) NetlistSum(label string, d Digest) *Builder {
 	case d.sum == [sha256.Size]byte{}:
 		b.err = fmt.Errorf("cache: %s: zero netlist digest", label)
 	default:
-		b.section("netlist:"+label, d.sum[:])
+		b.section("netlist:", label, d.sum[:])
 	}
 	return b
 }
@@ -158,20 +158,21 @@ func (b *Builder) Options(label string, v any) *Builder {
 		b.err = fmt.Errorf("cache: %s: %w", label, err)
 		return b
 	}
-	b.section("options:"+label, raw)
+	b.section("options:", label, raw)
 	return b
 }
 
 // Int mixes in one integer input (a seed, a width, ...) as its
 // decimal text.
 func (b *Builder) Int(label string, v int64) *Builder {
-	b.section("int:"+label, []byte(strconv.FormatInt(v, 10)))
+	b.payload = strconv.AppendInt(b.payload[:0], v, 10)
+	b.section("int:", label, b.payload)
 	return b
 }
 
 // Bytes mixes in one opaque byte input (file contents, a key file).
 func (b *Builder) Bytes(label string, p []byte) *Builder {
-	b.section("bytes:"+label, p)
+	b.section("bytes:", label, p)
 	return b
 }
 
@@ -180,7 +181,9 @@ func (b *Builder) Key() (Key, error) {
 	if b.err != nil {
 		return Key{}, b.err
 	}
-	return Key{sum: b.sum(), valid: true}, nil
+	k := Key{valid: true}
+	b.h.Sum(k.sum[:0])
+	return k, nil
 }
 
 // CanonicalJSON renders any JSON-marshalable value in canonical form:
@@ -192,105 +195,212 @@ func (b *Builder) Key() (Key, error) {
 // identically until someone sets the field, and a struct spelling a
 // default explicitly hashes like one that omits it. Array elements
 // are never dropped — element position is semantic.
+//
+// The form is defined as that of the value marshaled by encoding/json,
+// decoded with UseNumber and rewritten by these rules. The values that
+// decoding yields — map[string]any, []any, strings, bools, nil and
+// json.Number — and Go's predeclared integer and float types are
+// written directly; any other value (a struct, a typed map or slice, a
+// pointer) goes through encoding/json once, at its own subtree.
 func CanonicalJSON(v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
+	w := canonicalWriter{buf: make([]byte, 0, 128)}
+	if err := w.value(v); err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	return w.buf, nil
+}
+
+// maxDirectDepth bounds how deeply nested maps and slices are written
+// directly; a deeper subtree goes through encoding/json, which reports
+// a cycle as an error instead of recursing without end.
+const maxDirectDepth = 1000
+
+// canonicalWriter appends canonical JSON to buf.
+type canonicalWriter struct {
+	buf   []byte
+	depth int
+}
+
+// value writes v's canonical form.
+func (w *canonicalWriter) value(v any) error {
+	switch t := v.(type) {
+	case nil:
+		w.buf = append(w.buf, "null"...)
+	case bool:
+		w.buf = strconv.AppendBool(w.buf, t)
+	case string:
+		w.string(t)
+	case json.Number:
+		// Marshaling checks the literal and spells "" as 0.
+		raw, err := json.Marshal(t)
+		if err != nil {
+			return err
+		}
+		w.buf = append(w.buf, canonicalNumber(json.Number(raw))...)
+	case int, int8, int16, int32, int64:
+		w.buf = strconv.AppendInt(w.buf, reflect.ValueOf(t).Int(), 10)
+	case uint, uint8, uint16, uint32, uint64, uintptr:
+		w.buf = append(w.buf, canonicalNumber(json.Number(strconv.FormatUint(reflect.ValueOf(t).Uint(), 10)))...)
+	case float32:
+		return w.float(v, float64(t), 32)
+	case float64:
+		return w.float(v, t, 64)
+	case []any:
+		if t == nil || w.depth >= maxDirectDepth {
+			return w.marshaled(v)
+		}
+		w.depth++
+		w.buf = append(w.buf, '[')
+		for i, e := range t {
+			if i > 0 {
+				w.buf = append(w.buf, ',')
+			}
+			if err := w.value(e); err != nil {
+				return err
+			}
+		}
+		w.buf = append(w.buf, ']')
+		w.depth--
+	case map[string]any:
+		if t == nil || w.depth >= maxDirectDepth {
+			return w.marshaled(v)
+		}
+		w.depth++
+		if err := w.object(t); err != nil {
+			return err
+		}
+		w.depth--
+	default:
+		return w.marshaled(v)
+	}
+	return nil
+}
+
+// object writes a map's members in key order, leaving out every member
+// whose value is a JSON zero.
+func (w *canonicalWriter) object(m map[string]any) error {
+	var small [8]string // the keys of a small map stay on the stack
+	keys := small[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !utf8.ValidString(k) {
+			return w.collapsed(m, keys)
+		}
+	}
+	w.buf = append(w.buf, '{')
+	n := 0
+	for _, k := range keys {
+		mark := len(w.buf)
+		if n > 0 {
+			w.buf = append(w.buf, ',')
+		}
+		w.string(k)
+		w.buf = append(w.buf, ':')
+		val := len(w.buf)
+		if err := w.value(m[k]); err != nil {
+			return err
+		}
+		if isCanonicalZero(w.buf[val:]) {
+			w.buf = w.buf[:mark]
+			continue
+		}
+		n++
+	}
+	w.buf = append(w.buf, '}')
+	return nil
+}
+
+// collapsed writes a map with a key that is not valid UTF-8 as a JSON
+// round trip leaves it: each invalid byte of a key becomes U+FFFD, and
+// of the keys that then coincide, the last in byte order keeps its
+// value. A value dropped that way must still be marshalable, since
+// encoding/json fails on the whole map if it is not.
+func (w *canonicalWriter) collapsed(m map[string]any, sorted []string) error {
+	fixed := make(map[string]any, len(m))
+	for _, k := range sorted {
+		var probe canonicalWriter
+		if err := probe.value(m[k]); err != nil {
+			return err
+		}
+		fixed[validUTF8(k)] = m[k]
+	}
+	return w.object(fixed)
+}
+
+// string writes s as encoding/json does after a round trip: each byte
+// that is not valid UTF-8 becomes U+FFFD, and the text is escaped as
+// json.Marshal escapes it, HTML characters included.
+func (w *canonicalWriter) string(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(validUTF8(s)) // a string always marshals
+			w.buf = append(w.buf, enc...)
+			return
+		}
+	}
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, '"')
+}
+
+// float writes a finite float as encoding/json spells it, normalized
+// like any other number. NaN and the infinities fail, as in
+// json.Marshal.
+func (w *canonicalWriter) float(v any, f float64, bits int) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return w.marshaled(v)
+	}
+	w.buf = append(w.buf, canonicalNumber(json.Number(strconv.FormatFloat(f, 'f', -1, bits)))...)
+	return nil
+}
+
+// marshaled writes any other value through encoding/json: it marshals
+// the value, decodes the text with UseNumber and writes the decoded
+// tree. The tree is acyclic and its nesting restarts at zero, so a
+// deep tree goes round this path once per maxDirectDepth levels.
+func (w *canonicalWriter) marshaled(v any) error {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.UseNumber()
 	var tree any
 	if err := dec.Decode(&tree); err != nil {
-		return nil, err
+		return err
 	}
-	var sb strings.Builder
-	if err := writeCanonical(&sb, tree); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
+	depth := w.depth
+	w.depth = 0
+	err = w.value(tree)
+	w.depth = depth
+	return err
 }
 
-// canonicalValue renders one subtree, returning the canonical text.
-func canonicalValue(v any) (string, error) {
-	var sb strings.Builder
-	if err := writeCanonical(&sb, v); err != nil {
-		return "", err
+// validUTF8 replaces each byte of s that is not valid UTF-8 with
+// U+FFFD, byte by byte as encoding/json does (strings.ToValidUTF8
+// replaces a run of them with one).
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
 	}
-	return sb.String(), nil
+	var sb strings.Builder
+	for _, r := range s { // an invalid byte ranges as one U+FFFD
+		sb.WriteRune(r)
+	}
+	return sb.String()
 }
 
 // isCanonicalZero reports whether a canonical rendering is a JSON
 // zero value whose presence carries no information in an object.
-func isCanonicalZero(s string) bool {
-	switch s {
+func isCanonicalZero(b []byte) bool {
+	switch string(b) {
 	case "null", "false", "0", `""`, "[]", "{}":
 		return true
 	}
 	return false
-}
-
-func writeCanonical(sb *strings.Builder, v any) error {
-	switch t := v.(type) {
-	case nil:
-		sb.WriteString("null")
-	case bool:
-		if t {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
-	case string:
-		enc, err := json.Marshal(t)
-		if err != nil {
-			return err
-		}
-		sb.Write(enc)
-	case json.Number:
-		sb.WriteString(canonicalNumber(t))
-	case []any:
-		sb.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if err := writeCanonical(sb, e); err != nil {
-				return err
-			}
-		}
-		sb.WriteByte(']')
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		rendered := make(map[string]string, len(t))
-		for k, e := range t {
-			s, err := canonicalValue(e)
-			if err != nil {
-				return err
-			}
-			if isCanonicalZero(s) {
-				continue
-			}
-			keys = append(keys, k)
-			rendered[k] = s
-		}
-		sort.Strings(keys)
-		sb.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			enc, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			sb.Write(enc)
-			sb.WriteByte(':')
-			sb.WriteString(rendered[k])
-		}
-		sb.WriteByte('}')
-	default:
-		return fmt.Errorf("cache: cannot canonicalize %T", v)
-	}
-	return nil
 }
 
 // canonicalNumber normalizes a JSON number: integers (including

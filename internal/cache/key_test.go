@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"encoding/json"
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -55,6 +59,40 @@ func TestCanonicalJSONStructVsMap(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatalf("struct %s != map %s", a, b)
+	}
+}
+
+// TestCanonicalJSONNesting: a map or slice that holds itself fails, as
+// json.Marshal fails on it, and a tree nested deeper than the direct
+// writer goes keeps the reference's bytes.
+func TestCanonicalJSONNesting(t *testing.T) {
+	cyclic := map[string]any{"a": 1}
+	cyclic["self"] = cyclic
+	loop := make([]any, 1)
+	loop[0] = loop
+	for name, v := range map[string]any{"map": cyclic, "slice": loop} {
+		if got, err := CanonicalJSON(v); err == nil {
+			t.Errorf("a cyclic %s canonicalized to %.40q...", name, got)
+		}
+	}
+	var deep any = "leaf"
+	for i := 0; i < 3*maxDirectDepth+1; i++ {
+		if i%2 == 0 {
+			deep = []any{deep, i}
+		} else {
+			deep = map[string]any{"k": deep, "n": i}
+		}
+	}
+	want, err := referenceCanonicalJSON(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CanonicalJSON(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("deep tree: %d bytes differ from the reference's %d", len(got), len(want))
 	}
 }
 
@@ -164,4 +202,109 @@ func TestSchemaVersionInKey(t *testing.T) {
 	if a == b {
 		t.Fatal("section framing is ambiguous: empty Bytes section collided")
 	}
+}
+
+// referenceCanonicalJSON is the canonicalizer CanonicalJSON replaced,
+// kept as the reference its bytes are checked against: marshal the
+// whole value with encoding/json, decode the text with UseNumber, and
+// write the decoded tree.
+func referenceCanonicalJSON(v any) ([]byte, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return nil, err
+	}
+	var sb strings.Builder
+	if err := referenceWrite(&sb, tree); err != nil {
+		return nil, err
+	}
+	return []byte(sb.String()), nil
+}
+
+// referenceWrite writes one decoded subtree for referenceCanonicalJSON.
+func referenceWrite(sb *strings.Builder, v any) error {
+	switch t := v.(type) {
+	case nil:
+		sb.WriteString("null")
+	case bool:
+		if t {
+			sb.WriteString("true")
+		} else {
+			sb.WriteString("false")
+		}
+	case string:
+		enc, err := json.Marshal(t)
+		if err != nil {
+			return err
+		}
+		sb.Write(enc)
+	case json.Number:
+		sb.WriteString(referenceNumber(t))
+	case []any:
+		sb.WriteByte('[')
+		for i, e := range t {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			if err := referenceWrite(sb, e); err != nil {
+				return err
+			}
+		}
+		sb.WriteByte(']')
+	case map[string]any:
+		keys := make([]string, 0, len(t))
+		rendered := make(map[string]string, len(t))
+		for k, e := range t {
+			var eb strings.Builder
+			if err := referenceWrite(&eb, e); err != nil {
+				return err
+			}
+			switch s := eb.String(); s {
+			case "null", "false", "0", `""`, "[]", "{}":
+			default:
+				keys = append(keys, k)
+				rendered[k] = s
+			}
+		}
+		sort.Strings(keys)
+		sb.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			enc, err := json.Marshal(k)
+			if err != nil {
+				return err
+			}
+			sb.Write(enc)
+			sb.WriteByte(':')
+			sb.WriteString(rendered[k])
+		}
+		sb.WriteByte('}')
+	default:
+		return fmt.Errorf("cache: cannot canonicalize %T", v)
+	}
+	return nil
+}
+
+// referenceNumber is the number normalization referenceCanonicalJSON
+// applies.
+func referenceNumber(n json.Number) string {
+	s := n.String()
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return strconv.FormatInt(i, 10)
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return s
+	}
+	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
+		return strconv.FormatInt(int64(f), 10)
+	}
+	return strconv.FormatFloat(f, 'g', -1, 64)
 }

@@ -215,3 +215,25 @@ func TestCellKeyPins(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCellKey derives the cache key of one Table I cell, the key
+// a warm Table I and Table III derive 70 times.
+func BenchmarkCellKey(b *testing.B) {
+	c, err := cache.Open(b.TempDir(), cache.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := buildC17()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := AttackConfig{Timeout: time.Millisecond, Scale: 0.1, Seed: 1, Cache: c}
+	sum := cache.NetlistSum(nl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !cellKey(cfg, "sat-runtime-cell", sum, map[string]any{"blocks": 2, "size": core.Size2x2.String()}).Valid() {
+			b.Fatal("no key")
+		}
+	}
+}

@@ -694,3 +694,36 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		t.Fatalf("cancelled job keeps spec %+v", got)
 	}
 }
+
+// TestCacheKeyPins pins the cache keys of an attack job and a sweep
+// job, so a change to key derivation that would orphan every cached
+// job shows here. Tenant, priority and the job timeout are scheduling
+// fields and leave the key as it is.
+func TestCacheKeyPins(t *testing.T) {
+	c, err := cache.Open(t.TempDir(), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{opt: Options{Cache: c}}
+	target := AttackSpec{Bench: c17Bench, Key: "keyinput0=1\nkeyinput1=0\n", TimeoutMS: 2000, Portfolio: 2, Verify: true}
+	second := AttackSpec{Bench: c17Bench + "# <second> & last\n", Key: "keyinput0=0\n", KeyPrefix: "key", AppSAT: true, BVA: true}
+	const attackKey = "2f616ed67873467eb7e52caf1e46aad8255ca07313c23025e870a9fc388c8cc9"
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"attack", JobSpec{Type: TypeAttack, Attack: &target}, attackKey},
+		{"scheduled attack", JobSpec{Type: TypeAttack, Tenant: "a", Priority: 3, TimeoutMS: 9000, Attack: &target}, attackKey},
+		{"sweep", JobSpec{Type: TypeSweep, Sweep: &SweepSpec{Targets: []AttackSpec{target, second}}},
+			"c65996dfed8ba17f3edcc6de155c8fe8c3e0b64943058addb8f945076fca0b7f"},
+	} {
+		k, ok := s.cacheKey(&tc.spec)
+		if !ok {
+			t.Fatalf("%s: no cache key", tc.name)
+		}
+		if got := k.String(); got != tc.want {
+			t.Errorf("%s job key %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
