@@ -107,9 +107,9 @@ echo "== sweep runner under -race, doubled =="
 go test -race -count=2 ./internal/sweep/
 
 echo "== result cache and durable writes under -race, doubled =="
-# Get/Put/GC hammer across goroutines plus racing first Opens; doubled
-# because the failure mode (GC deleting a live writer's staged temp)
-# is scheduling-sensitive. internal/durable is the write path every
+# Get/Put/GC hammer across goroutines; doubled because the failure
+# mode (GC deleting a live writer's staged temp) is
+# scheduling-sensitive. internal/durable is the write path every
 # cache entry, manifest and job spec goes through.
 go test -race -count=2 ./internal/cache/ ./internal/durable/
 
@@ -411,7 +411,7 @@ echo "== result-cache gate: cold vs warm report sweep (BENCH_9.json) =="
 # a few hundred milliseconds on 2 vCPUs, so the ratio measures the
 # cache and not process start-up; the larger counts cannot host 8x8
 # blocks and render n/a. The warm run must print byte-identical
-# tables, be answered entirely from authenticated cache entries (12
+# tables, be answered entirely from checksummed cache entries (12
 # hits, 0 misses) and finish at least 5x faster than the cold run.
 go build -o "$tmp/rilbench" ./cmd/rilbench
 cache_dir="$tmp/rilcache"
@@ -543,7 +543,7 @@ awk '
     }
     END { exit bad }
 ' "$tmp/rild_metrics.txt"
-for m in rild_up rild_jobs_accepted_total rild_jobs_done_total rild_oracle_queries_total; do
+for m in rild_up rild_queue_depth rild_jobs_accepted_total rild_jobs_done_total rild_oracle_queries_total; do
     grep -q "^$m[ {]" "$tmp/rild_metrics.txt" || {
         echo "ci: /metrics is missing $m" >&2
         exit 1

@@ -12,10 +12,10 @@
 // sfll, caslock, meso.
 //
 // -cache-dir memoizes the locked artifact (netlist + key + overhead
-// note) in the authenticated result cache, keyed by the input netlist
+// note) in the checksummed result cache, keyed by the input netlist
 // bytes and every locking option; only artifacts that passed the
-// netlint emit gate are ever stored. -no-cache bypasses the cache,
-// -cache-max caps the size GC enforces on exit.
+// netlint emit gate are ever stored. -cache-max caps the size GC
+// enforces on exit.
 package main
 
 import (

@@ -8,13 +8,14 @@
 //	rilbench -exp satruntime -circuit c432,testdata/c17.bench [-counts 1,2]
 //	rilbench -exp all
 //
-// Pass -cache-dir to memoize attack-table cells in the authenticated
+// Pass -cache-dir to memoize attack-table cells in the checksummed
 // result cache: a repeated run with identical inputs is served from
-// disk without re-running oracles or solvers (-no-cache bypasses,
-// -cache-max caps the size GC enforces on exit). Every attack table
-// runs its cells on the sweep runner, so -jobs, -checkpoint-dir/-resume,
-// -cache-dir and -portfolio reach every experiment that runs an
-// attack, and SIGINT stops such a table at its next cell.
+// disk without re-running oracles or solvers (-cache-max caps the size
+// GC enforces on exit; without -cache-dir every cell is measured
+// again). Every attack table runs its cells on the sweep runner, so
+// -jobs, -checkpoint-dir/-resume, -cache-dir and -portfolio reach
+// every experiment that runs an attack, and SIGINT stops such a table
+// at its next cell.
 //
 // Runtimes are scaled: the paper used a 5-day timeout on full-size
 // benchmarks; pass -scale 1.0 -timeout 120h to approximate that run.

@@ -14,12 +14,11 @@ import (
 )
 
 // The load mix: every load job is an attack on one of loadVariants
-// locked c17 circuits (serve.MakeLoadTargets), submitted by one of
-// loadTenants tenants with a server-side deadline of loadJobTimeout and
-// no_cache set, so every job runs live and the throughput is honest
-// even when the daemon has a cache attached.
+// locked c17 circuits (serve.MakeLoadTargets), submitted with a
+// server-side deadline of loadJobTimeout and no_cache set, so every job
+// runs live and the throughput is honest even when the daemon has a
+// cache attached.
 const (
-	loadTenants    = 4
 	loadVariants   = 8
 	loadJobTimeout = 30 * time.Second
 )
@@ -105,7 +104,6 @@ func LoadTest(ctx context.Context, base string, opt LoadOptions, logf func(strin
 				t := targets[i%len(targets)]
 				spec := &serve.JobSpec{
 					Type:      serve.TypeAttack,
-					Tenant:    fmt.Sprintf("tenant-%d", i%loadTenants),
 					TimeoutMS: loadJobTimeout.Milliseconds(),
 					NoCache:   true,
 					Attack:    &serve.AttackSpec{Bench: t.Bench, Key: t.Key},

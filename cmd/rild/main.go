@@ -18,9 +18,9 @@
 //	rild -load 1000 -addr 127.0.0.1:8372
 //
 // The load harness (load.go) submits N attack jobs on 8 locked c17
-// circuits from 4 tenants, each with a 30 s deadline and no_cache set
-// so that every job runs live, and fails unless every job reaches a
-// terminal state exactly once.
+// circuits, each with a 30 s deadline and no_cache set so that every
+// job runs live, and fails unless every job reaches a terminal state
+// exactly once.
 package main
 
 import (

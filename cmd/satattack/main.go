@@ -27,12 +27,13 @@
 // the attack. Corrupt checkpoint files degrade to a fresh start with a
 // warning, never an error.
 //
-// -cache-dir memoizes finished targets in the authenticated result
+// -cache-dir memoizes finished targets in the checksummed result
 // cache, keyed by the locked netlist, key file and attack options:
 // re-attacking an unchanged target is answered from disk with zero
-// oracle queries and zero solver calls (-no-cache bypasses, -cache-max
-// caps the size enforced by GC on exit). -sensitize, -removal and
-// -trace take a single target and always run live.
+// oracle queries and zero solver calls (-cache-max caps the size
+// enforced by GC on exit; without -cache-dir every target runs live).
+// -sensitize, -removal and -trace take a single target and always run
+// live.
 package main
 
 import (

@@ -1,19 +1,18 @@
-// Package cache is a content-addressed, authenticated result cache
-// for sweep jobs and report-table cells. Entries are keyed by a
-// canonical SHA-256 hash of everything that determines a result
-// (parsed netlist canonical form, lock options, seed, attack options,
-// cache schema version) and stored encrypted-at-rest with AES-128-GCM,
-// so a tampered, truncated or swapped entry fails authentication and
-// is transparently recomputed instead of trusted. The design follows
+// Package cache is a content-addressed, checksummed result cache for
+// sweep jobs and report-table cells. Entries are keyed by a canonical
+// SHA-256 hash of everything that determines a result (parsed netlist
+// canonical form, lock options, seed, attack options, cache schema
+// version) and carry a SHA-256 checksum over their own key and body,
+// so a damaged, truncated or swapped entry fails the check and is
+// transparently recomputed instead of trusted. The design follows
 // garble's build-cache architecture: hash the full input closure,
-// authenticate the payload, version the schema inside the key so
-// format changes invalidate by construction.
+// check the payload, version the schema inside the key so format
+// changes invalidate by construction.
 package cache
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/rand"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,18 +31,20 @@ import (
 
 // On-disk layout of a cache directory:
 //
-//	<dir>/key            master AEAD key (16 random bytes, 0600)
 //	<dir>/lock           flock file serializing GC against writers
-//	<dir>/entries/ab/<64-hex-key>   one authenticated entry per key
+//	<dir>/entries/ab/<64-hex-key>   one checksummed entry per key
 //
-// Every entry file is magic || format version || nonce || AES-128-GCM
-// sealed payload and tag, with the magic, version and the entry's own
-// cache key bound in as associated data. Binding the key means a byte
-// flip, a truncation, *and* two entries swapped wholesale between
-// files all fail authentication — a swapped file decrypts fine under
-// the master key, but its associated data no longer matches the name
-// it sits under. Failed authentication is never an error: the entry
+// Every entry file is magic || format version || checksum || body. The
+// body is the 8-byte seconds prefix followed by the payload, and the
+// checksum is SHA-256(magic || version || the entry's own cache key ||
+// body). Summing the key in means a byte flip, a truncation, *and* two
+// entries swapped wholesale between files all fail the check — a
+// swapped file is intact, but it was summed under another key than
+// the name it sits under. A failed check is never an error: the entry
 // is dropped, counted as an invalidation, and the caller recomputes.
+// The checksum is unkeyed: entries hold results the same user
+// computed, and a key kept in the directory beside them would not stop
+// anyone who can rewrite them.
 //
 // Writers go through durable.WriteFile (temp file, fsync, rename,
 // directory fsync) while holding a shared flock. Eviction (size-capped
@@ -53,14 +54,13 @@ import (
 
 const (
 	entryMagic = "RILC"
-	// entryVersion versions the sealed container: 1 was ASCON-128 with
-	// a 16-byte nonce, 2 is AES-128-GCM with a 12-byte nonce. An entry
-	// of another version fails the header check and is recomputed.
-	entryVersion = 2
-	// keyLen, nonceLen and tagLen are AES-128-GCM's sizes.
-	keyLen   = 16
-	nonceLen = 12
-	tagLen   = 16
+	// entryVersion versions the entry container: 1 (ASCON-128) and 2
+	// (AES-128-GCM) sealed the body under a master key, 3 checksums it.
+	// An entry of another version fails the header check and is
+	// recomputed.
+	entryVersion = 3
+	// headerLen is the magic, the version byte and the checksum.
+	headerLen = len(entryMagic) + 1 + sha256.Size
 	// DefaultMaxBytes is the GC size cap when Options.MaxBytes is 0.
 	DefaultMaxBytes = 1 << 30
 	// refreshAge is how old an entry's modification time must be before
@@ -74,6 +74,9 @@ const (
 	tmpGracePeriod = 10 * time.Minute
 )
 
+// entryHeader opens every entry file: the magic and the version byte.
+var entryHeader = append([]byte(entryMagic), entryVersion)
+
 // Options configures a cache directory.
 type Options struct {
 	// MaxBytes caps the total size of all entries; GC evicts
@@ -85,7 +88,7 @@ type Options struct {
 type Stats struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
-	Invalidations int64 `json:"invalidations"` // entries that failed authentication or decoding
+	Invalidations int64 `json:"invalidations"` // entries that failed their header or checksum check
 	Puts          int64 `json:"puts"`
 	PutErrors     int64 `json:"put_errors"`
 	Evictions     int64 `json:"evictions"`
@@ -96,22 +99,19 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Invalidations, s.Puts, s.PutErrors, s.Evictions)
 }
 
-// Cache is a content-addressed, authenticated result store rooted at
-// one directory. Safe for concurrent use by multiple goroutines and
+// Cache is a content-addressed, checksummed result store rooted at one
+// directory. Safe for concurrent use by multiple goroutines and
 // cooperating processes sharing the directory.
 type Cache struct {
 	dir      string
 	maxBytes int64
-	aeadKey  [keyLen]byte
-	aead     cipher.AEAD // AES-128-GCM under aeadKey; safe for concurrent use
 
 	hits, misses, invalidations atomic.Int64
 	puts, putErrors, evictions  atomic.Int64
 }
 
-// Open opens (creating if needed) a cache directory. The master AEAD
-// key is generated on first use and persists with the directory;
-// deleting the directory discards both the key and every entry.
+// Open opens (creating if needed) a cache directory. It ignores a
+// `key` file that a build sealing its entries left there.
 func Open(dir string, opt Options) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "entries"), 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
@@ -119,16 +119,6 @@ func Open(dir string, opt Options) (*Cache, error) {
 	c := &Cache{dir: dir, maxBytes: opt.MaxBytes}
 	if c.maxBytes <= 0 {
 		c.maxBytes = DefaultMaxBytes
-	}
-	if err := c.loadOrCreateKey(); err != nil {
-		return nil, err
-	}
-	block, err := aes.NewCipher(c.aeadKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
-	}
-	if c.aead, err = cipher.NewGCM(block); err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
 	}
 	return c, nil
 }
@@ -146,8 +136,7 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// keyPath is the master-key file, lockPath the GC/writer flock file.
-func (c *Cache) keyPath() string  { return filepath.Join(c.dir, "key") }
+// lockPath is the GC/writer flock file.
 func (c *Cache) lockPath() string { return filepath.Join(c.dir, "lock") }
 
 // entryPath maps a cache key to its entry file, sharded by the first
@@ -155,47 +144,6 @@ func (c *Cache) lockPath() string { return filepath.Join(c.dir, "lock") }
 func (c *Cache) entryPath(k Key) string {
 	hex := k.String()
 	return filepath.Join(c.dir, "entries", hex[:2], hex)
-}
-
-// loadOrCreateKey reads the master key, generating one under an
-// exclusive lock on first use so concurrent opens agree on a single
-// key.
-func (c *Cache) loadOrCreateKey() error {
-	read := func() (bool, error) {
-		raw, err := os.ReadFile(c.keyPath())
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("cache: %w", err)
-		}
-		if len(raw) != keyLen {
-			return false, fmt.Errorf("cache: master key file %s has %d bytes, want %d", c.keyPath(), len(raw), keyLen)
-		}
-		copy(c.aeadKey[:], raw)
-		return true, nil
-	}
-	if ok, err := read(); ok || err != nil {
-		return err
-	}
-	lock, err := c.flock(syscall.LOCK_EX)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = unflock(lock) }() // key already durable or error already returned
-	// Re-check under the lock: another opener may have won the race.
-	if ok, err := read(); ok || err != nil {
-		return err
-	}
-	var key [keyLen]byte
-	if _, err := rand.Read(key[:]); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := durable.WriteFile(c.keyPath(), key[:]); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	c.aeadKey = key
-	return nil
 }
 
 // flock opens the lock file and takes a flock of the given type
@@ -216,22 +164,23 @@ func unflock(f *os.File) error {
 	return errors.Join(syscall.Flock(int(f.Fd()), syscall.LOCK_UN), f.Close())
 }
 
-// associatedData binds an entry to its own key, so entries swapped
-// between files fail authentication.
-func associatedData(k Key) []byte {
-	ad := make([]byte, 0, len(entryMagic)+1+len(k.sum))
-	ad = append(ad, entryMagic...)
-	ad = append(ad, entryVersion)
-	ad = append(ad, k.sum[:]...)
-	return ad
+// checksum is SHA-256 over the entry header, the entry's own cache key
+// and its body.
+func checksum(k Key, body []byte) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	h.Write(entryHeader)
+	h.Write(k.sum[:])
+	h.Write(body)
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Get returns the cached payload for a key. Any failure — missing
-// entry, bad header, failed authentication — is a miss; an
-// authenticated entry whose LRU timestamp is older than refreshAge
-// gets it refreshed. Get never returns tampered bytes and never fails
-// the caller: a damaged entry is removed, counted under Invalidations,
-// and reported as a miss so the caller recomputes.
+// entry, bad header, failed checksum — is a miss; an intact entry
+// whose LRU timestamp is older than refreshAge gets it refreshed. Get
+// never returns bytes that fail the checksum and never fails the
+// caller: a damaged entry is removed, counted under Invalidations, and
+// reported as a miss so the caller recomputes.
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	payload, _, ok := c.GetTimed(k)
 	return payload, ok
@@ -251,14 +200,11 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 		c.misses.Add(1)
 		return nil, 0, false
 	}
-	plain, ok := c.decode(k, raw)
-	// Every schema-2 payload is seconds prefix + caller bytes; anything
-	// shorter is damage (the prefix is inside the sealed payload, so
-	// this only triggers on a bug or a forged master key).
-	if !ok || len(plain) < secondsPrefixLen {
-		// Tampered, truncated or foreign bytes: drop the entry so the
-		// recompute's Put replaces it, and report the authentication
-		// failure separately from a plain miss.
+	body, ok := decode(k, raw)
+	if !ok {
+		// Damaged, truncated or foreign bytes: drop the entry so the
+		// recompute's Put replaces it, and report the failed check
+		// separately from a plain miss.
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -266,7 +212,7 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 		}
 		return nil, 0, false
 	}
-	seconds := math.Float64frombits(binary.BigEndian.Uint64(plain[:secondsPrefixLen]))
+	seconds := math.Float64frombits(binary.BigEndian.Uint64(body[:secondsPrefixLen]))
 	if math.IsNaN(seconds) || math.IsInf(seconds, 0) || seconds < 0 {
 		seconds = 0
 	}
@@ -276,7 +222,7 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 		// eviction order, never correctness.
 		_ = os.Chtimes(path, now, now)
 	}
-	return plain[secondsPrefixLen:], seconds, true
+	return body[secondsPrefixLen:], seconds, true
 }
 
 // readEntry reads an entry file and its modification time through one
@@ -298,18 +244,15 @@ func readEntry(path string) ([]byte, time.Time, error) {
 	return raw, info.ModTime(), nil
 }
 
-// decode parses and authenticates one entry file.
-func (c *Cache) decode(k Key, raw []byte) ([]byte, bool) {
-	hdr := len(entryMagic) + 1 + nonceLen
-	if len(raw) < hdr+tagLen {
+// decode checks one entry file's header and checksum and returns its
+// body, which is at least the seconds prefix long.
+func decode(k Key, raw []byte) ([]byte, bool) {
+	if len(raw) < headerLen+secondsPrefixLen || !bytes.Equal(raw[:len(entryHeader)], entryHeader) {
 		return nil, false
 	}
-	if string(raw[:len(entryMagic)]) != entryMagic || raw[len(entryMagic)] != entryVersion {
-		return nil, false
-	}
-	nonce := raw[len(entryMagic)+1 : hdr]
-	plain, err := c.aead.Open(nil, nonce, raw[hdr:], associatedData(k))
-	return plain, err == nil
+	body := raw[headerLen:]
+	sum := checksum(k, body)
+	return body, bytes.Equal(sum[:], raw[len(entryHeader):headerLen])
 }
 
 // Put stores a payload under a key, replacing any existing entry. The
@@ -324,8 +267,8 @@ func (c *Cache) Put(k Key, payload []byte) error {
 // PutTimed is Put plus the wall-clock seconds the computation that
 // produced the payload took; GetTimed returns them alongside the
 // payload so cache hits keep their runtime accounting. The seconds
-// live inside the sealed payload, covered by the same authentication
-// as the result itself.
+// live in the entry body, covered by the same checksum as the result
+// itself.
 func (c *Cache) PutTimed(k Key, payload []byte, seconds float64) error {
 	err := c.put(k, payload, seconds)
 	if err != nil {
@@ -336,8 +279,8 @@ func (c *Cache) PutTimed(k Key, payload []byte, seconds float64) error {
 	return nil
 }
 
-// secondsPrefixLen is the size of the runtime prefix inside every
-// sealed payload: one big-endian IEEE-754 float64.
+// secondsPrefixLen is the size of the runtime prefix that opens every
+// entry body: one big-endian IEEE-754 float64.
 const secondsPrefixLen = 8
 
 func (c *Cache) put(k Key, payload []byte, seconds float64) error {
@@ -347,19 +290,13 @@ func (c *Cache) put(k Key, payload []byte, seconds float64) error {
 	if math.IsNaN(seconds) || math.IsInf(seconds, 0) || seconds < 0 {
 		seconds = 0
 	}
-	plain := make([]byte, secondsPrefixLen+len(payload))
-	binary.BigEndian.PutUint64(plain, math.Float64bits(seconds))
-	copy(plain[secondsPrefixLen:], payload)
-	payload = plain
-	var nonce [nonceLen]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	buf := make([]byte, 0, len(entryMagic)+1+nonceLen+len(payload)+tagLen)
-	buf = append(buf, entryMagic...)
-	buf = append(buf, entryVersion)
-	buf = append(buf, nonce[:]...)
-	buf = c.aead.Seal(buf, nonce[:], payload, associatedData(k))
+	buf := make([]byte, headerLen+secondsPrefixLen+len(payload))
+	copy(buf, entryHeader)
+	body := buf[headerLen:]
+	binary.BigEndian.PutUint64(body, math.Float64bits(seconds))
+	copy(body[secondsPrefixLen:], payload)
+	sum := checksum(k, body)
+	copy(buf[len(entryHeader):], sum[:])
 
 	path := c.entryPath(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -57,11 +57,38 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 
-	// A second Open over the same directory (fresh process, persisted
-	// master key) must still authenticate the entry.
+	// A second Open over the same directory (fresh process) must still
+	// accept the entry.
 	c2 := openTest(t, dir)
 	if got, ok := c2.Get(k); !ok || string(got) != "v2" {
 		t.Fatalf("reopened Get = %q, %v", got, ok)
+	}
+
+	// An entry file copied from another cache directory under the same
+	// key is the same entry: a hit with the same payload.
+	other := openTest(t, t.TempDir())
+	if err := other.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	rewriteEntry(t, c.entryPath(k), func([]byte) []byte {
+		raw, err := os.ReadFile(other.entryPath(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	})
+	if got, ok := c.Get(k); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("copied entry Get = %q, %v", got, ok)
+	}
+
+	// A directory holding the 16-byte master key file of a build that
+	// sealed its entries opens, and its entries still read.
+	if err := os.WriteFile(filepath.Join(dir, "key"), bytes.Repeat([]byte{0xa5}, 16), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c3 := openTest(t, dir)
+	if got, ok := c3.Get(k); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get beside a leftover key file = %q, %v", got, ok)
 	}
 
 	// An invalid key never stores or hits.
@@ -96,10 +123,10 @@ type tamperCase struct {
 var tamperA, tamperB = []byte(`{"v":"a"}`), []byte(`{"v":"b"}`)
 
 // tamperEntryLen is the size of the entry file that holds tamperA.
-var tamperEntryLen = len(entryMagic) + 1 + nonceLen + secondsPrefixLen + len(tamperA) + tagLen
+var tamperEntryLen = headerLen + secondsPrefixLen + len(tamperA)
 
 // runTamperCases runs each case on a fresh cache holding entries A and
-// B. Every case must authenticate-fail into exactly one logged
+// B. Every case must fail the entry check into exactly one logged
 // invalidation, never a panic or stale data, and a recompute must
 // rewrite the entry.
 func runTamperCases(t *testing.T, cases []tamperCase) {
@@ -116,7 +143,7 @@ func runTamperCases(t *testing.T, cases []tamperCase) {
 			tc.mut(t, c.entryPath(ka), c.entryPath(kb))
 
 			if got, ok := c.Get(ka); ok {
-				t.Fatalf("tampered entry authenticated: %q", got)
+				t.Fatalf("tampered entry hit: %q", got)
 			}
 			if inv := c.Stats().Invalidations; inv != 1 {
 				t.Fatalf("tamper counted as %d invalidations, want 1", inv)
@@ -135,7 +162,7 @@ func runTamperCases(t *testing.T, cases []tamperCase) {
 			if tc.name == "swap-entries" {
 				// B's file now holds A's old bytes — also a swap victim.
 				if _, ok := c.Get(kb); ok {
-					t.Fatal("swapped entry B authenticated")
+					t.Fatal("swapped entry B hit")
 				}
 			}
 		})
@@ -144,8 +171,8 @@ func runTamperCases(t *testing.T, cases []tamperCase) {
 
 // TestCacheTamperMatrix runs the named tamper cases — flip one byte,
 // truncate mid-record, truncate to nothing, swap two entries' files —
-// plus a foreign garbage file and an entry in the version-1 (ASCON-128)
-// layout.
+// plus a foreign garbage file and entries in the version-1 (ASCON-128)
+// and version-2 (AES-128-GCM) layouts.
 func TestCacheTamperMatrix(t *testing.T) {
 	runTamperCases(t, []tamperCase{
 		{"flip-byte", func(t *testing.T, pathA, _ string) {
@@ -193,13 +220,20 @@ func TestCacheTamperMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"v2-layout", func(t *testing.T, pathA, _ string) {
+			// RILC, version 2, a 12-byte nonce, the sealed body and a
+			// 16-byte tag: what an AES-128-GCM build wrote.
+			v2 := append([]byte("RILC\x02"), bytes.Repeat([]byte{0x5a}, 12+secondsPrefixLen+len(tamperA)+16)...)
+			if err := os.WriteFile(pathA, v2, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	})
 }
 
-// TestCacheSealRejects requires the entry seal to reject a one-bit flip
-// at every offset of a real entry file (header, nonce, ciphertext and
-// tag alike), a truncation to every shorter length, and an entry sealed
-// under another cache's master key.
+// TestCacheSealRejects requires the entry check to reject a one-bit
+// flip at every offset of a real entry file (header, checksum and body
+// alike) and a truncation to every shorter length.
 func TestCacheSealRejects(t *testing.T) {
 	var cases []tamperCase
 	for i := 0; i < tamperEntryLen; i++ {
@@ -216,20 +250,6 @@ func TestCacheSealRejects(t *testing.T) {
 			rewriteEntry(t, pathA, func(raw []byte) []byte { return raw[:i] })
 		}})
 	}
-	cases = append(cases, tamperCase{"foreign-master-key", func(t *testing.T, pathA, _ string) {
-		other := openTest(t, t.TempDir())
-		k := testKey(t, "a")
-		if err := other.Put(k, tamperA); err != nil {
-			t.Fatal(err)
-		}
-		rewriteEntry(t, pathA, func([]byte) []byte {
-			raw, err := os.ReadFile(other.entryPath(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return raw
-		})
-	}})
 	runTamperCases(t, cases)
 }
 
@@ -242,7 +262,7 @@ func TestCachePutCrash(t *testing.T) {
 	k := testKey(t, "crash")
 	payload := []byte(`{"big":"` + string(bytes.Repeat([]byte("x"), 100)) + `"}`)
 
-	entrySize := len(entryMagic) + 1 + nonceLen + secondsPrefixLen + len(payload) + tagLen
+	entrySize := headerLen + secondsPrefixLen + len(payload)
 	defer func() { durable.NewSink = func(f *os.File) durable.Sink { return f } }()
 	for budget := 0; budget < entrySize; budget++ {
 		budget := budget
@@ -301,7 +321,7 @@ func TestCachePutCrash(t *testing.T) {
 func TestCacheGCEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("p"), 200)
-	entryBytes := len(entryMagic) + 1 + nonceLen + secondsPrefixLen + len(payload) + tagLen
+	entryBytes := headerLen + secondsPrefixLen + len(payload)
 	c, err := Open(dir, Options{MaxBytes: int64(3 * entryBytes)})
 	if err != nil {
 		t.Fatal(err)
@@ -431,37 +451,6 @@ func TestCacheGetCounts(t *testing.T) {
 	}
 	want.Misses++
 	check("directory")
-}
-
-func TestCacheMasterKeyPersists(t *testing.T) {
-	dir := t.TempDir()
-	c1 := openTest(t, dir)
-	c2 := openTest(t, dir)
-	if c1.aeadKey != c2.aeadKey {
-		t.Fatal("two opens disagree on the master key")
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != keyLen {
-		t.Fatalf("master key file has %d bytes", len(raw))
-	}
-	info, err := os.Stat(filepath.Join(dir, "key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm := info.Mode().Perm(); perm != 0o600 {
-		t.Fatalf("master key mode %v, want 0600", perm)
-	}
-	// A corrupt master key file is a hard open error, not silent
-	// re-keying (re-keying would orphan every entry without a trace).
-	if err := os.WriteFile(filepath.Join(dir, "key"), []byte("short"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("open accepted a corrupt master key")
-	}
 }
 
 func TestCacheTimedRoundTrip(t *testing.T) {

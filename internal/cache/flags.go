@@ -10,11 +10,9 @@ import (
 // CLIs (rilbench, satattack, locker) all speak the same dialect:
 //
 //	-cache-dir DIR   enable the cache rooted at DIR
-//	-no-cache        bypass the cache even when -cache-dir is set
 //	-cache-max N     size cap in bytes for GC eviction
 type Flags struct {
 	Dir      string
-	Disable  bool
 	MaxBytes int64
 }
 
@@ -23,8 +21,6 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Dir, "cache-dir", "",
 		"content-addressed result cache directory (empty = caching off)")
-	fs.BoolVar(&f.Disable, "no-cache", false,
-		"bypass the result cache even when -cache-dir is set")
 	fs.Int64Var(&f.MaxBytes, "cache-max", DefaultMaxBytes,
 		"result cache size cap in bytes (LRU eviction on GC)")
 }
@@ -33,7 +29,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // is off — callers pass the nil *Cache straight through; every
 // consumer treats nil as "no cache".
 func (f *Flags) Open() (*Cache, error) {
-	if f.Disable || f.Dir == "" {
+	if f.Dir == "" {
 		return nil, nil
 	}
 	return Open(f.Dir, Options{MaxBytes: f.MaxBytes})

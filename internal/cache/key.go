@@ -23,9 +23,9 @@ import (
 // key, so any change to key derivation (the canonicalization rules) or
 // to the meaning of cached payloads invalidates all existing entries
 // by construction — stale entries become misses, never wrong answers.
-// The sealed container around a payload is versioned separately, by
-// the version byte in each entry's header: changing the cipher bumps
-// that byte and leaves every key as it was.
+// The entry container around a payload is versioned separately, by
+// the version byte in each entry's header: changing the container
+// bumps that byte and leaves every key as it was.
 //
 // Version history:
 //

@@ -11,7 +11,7 @@ import (
 // goroutines mixing Get, Put and GC — the ci.sh race stage runs this
 // under -race. The invariants: no data race, no panic, and every
 // successful Get returns exactly the payload some Put stored for that
-// key (authenticated entries can't interleave into hybrids).
+// key (checksummed entries can't interleave into hybrids).
 func TestConcurrentGetPutGC(t *testing.T) {
 	c, err := Open(t.TempDir(), Options{MaxBytes: 16 << 10})
 	if err != nil {
@@ -66,36 +66,6 @@ func TestConcurrentGetPutGC(t *testing.T) {
 		}
 		if got, ok := c.Get(keySet[i]); !ok || !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("key %d corrupt after concurrent load (ok=%v)", i, ok)
-		}
-	}
-}
-
-// TestConcurrentOpens races first-time directory initialization: every
-// opener must end up with the same master key.
-func TestConcurrentOpens(t *testing.T) {
-	dir := t.TempDir()
-	const openers = 8
-	caches := make([]*Cache, openers)
-	var wg sync.WaitGroup
-	for i := 0; i < openers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Open(dir, Options{})
-			if err != nil {
-				t.Errorf("open %d: %v", i, err)
-				return
-			}
-			caches[i] = c
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for i := 1; i < openers; i++ {
-		if caches[i].aeadKey != caches[0].aeadKey {
-			t.Fatalf("opener %d derived a different master key", i)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // ISCAS-85 netlist) and c432 cold, then re-run it warm against a
 // *reopened* cache directory. The warm run must emit byte-identical
 // JSON while issuing zero oracle queries and zero solver calls — the
-// whole report is answered from authenticated cache entries.
+// whole report is answered from checksummed cache entries.
 func TestCacheDifferentialSweep(t *testing.T) {
 	f, err := os.Open("../../testdata/c17.bench")
 	if err != nil {
@@ -72,8 +72,8 @@ func TestCacheDifferentialSweep(t *testing.T) {
 		t.Fatalf("cold run stats %+v: want only misses and stores", s)
 	}
 
-	// Reopen: the warm run must authenticate entries written by the
-	// "previous process" using the persisted master key.
+	// Reopen: the warm run must accept entries written by the
+	// "previous process".
 	warm, err := cache.Open(dir, cache.Options{})
 	if err != nil {
 		t.Fatal(err)

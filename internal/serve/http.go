@@ -7,10 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/cache"
 	"repro/internal/sat"
 )
 
@@ -19,8 +19,6 @@ import (
 type JobView struct {
 	ID        string `json:"id"`
 	Type      string `json:"type"`
-	Tenant    string `json:"tenant,omitempty"`
-	Priority  int    `json:"priority,omitempty"`
 	State     string `json:"state"`
 	Submitted string `json:"submitted"`
 	Started   string `json:"started,omitempty"`
@@ -41,8 +39,6 @@ func (js *jobState) view() *JobView {
 	v := &JobView{
 		ID:        js.id,
 		Type:      js.spec.Type,
-		Tenant:    js.spec.Tenant,
-		Priority:  js.spec.Priority,
 		State:     js.state,
 		Submitted: js.submitted.UTC().Format(time.RFC3339Nano),
 		Seconds:   js.seconds,
@@ -253,11 +249,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		name, help string
 		value      any
 	}
-	var cacheStats [6]int64
+	var cacheStats cache.Stats
 	cacheEnabled := 0
 	if s.opt.Cache != nil {
-		st := s.opt.Cache.Stats()
-		cacheStats = [6]int64{st.Hits, st.Misses, st.Invalidations, st.Puts, st.PutErrors, st.Evictions}
+		cacheStats = s.opt.Cache.Stats()
 		cacheEnabled = 1
 	}
 	draining := 0
@@ -279,10 +274,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rild_sat_solve_calls_total", "process-wide SAT solver invocations", sat.SolveCallsTotal()},
 		{"rild_solver_conflicts_total", "solver conflicts accumulated from finished jobs", s.conflicts.Load()},
 		{"rild_cache_enabled", "1 when a result cache is attached", cacheEnabled},
-		{"rild_cache_hits_total", "result-cache entry hits", cacheStats[0]},
-		{"rild_cache_misses_total", "result-cache entry misses", cacheStats[1]},
-		{"rild_cache_invalidations_total", "result-cache entries that failed authentication", cacheStats[2]},
-		{"rild_cache_puts_total", "result-cache entries stored", cacheStats[3]},
+		{"rild_cache_hits_total", "result-cache entry hits", cacheStats.Hits},
+		{"rild_cache_misses_total", "result-cache entry misses", cacheStats.Misses},
+		{"rild_cache_invalidations_total", "result-cache entries that failed their checksum", cacheStats.Invalidations},
+		{"rild_cache_puts_total", "result-cache entries stored", cacheStats.Puts},
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
@@ -295,17 +290,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "%s %d\n", m.name, v)
 		}
 	}
-	// Per-tenant queue depth, sorted for deterministic output.
-	depths := s.tenantDepths()
-	tenants := make([]string, 0, len(depths))
-	for t := range depths {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	fmt.Fprintf(w, "# HELP rild_tenant_queue_depth queued jobs per tenant\n# TYPE rild_tenant_queue_depth gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(w, "rild_tenant_queue_depth{tenant=%q} %d\n", t, depths[t])
-	}
 }
 
 // metricType classifies a metric name for the TYPE line.
@@ -314,19 +298,4 @@ func metricType(name string) string {
 		return "counter"
 	}
 	return "gauge"
-}
-
-// tenantDepths snapshots queued jobs per tenant.
-func (s *Server) tenantDepths() map[string]int {
-	s.q.mu.Lock()
-	defer s.q.mu.Unlock()
-	out := map[string]int{}
-	for _, b := range s.q.bands {
-		for tenant, fifo := range b.tenants {
-			if len(fifo) > 0 {
-				out[tenant] += len(fifo)
-			}
-		}
-	}
-	return out
 }

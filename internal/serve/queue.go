@@ -2,98 +2,36 @@ package serve
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// queue is the daemon's scheduler: jobs are grouped into priority
-// bands (higher priority dispatches first); within a band, tenants are
-// served round-robin and each tenant's jobs dispatch in arrival order.
-// A single hot tenant therefore cannot starve the others — with T
-// active tenants in the top band, each gets every T-th dispatch slot —
-// while an idle daemon still runs a lone tenant's backlog back to
-// back.
+// queue is the daemon's scheduler: one FIFO, so jobs dispatch in
+// submission order.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	bands  map[int]*band // by priority
-	depth  int
+	jobs   []*jobState
 	closed bool
 }
 
-// band holds one priority level's per-tenant FIFOs plus the rotation
-// cursor.
-type band struct {
-	tenants map[string][]*jobState
-	ring    []string // tenant rotation order (arrival order)
-	next    int      // ring index of the tenant to serve next
-	depth   int
-}
-
 func newQueue() *queue {
-	q := &queue{bands: map[int]*band{}}
+	q := &queue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues a job under its spec's priority and tenant. Returns
-// false if the queue is closed (draining daemon).
+// push enqueues a job at the back. Returns false if the queue is
+// closed (draining daemon).
 func (q *queue) push(js *jobState) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	p := clampPriority(js.spec.Priority)
-	b := q.bands[p]
-	if b == nil {
-		b = &band{tenants: map[string][]*jobState{}}
-		q.bands[p] = b
-	}
-	tenant := js.spec.Tenant
-	if _, known := b.tenants[tenant]; !known {
-		b.ring = append(b.ring, tenant)
-	}
-	b.tenants[tenant] = append(b.tenants[tenant], js)
-	b.depth++
-	q.depth++
+	q.jobs = append(q.jobs, js)
 	q.cond.Signal()
 	return true
-}
-
-// popLocked removes and returns the next job by priority then tenant
-// rotation, or nil when empty. Caller holds q.mu.
-func (q *queue) popLocked() *jobState {
-	if q.depth == 0 {
-		return nil
-	}
-	// Highest non-empty band first. Bands are few (17 at most), so a
-	// sorted scan beats maintaining a heap.
-	prios := make([]int, 0, len(q.bands))
-	for p, b := range q.bands {
-		if b.depth > 0 {
-			prios = append(prios, p)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	for _, p := range prios {
-		b := q.bands[p]
-		for i := 0; i < len(b.ring); i++ {
-			idx := (b.next + i) % len(b.ring)
-			tenant := b.ring[idx]
-			fifo := b.tenants[tenant]
-			if len(fifo) == 0 {
-				continue
-			}
-			js := fifo[0]
-			b.tenants[tenant] = fifo[1:]
-			b.depth--
-			q.depth--
-			b.next = (idx + 1) % len(b.ring)
-			return js
-		}
-	}
-	return nil
 }
 
 // popWait blocks until a job is available, the queue closes, or ctx is
@@ -106,7 +44,10 @@ func (q *queue) popWait(ctx context.Context) (*jobState, bool) {
 		if q.closed || ctx.Err() != nil {
 			return nil, false
 		}
-		if js := q.popLocked(); js != nil {
+		if len(q.jobs) > 0 {
+			js := q.jobs[0]
+			q.jobs[0] = nil // so the backing array does not keep it alive
+			q.jobs = q.jobs[1:]
 			return js, true
 		}
 		q.cond.Wait()
@@ -118,17 +59,10 @@ func (q *queue) popWait(ctx context.Context) (*jobState, bool) {
 func (q *queue) remove(id string) *jobState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, b := range q.bands {
-		for tenant, fifo := range b.tenants {
-			for i, js := range fifo {
-				if js.id != id {
-					continue
-				}
-				b.tenants[tenant] = append(fifo[:i:i], fifo[i+1:]...)
-				b.depth--
-				q.depth--
-				return js
-			}
+	for i, js := range q.jobs {
+		if js.id == id {
+			q.jobs = slices.Delete(q.jobs, i, i+1)
+			return js
 		}
 	}
 	return nil
@@ -138,7 +72,7 @@ func (q *queue) remove(id string) *jobState {
 func (q *queue) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.depth
+	return len(q.jobs)
 }
 
 // close stops dispatch: popWait returns immediately and push refuses.

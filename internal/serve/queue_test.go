@@ -3,15 +3,16 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
 
 // qjob builds a queued jobState stub.
-func qjob(id, tenant string, prio int) *jobState {
+func qjob(id string) *jobState {
 	return &jobState{
 		id:   id,
-		spec: &JobSpec{Tenant: tenant, Priority: prio},
+		spec: &JobSpec{},
 		subs: map[int]chan []byte{},
 		done: make(chan struct{}),
 	}
@@ -34,40 +35,20 @@ func popIDs(t *testing.T, q *queue, n int) []string {
 	return out
 }
 
-// TestQueueTenantFairness: within one priority band tenants rotate
-// round-robin, so a hot tenant's backlog cannot starve the others.
-func TestQueueTenantFairness(t *testing.T) {
+// TestQueueSubmissionOrder: jobs pop in the order they were pushed,
+// also when pushes and pops interleave.
+func TestQueueSubmissionOrder(t *testing.T) {
 	q := newQueue()
-	// Tenant a floods first; b and c each submit one job afterwards.
 	for i := 0; i < 4; i++ {
-		q.push(qjob(fmt.Sprintf("a%d", i), "a", 0))
+		q.push(qjob(fmt.Sprintf("j%d", i)))
 	}
-	q.push(qjob("b0", "b", 0))
-	q.push(qjob("c0", "c", 0))
-
-	got := popIDs(t, q, 6)
-	want := []string{"a0", "b0", "c0", "a1", "a2", "a3"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestQueuePriorityBands: higher priority always dispatches first,
-// and priorities clamp into [MinPriority, MaxPriority].
-func TestQueuePriorityBands(t *testing.T) {
-	q := newQueue()
-	q.push(qjob("low", "x", -1))
-	q.push(qjob("mid", "x", 0))
-	q.push(qjob("high", "x", 5))
-	q.push(qjob("huge", "y", 999)) // clamps to MaxPriority
-	got := popIDs(t, q, 4)
-	want := []string{"huge", "high", "mid", "low"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
+	got := popIDs(t, q, 1)
+	q.push(qjob("j4"))
+	q.push(qjob("j5"))
+	got = append(got, popIDs(t, q, 5)...)
+	want := []string{"j0", "j1", "j2", "j3", "j4", "j5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
 	}
 }
 
@@ -75,8 +56,8 @@ func TestQueuePriorityBands(t *testing.T) {
 // accounting follows.
 func TestQueueRemove(t *testing.T) {
 	q := newQueue()
-	q.push(qjob("keep", "a", 0))
-	q.push(qjob("drop", "a", 0))
+	q.push(qjob("keep"))
+	q.push(qjob("drop"))
 	if q.remove("drop") == nil {
 		t.Fatal("remove failed to find queued job")
 	}
@@ -112,10 +93,10 @@ func TestQueueCloseUnblocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("close did not unblock popWait")
 	}
-	if q.push(qjob("late", "a", 0)) {
+	if q.push(qjob("late")) {
 		t.Fatal("push succeeded on a closed queue")
 	}
-	q.push(qjob("x", "a", 0)) // refused, but must not panic
+	q.push(qjob("x")) // refused, but must not panic
 }
 
 // TestQueueContextCancelUnblocks: a cancelled context (wired through

@@ -397,8 +397,8 @@ var ErrTerminal = errors.New("already finished")
 
 // cacheKey derives the job's cache key from its canonicalized spec and
 // the attack search version. Only the payload-defining fields
-// participate: tenant, priority and timeouts are scheduling concerns,
-// so the same circuit submitted by two tenants shares one entry.
+// participate: the job timeout bounds a run, not its result, so the
+// same circuit submitted under two deadlines shares one entry.
 func (s *Server) cacheKey(spec *JobSpec) (cache.Key, bool) {
 	if s.opt.Cache == nil || spec.NoCache {
 		return cache.Key{}, false
@@ -562,11 +562,11 @@ func (s *Server) markCancelled(js *jobState) {
 	close(done)
 }
 
-// dropSpecText keeps only the spec fields view reports, so a finished
-// job holds no bench or key text; its spec file keeps the whole spec.
-// Caller holds js.mu, or has the job to itself.
+// dropSpecText keeps only the spec field view reports, the type, so a
+// finished job holds no bench or key text; its spec file keeps the
+// whole spec. Caller holds js.mu, or has the job to itself.
 func (js *jobState) dropSpecText() {
-	js.spec = &JobSpec{Type: js.spec.Type, Tenant: js.spec.Tenant, Priority: js.spec.Priority}
+	js.spec = &JobSpec{Type: js.spec.Type}
 }
 
 // settle records a terminal done/failed state and notifies watchers.

@@ -194,6 +194,28 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("bad spec %d accepted as %s", i, id)
 		}
 	}
+	// A spec that still sends tenant or priority, which JobSpec does not
+	// name, gets a 400 from the decoder naming the field.
+	bench, err := json.Marshal(c17Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ field, value string }{{"tenant", `"a"`}, {"priority", "3"}} {
+		body := `{"type":"lint","` + f.field + `":` + f.value + `,"lint":{"bench":` + string(bench) + `}}`
+		resp, err := http.Post(client.Base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "`+f.field+`"`) {
+			t.Fatalf("spec with %s: status %d, error %q; want 400 naming the field", f.field, resp.StatusCode, e.Error)
+		}
+	}
 	// Nothing leaked into the state dir or the queue.
 	specs, err := os.ReadDir(filepath.Join(s.opt.StateDir, "specs"))
 	if err != nil {
@@ -239,7 +261,9 @@ func TestCancelQueuedJob(t *testing.T) {
 
 // TestRestartRequeuesAndCompletes: jobs accepted but never run (the
 // first daemon had no workers) survive a restart and complete under
-// the second daemon, in the original submission order.
+// the second daemon, in the original submission order. So does a spec
+// file that still holds the tenant and priority fields an earlier
+// daemon wrote: recovery's json.Unmarshal skips them.
 func TestRestartRequeuesAndCompletes(t *testing.T) {
 	dir := t.TempDir()
 	first, err := New(Options{StateDir: dir, Logf: t.Logf})
@@ -255,9 +279,30 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 		ids = append(ids, id)
 	}
 	first.Drain(0) // no workers ever started; jobs remain queued
+	bench, err := json.Marshal(c17Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const legacyID = "j0000000000000000aa"
+	legacy := fmt.Sprintf(`{
+  "id": %q,
+  "submitted_unix_ms": %d,
+  "spec": {
+    "type": "lint",
+    "tenant": "alice",
+    "priority": 3,
+    "lint": {
+      "bench": %s
+    }
+  }
+}`, legacyID, time.Now().UnixMilli(), bench)
+	if err := os.WriteFile(filepath.Join(dir, "specs", legacyID+".json"), []byte(legacy), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, legacyID)
 
 	second, client := startServer(t, Options{StateDir: dir, Workers: 2})
-	if second.q.size() != 0 && second.q.size() != 3 {
+	if second.q.size() != 0 && second.q.size() != len(ids) {
 		t.Logf("note: %d jobs still queued at check time", second.q.size())
 	}
 	ctx := testCtx(t)
@@ -377,10 +422,10 @@ func TestCacheHitKeepsSeconds(t *testing.T) {
 	if string(warm.Result) != string(cold.Result) {
 		t.Fatal("cached result differs from the original")
 	}
-	// Different tenant/priority shares the entry (scheduling fields
-	// are not part of the key); NoCache opts out.
+	// A different job timeout shares the entry (it bounds the run, not
+	// the result, so it is not part of the key); NoCache opts out.
 	sp := spec()
-	sp.Tenant, sp.Priority = "other", 3
+	sp.TimeoutMS = 60_000
 	id3, err := client.Submit(ctx, sp)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +435,7 @@ func TestCacheHitKeepsSeconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !v3.Cached {
-		t.Fatal("tenant/priority changed the cache key")
+		t.Fatal("the job timeout changed the cache key")
 	}
 	sp = spec()
 	sp.NoCache = true
@@ -415,9 +460,8 @@ func TestMetricsAndList(t *testing.T) {
 	const n = 3
 	for i := 0; i < n; i++ {
 		id, err := client.Submit(ctx, &JobSpec{
-			Type:   TypeLint,
-			Tenant: "metrics",
-			Lint:   &LintSpec{Bench: c17Bench},
+			Type: TypeLint,
+			Lint: &LintSpec{Bench: c17Bench},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -588,9 +632,9 @@ func TestListBodyStreamed(t *testing.T) {
 		s.mu.Unlock()
 	}
 	add(&jobState{id: "jq", spec: &JobSpec{Type: TypeLint}, state: StateQueued})
-	add(&jobState{id: "jr", spec: &JobSpec{Type: TypeAttack, Tenant: "t<1>", Priority: -2}, state: StateRunning,
+	add(&jobState{id: "jr", spec: &JobSpec{Type: TypeAttack}, state: StateRunning,
 		started: t0.Add(time.Second), progress: &ProgressEvent{Iteration: 3, Queries: 3, ElapsedMS: 12}})
-	add(&jobState{id: "jd", spec: &JobSpec{Type: TypeLock, Priority: 5}, state: StateDone,
+	add(&jobState{id: "jd", spec: &JobSpec{Type: TypeLock}, state: StateDone,
 		started: t0.Add(time.Second), finished: t0.Add(2 * time.Second), seconds: 1.25, cached: true,
 		outcome: &jobOutcome{Result: json.RawMessage(`{"bench":"y = AND(a<b, c>d) && e","key":["k=1"]}`)}})
 	add(&jobState{id: "jf", spec: &JobSpec{Type: TypeAttack}, state: StateFailed,
@@ -637,13 +681,13 @@ func TestManifestRecordErrorLogged(t *testing.T) {
 }
 
 // TestFinishedJobDropsSpecText: a done or cancelled job keeps only the
-// spec fields its view reports, in the running daemon and after a
+// spec field its view reports, in the running daemon and after a
 // restart, while its spec file keeps the whole spec.
 func TestFinishedJobDropsSpecText(t *testing.T) {
 	dir := t.TempDir()
 	s, client := startServer(t, Options{StateDir: dir, Workers: 1})
 	ctx := testCtx(t)
-	spec := &JobSpec{Type: TypeLint, Tenant: "t1", Priority: 3, Lint: &LintSpec{Bench: c17Bench}}
+	spec := &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}}
 	id, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -661,7 +705,7 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		defer js.mu.Unlock()
 		return js.spec
 	}
-	want := JobSpec{Type: TypeLint, Tenant: "t1", Priority: 3}
+	want := JobSpec{Type: TypeLint}
 	if got := kept(s, id); *got != want {
 		t.Fatalf("finished job keeps spec %+v, want %+v", got, want)
 	}
@@ -683,22 +727,22 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		t.Fatalf("recovered job keeps spec %+v, want %+v", got, want)
 	}
 	// Not started, so a submission stays queued until cancelled.
-	qid, err := restarted.Submit(&JobSpec{Type: TypeLint, Tenant: "t2", Lint: &LintSpec{Bench: c17Bench}})
+	qid, err := restarted.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := restarted.Cancel(qid); err != nil {
 		t.Fatal(err)
 	}
-	if got := kept(restarted, qid); *got != (JobSpec{Type: TypeLint, Tenant: "t2"}) {
+	if got := kept(restarted, qid); *got != want {
 		t.Fatalf("cancelled job keeps spec %+v", got)
 	}
 }
 
 // TestCacheKeyPins pins the cache keys of an attack job and a sweep
 // job, so a change to key derivation that would orphan every cached
-// job shows here. Tenant, priority and the job timeout are scheduling
-// fields and leave the key as it is.
+// job shows here. The job timeout is a scheduling field and leaves the
+// key as it is.
 func TestCacheKeyPins(t *testing.T) {
 	c, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
@@ -714,7 +758,7 @@ func TestCacheKeyPins(t *testing.T) {
 		want string
 	}{
 		{"attack", JobSpec{Type: TypeAttack, Attack: &target}, attackKey},
-		{"scheduled attack", JobSpec{Type: TypeAttack, Tenant: "a", Priority: 3, TimeoutMS: 9000, Attack: &target}, attackKey},
+		{"scheduled attack", JobSpec{Type: TypeAttack, TimeoutMS: 9000, Attack: &target}, attackKey},
 		{"sweep", JobSpec{Type: TypeSweep, Sweep: &SweepSpec{Targets: []AttackSpec{target, second}}},
 			"c65996dfed8ba17f3edcc6de155c8fe8c3e0b64943058addb8f945076fca0b7f"},
 	} {

@@ -8,7 +8,7 @@
 // The package splits into:
 //
 //   - spec.go: the job submission schema and its validation
-//   - queue.go: the priority / per-tenant fair scheduler
+//   - queue.go: the FIFO job queue
 //   - job.go: the per-type job runners (attack, lock, lint, sweep)
 //   - serve.go: the Server — persistence, workers, recovery, drain
 //   - http.go: the HTTP surface (submit, status, SSE, metrics)
@@ -33,25 +33,12 @@ const (
 	TypeSweep  = "sweep"  // a batch of attack targets run as one job
 )
 
-// Priority bounds. Higher runs first; within a priority, tenants are
-// served round-robin and each tenant's jobs run in submission order.
-const (
-	MinPriority = -8
-	MaxPriority = 8
-)
-
 // JobSpec is the submission payload (POST /jobs). Exactly one of the
-// per-type sub-specs must be set, matching Type.
+// per-type sub-specs must be set, matching Type. POST /jobs rejects a
+// field that JobSpec does not name.
 type JobSpec struct {
 	// Type selects the job runner: attack, lock, lint or sweep.
 	Type string `json:"type"`
-	// Tenant names the submitter for fair scheduling. Empty is the
-	// anonymous tenant; all tenants at the same priority share the
-	// worker pool round-robin.
-	Tenant string `json:"tenant,omitempty"`
-	// Priority orders dispatch (higher first), clamped to
-	// [MinPriority, MaxPriority].
-	Priority int `json:"priority,omitempty"`
 	// TimeoutMS bounds the whole job (queue wait excluded). Zero means
 	// the server default; negative is rejected at submission, matching
 	// the sweep.Job.Timeout contract.
@@ -148,9 +135,6 @@ func (s *JobSpec) Validate() error {
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("serve: negative job timeout %dms", s.TimeoutMS)
 	}
-	if len(s.Tenant) > 64 {
-		return fmt.Errorf("serve: tenant name longer than 64 bytes")
-	}
 	switch s.Type {
 	case TypeAttack:
 		if s.Attack == nil {
@@ -208,18 +192,6 @@ func (l *LockSpec) validate() error {
 		return fmt.Errorf("serve: lock: unknown scheme %q", l.Scheme)
 	}
 	return nil
-}
-
-// clampPriority folds an out-of-range priority into bounds instead of
-// rejecting it; a greedy client only gains the legal maximum.
-func clampPriority(p int) int {
-	if p < MinPriority {
-		return MinPriority
-	}
-	if p > MaxPriority {
-		return MaxPriority
-	}
-	return p
 }
 
 // jobTimeout resolves a spec's whole-job deadline against the server
