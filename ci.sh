@@ -6,9 +6,10 @@
 # Steps: formatting, vet plus the repo-local Go lint suite (cmd/rilvet
 # — determinism, durability and concurrency invariants over the repo's
 # own Go source, with a self-lint check and a deliberately-broken
-# fixture proving the gate bites), build, tests
-# under the race detector (internal/report's, whose attack tables end
-# at wall-clock budgets, after the rest rather than beside them),
+# fixture proving the gate bites), build (native, then for darwin and
+# freebsd), tests under the race detector (internal/report's, whose
+# attack tables end at wall-clock budgets, after the rest rather than
+# beside them),
 # doubled -race passes over the sweep runner
 # and the result cache with its durable-write package (both
 # scheduling-sensitive), a coverage gate on the checkpoint-bearing
@@ -91,6 +92,14 @@ rm -f rilvet_fixture.out
 
 echo "== go build =="
 go build ./...
+
+echo "== go build for darwin and freebsd =="
+# internal/cache reads an entry's modification time from
+# syscall.Stat_t, whose field is Mtimespec on darwin, freebsd and
+# netbsd and Mtim on linux, so the native build never compiles the
+# first spelling.
+GOOS=darwin go build ./...
+GOOS=freebsd go build ./...
 
 echo "== go test -race =="
 # internal/report's tests run after the other packages' rather than

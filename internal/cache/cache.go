@@ -7,13 +7,15 @@
 // transparently recomputed instead of trusted. The design follows
 // garble's build-cache architecture: hash the full input closure,
 // check the payload, version the schema inside the key so format
-// changes invalidate by construction.
+// changes invalidate by construction. A hit takes no lock and reads
+// its entry in four system calls on a raw descriptor.
 package cache
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -47,10 +49,12 @@ import (
 // anyone who can rewrite them.
 //
 // Writers go through durable.WriteFile (temp file, fsync, rename,
-// directory fsync) while holding a shared flock. Eviction (size-capped
-// LRU on the entry files' modification times, which a hit refreshes
-// once they are older than refreshAge) takes the flock exclusively, so
-// GC never observes a half-written entry and never races another GC.
+// directory fsync) while holding a shared flock. The rename means a
+// reader, which takes no lock, sees a whole entry or none. Eviction
+// (size-capped LRU on the entry files' modification times, which a hit
+// refreshes once they are older than refreshAge) takes the flock
+// exclusively, so GC never observes a half-written entry and never
+// races another GC.
 
 const (
 	entryMagic = "RILC"
@@ -104,6 +108,7 @@ func (s Stats) String() string {
 // cooperating processes sharing the directory.
 type Cache struct {
 	dir      string
+	entries  string // dir/entries/, the prefix of every entry path
 	maxBytes int64
 
 	hits, misses, invalidations atomic.Int64
@@ -113,10 +118,11 @@ type Cache struct {
 // Open opens (creating if needed) a cache directory. It ignores a
 // `key` file that a build sealing its entries left there.
 func Open(dir string, opt Options) (*Cache, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "entries"), 0o755); err != nil {
+	entries := filepath.Join(dir, "entries")
+	if err := os.MkdirAll(entries, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	c := &Cache{dir: dir, maxBytes: opt.MaxBytes}
+	c := &Cache{dir: dir, entries: entries + string(filepath.Separator), maxBytes: opt.MaxBytes}
 	if c.maxBytes <= 0 {
 		c.maxBytes = DefaultMaxBytes
 	}
@@ -140,10 +146,13 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) lockPath() string { return filepath.Join(c.dir, "lock") }
 
 // entryPath maps a cache key to its entry file, sharded by the first
-// hex byte to keep directories small.
+// hex byte to keep directories small. The path has the bytes
+// filepath.Join(dir, "entries", hex[:2], hex) gives, built on the
+// prefix Open joined, with nothing to clean and one allocation.
 func (c *Cache) entryPath(k Key) string {
-	hex := k.String()
-	return filepath.Join(c.dir, "entries", hex[:2], hex)
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], k.sum[:])
+	return c.entries + string(name[:2]) + string(filepath.Separator) + string(name[:])
 }
 
 // flock opens the lock file and takes a flock of the given type
@@ -225,23 +234,51 @@ func (c *Cache) GetTimed(k Key) ([]byte, float64, bool) {
 	return body[secondsPrefixLen:], seconds, true
 }
 
-// readEntry reads an entry file and its modification time through one
-// open file.
+// readEntry reads an entry file and its modification time in four
+// system calls on a raw descriptor: open, fstat, read and close. It
+// makes no *os.File, so a hit pays for none of what os.Open does for a
+// regular file too: no O_NONBLOCK toggling, no netpoller registration
+// and no finalizer. Open, fstat and read are retried on EINTR, as
+// package os retries them. A file shorter than its fstat size fails
+// with io.ErrUnexpectedEOF, as io.ReadFull failed it, and a directory
+// with EISDIR, whatever size the filesystem gives it. Every error is
+// an *fs.PathError, and every path closes the descriptor.
 func readEntry(path string) ([]byte, time.Time, error) {
-	f, err := os.Open(path)
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
 	if err != nil {
-		return nil, time.Time{}, err
+		return nil, time.Time{}, &fs.PathError{Op: "open", Path: path, Err: err}
 	}
-	defer f.Close()
-	info, err := f.Stat()
+	// The descriptor is read-only: closing it cannot lose data, so its
+	// error says nothing about the bytes read.
+	defer syscall.Close(fd)
+	var st syscall.Stat_t
+	err = syscall.Fstat(fd, &st)
+	for err == syscall.EINTR {
+		err = syscall.Fstat(fd, &st)
+	}
 	if err != nil {
-		return nil, time.Time{}, err
+		return nil, time.Time{}, &fs.PathError{Op: "stat", Path: path, Err: err}
 	}
-	raw := make([]byte, info.Size())
-	if _, err := io.ReadFull(f, raw); err != nil {
-		return nil, time.Time{}, err
+	if st.Mode&syscall.S_IFMT == syscall.S_IFDIR {
+		return nil, time.Time{}, &fs.PathError{Op: "read", Path: path, Err: syscall.EISDIR}
 	}
-	return raw, info.ModTime(), nil
+	raw := make([]byte, st.Size)
+	for n := 0; n < len(raw); {
+		m, err := syscall.Read(fd, raw[n:])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return nil, time.Time{}, &fs.PathError{Op: "read", Path: path, Err: err}
+		case m == 0:
+			return nil, time.Time{}, &fs.PathError{Op: "read", Path: path, Err: io.ErrUnexpectedEOF}
+		default:
+			n += m
+		}
+	}
+	return raw, statMtime(&st), nil
 }
 
 // decode checks one entry file's header and checksum and returns its

@@ -91,6 +91,15 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("Get beside a leftover key file = %q, %v", got, ok)
 	}
 
+	// Entry paths keep the bytes filepath.Join gives, however the
+	// directory is spelled, so entries stored before stay found.
+	for _, d := range []string{dir, dir + "/", dir + "/./"} {
+		hex := k.String()
+		if got, want := openTest(t, d).entryPath(k), filepath.Join(d, "entries", hex[:2], hex); got != want {
+			t.Errorf("Open(%q): entry path %q, want %q", d, got, want)
+		}
+	}
+
 	// An invalid key never stores or hits.
 	if _, ok := c.Get(Key{}); ok {
 		t.Fatal("zero key hit")
@@ -451,6 +460,72 @@ func TestCacheGetCounts(t *testing.T) {
 	}
 	want.Misses++
 	check("directory")
+}
+
+// TestCacheGetClosesDescriptors: GetTimed closes every descriptor it
+// opens, whether the lookup hits, misses, invalidates a damaged entry or
+// finds a directory at the entry path.
+func TestCacheGetClosesDescriptors(t *testing.T) {
+	openFDs := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(fds)
+	}
+	c := openTest(t, t.TempDir())
+	hit, miss, damaged, dir := testKey(t, "fd-hit"), testKey(t, "fd-miss"), testKey(t, "fd-damaged"), testKey(t, "fd-dir")
+	for _, k := range []Key{hit, damaged} {
+		if err := c.Put(k, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(c.entryPath(damaged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(c.entryPath(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	openFDs() // the first count may set up the runtime's poller
+	before := openFDs()
+	const rounds = 250
+	for i := 0; i < rounds; i++ {
+		if err := os.WriteFile(c.entryPath(damaged), raw[:len(raw)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Key{hit, miss, damaged, dir} {
+			if _, _, ok := c.GetTimed(k); ok != (k == hit) {
+				t.Fatalf("round %d: GetTimed(%s) hit = %v", i, k, ok)
+			}
+		}
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("%d open descriptors before %d lookups, %d after", before, 4*rounds, after)
+	}
+	if s := c.Stats(); s.Hits != rounds || s.Misses != 3*rounds || s.Invalidations != rounds {
+		t.Errorf("stats = %+v, want %d hits, %d misses, %d invalidations", s, rounds, 3*rounds, rounds)
+	}
+}
+
+// TestCacheHitAllocs pins the allocations of a warm hit: the entry
+// path, its NUL-terminated copy for open and the bytes read make 3.
+func TestCacheHitAllocs(t *testing.T) {
+	c := openTest(t, t.TempDir())
+	k := testKey(t, "allocs")
+	if err := c.PutTimed(k, bytes.Repeat([]byte("p"), 400), 1.5); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.GetTimed(k); !ok {
+			t.Fatal("warm GetTimed missed")
+		}
+	})
+	t.Logf("allocations per warm hit: %.1f", allocs)
+	if allocs > 5 {
+		t.Errorf("a warm hit allocates %.1f times, want at most 5", allocs)
+	}
 }
 
 func TestCacheTimedRoundTrip(t *testing.T) {

@@ -153,12 +153,38 @@ func (b *Builder) Options(label string, v any) *Builder {
 	if b.err != nil {
 		return b
 	}
+	return b.RenderedOptions(label, RenderOptions(v))
+}
+
+// Rendered is one option set's canonical JSON, as Options renders it.
+// A caller that mixes one option set into many keys renders it once
+// and mixes the Rendered value into each key with
+// Builder.RenderedOptions. A Rendered value whose option set
+// CanonicalJSON rejects carries the reason; mixing it, or the zero
+// Rendered, into a Builder poisons the Builder.
+type Rendered struct {
+	raw []byte
+	err error
+}
+
+// RenderOptions renders an option set for Builder.RenderedOptions.
+func RenderOptions(v any) Rendered {
 	raw, err := CanonicalJSON(v)
-	if err != nil {
-		b.err = fmt.Errorf("cache: %s: %w", label, err)
-		return b
+	return Rendered{raw: raw, err: err}
+}
+
+// RenderedOptions mixes in an option set rendered earlier by
+// RenderOptions; the key is the one Options gives for the same value.
+func (b *Builder) RenderedOptions(label string, r Rendered) *Builder {
+	switch {
+	case b.err != nil:
+	case r.err != nil:
+		b.err = fmt.Errorf("cache: %s: %w", label, r.err)
+	case r.raw == nil:
+		b.err = fmt.Errorf("cache: %s: options not rendered", label)
+	default:
+		b.section("options:", label, r.raw)
 	}
-	b.section("options:", label, raw)
 	return b
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -186,6 +187,57 @@ func TestKeyNetlistSum(t *testing.T) {
 		if _, err := NewKey("t").NetlistSum("circuit", d).Key(); err == nil {
 			t.Errorf("%s must poison the builder", name)
 		}
+	}
+}
+
+// TestKeyRenderedOptions: an option set rendered once and mixed into
+// later keys keys exactly as Options does, for maps and structs alike;
+// a value CanonicalJSON rejects poisons the builder with Options' error,
+// and so does the zero Rendered.
+func TestKeyRenderedOptions(t *testing.T) {
+	type opts struct {
+		Blocks  int    `json:"blocks"`
+		Size    string `json:"size"`
+		NoLint  bool   `json:"nolint"`
+		Timeout int64  `json:"timeout"`
+	}
+	for _, v := range []any{
+		map[string]any{"timeout": int64(25e6), "portfolio": 0, "nolint": false, "search": 2},
+		map[string]any{"blocks": 3, "size": "8x8", "nested": map[string]any{"b": []any{1, "x"}, "a": 1.0}},
+		map[string]any{},
+		opts{Blocks: 3, Size: "8x8"},
+		&opts{NoLint: true, Timeout: 1},
+		[]any{2, "x", nil},
+		nil,
+	} {
+		direct, err := NewKey("t").Options("attack", v).Int("seed", 1).Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := RenderOptions(v)
+		for i := 0; i < 2; i++ {
+			k, err := NewKey("t").RenderedOptions("attack", r).Int("seed", 1).Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != direct {
+				t.Fatalf("%#v, reuse %d: RenderedOptions key %s, Options key %s", v, i, k, direct)
+			}
+		}
+	}
+	for _, bad := range []any{
+		map[string]any{"rate": math.NaN()},
+		map[string]any{"ch": make(chan int)},
+		func() {},
+	} {
+		_, want := NewKey("t").Options("attack", bad).Int("seed", 1).Key()
+		_, got := NewKey("t").RenderedOptions("attack", RenderOptions(bad)).Int("seed", 1).Key()
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%T: RenderedOptions error %v, Options error %v", bad, got, want)
+		}
+	}
+	if _, err := NewKey("t").RenderedOptions("attack", Rendered{}).Key(); err == nil {
+		t.Error("the zero Rendered must poison the builder")
 	}
 }
 

@@ -40,9 +40,10 @@ func Ablation(cfg AttackConfig) (*Table, error) {
 	}
 	// One sweep job per geometry row; a lock failure renders the row
 	// as n/a rather than failing the table.
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, r := range rows {
-		jobs = append(jobs, cfg.cell("ablation/"+r.label, "ablation-cell", c7552.sum,
+		jobs = append(jobs, tc.cell("ablation/"+r.label, "ablation-cell", c7552.sum,
 			map[string]any{"blocks": r.blocks, "size": r.size.String()},
 			func(ctx context.Context) (any, error) {
 				res, err := core.Lock(c7552.nl, core.Options{Blocks: r.blocks, Size: r.size, Seed: cfg.Seed})
@@ -107,6 +108,7 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 		return nil, err
 	}
 	sum := cache.NetlistSum(orig)
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, s := range []struct {
 		scheme, label string
@@ -128,14 +130,14 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 			return map[string]any{"scheme": s.scheme, "lock": s.lock, "attack": attack}
 		}
 		jobs = append(jobs,
-			cfg.cell("onehot/"+s.scheme+"/plain", "onehot-cell", sum, opts("plain"), func(ctx context.Context) (any, error) {
+			tc.cell("onehot/"+s.scheme+"/plain", "onehot-cell", sum, opts("plain"), func(ctx context.Context) (any, error) {
 				plain, err := attack.SATAttack(s.nl, s.keyPos, s.oracle, cfg.satOptions(ctx))
 				if err != nil {
 					return nil, err
 				}
 				return row("plain SAT", plain, plain.Key), nil
 			}),
-			cfg.cell("onehot/"+s.scheme+"/onehot", "onehot-cell", sum, opts("onehot"), func(ctx context.Context) (any, error) {
+			tc.cell("onehot/"+s.scheme+"/onehot", "onehot-cell", sum, opts("onehot"), func(ctx context.Context) (any, error) {
 				oh, err := attack.SATAttackOneHot(s.nl, s.keyPos, s.hints, s.oracle, cfg.satOptions(ctx))
 				if err != nil {
 					return nil, err
@@ -167,6 +169,7 @@ func Sensitization(cfg AttackConfig) (*Table, error) {
 		Header: []string{"scheme", "key bits", "resolved", "oracle queries"},
 	}
 	sum := cache.NetlistSum(orig)
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, s := range []struct {
 		label, scheme string
@@ -176,7 +179,7 @@ func Sensitization(cfg AttackConfig) (*Table, error) {
 		{"XOR lock", "xor", baselines.Params{KeyBits: 10, Seed: cfg.Seed}, 16},
 		{"RIL 8x8", "ril", baselines.Params{Size: "8x8", Blocks: 1, Seed: cfg.Seed}, 4},
 	} {
-		jobs = append(jobs, cfg.cell("sensitize/"+s.scheme, "sensitize-cell", sum,
+		jobs = append(jobs, tc.cell("sensitize/"+s.scheme, "sensitize-cell", sum,
 			map[string]any{"scheme": s.scheme, "lock": s.params, "budget": s.budget},
 			func(context.Context) (any, error) {
 				l, _, err := baselines.LockScheme(s.scheme, orig, s.params)
@@ -237,6 +240,7 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 	}
 
 	lock := core.Options{Blocks: 1, Size: core.Size8x8, Seed: cfg.Seed, ScanEnable: true}
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, m := range []struct {
 		oracle, label string
@@ -245,7 +249,7 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 		{"static", "static scan oracle", 0},
 		{"morphing", fmt.Sprintf("morphing every %d queries", epochQueries), epochQueries},
 	} {
-		jobs = append(jobs, cfg.cell("dynamic/"+m.oracle, "dynamic-morphing-cell", c7552.sum,
+		jobs = append(jobs, tc.cell("dynamic/"+m.oracle, "dynamic-morphing-cell", c7552.sum,
 			map[string]any{"lock": lock, "epoch_queries": m.epoch},
 			func(ctx context.Context) (any, error) {
 				res, err := core.Lock(c7552.nl, lock)

@@ -217,7 +217,8 @@ func TestCellKeyPins(t *testing.T) {
 }
 
 // BenchmarkCellKey derives the cache key of one Table I cell, the key
-// a warm Table I and Table III derive 70 times.
+// a warm Table I and Table III derive 70 times, on attack options
+// rendered once, as a table call renders them.
 func BenchmarkCellKey(b *testing.B) {
 	c, err := cache.Open(b.TempDir(), cache.Options{})
 	if err != nil {
@@ -227,12 +228,12 @@ func BenchmarkCellKey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := AttackConfig{Timeout: time.Millisecond, Scale: 0.1, Seed: 1, Cache: c}
+	tc := AttackConfig{Timeout: time.Millisecond, Scale: 0.1, Seed: 1, Cache: c}.cells()
 	sum := cache.NetlistSum(nl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !cellKey(cfg, "sat-runtime-cell", sum, map[string]any{"blocks": 2, "size": core.Size2x2.String()}).Valid() {
+		if !tc.key("sat-runtime-cell", sum, map[string]any{"blocks": 2, "size": core.Size2x2.String()}).Valid() {
 			b.Fatal("no key")
 		}
 	}

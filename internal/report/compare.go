@@ -35,6 +35,7 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 		Header: []string{"encoding", "key bits", "extra gates", "DIPs", "runtime (s)"},
 	}
 	sum := cache.NetlistSum(orig)
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, enc := range []struct {
 		name string
@@ -43,7 +44,7 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 		{"meso", baselines.MESOLock},
 		{"meso-as-lut2", baselines.MESOAsLUT2},
 	} {
-		jobs = append(jobs, cfg.cell("fig1/"+enc.name, "fig1-encoding-cell", sum,
+		jobs = append(jobs, tc.cell("fig1/"+enc.name, "fig1-encoding-cell", sum,
 			map[string]any{"encoding": enc.name, "gates": nGates},
 			func(ctx context.Context) (any, error) {
 				l, err := enc.lock(orig, nGates, cfg.Seed)
@@ -244,6 +245,7 @@ func Table5(cfg AttackConfig) (*Table, error) {
 	// fills its (row, column) place once the sweep returns.
 	sum := cache.NetlistSum(orig)
 	rows := make([][]string, len(matrixRows))
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	var at [][2]int
 	for ri, r := range matrixRows {
@@ -257,7 +259,7 @@ func Table5(cfg AttackConfig) (*Table, error) {
 				rows[ri][1+ci] = "-"
 			default:
 				at = append(at, [2]int{ri, 1 + ci})
-				jobs = append(jobs, cfg.cell("table5/"+r.attack+"/"+c.scheme, "attack-mark-cell", sum,
+				jobs = append(jobs, tc.cell("table5/"+r.attack+"/"+c.scheme, "attack-mark-cell", sum,
 					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "scheme": c.scheme, "lock": c.spec},
 					func(ctx context.Context) (any, error) {
 						resilient, err := r.resists(ctx, cfg, c)
@@ -330,14 +332,15 @@ func DIPGrowth(cfg AttackConfig, widths []int) (*Table, error) {
 	}
 	sum := cache.NetlistSum(orig)
 	// Each cell runs under its own fixed 30s solver budget, so the key
-	// pins that too (cellKey already folds cfg.Timeout, which these
+	// pins that too (the cell keys already fold cfg.Timeout, which these
 	// cells ignore; over-keying only costs hits).
 	budget := cfg
 	budget.Timeout = 30 * time.Second
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, w := range widths {
 		for _, scheme := range []string{"sarlock", "xor"} {
-			jobs = append(jobs, cfg.cell(fmt.Sprintf("dip/%s/%d", scheme, w), "dip-growth-cell", sum,
+			jobs = append(jobs, tc.cell(fmt.Sprintf("dip/%s/%d", scheme, w), "dip-growth-cell", sum,
 				map[string]any{"scheme": scheme, "width": w, "solver_timeout": "30s"},
 				func(ctx context.Context) (any, error) {
 					l, _, err := baselines.LockScheme(scheme, orig, baselines.Params{KeyBits: w, Seed: cfg.Seed})

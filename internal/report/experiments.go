@@ -129,31 +129,48 @@ func scopeSlug(name string) string {
 	return strings.TrimRight(b.String(), "-")
 }
 
-// cellKey derives the content-addressed cache key for one attack-table
+// tableCells builds the sweep jobs of one table call. The AttackConfig
+// knobs that change a cell's outcome and that every cell of the call
+// shares (timeout, portfolio, the lint gate) and the attack's search
+// version (a DIP count belongs to one search) are rendered once, when
+// the call starts, and each cell key mixes in the rendered bytes.
+type tableCells struct {
+	cfg    AttackConfig
+	attack cache.Rendered
+}
+
+// cells starts a table call's cell jobs.
+func (cfg AttackConfig) cells() tableCells {
+	tc := tableCells{cfg: cfg}
+	if cfg.Cache != nil {
+		tc.attack = cache.RenderOptions(map[string]any{
+			"timeout":   cfg.Timeout.Nanoseconds(),
+			"portfolio": cfg.Portfolio,
+			"nolint":    cfg.NoLint,
+			"search":    attack.SearchVersion,
+		})
+	}
+	return tc
+}
+
+// key derives the content-addressed cache key for one attack-table
 // cell. Everything that determines the cell's value is folded in: the
 // circuit's canonical netlist digest (cache.NetlistSum; a benchmark
 // circuit is built and digested once per process, and is read-only,
 // see circuitMemo), the cell options (block count, LUT size, ...), the
-// AttackConfig knobs that change the outcome (timeout, portfolio, the
-// lint gate, the lock seed) and the attack's search version (a DIP
-// count belongs to one search).
+// call's rendered attack options and the lock seed.
 // It returns the zero Key — which opts the job out of caching — when
 // cfg.Cache is nil or the key cannot be built, so callers can assign it
 // unconditionally.
-func cellKey(cfg AttackConfig, kind string, sum cache.Digest, opts map[string]any) cache.Key {
-	if cfg.Cache == nil {
+func (tc tableCells) key(kind string, sum cache.Digest, opts map[string]any) cache.Key {
+	if tc.cfg.Cache == nil {
 		return cache.Key{}
 	}
 	k, err := cache.NewKey(kind).
 		NetlistSum("circuit", sum).
 		Options("cell", opts).
-		Options("attack", map[string]any{
-			"timeout":   cfg.Timeout.Nanoseconds(),
-			"portfolio": cfg.Portfolio,
-			"nolint":    cfg.NoLint,
-			"search":    attack.SearchVersion,
-		}).
-		Int("seed", cfg.Seed).
+		RenderedOptions("attack", tc.attack).
+		Int("seed", tc.cfg.Seed).
 		Key()
 	if err != nil {
 		return cache.Key{}
@@ -162,12 +179,12 @@ func cellKey(cfg AttackConfig, kind string, sum cache.Digest, opts map[string]an
 }
 
 // cell builds the sweep job of one table cell: its name, its cache key
-// (cellKey of the kind over the circuit digest and the cell's options)
+// (key of the kind over the circuit digest and the cell's options)
 // and its computation, which gets the job's context. Every attack the
 // tables run goes through here, so every cell is cached, checkpointed
 // and spread over the workers alike.
-func (cfg AttackConfig) cell(name, kind string, sum cache.Digest, opts map[string]any, run func(context.Context) (any, error)) sweep.Job {
-	return sweep.Job{Name: name, CacheKey: cellKey(cfg, kind, sum, opts), Run: run}
+func (tc tableCells) cell(name, kind string, sum cache.Digest, opts map[string]any, run func(context.Context) (any, error)) sweep.Job {
+	return sweep.Job{Name: name, CacheKey: tc.key(kind, sum, opts), Run: run}
 }
 
 // satOptions are the options of every exact SAT attack the tables run:
@@ -249,8 +266,9 @@ func lintLock(res *core.Result, cfg AttackConfig) error {
 // fails renders "n/a" (some circuits cannot host the blocks), so lock
 // errors stay cell-local instead of failing the table. The seed fixes
 // the lock, so the cell is reproducible no matter which worker runs it.
-func satRuntimeCell(cfg AttackConfig, name string, orig benchCircuit, n int, size core.Size) sweep.Job {
-	return cfg.cell(name, "sat-runtime-cell", orig.sum, map[string]any{"blocks": n, "size": size.String()},
+func satRuntimeCell(tc tableCells, name string, orig benchCircuit, n int, size core.Size) sweep.Job {
+	cfg := tc.cfg
+	return tc.cell(name, "sat-runtime-cell", orig.sum, map[string]any{"blocks": n, "size": size.String()},
 		func(ctx context.Context) (any, error) {
 			res, err := core.Lock(orig.nl, core.Options{Blocks: n, Size: size, Seed: cfg.Seed})
 			if err == nil {
@@ -310,10 +328,11 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig benchCircuit, counts [
 			fmt.Sprintf("scale=%.2f timeout=%v ('inf' = timeout, 'n/a' = circuit cannot host the blocks)", cfg.Scale, cfg.Timeout),
 		},
 	}
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, n := range counts {
 		for _, size := range sizes {
-			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, n, size))
+			jobs = append(jobs, satRuntimeCell(tc, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, n, size))
 		}
 	}
 	cells, err := runCells[string](cfg, scope, jobs)
@@ -364,12 +383,13 @@ func Table3(cfg AttackConfig) (*Table, error) {
 	// Four sweep jobs per benchmark: the 1/2/3-block SAT attacks and
 	// the AppSAT run against the scan-obfuscated oracle.
 	const perBench = 4
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, b := range benches {
 		for _, blocks := range []int{1, 2, 3} {
-			jobs = append(jobs, satRuntimeCell(cfg, fmt.Sprintf("table3/%s/%dblk", b.name, blocks), b.benchCircuit, blocks, core.Size8x8x8))
+			jobs = append(jobs, satRuntimeCell(tc, fmt.Sprintf("table3/%s/%dblk", b.name, blocks), b.benchCircuit, blocks, core.Size8x8x8))
 		}
-		jobs = append(jobs, cfg.cell(fmt.Sprintf("table3/%s/appsat", b.name), "appsat-scan-cell", b.sum,
+		jobs = append(jobs, tc.cell(fmt.Sprintf("table3/%s/appsat", b.name), "appsat-scan-cell", b.sum,
 			map[string]any{"blocks": 1, "size": core.Size8x8x8.String(), "maxrounds": appSATRounds},
 			func(ctx context.Context) (any, error) {
 				ok, err := appSATSucceeds(ctx, b.nl, cfg)

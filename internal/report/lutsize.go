@@ -25,9 +25,10 @@ func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
 			"T/LUT", "T/key bit"},
 		Notes: []string{fmt.Sprintf("%d LUTs per configuration, scale=%.2f timeout=%v", nLUTs, cfg.Scale, cfg.Timeout)},
 	}
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, m := range []int{2, 3, 4} {
-		jobs = append(jobs, cfg.cell(fmt.Sprintf("lutsize/lut%d", m), "lut-size-cell", c7552.sum,
+		jobs = append(jobs, tc.cell(fmt.Sprintf("lutsize/lut%d", m), "lut-size-cell", c7552.sum,
 			map[string]any{"luts": nLUTs, "lut_inputs": m},
 			func(ctx context.Context) (any, error) {
 				res, err := core.LockLUTM(c7552.nl, nLUTs, m, cfg.Seed)

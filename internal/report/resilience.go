@@ -72,13 +72,14 @@ func ResilienceTable(cfg AttackConfig) (*Table, error) {
 			"oracle check: max flip-error over audit-discarded bits under the batched oracle (must be 0)",
 		},
 	}
+	tc := cfg.cells()
 	var jobs []sweep.Job
 	for _, r := range rows {
 		name := fmt.Sprintf("audit/%s/%dx%s", r.circuit, r.blocks, r.size)
 		if r.planted {
 			name += "/planted"
 		}
-		jobs = append(jobs, cfg.cell(name, "audit-cell", r.c.sum,
+		jobs = append(jobs, tc.cell(name, "audit-cell", r.c.sum,
 			map[string]any{"blocks": r.blocks, "size": r.size.String(), "planted": r.planted},
 			func(ctx context.Context) (any, error) {
 				return auditLockRow(ctx, r.c.nl, r.blocks, r.size, r.planted, cfg)

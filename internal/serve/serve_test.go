@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,13 +34,20 @@ func startServer(t *testing.T, opt Options) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, serveHTTP(t, s)
+}
+
+// serveHTTP starts s's workers and serves its handler until the test
+// ends.
+func serveHTTP(t *testing.T, s *Server) *Client {
+	t.Helper()
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		s.Drain(2 * time.Second)
 		hs.Close()
 	})
-	return s, &Client{Base: hs.URL}
+	return &Client{Base: hs.URL}
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -260,10 +268,10 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 // TestRestartRequeuesAndCompletes: jobs accepted but never run (the
-// first daemon had no workers) survive a restart and complete under
-// the second daemon, in the original submission order. So does a spec
-// file that still holds the tenant and priority fields an earlier
-// daemon wrote: recovery's json.Unmarshal skips them.
+// first daemon had no workers) survive a restart, are queued again in
+// the original submission order and complete under the second daemon.
+// So does a spec file that still holds the tenant and priority fields
+// an earlier daemon wrote: recovery's json.Unmarshal skips them.
 func TestRestartRequeuesAndCompletes(t *testing.T) {
 	dir := t.TempDir()
 	first, err := New(Options{StateDir: dir, Logf: t.Logf})
@@ -271,12 +279,19 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []string
+	var last time.Time
 	for i := 0; i < 3; i++ {
+		// Recovery orders by the millisecond a spec records and breaks
+		// ties by ID, so each job gets a millisecond of its own.
+		for time.Now().UnixMilli() <= last.UnixMilli() {
+			time.Sleep(time.Millisecond)
+		}
 		id, err := first.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		last = first.jobs[id].submitted
 	}
 	first.Drain(0) // no workers ever started; jobs remain queued
 	bench, err := json.Marshal(c17Bench)
@@ -295,16 +310,26 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
       "bench": %s
     }
   }
-}`, legacyID, time.Now().UnixMilli(), bench)
+}`, legacyID, last.UnixMilli()+1, bench)
 	if err := os.WriteFile(filepath.Join(dir, "specs", legacyID+".json"), []byte(legacy), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	ids = append(ids, legacyID)
 
-	second, client := startServer(t, Options{StateDir: dir, Workers: 2})
-	if second.q.size() != 0 && second.q.size() != len(ids) {
-		t.Logf("note: %d jobs still queued at check time", second.q.size())
+	second, err := New(Options{StateDir: dir, Workers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
+	var queued []string
+	second.q.mu.Lock()
+	for _, js := range second.q.jobs {
+		queued = append(queued, js.id)
+	}
+	second.q.mu.Unlock()
+	if !slices.Equal(queued, ids) {
+		t.Fatalf("recovered queue %v, want submission order %v", queued, ids)
+	}
+	client := serveHTTP(t, second)
 	ctx := testCtx(t)
 	for _, id := range ids {
 		v, err := client.WaitDone(ctx, id)
