@@ -10,10 +10,11 @@
 # freebsd), tests under the race detector (internal/report's, whose
 # attack tables end at wall-clock budgets, after the rest rather than
 # beside them),
-# doubled -race passes over the sweep runner
-# and the result cache with its durable-write package (both
-# scheduling-sensitive), a coverage gate on the checkpoint-bearing
-# packages plus the result cache and the durable writer, a benchmark
+# doubled -race passes over the sweep runner, rild's job manifest log
+# and the result cache with its durable-write package (all
+# scheduling-sensitive), a coverage gate on the journal-bearing attack
+# package, the sweep runner, the result cache, the durable writer and
+# the rild daemon, a benchmark
 # smoke that also emits .bench_build/ci/BENCH_8.json (oracle
 # fast path, miter stamping, portfolio solve, sensitization, the
 # pigeonhole solver, the compiled simulator, core.Lock on c7552), a
@@ -32,9 +33,10 @@
 # smoke (the benchmark
 # workloads with exact gates in quick mode, each op through its
 # correctness gate) — a kill-and-resume smoke: a checkpointed attack
-# sweep is SIGKILLed mid-run, resumed, and must end with a complete
-# manifest; its single-target leg checks that one checkpointed target
-# is recorded done in the manifest, and still after -resume; its
+# sweep is SIGKILLed mid-run, resumed, and every target's DIP journal
+# must end with a done record; its single-target leg checks that one
+# checkpointed target's journal ends done, and that -resume answers
+# from it with zero oracle queries and every DIP replayed; its
 # key-file smoke checks that locker's key binds back
 # through nettool to a circuit equivalent to c17, and that satattack
 # rejects a key bit other than 0 or 1 and names the line — and finally the result-cache gate: the same report
@@ -112,18 +114,19 @@ pkgs=$(go list ./... | grep -v '/internal/report$')
 go test -race $pkgs
 go test -race ./internal/report/
 
-echo "== sweep runner under -race, doubled =="
+echo "== sweep runner and rild's job manifest under -race, doubled =="
 go test -race -count=2 ./internal/sweep/
+go test -race -count=2 -run '^TestManifest' ./internal/serve/
 
 echo "== result cache and durable writes under -race, doubled =="
 # Get/Put/GC hammer across goroutines; doubled because the failure
 # mode (GC deleting a live writer's staged temp) is
 # scheduling-sensitive. internal/durable is the write path every
-# cache entry, manifest and job spec goes through.
+# cache entry, journal, manifest and job spec goes through.
 go test -race -count=2 ./internal/cache/ ./internal/durable/
 
-echo "== coverage gate (internal/attack, internal/sweep, internal/cache, internal/durable >= 70%) =="
-for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/ ./internal/durable/; do
+echo "== coverage gate (internal/attack, internal/sweep, internal/cache, internal/durable, internal/serve >= 70%) =="
+for pkg in ./internal/attack/ ./internal/sweep/ ./internal/cache/ ./internal/durable/ ./internal/serve/; do
     cov=$(go test -cover "$pkg" | awk '/coverage:/ { sub("%", "", $(NF-2)); print $(NF-2) }')
     if [ -z "$cov" ]; then
         echo "ci: could not read coverage for $pkg" >&2
@@ -283,10 +286,11 @@ echo "== kill-and-resume smoke =="
 # A two-target checkpointed sweep: one quick target (locked c17) and
 # one slow enough (~5s: quarter-scale c7552, two 8x8 blocks) that a
 # SIGKILL at 2s lands mid-attack with DIPs already journaled. The
-# resumed run must skip/replay without re-querying journaled DIPs and
-# leave a complete manifest. If the machine is fast enough that the
-# first run finishes before the kill, the resume degenerates to
-# skipping both targets — still asserting a complete manifest.
+# resumed run must replay without re-querying journaled DIPs, and both
+# targets' journals must end with a done record. If the machine is
+# fast enough that the first run finishes before the kill, the resume
+# degenerates to answering both targets from their done records — the
+# journals must still end done.
 go build -o "$tmp/satattack" ./cmd/satattack
 go build -o "$tmp/benchgen" ./cmd/benchgen
 go build -o "$tmp/locker" ./cmd/locker
@@ -318,17 +322,24 @@ grep -q 'line 2' "$tmp/badbit.out" || {
     exit 1
 }
 echo "ci: locker's key binds back to c17; a malformed key bit fails naming its line"
-# The manifest is a log of one {"crc":...,"rec":{"name":...,"status":...}}
-# line per record, and a later record of a name supersedes an earlier
-# one. manifest_done MANIFEST TARGET succeeds when TARGET's last record
-# is done; manifest_done_count MANIFEST counts the two targets so.
-manifest_done() {
-    grep -F "\"name\":\"$2\"," "$1" 2>/dev/null | tail -n 1 | grep -qF '"status":"done"'
+# A target's DIP journal is a log of one {"crc":...,"rec":{"kind":...}}
+# line per record: a header naming the circuit (the target's path),
+# one dip record per oracle query, and a done record, always the last,
+# once the attack has finished. journal_of DIR TARGET prints TARGET's
+# journal in DIR; journal_done DIR TARGET succeeds when that journal's
+# last record is done; journal_done_count DIR counts the two targets
+# so.
+journal_of() {
+    grep -lF "\"circuit\":\"$2\"" "$1"/*.journal 2>/dev/null | head -n 1
 }
-manifest_done_count() {
+journal_done() {
+    j=$(journal_of "$1" "$2")
+    [ -n "$j" ] && tail -n 1 "$j" | grep -qF '"rec":{"kind":"done"'
+}
+journal_done_count() {
     n=0
     for target in quick slow; do
-        if manifest_done "$1" "$tmp/$target.bench"; then
+        if journal_done "$1" "$tmp/$target.bench"; then
             n=$((n + 1))
         fi
     done
@@ -344,16 +355,16 @@ timeout -s KILL 2s "$tmp/satattack" \
     cat "$tmp/resume.out" >&2
     exit 1
 }
-done_count=$(manifest_done_count "$tmp/ckpt/manifest.json")
+done_count=$(journal_done_count "$tmp/ckpt")
 if [ "$done_count" != 2 ]; then
-    echo "ci: manifest incomplete after resume ($done_count/2 done):" >&2
-    cat "$tmp/ckpt/manifest.json" >&2
+    echo "ci: journals incomplete after resume ($done_count/2 done):" >&2
+    cat "$tmp/resume.out" >&2
     exit 1
 fi
-echo "ci: kill-and-resume manifest complete (2/2 done)"
-# Single-target leg: one target runs as a sweep job too, so a
-# checkpointed run of the quick target records it done, and a resumed
-# run finds it done and runs nothing.
+echo "ci: kill-and-resume journals complete (2/2 done)"
+# Single-target leg: a checkpointed run of the quick target ends its
+# journal done, and a resumed run answers from the done record: zero
+# oracle queries, every DIP replayed from the journal.
 one_target() {
     "$tmp/satattack" -locked "$tmp/quick.bench" -key "$tmp/quick.key" \
         -timeout 120s -checkpoint-dir "$tmp/ckpt_one" "$@" > "$tmp/one.out" 2>&1 || {
@@ -361,27 +372,28 @@ one_target() {
         cat "$tmp/one.out" >&2
         exit 1
     }
-    manifest_done "$tmp/ckpt_one/manifest.json" "$tmp/quick.bench" || {
-        echo "ci: single target not recorded done after the run${*:+ with $*}:" >&2
+    journal_done "$tmp/ckpt_one" "$tmp/quick.bench" || {
+        echo "ci: single target's journal does not end done after the run${*:+ with $*}:" >&2
         cat "$tmp/one.out" >&2
         exit 1
     }
 }
 one_target
 one_target -resume
-grep -q 'done in a previous run' "$tmp/one.out" || {
-    echo "ci: resumed single target ran again:" >&2
+grep -qE 'oracle queries: 0 \([1-9][0-9]* replayed from journal\)' "$tmp/one.out" || {
+    echo "ci: resumed single target did not answer from its journal:" >&2
     cat "$tmp/one.out" >&2
     exit 1
 }
-echo "ci: single target recorded done, and resumed without running (1/1 done)"
+echo "ci: single target's journal ends done, and -resume replayed it with 0 oracle queries"
 
 echo "== SIGINT smoke =="
 # The same two targets, interrupted by SIGINT at 2s instead of killed:
 # satattack must exit nonzero naming the interruption, and the slow
-# target must not be recorded done — an interrupted attack is not the
-# paper's ∞. The resumed run must then finish the sweep. A machine fast
-# enough to finish both targets inside 2s skips the interruption checks.
+# target's journal must hold no done record — an interrupted attack is
+# not the paper's ∞. The resumed run must then finish the sweep. A
+# machine fast enough to finish both targets inside 2s skips the
+# interruption checks.
 if timeout -s INT 2s "$tmp/satattack" \
     -locked "$tmp/quick.bench,$tmp/slow.bench" -key "$tmp/quick.key,$tmp/slow.key" \
     -timeout 120s -jobs 2 -checkpoint-dir "$tmp/ckpt_int" >/dev/null 2> "$tmp/int.err"; then
@@ -392,9 +404,10 @@ else
         cat "$tmp/int.err" >&2
         exit 1
     }
-    if grep -qF "\"name\":\"$tmp/slow.bench\",\"status\":\"done\"" "$tmp/ckpt_int/manifest.json" 2>/dev/null; then
-        echo "ci: interrupted slow target recorded done:" >&2
-        cat "$tmp/ckpt_int/manifest.json" >&2
+    slow_journal=$(journal_of "$tmp/ckpt_int" "$tmp/slow.bench")
+    if [ -n "$slow_journal" ] && grep -qF '"rec":{"kind":"done"' "$slow_journal"; then
+        echo "ci: interrupted slow target's journal holds a done record:" >&2
+        cat "$tmp/int.err" >&2
         exit 1
     fi
 fi
@@ -405,13 +418,13 @@ fi
     cat "$tmp/int_resume.out" >&2
     exit 1
 }
-done_count=$(manifest_done_count "$tmp/ckpt_int/manifest.json")
+done_count=$(journal_done_count "$tmp/ckpt_int")
 if [ "$done_count" != 2 ]; then
-    echo "ci: manifest incomplete after SIGINT resume ($done_count/2 done):" >&2
-    cat "$tmp/ckpt_int/manifest.json" >&2
+    echo "ci: journals incomplete after SIGINT resume ($done_count/2 done):" >&2
+    cat "$tmp/int_resume.out" >&2
     exit 1
 fi
-echo "ci: SIGINT exit reported the interruption; resumed manifest complete (2/2 done)"
+echo "ci: SIGINT exit reported the interruption; resumed journals complete (2/2 done)"
 
 echo "== result-cache gate: cold vs warm report sweep (BENCH_9.json) =="
 # The same SAT-runtime sweep (c7552 synthesized at scale 0.05, 4 block

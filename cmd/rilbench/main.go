@@ -13,9 +13,10 @@
 // disk without re-running oracles or solvers (-cache-max caps the size
 // GC enforces on exit; without -cache-dir every cell is measured
 // again). Every attack table runs its cells on the sweep runner, so
-// -jobs, -checkpoint-dir/-resume, -cache-dir and -portfolio reach
-// every experiment that runs an attack, and SIGINT stops such a table
-// at its next cell.
+// -jobs, -cache-dir and -portfolio reach every experiment that runs an
+// attack, and SIGINT stops such a table at its next cell. The cache is
+// also how an interrupted run resumes: re-run it with the same
+// -cache-dir and only the cells that did not finish run again.
 //
 // Runtimes are scaled: the paper used a 5-day timeout on full-size
 // benchmarks; pass -scale 1.0 -timeout 120h to approximate that run.
@@ -53,18 +54,12 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonDir = flag.String("json", "", "also write each table as JSON into this directory")
 		nolint  = flag.Bool("nolint", false, "skip the netlint gate on freshly locked circuits")
-		ckptDir = flag.String("checkpoint-dir", "", "persist every attack table's sweep manifest under this directory")
-		resume  = flag.Bool("resume", false, "resume from -checkpoint-dir: skip table cells already recorded done")
 		pfolio  = flag.Int("portfolio", 1, "race N diversified CDCL workers per solver call in the SAT-attack cells (<2 = sequential)")
 		circs   = flag.String("circuit", "", "comma-separated circuits for -exp satruntime: ISCAS profile names and/or .bench file paths")
 	)
 	var cacheFlags cache.Flags
 	cacheFlags.Register(flag.CommandLine)
 	flag.Parse()
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "rilbench: -resume requires -checkpoint-dir")
-		os.Exit(1)
-	}
 
 	for _, d := range []struct {
 		dir  string
@@ -86,19 +81,23 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancels the table sweeps mid-cell: finished cells
-	// stay in checkpoints and the cache, cache GC still runs, and the
-	// exit is nonzero so scripts see the run did not complete.
+	// stay in the cache, cache GC still runs, and the exit is nonzero
+	// so scripts see the run did not complete.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
 	cfg := report.AttackConfig{Timeout: *timeout, Scale: *scale, Seed: *seed, NoLint: *nolint, Jobs: *jobs,
-		CheckpointDir: *ckptDir, Resume: *resume, Portfolio: *pfolio, Cache: c, Context: ctx}
+		Portfolio: *pfolio, Cache: c, Context: ctx}
 	runErr := run(*exp, cfg, *counts, *circs, *mc, *traces)
 	if err := cacheFlags.Close(c, os.Stderr, "rilbench"); err != nil {
 		fmt.Fprintln(os.Stderr, "rilbench: cache gc:", err)
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "rilbench: interrupted; finished cells are checkpointed, re-run with -resume to continue")
+		if c != nil {
+			fmt.Fprintln(os.Stderr, "rilbench: interrupted; finished cells are cached, re-run with the same -cache-dir to continue")
+		} else {
+			fmt.Fprintln(os.Stderr, "rilbench: interrupted; without -cache-dir no finished cell is kept, re-run with -cache-dir to keep them")
+		}
 		os.Exit(1)
 	}
 	if runErr != nil {

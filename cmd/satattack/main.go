@@ -21,17 +21,22 @@
 //
 // -checkpoint-dir makes the attack crash-safe: every DIP and oracle
 // response is journaled (fsync per record) to a per-target file in the
-// directory, and a manifest records each finished target. Re-running
-// with -resume skips targets the manifest records done and replays
-// each partial journal without re-querying the oracle, then continues
-// the attack. Corrupt checkpoint files degrade to a fresh start with a
-// warning, never an error.
+// directory (attack.JournalPath), created if need be, and a finished
+// attack ends its journal with a done record. Re-running with -resume
+// replays each journal without re-querying the oracle: a finished
+// target's done record answers with no solver call, and any other
+// journal is replayed and the attack continues, its -timeout counting
+// the whole attack. A journal written for another netlist or options,
+// or a corrupt one, degrades to a fresh attack with a warning, never
+// an error.
 //
 // -cache-dir memoizes finished targets in the checksummed result
 // cache, keyed by the locked netlist, key file and attack options:
 // re-attacking an unchanged target is answered from disk with zero
 // oracle queries and zero solver calls (-cache-max caps the size
 // enforced by GC on exit; without -cache-dir every target runs live).
+// An edited target or another budget is another key, so the cache
+// never answers for other work.
 // -sensitize, -removal and -trace take a single target and always run
 // live.
 package main
@@ -111,8 +116,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		removal    = fs.Bool("removal", false, "run the structural removal attack instead")
 		tracePath  = fs.String("trace", "", "write a per-DIP CSV trace (iteration,dip,oracle) to this file")
 		portfolio  = fs.Int("portfolio", 1, "race N diversified CDCL workers per solver call (exact SAT attack only; <2 = sequential)")
-		ckptDir    = fs.String("checkpoint-dir", "", "journal DIP progress (and sweep manifest) into this directory")
-		resume     = fs.Bool("resume", false, "resume from -checkpoint-dir: skip done targets, replay partial journals")
+		ckptDir    = fs.String("checkpoint-dir", "", "journal each target's DIP progress into this directory")
+		resume     = fs.Bool("resume", false, "resume from -checkpoint-dir: replay each target's journal without re-querying the oracle")
 	)
 	var cacheFlags cache.Flags
 	cacheFlags.Register(fs)
@@ -159,19 +164,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-sensitize, -removal and -trace support a single target only"))
 	}
 
-	var ckpt *sweep.Checkpoint
 	if *ckptDir != "" {
-		var err error
-		if *resume {
-			ckpt, err = sweep.ResumeCheckpoint(*ckptDir)
-		} else {
-			ckpt, err = sweep.NewCheckpoint(*ckptDir)
-		}
-		if err != nil {
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return fail(err)
-		}
-		if ckpt.Degraded() {
-			fmt.Fprintln(stderr, "satattack: checkpoint manifest corrupt, re-running all targets")
 		}
 	}
 
@@ -190,13 +185,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			a.single = tg
 		}
 		journal := ""
-		if ckpt != nil {
-			journal = ckpt.JobFile(tg.locked)
+		if *ckptDir != "" {
+			journal = attack.JournalPath(*ckptDir, tg.locked)
 		}
 		jobList = append(jobList, sweep.Job{Name: tg.locked, Timeout: jobTimeout(o.timeout), CacheKey: targetCacheKey(c, tg, o),
 			Run: func(ctx context.Context) (any, error) { return a.attack(ctx, tg, journal) }})
 	}
-	results := (&sweep.Runner{Workers: *jobs, Checkpoint: ckpt, Cache: c, Progress: a.progress}).Run(ctx, jobList)
+	results := (&sweep.Runner{Workers: *jobs, Cache: c, Progress: a.progress}).Run(ctx, jobList)
 	if err := cacheFlags.Close(c, stderr, "satattack"); err != nil {
 		fmt.Fprintln(stderr, "satattack: cache gc:", err)
 	}
@@ -212,9 +207,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if errs := sweep.Errs(results); len(errs) > 0 {
 		fmt.Fprintf(stderr, "satattack: %d/%d targets failed\n", len(errs), len(results))
 		return 1
-	}
-	if ckpt != nil {
-		fmt.Fprintf(stderr, "satattack: sweep complete, manifest at %s\n", sweep.ManifestPath(ckpt.Dir()))
 	}
 	return 0
 }
@@ -365,8 +357,6 @@ func (a *attacker) progress(res sweep.Result) {
 		fmt.Fprintf(a.stderr, "satattack: %s: FAILED: %v\n", res.Name, res.Err)
 	case a.single != nil:
 		a.report(res)
-	case res.Resumed:
-		fmt.Fprintf(a.out, "satattack: %s: done in a previous run, skipped\n", res.Name)
 	case res.Cached:
 		fmt.Fprintf(a.out, "satattack: %s: served from result cache\n", res.Name)
 	default:
@@ -385,16 +375,13 @@ func (a *attacker) report(res sweep.Result) {
 		return
 	case *targetResult:
 		tr = *v
-	case json.RawMessage: // the value a previous run recorded or cached
+	case json.RawMessage: // the value a previous run cached
 		if err := json.Unmarshal(v, &tr); err != nil {
-			fmt.Fprintf(a.stderr, "satattack: %s: recorded result: %v\n", res.Name, err)
+			fmt.Fprintf(a.stderr, "satattack: %s: cached result: %v\n", res.Name, err)
 			return
 		}
 	}
-	switch {
-	case res.Resumed:
-		fmt.Fprintf(a.out, "satattack: done in a previous run (no oracle queries, no solver calls; originally %.2fs)\n", res.Seconds)
-	case res.Cached:
+	if res.Cached {
 		if t, err := a.single.load(a.prefix); err == nil {
 			a.header(t)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,13 +17,23 @@ import (
 	"repro/internal/cache"
 	"repro/internal/netlist"
 	"repro/internal/sat"
-	"repro/internal/sweep"
 )
 
 // quickTarget writes ci's quick target, c17 locked with one 2x2
 // RIL-Block at seed 17, as locker writes it, and returns the paths of
 // the locked netlist and the key file.
 func quickTarget(t *testing.T) (lockedPath, keyPath string) {
+	t.Helper()
+	dir := t.TempDir()
+	lockedPath, keyPath = filepath.Join(dir, "quick.bench"), filepath.Join(dir, "quick.key")
+	lockC17(t, "ril", baselines.Params{Size: "2x2", Blocks: 1, Seed: 17}, lockedPath, keyPath)
+	return lockedPath, keyPath
+}
+
+// lockC17 locks c17 with the scheme, writes the locked netlist and its
+// key file to the two paths as locker does, and returns the key as a
+// bit string.
+func lockC17(t *testing.T, scheme string, p baselines.Params, lockedPath, keyPath string) string {
 	t.Helper()
 	raw, err := os.ReadFile("../../testdata/c17.bench")
 	if err != nil {
@@ -32,7 +43,7 @@ func quickTarget(t *testing.T) (lockedPath, keyPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _, err := baselines.LockScheme("ril", orig, baselines.Params{Size: "2x2", Blocks: 1, Seed: 17})
+	l, _, err := baselines.LockScheme(scheme, orig, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +51,6 @@ func quickTarget(t *testing.T) (lockedPath, keyPath string) {
 	if err := l.Netlist.WriteBench(&bench); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	lockedPath, keyPath = filepath.Join(dir, "quick.bench"), filepath.Join(dir, "quick.key")
 	key := strings.Join(l.Netlist.KeyLines(l.KeyPos, l.Key), "\n") + "\n"
 	if err := os.WriteFile(lockedPath, bench.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -49,7 +58,7 @@ func quickTarget(t *testing.T) (lockedPath, keyPath string) {
 	if err := os.WriteFile(keyPath, []byte(key), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return lockedPath, keyPath
+	return attack.BitString(l.Key)
 }
 
 // TestQuickTargetJSON pins satattack's -json output for ci's quick
@@ -162,39 +171,78 @@ func TestJSONDashWritesOnlyJSON(t *testing.T) {
 	}
 }
 
-// TestResumeFinishedSingleTarget: a checkpointed single target is
-// recorded done in the manifest, and -resume returns the recorded
-// result without an oracle query or a solver call.
+// TestResumeFinishedSingleTarget: a checkpointed single target ends
+// its journal with a done record. Resumed without a cache, the record
+// answers with no solver call and no attack query, and the key check
+// runs again; resumed with the cache the first run filled, the target
+// is a cache hit that queries the oracle not at all.
 func TestResumeFinishedSingleTarget(t *testing.T) {
 	lockedPath, keyPath := quickTarget(t)
 	dir := filepath.Dir(lockedPath)
-	ckptDir := filepath.Join(dir, "ckpt")
-	first, resumed := filepath.Join(dir, "first.json"), filepath.Join(dir, "resumed.json")
-	args := []string{"-locked", lockedPath, "-key", keyPath, "-checkpoint-dir", ckptDir}
-	if code, _, stderr := satattack(t, append(args, "-json", first)...); code != 0 {
+	cacheDir := filepath.Join(dir, "cache")
+	first, resumed, cached := filepath.Join(dir, "first.json"), filepath.Join(dir, "resumed.json"), filepath.Join(dir, "cached.json")
+	args := []string{"-locked", lockedPath, "-key", keyPath, "-checkpoint-dir", filepath.Join(dir, "ckpt")}
+	if code, _, stderr := satattack(t, append(args, "-cache-dir", cacheDir, "-json", first)...); code != 0 {
 		t.Fatalf("checkpointed run: exit %d:\n%s", code, stderr)
 	}
-	ckpt, err := sweep.ResumeCheckpoint(ckptDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ckpt.Completed(lockedPath); !ok {
-		t.Fatalf("the manifest does not record %s done", lockedPath)
-	}
-	queries, solves := attack.OracleQueriesTotal(), sat.SolveCallsTotal()
+	was := readResults(t, first)[0].Value
+
+	solves := sat.SolveCallsTotal()
 	code, stdout, stderr := satattack(t, append(args, "-resume", "-json", resumed)...)
 	if code != 0 {
 		t.Fatalf("resumed run: exit %d:\n%s", code, stderr)
 	}
+	if s := sat.SolveCallsTotal() - solves; s != 0 {
+		t.Fatalf("resuming a finished target made %d solver calls, want 0", s)
+	}
+	now := readResults(t, resumed)[0].Value
+	if now.Queries != 0 || now.Replayed != was.Iterations || now.Key != was.Key || now.Status != "key-found" {
+		t.Fatalf("resumed result %+v, want the first run's key %s with all %d DIPs replayed and 0 queries", now, was.Key, was.Iterations)
+	}
+	if want := fmt.Sprintf("satattack: oracle queries: 0 (%d replayed from journal)", was.Iterations); !strings.Contains(stdout, want) {
+		t.Fatalf("resumed report does not say %q:\n%s", want, stdout)
+	}
+	if !strings.Contains(stdout, "satattack: recovered key verified, error rate 0.000000") {
+		t.Fatalf("resumed report does not check the key again:\n%s", stdout)
+	}
+
+	queries, solves := attack.OracleQueriesTotal(), sat.SolveCallsTotal()
+	code, _, stderr = satattack(t, append(args, "-resume", "-cache-dir", cacheDir, "-json", cached)...)
+	if code != 0 {
+		t.Fatalf("resumed run with the cache: exit %d:\n%s", code, stderr)
+	}
 	if q, s := attack.OracleQueriesTotal()-queries, sat.SolveCallsTotal()-solves; q != 0 || s != 0 {
-		t.Fatalf("resuming a finished target made %d oracle queries and %d solver calls, want 0 and 0", q, s)
+		t.Fatalf("resuming a cached target made %d oracle queries and %d solver calls, want 0 and 0", q, s)
 	}
-	if !strings.Contains(stdout, "satattack: done in a previous run") {
-		t.Fatalf("resumed report does not say the target finished in a previous run:\n%s", stdout)
+	if hit := readResults(t, cached)[0]; !hit.Cached || hit.Value != was {
+		t.Fatalf("resumed result with the cache %+v, want a cached copy of %+v", hit, was)
 	}
-	was, now := readResults(t, first), readResults(t, resumed)
-	if !now[0].Resumed || now[0].Value != was[0].Value {
-		t.Fatalf("resumed result %+v, want the recorded %+v", now[0], was[0])
+}
+
+// TestResumeRelockedTarget: a target re-locked at the same paths is
+// another circuit, so -resume attacks it afresh and prints its own
+// key, not the one the old circuit's journal holds.
+func TestResumeRelockedTarget(t *testing.T) {
+	dir := t.TempDir()
+	lockedPath, keyPath := filepath.Join(dir, "c17.bench"), filepath.Join(dir, "c17.key")
+	lock := func(seed int64) string {
+		return lockC17(t, "xor", baselines.Params{KeyBits: 4, Seed: seed}, lockedPath, keyPath)
+	}
+	args := []string{"-locked", lockedPath, "-key", keyPath, "-checkpoint-dir", filepath.Join(dir, "ckpt")}
+	oldKey := lock(1)
+	if code, stdout, stderr := satattack(t, args...); code != 0 || !strings.Contains(stdout, "key = "+oldKey) {
+		t.Fatalf("first run: exit %d, want key %s:\n%s%s", code, oldKey, stdout, stderr)
+	}
+	newKey := lock(2)
+	if newKey == oldKey {
+		t.Fatalf("seeds 1 and 2 lock c17 with the same key %s", newKey)
+	}
+	code, stdout, stderr := satattack(t, append(args, "-resume")...)
+	if code != 0 || !strings.Contains(stdout, "key = "+newKey) {
+		t.Fatalf("resumed run on the re-locked target: exit %d, want key %s:\n%s%s", code, newKey, stdout, stderr)
+	}
+	if !strings.Contains(stderr, "journal does not match, starting fresh") {
+		t.Fatalf("resumed run does not say it replaced the old circuit's journal:\n%s", stderr)
 	}
 }
 
@@ -226,11 +274,10 @@ func TestWarmSingleTargetCached(t *testing.T) {
 
 // jsonResult is one element of satattack's -json array.
 type jsonResult struct {
-	Name    string       `json:"name"`
-	Worker  int          `json:"worker"`
-	Value   targetResult `json:"value"`
-	Resumed bool         `json:"resumed"`
-	Cached  bool         `json:"cached"`
+	Name   string       `json:"name"`
+	Worker int          `json:"worker"`
+	Value  targetResult `json:"value"`
+	Cached bool         `json:"cached"`
 }
 
 // readResults decodes a one-target -json file.

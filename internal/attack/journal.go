@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/durable"
@@ -341,6 +342,27 @@ func parseBits(s string) ([]bool, error) {
 		}
 	}
 	return bits, nil
+}
+
+// JournalPath returns the path of the named attack's journal inside
+// dir: the name sanitized to at most 48 path-safe bytes, then a CRC32
+// of the whole name, so distinct names never share a file. satattack
+// names a target's journal by its locked netlist's path, rild by job
+// ID.
+func JournalPath(dir, name string) string {
+	var sb strings.Builder
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '.' || r == '-' || r == '_':
+			sb.WriteRune(r)
+		default:
+			sb.WriteByte('_')
+		}
+		if sb.Len() >= 48 {
+			break
+		}
+	}
+	return filepath.Join(dir, fmt.Sprintf("%s-%08x.journal", sb.String(), crc32.ChecksumIEEE([]byte(name))))
 }
 
 // OpenJournal opens (or creates) a journal file for a checkpointed

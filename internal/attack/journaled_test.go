@@ -148,3 +148,50 @@ func TestJournaledSATAttackPolicy(t *testing.T) {
 		finished(t, res, path)
 	})
 }
+
+// TestJournalPathSanitizationAndCollisions: every name, however
+// hostile, maps to a distinct, writable file directly inside the
+// directory, with a bounded base name.
+func TestJournalPathSanitizationAndCollisions(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{
+		"c17/ril=1 size=2x2",
+		"c17_ril_1_size_2x2", // sanitizes to same stem as above
+		"../../../etc/passwd",
+		"plain",
+		"Имя-с-юникодом",
+		"", // empty names still get a distinct file
+		"x" + string(make([]byte, 300)),
+	}
+	seen := map[string]string{}
+	for _, n := range names {
+		p := JournalPath(dir, n)
+		if filepath.Dir(p) != dir {
+			t.Errorf("JournalPath(%q) escapes the directory: %s", n, p)
+		}
+		if prev, dup := seen[p]; dup {
+			t.Errorf("JournalPath collision: %q and %q both map to %s", prev, n, p)
+		}
+		seen[p] = n
+		if len(filepath.Base(p)) > 64+len("-00000000.journal") {
+			t.Errorf("JournalPath(%q) base name too long: %s", n, filepath.Base(p))
+		}
+		// The path must actually be usable.
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Errorf("JournalPath(%q) unwritable: %v", n, err)
+		}
+	}
+}
+
+// TestJournalPathPins pins the journal paths of a satattack target and
+// of a rild sweep target, so journals already on disk keep resuming.
+func TestJournalPathPins(t *testing.T) {
+	for _, tc := range []struct{ name, want string }{
+		{"/tmp/quick.bench", "/state/ckpt/_tmp_quick.bench-87bd148b.journal"},
+		{"j0123456789abcdef01#3", "/state/ckpt/j0123456789abcdef01_3-a2d45ff6.journal"},
+	} {
+		if got := JournalPath("/state/ckpt", tc.name); got != tc.want {
+			t.Errorf("JournalPath(%q) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

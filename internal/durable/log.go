@@ -20,8 +20,8 @@ import (
 // hex digits. A writer fsyncs each append before going on, so a crash
 // can tear only the last line: ReadLog drops a bad last line as that
 // tear and reports a bad line before it as corruption. The DIP journal
-// (internal/attack) and the sweep manifest (internal/sweep) are framed
-// logs.
+// (internal/attack) and rild's job manifest (internal/serve) are
+// framed logs.
 
 // LineError is a bad line of a framed log: it fails its framing or its
 // reader rejects its record.

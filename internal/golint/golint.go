@@ -21,9 +21,9 @@
 //   - time-seed: no wall clock feeding seed material in the
 //     determinism-critical packages (attack, sweep, netlist, report).
 //   - sync-errcheck: no discarded (*os.File).Sync/Close error on a
-//     write path — the crash-safety story of the DIP journal and the
-//     sweep checkpoint manifest is only as strong as the weakest
-//     unchecked close.
+//     write path — the crash-safety story of the DIP journal and
+//     rild's job manifest is only as strong as the weakest unchecked
+//     close.
 //   - ctx-loop: exported functions with unbounded loops must be
 //     cancellable (accept a context or observably check one).
 //   - goroutine-hygiene: goroutine literals must not leak panics past

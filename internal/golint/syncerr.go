@@ -7,7 +7,7 @@ import (
 
 // SyncErrcheck forbids discarding the error of (*os.File).Sync or
 // (*os.File).Close on write paths. The crash-safety layer (the DIP
-// journal's and the checkpoint manifest's fsync-per-record) is only as
+// journal's and rild's job manifest's fsync-per-record) is only as
 // strong as its weakest unchecked close: a full disk or failing device
 // surfaces exactly there, and a discarded error silently truncates the
 // durability guarantee.

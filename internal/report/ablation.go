@@ -61,7 +61,7 @@ func Ablation(cfg AttackConfig) (*Table, error) {
 					ar.Status.String()}, nil
 			}))
 	}
-	return rowTable(t, cfg, "ablation", jobs)
+	return rowTable(t, cfg, jobs)
 }
 
 // OneHotEncoding reproduces the §IV-B pre-processing comparison: the
@@ -149,7 +149,7 @@ func OneHotEncoding(cfg AttackConfig) (*Table, error) {
 				return row("one-hot SAT", oh.SAT, key), nil
 			}))
 	}
-	return rowTable(t, cfg, "onehot", jobs)
+	return rowTable(t, cfg, jobs)
 }
 
 // Sensitization compares the key-sensitization attack (the paper's
@@ -198,7 +198,7 @@ func Sensitization(cfg AttackConfig) (*Table, error) {
 					fmt.Sprintf("%d", r.Resolved), fmt.Sprintf("%d", r.Queries)}, nil
 			}))
 	}
-	return rowTable(t, cfg, "sensitize", jobs)
+	return rowTable(t, cfg, jobs)
 }
 
 // verdict renders whether a recovered key matches the oracle. The
@@ -298,5 +298,5 @@ func DynamicMorphing(cfg AttackConfig, epochQueries int) (*Table, error) {
 					fmt.Sprintf("%d", epochs), ar.Status.String(), funcKey}, nil
 			}))
 	}
-	return rowTable(t, cfg, "dynamic", jobs)
+	return rowTable(t, cfg, jobs)
 }

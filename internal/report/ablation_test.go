@@ -13,7 +13,7 @@ func TestAblationShape(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = time.Second
-	tb := coldWarmResumed(t, cfg, Ablation)
+	tb := coldWarm(t, cfg, Ablation)
 	if len(tb.Rows) != 5 {
 		t.Fatalf("ablation rows = %d, want 5", len(tb.Rows))
 	}
@@ -34,7 +34,7 @@ func TestOneHotEncodingTable(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Scale = 0.1
 	cfg.Timeout = 2 * time.Second
-	tb := coldWarmResumed(t, cfg, OneHotEncoding)
+	tb := coldWarm(t, cfg, OneHotEncoding)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("one-hot rows = %d, want 4", len(tb.Rows))
 	}
@@ -51,7 +51,7 @@ func TestDynamicMorphingTable(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = 3 * time.Second
-	tb := coldWarmResumed(t, cfg, func(cfg AttackConfig) (*Table, error) { return DynamicMorphing(cfg, 2) })
+	tb := coldWarm(t, cfg, func(cfg AttackConfig) (*Table, error) { return DynamicMorphing(cfg, 2) })
 	if len(tb.Rows) != 2 {
 		t.Fatalf("dynamic rows = %d, want 2", len(tb.Rows))
 	}

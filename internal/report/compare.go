@@ -62,7 +62,7 @@ func Fig1(cfg AttackConfig, nGates int) (*Table, error) {
 					fmtDuration(res.Elapsed, res.Status != attack.KeyFound)}, nil
 			}))
 	}
-	return rowTable(t, cfg, "fig1", jobs)
+	return rowTable(t, cfg, jobs)
 }
 
 // matrixColumn is one Table V scheme. Its lock is built once and only
@@ -268,7 +268,7 @@ func Table5(cfg AttackConfig) (*Table, error) {
 			}
 		}
 	}
-	marks, err := runCells[string](cfg, "table5", jobs)
+	marks, err := runCells[string](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +355,7 @@ func DIPGrowth(cfg AttackConfig, widths []int) (*Table, error) {
 				}))
 		}
 	}
-	cells, err := runCells[string](cfg, "dipgrowth", jobs)
+	cells, err := runCells[string](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}

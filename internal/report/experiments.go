@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -32,13 +30,6 @@ type AttackConfig struct {
 	Jobs int
 	// Context cancels a running table sweep early (nil = none).
 	Context context.Context
-	// CheckpointDir, when set, appends every table sweep's per-job
-	// completions to the log <CheckpointDir>/<table-scope>/manifest.json
-	// so a killed run can resume. Resume loads those manifests, cuts a
-	// line torn by the kill, and skips the jobs they record done; a
-	// corrupt manifest degrades to re-running that table from scratch.
-	CheckpointDir string
-	Resume        bool
 	// Portfolio, when >= 2, races that many diversified CDCL workers
 	// per solver call in the attack tables (see attack.SATOptions).
 	// Runtimes become trace-nondeterministic; DIP/query counts may vary
@@ -49,33 +40,18 @@ type AttackConfig struct {
 	// canonical circuit form plus every option that determines its
 	// cell, looked up before dispatch and stored on success. A warm
 	// re-run of an identical table emits byte-identical output with
-	// zero oracle queries and zero solver calls.
+	// zero oracle queries and zero solver calls, and a re-run of an
+	// interrupted one runs only the cells the cache lacks.
 	Cache *cache.Cache
 }
 
 // runCells runs a table's cell jobs on the sweep worker pool and
 // returns each cell's value of type T, in job order; the first job
-// error fails the whole table. The scope names the table's private
-// checkpoint subdirectory when AttackConfig.CheckpointDir is set;
-// distinct tables must use distinct scopes so their manifests never
-// clobber each other. A live job returns T directly; a job served from
-// the cache or skipped on resume carries its recorded JSON instead,
-// which decodes back into T.
-func runCells[T any](cfg AttackConfig, scope string, jobs []sweep.Job) ([]T, error) {
-	r := &sweep.Runner{Workers: cfg.Jobs, Cache: cfg.Cache}
-	if cfg.CheckpointDir != "" {
-		dir := filepath.Join(cfg.CheckpointDir, scope)
-		var err error
-		if cfg.Resume {
-			r.Checkpoint, err = sweep.ResumeCheckpoint(dir)
-		} else {
-			r.Checkpoint, err = sweep.NewCheckpoint(dir)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	results := r.Run(cfg.Context, jobs)
+// error fails the whole table. A live job returns T directly; a job
+// served from the cache carries its recorded JSON instead, which
+// decodes back into T.
+func runCells[T any](cfg AttackConfig, jobs []sweep.Job) ([]T, error) {
+	results := (&sweep.Runner{Workers: cfg.Jobs, Cache: cfg.Cache}).Run(cfg.Context, jobs)
 	if err := sweep.FirstErr(results); err != nil {
 		return nil, err
 	}
@@ -98,35 +74,13 @@ func runCells[T any](cfg AttackConfig, scope string, jobs []sweep.Job) ([]T, err
 
 // rowTable fills t with the rows its jobs compute, one whole row per
 // job, in job order.
-func rowTable(t *Table, cfg AttackConfig, scope string, jobs []sweep.Job) (*Table, error) {
-	rows, err := runCells[[]string](cfg, scope, jobs)
+func rowTable(t *Table, cfg AttackConfig, jobs []sweep.Job) (*Table, error) {
+	rows, err := runCells[[]string](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, rows...)
 	return t, nil
-}
-
-// scopeSlug renders a circuit name as a checkpoint/cache scope
-// component: lower-case alphanumerics with runs of anything else
-// collapsed to '-', so "testdata/c17.bench" and "c432" both produce a
-// single safe path element.
-func scopeSlug(name string) string {
-	var b strings.Builder
-	dash := false
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-			dash = false
-		default:
-			if !dash && b.Len() > 0 {
-				b.WriteByte('-')
-				dash = true
-			}
-		}
-	}
-	return strings.TrimRight(b.String(), "-")
 }
 
 // tableCells builds the sweep jobs of one table call. The AttackConfig
@@ -181,8 +135,8 @@ func (tc tableCells) key(kind string, sum cache.Digest, opts map[string]any) cac
 // cell builds the sweep job of one table cell: its name, its cache key
 // (key of the kind over the circuit digest and the cell's options)
 // and its computation, which gets the job's context. Every attack the
-// tables run goes through here, so every cell is cached, checkpointed
-// and spread over the workers alike.
+// tables run goes through here, so every cell is cached and spread
+// over the workers alike.
 func (tc tableCells) cell(name, kind string, sum cache.Digest, opts map[string]any, run func(context.Context) (any, error)) sweep.Job {
 	return sweep.Job{Name: name, CacheKey: tc.key(kind, sum, opts), Run: run}
 }
@@ -307,10 +261,12 @@ func Table1(cfg AttackConfig, counts []int) (*Table, error) {
 // -exp satruntime`, the cache differential suite and the warm/cold CI
 // benchmark, which run the same sweep over small circuits such as c17.
 func SATRuntimeTable(cfg AttackConfig, orig *netlist.Netlist, counts []int, sizes []core.Size) (*Table, error) {
-	return satRuntimeTable(cfg, "satruntime-"+scopeSlug(orig.Name), benchCircuit{orig, cache.NetlistSum(orig)}, counts, sizes)
+	return satRuntimeTable(cfg, "satruntime/"+orig.Name, benchCircuit{orig, cache.NetlistSum(orig)}, counts, sizes)
 }
 
-func satRuntimeTable(cfg AttackConfig, scope string, orig benchCircuit, counts []int, sizes []core.Size) (*Table, error) {
+// satRuntimeTable builds the Table I layout; name prefixes its cells'
+// job names.
+func satRuntimeTable(cfg AttackConfig, name string, orig benchCircuit, counts []int, sizes []core.Size) (*Table, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 3, 4, 5, 10, 25, 50, 75, 100}
 	}
@@ -332,10 +288,10 @@ func satRuntimeTable(cfg AttackConfig, scope string, orig benchCircuit, counts [
 	var jobs []sweep.Job
 	for _, n := range counts {
 		for _, size := range sizes {
-			jobs = append(jobs, satRuntimeCell(tc, fmt.Sprintf("%s/%d/%s", scope, n, size), orig, n, size))
+			jobs = append(jobs, satRuntimeCell(tc, fmt.Sprintf("%s/%d/%s", name, n, size), orig, n, size))
 		}
 	}
-	cells, err := runCells[string](cfg, scope, jobs)
+	cells, err := runCells[string](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +355,7 @@ func Table3(cfg AttackConfig) (*Table, error) {
 				return "yes", nil
 			}))
 	}
-	cells, err := runCells[string](cfg, "table3", jobs)
+	cells, err := runCells[string](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}

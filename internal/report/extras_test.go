@@ -48,7 +48,7 @@ func TestLUTSizeTableShape(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Scale = 0.1
 	cfg.Timeout = 2 * time.Second
-	tb := coldWarmResumed(t, cfg, func(cfg AttackConfig) (*Table, error) { return LUTSizeTable(cfg, 4) })
+	tb := coldWarm(t, cfg, func(cfg AttackConfig) (*Table, error) { return LUTSizeTable(cfg, 4) })
 	if len(tb.Rows) != 3 {
 		t.Fatalf("lutsize rows = %d, want 3", len(tb.Rows))
 	}
@@ -80,7 +80,7 @@ func TestSensitizationTable(t *testing.T) {
 	}
 	cfg := fastCfg()
 	cfg.Timeout = 5 * time.Second
-	tb := coldWarmResumed(t, cfg, Sensitization)
+	tb := coldWarm(t, cfg, Sensitization)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

@@ -52,5 +52,5 @@ func LUTSizeTable(cfg AttackConfig, nLUTs int) (*Table, error) {
 				}, nil
 			}))
 	}
-	return rowTable(t, cfg, "lutsize", jobs)
+	return rowTable(t, cfg, jobs)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // resilienceRow is one audit cell's JSON-serializable payload, so a
-// checkpointed sweep restores it losslessly.
+// cache hit restores it losslessly.
 type resilienceRow struct {
 	Nominal     int    `json:"nominal"`
 	Effective   int    `json:"effective"`
@@ -85,7 +85,7 @@ func ResilienceTable(cfg AttackConfig) (*Table, error) {
 				return auditLockRow(ctx, r.c.nl, r.blocks, r.size, r.planted, cfg)
 			}))
 	}
-	cells, err := runCells[resilienceRow](cfg, "audit", jobs)
+	cells, err := runCells[resilienceRow](cfg, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 // sampled-proof demotion exists to prevent.
 func TestResilienceTable(t *testing.T) {
 	cfg := AttackConfig{Timeout: 200 * time.Millisecond, Scale: 0.12, Seed: 1}
-	tb := coldWarmResumed(t, cfg, ResilienceTable)
+	tb := coldWarm(t, cfg, ResilienceTable)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4:\n%s", len(tb.Rows), tb.String())
 	}

@@ -65,7 +65,7 @@ func TestDrainInterruptsAttacks(t *testing.T) {
 		if _, err := os.Stat(first.specPath(id)); err != nil {
 			t.Errorf("drained job %s lost its spec: %v", id, err)
 		}
-		if e, done := first.ckpt.Completed(id); done {
+		if e, done := first.manifest.completed(id); done {
 			t.Errorf("drained job %s has a done envelope: %s", id, e.Value)
 		}
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // Result payloads. These are what GET /jobs/{id} returns under
-// "result" and what the checkpoint manifest and cache persist, so the
-// fields are stable JSON.
+// "result" and what the manifest and cache persist, so the fields are
+// stable JSON.
 
 // AttackResult is one attack target's outcome.
 type AttackResult struct {
@@ -68,7 +68,7 @@ type SweepResult struct {
 }
 
 // runAttackTarget runs one attack with journaled resume. journalKey
-// names the target's private journal inside the checkpoint directory;
+// names the target's journal inside StateDir/ckpt (attack.JournalPath);
 // publish (may be nil) receives per-DIP progress.
 func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target int,
 	spec *AttackSpec, publish func(ProgressEvent)) (*AttackResult, error) {
@@ -96,7 +96,7 @@ func (s *Server) runAttackTarget(ctx context.Context, journalKey string, target 
 	}
 	// A journal in the state directory can only mean a previous run of
 	// this same job, so the daemon always resumes.
-	r, err := at.Run(attack.RunOptions{SAT: opts, AppSAT: spec.AppSAT, Journal: s.ckpt.JobFile(journalKey), Resume: true,
+	r, err := at.Run(attack.RunOptions{SAT: opts, AppSAT: spec.AppSAT, Journal: attack.JournalPath(s.ckpt, journalKey), Resume: true,
 		Logf:   func(format string, args ...any) { s.logf("serve: %s", fmt.Sprintf(format, args...)) },
 		Verify: spec.Verify})
 	if err != nil {

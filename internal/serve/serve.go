@@ -27,7 +27,8 @@ import (
 type Options struct {
 	// StateDir is the daemon's persistent root: StateDir/specs holds
 	// one durably-written spec file per accepted job, StateDir/ckpt
-	// holds the sweep manifest plus per-attack DIP journals. Required.
+	// holds the job manifest (manifest.go) plus per-attack DIP
+	// journals. Required.
 	StateDir string
 	// Workers is the job-runner pool size (0 = all CPUs, as
 	// sweep.Runner).
@@ -69,6 +70,7 @@ type jobState struct {
 	id        string
 	spec      *JobSpec
 	submitted time.Time
+	seq       int64
 
 	mu        sync.Mutex
 	state     string
@@ -97,20 +99,25 @@ type ProgressEvent struct {
 }
 
 // persistedJob is the on-disk spec file: everything needed to re-queue
-// the job after a restart.
+// the job after a restart. Seq numbers a daemon's submissions, so jobs
+// submitted within one millisecond re-queue in submission order; spec
+// files written before it existed hold none.
 type persistedJob struct {
 	ID        string   `json:"id"`
 	Submitted int64    `json:"submitted_unix_ms"`
+	Seq       int64    `json:"seq,omitempty"`
 	Spec      *JobSpec `json:"spec"`
 }
 
 // Server is the rild daemon core, independent of its HTTP transport
 // (http.go wires the handlers, cmd/rild the process).
 type Server struct {
-	opt    Options
-	runner *sweep.Runner
-	ckpt   *sweep.Checkpoint
-	q      *queue
+	opt      Options
+	runner   *sweep.Runner
+	ckpt     string // StateDir/ckpt: the manifest and the DIP journals
+	manifest *manifest
+	q        *queue
+	seq      atomic.Int64 // the last submission's persistedJob.Seq
 
 	mu    sync.Mutex
 	jobs  map[string]*jobState
@@ -132,10 +139,10 @@ type Server struct {
 	conflicts atomic.Int64 // solver conflicts accumulated from finished jobs
 }
 
-// New opens (or creates) the state directory, loads the checkpoint
-// manifest, re-admits every persisted job — finished ones as terminal
-// records, unfinished ones back onto the queue — and returns a Server
-// ready to Start.
+// New opens (or creates) the state directory, loads the job manifest,
+// re-admits every persisted job — finished ones as terminal records,
+// unfinished ones back onto the queue — and returns a Server ready to
+// Start.
 func New(opt Options) (*Server, error) {
 	if opt.StateDir == "" {
 		return nil, fmt.Errorf("serve: StateDir is required")
@@ -143,22 +150,24 @@ func New(opt Options) (*Server, error) {
 	if err := os.MkdirAll(filepath.Join(opt.StateDir, "specs"), 0o755); err != nil {
 		return nil, err
 	}
-	ckpt, err := sweep.ResumeCheckpoint(filepath.Join(opt.StateDir, "ckpt"))
+	ckpt := filepath.Join(opt.StateDir, "ckpt")
+	m, err := openManifest(ckpt)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		opt:     opt,
-		runner:  &sweep.Runner{Workers: opt.Workers},
-		ckpt:    ckpt,
-		q:       newQueue(),
-		jobs:    map[string]*jobState{},
-		started: time.Now(),
+		opt:      opt,
+		runner:   &sweep.Runner{Workers: opt.Workers},
+		ckpt:     ckpt,
+		manifest: m,
+		q:        newQueue(),
+		jobs:     map[string]*jobState{},
+		started:  time.Now(),
 	}
 	s.runCtx, s.stopRun = context.WithCancel(context.Background())
 	s.unhook = context.AfterFunc(s.runCtx, s.q.wake)
-	if ckpt.Degraded() {
-		s.logf("serve: checkpoint manifest corrupt; unfinished jobs restart from their journals")
+	if m.degraded {
+		s.logf("serve: job manifest corrupt; unfinished jobs restart from their journals")
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -173,7 +182,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // recover loads every persisted spec, replays terminal outcomes from
-// the manifest, and re-queues the rest in original submission order.
+// the manifest, and re-queues the rest in original submission order:
+// by submission millisecond, then Seq, then ID. Numbering of new
+// submissions continues from the highest Seq recovered.
 func (s *Server) recover() error {
 	dir := filepath.Join(s.opt.StateDir, "specs")
 	names, err := os.ReadDir(dir)
@@ -210,11 +221,15 @@ func (s *Server) recover() error {
 			id:        pj.ID,
 			spec:      pj.Spec,
 			submitted: time.UnixMilli(pj.Submitted),
+			seq:       pj.Seq,
 			state:     StateQueued,
 			subs:      map[int]chan []byte{},
 			done:      make(chan struct{}),
 		}
-		if e, ok := s.ckpt.Completed(pj.ID); ok {
+		if pj.Seq > s.seq.Load() {
+			s.seq.Store(pj.Seq)
+		}
+		if e, ok := s.manifest.completed(pj.ID); ok {
 			var out jobOutcome
 			if len(e.Value) > 0 {
 				if err := json.Unmarshal(e.Value, &out); err != nil {
@@ -233,10 +248,14 @@ func (s *Server) recover() error {
 		loaded = append(loaded, js)
 	}
 	sort.Slice(loaded, func(i, j int) bool {
-		if !loaded[i].submitted.Equal(loaded[j].submitted) {
-			return loaded[i].submitted.Before(loaded[j].submitted)
+		a, b := loaded[i], loaded[j]
+		if !a.submitted.Equal(b.submitted) {
+			return a.submitted.Before(b.submitted)
 		}
-		return loaded[i].id < loaded[j].id
+		if a.seq != b.seq {
+			return a.seq < b.seq
+		}
+		return a.id < b.id
 	})
 	requeued := 0
 	for _, js := range loaded {
@@ -306,12 +325,13 @@ func (s *Server) Submit(spec *JobSpec) (string, error) {
 		id:        id,
 		spec:      spec,
 		submitted: time.Now(),
+		seq:       s.seq.Add(1),
 		state:     StateQueued,
 		subs:      map[int]chan []byte{},
 		done:      make(chan struct{}),
 	}
 	raw, err := json.MarshalIndent(persistedJob{
-		ID: id, Submitted: js.submitted.UnixMilli(), Spec: spec,
+		ID: id, Submitted: js.submitted.UnixMilli(), Seq: js.seq, Spec: spec,
 	}, "", "  ")
 	if err != nil {
 		return "", err
@@ -536,11 +556,11 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 	}
 }
 
-// record appends a job's outcome to the checkpoint manifest. A lost
-// record is logged and leaves the job's state alone: it only means the
-// job runs again after a restart.
+// record appends a job's outcome to the manifest. A lost record is
+// logged and leaves the job's state alone: it only means the job runs
+// again after a restart.
 func (s *Server) record(res sweep.Result) {
-	if err := s.ckpt.Record(res); err != nil {
+	if err := s.manifest.record(res); err != nil {
 		s.logf("serve: %s: manifest record: %v", res.Name, err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/sweep"
 )
 
 // startServer spins up a Server over httptest and returns it with a
@@ -270,8 +269,10 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestRestartRequeuesAndCompletes: jobs accepted but never run (the
 // first daemon had no workers) survive a restart, are queued again in
 // the original submission order and complete under the second daemon.
-// So does a spec file that still holds the tenant and priority fields
-// an earlier daemon wrote: recovery's json.Unmarshal skips them.
+// The submissions may share a millisecond: their Seq orders them. So
+// does a spec file that still holds the tenant and priority fields an
+// earlier daemon wrote and no Seq: recovery's json.Unmarshal skips
+// them.
 func TestRestartRequeuesAndCompletes(t *testing.T) {
 	dir := t.TempDir()
 	first, err := New(Options{StateDir: dir, Logf: t.Logf})
@@ -281,11 +282,6 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 	var ids []string
 	var last time.Time
 	for i := 0; i < 3; i++ {
-		// Recovery orders by the millisecond a spec records and breaks
-		// ties by ID, so each job gets a millisecond of its own.
-		for time.Now().UnixMilli() <= last.UnixMilli() {
-			time.Sleep(time.Millisecond)
-		}
 		id, err := first.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
 		if err != nil {
 			t.Fatal(err)
@@ -339,6 +335,59 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 		if v.State != StateDone {
 			t.Fatalf("job %s: state=%s error=%q", id, v.State, v.Error)
 		}
+	}
+}
+
+// TestRecoverOrdersBySeq: spec files that share a submission
+// millisecond re-queue in Seq order, not in the order of their random
+// IDs, and the recovered daemon numbers its next submission after the
+// highest Seq it found.
+func TestRecoverOrdersBySeq(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "specs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bench, err := json.Marshal(c17Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seq order is the reverse of ID order.
+	ids := []string{"j0000000000000000c3", "j0000000000000000b2", "j0000000000000000a1"}
+	for i, id := range ids {
+		spec := fmt.Sprintf(`{"id": %q, "submitted_unix_ms": 1700000000000, "seq": %d, "spec": {"type": "lint", "lint": {"bench": %s}}}`,
+			id, i+1, bench)
+		if err := os.WriteFile(filepath.Join(dir, "specs", id+".json"), []byte(spec), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Options{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(0)
+	var queued []string
+	s.q.mu.Lock()
+	for _, js := range s.q.jobs {
+		queued = append(queued, js.id)
+	}
+	s.q.mu.Unlock()
+	if !slices.Equal(queued, ids) {
+		t.Fatalf("recovered queue %v, want Seq order %v", queued, ids)
+	}
+	id, err := s.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(s.specPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pj persistedJob
+	if err := json.Unmarshal(raw, &pj); err != nil {
+		t.Fatal(err)
+	}
+	if pj.Seq != int64(len(ids)+1) {
+		t.Fatalf("next submission has seq %d, want %d", pj.Seq, len(ids)+1)
 	}
 }
 
@@ -680,7 +729,7 @@ func TestManifestRecordErrorLogged(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 		t.Logf(format, args...)
 	}})
-	if err := os.MkdirAll(sweep.ManifestPath(filepath.Join(dir, "ckpt")), 0o755); err != nil {
+	if err := os.MkdirAll(manifestPath(filepath.Join(dir, "ckpt")), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)

@@ -1,8 +1,8 @@
 // Package serve is the rild daemon: a long-running HTTP JSON service
 // that accepts lock / attack / lint / sweep jobs, runs them on the
 // sweep worker pool with per-job deadlines and panic isolation, and
-// persists every outcome through the sweep checkpoint manifest (plus
-// per-attack DIP journals) so a killed daemon restarts and resumes
+// persists every outcome in its job manifest, keyed by job ID (plus
+// per-attack DIP journals), so a killed daemon restarts and resumes
 // in-flight attacks without repeating a single oracle query.
 //
 // The package splits into:
@@ -11,6 +11,7 @@
 //   - queue.go: the FIFO job queue
 //   - job.go: the per-type job runners (attack, lock, lint, sweep)
 //   - serve.go: the Server — persistence, workers, recovery, drain
+//   - manifest.go: the job manifest, the log of finished jobs' outcomes
 //   - http.go: the HTTP surface (submit, status, SSE, metrics)
 //   - client.go: the API client and the locked-c17 targets that
 //     cmd/rild's load harness and the tests submit

@@ -13,6 +13,12 @@
 //   - panic isolation: a crashing job becomes a failed Result, not a
 //     dead sweep
 //   - results in job order, independent of completion order
+//
+// The runner keeps no record of its own. With Runner.Cache set, the
+// content-addressed result cache records which jobs finished, so an
+// interrupted sweep re-run against the same cache runs only the jobs
+// it lacks; a job that checkpoints its own progress (an attack's DIP
+// journal) resumes from that.
 package sweep
 
 import (
@@ -63,13 +69,9 @@ type Result struct {
 	Error   string  `json:"error,omitempty"` // Err rendered for JSON
 	Panic   bool    `json:"panic,omitempty"`
 	Seconds float64 `json:"seconds"`
-	// Resumed marks a job that was not run because a checkpoint
-	// manifest already records it done; Value then holds the recorded
-	// json.RawMessage payload, not the job's native result type.
-	Resumed bool `json:"resumed,omitempty"`
 	// Cached marks a job served from Runner.Cache without running;
-	// like Resumed, Value holds the json.RawMessage payload the
-	// original run stored.
+	// Value then holds the json.RawMessage payload the original run
+	// stored, not the job's native result type.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -90,22 +92,13 @@ type Runner struct {
 	Workers int
 	// Progress, when non-nil, is called from worker goroutines as each
 	// job finishes (in completion order, not job order). It must be
-	// safe for concurrent use. Jobs skipped via a checkpoint manifest
-	// report once, up front, with Resumed set.
+	// safe for concurrent use. Jobs served from the cache report once,
+	// up front, with Cached set.
 	Progress func(Result)
-	// Checkpoint, when non-nil, persists every job completion to the
-	// checkpoint directory's manifest and, when the checkpoint was
-	// opened with ResumeCheckpoint, skips jobs the manifest already
-	// records as done (failed jobs re-run). Jobs that want their own
-	// partial-progress files derive paths via Checkpoint.JobFile.
-	Checkpoint *Checkpoint
 	// Cache, when non-nil, serves jobs with a valid CacheKey from the
 	// content-addressed result cache before dispatch and stores each
-	// successful result back after the run. The checkpoint manifest
-	// takes precedence on resume — jobs it records done are skipped
-	// outright — and cache hits are themselves recorded into the
-	// manifest, so a resumed sweep consults the cache exactly for the
-	// jobs the manifest does not yet cover. Failed jobs are never
+	// successful result back after the run; it is the sweep's only
+	// record of finished work. Failed and interrupted jobs are never
 	// cached.
 	Cache *cache.Cache
 }
@@ -155,30 +148,14 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 		workers = len(jobs)
 	}
 	results := make([]Result, len(jobs))
-	// Resolve checkpointed completions first so workers only ever see
-	// jobs that actually need to run.
+	// Resolve cache hits first so workers only ever see jobs that
+	// actually need to run: jobs are looked up by content key before
+	// dispatch, so repeated, overlapping and interrupted sweeps re-run
+	// nothing the cache already proves done.
 	skipped := make([]bool, len(jobs))
-	if r.Checkpoint != nil {
-		for i := range jobs {
-			entry, ok := r.Checkpoint.Completed(jobs[i].Name)
-			if !ok {
-				continue
-			}
-			skipped[i] = true
-			results[i] = Result{Name: jobs[i].Name, Index: i, Worker: -1,
-				Value: entry.Value, Seconds: entry.Seconds, Resumed: true}
-			if r.Progress != nil {
-				r.Progress(results[i])
-			}
-		}
-	}
-	// Then the cross-run cache: jobs the manifest does not cover are
-	// looked up by content key before dispatch, so repeated and
-	// overlapping sweeps (and resumed sweeps whose manifest is behind
-	// the cache) re-run nothing the cache already proves done.
 	if r.Cache != nil {
 		for i := range jobs {
-			if skipped[i] || !jobs[i].CacheKey.Valid() {
+			if !jobs[i].CacheKey.Valid() {
 				continue
 			}
 			raw, seconds, ok := r.Cache.GetTimed(jobs[i].CacheKey)
@@ -191,12 +168,6 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 			// show a 0-second runtime for real solver work.
 			results[i] = Result{Name: jobs[i].Name, Index: i, Worker: -1,
 				Value: json.RawMessage(raw), Cached: true, Seconds: seconds}
-			if r.Checkpoint != nil {
-				if err := r.Checkpoint.Record(results[i]); err != nil {
-					results[i].Err = fmt.Errorf("checkpoint: %w", err)
-					results[i].Error = results[i].Err.Error()
-				}
-			}
 			if r.Progress != nil {
 				r.Progress(results[i])
 			}
@@ -210,12 +181,6 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 			defer wg.Done()
 			for i := range idxCh {
 				results[i] = r.runOne(ctx, worker, i, jobs[i])
-				if r.Checkpoint != nil {
-					if err := r.Checkpoint.Record(results[i]); err != nil && results[i].Err == nil {
-						results[i].Err = fmt.Errorf("checkpoint: %w", err)
-						results[i].Error = results[i].Err.Error()
-					}
-				}
 				// Store successful results for future runs. A failed
 				// store must not fail the job — the cache keeps its own
 				// error counter and the result is already in hand.
@@ -291,13 +256,13 @@ func (r *Runner) runOne(ctx context.Context, worker, index int, job Job) (res Re
 			// The sweep itself was cancelled while the job ran. A nil
 			// error here cannot be trusted to mean "complete": a job may
 			// swallow its context and return a truncated run as an
-			// ordinary value, and recording that as done would make a
-			// checkpoint resume skip an unfinished job forever.
-			// Conservatively mark the result interrupted — a re-run
-			// picks up the job's own journal, so the only cost is
-			// re-dispatching a job that may have just finished. Per-job
-			// deadlines (jctx) are not affected: what a job returns at
-			// its own deadline is its result.
+			// ordinary value, and caching that would make every re-run
+			// serve an unfinished job forever. Conservatively mark the
+			// result interrupted — a re-run picks up the job's own
+			// journal, so the only cost is re-dispatching a job that may
+			// have just finished. Per-job deadlines (jctx) are not
+			// affected: what a job returns at its own deadline is its
+			// result.
 			res.Err = fmt.Errorf("sweep: job interrupted: %w", ctx.Err())
 		}
 		if res.Err != nil {

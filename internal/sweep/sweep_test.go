@@ -433,8 +433,8 @@ func TestRunOne(t *testing.T) {
 // TestCancelledSweepNeverRecordsSuccess: a job that returns a nil
 // error while the sweep context is already cancelled must be reported
 // interrupted — a job that swallows its context may render a truncated
-// run as an ordinary value, and recording that as done would make a
-// checkpoint resume skip an unfinished job forever.
+// run as an ordinary value, and caching that would make every re-run
+// serve an unfinished job forever.
 func TestCancelledSweepNeverRecordsSuccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
