@@ -10,10 +10,10 @@
 # freebsd), tests under the race detector (internal/report's, whose
 # attack tables end at wall-clock budgets, after the rest rather than
 # beside them),
-# doubled -race passes over the sweep runner, rild's job manifest log
-# and the result cache with its durable-write package (all
-# scheduling-sensitive), a coverage gate on the journal-bearing attack
-# package, the sweep runner, the result cache, the durable writer and
+# doubled -race passes over the sweep runner, rild's job manifest log,
+# Sensitize's key-bit workers and the result cache with its
+# durable-write package (all scheduling-sensitive), a coverage gate on
+# the journal-bearing attack package, the sweep runner, the result cache, the durable writer and
 # the rild daemon, a benchmark
 # smoke that also emits .bench_build/ci/BENCH_8.json (oracle
 # fast path, miter stamping, portfolio solve, sensitization, the
@@ -114,9 +114,10 @@ pkgs=$(go list ./... | grep -v '/internal/report$')
 go test -race $pkgs
 go test -race ./internal/report/
 
-echo "== sweep runner and rild's job manifest under -race, doubled =="
+echo "== sweep runner, rild's job manifest and Sensitize's key-bit workers under -race, doubled =="
 go test -race -count=2 ./internal/sweep/
 go test -race -count=2 -run '^TestManifest' ./internal/serve/
+go test -race -count=2 -run '^TestSensitize' ./internal/attack/
 
 echo "== result cache and durable writes under -race, doubled =="
 # Get/Put/GC hammer across goroutines; doubled because the failure

@@ -526,6 +526,58 @@ func TestJournalResumeDoneShortCircuit(t *testing.T) {
 	}
 }
 
+// TestJournalResumeDoneOverBudget resumes a finished journal whose
+// done record took 5 s, its DIP records 0.5 s apart. Under a 1 s
+// budget that attack would not have finished: the result is Timeout
+// with no key, after the DIPs journaled within the budget. With no
+// budget, or one of 5 s or more, it is the journaled key. None of the
+// resumes calls the solver or queries the oracle.
+func TestJournalResumeDoneOverBudget(t *testing.T) {
+	fx := xorFixture(t, 60, 6, 301)
+	full, journal, _ := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute})
+	if full.Status != KeyFound || full.Iterations < 3 {
+		t.Fatalf("want a key found after at least 3 DIPs, got %v", full)
+	}
+	data, err := ReadJournal(bytes.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range data.Records {
+		data.Records[k].ElapsedMS = 500 * int64(k)
+	}
+	data.Done.ElapsedMS = 5000
+	for _, c := range []struct {
+		budget time.Duration
+		want   Status
+		dips   int
+	}{
+		{time.Second, Timeout, min(3, full.Iterations)},
+		{4999 * time.Millisecond, Timeout, min(10, full.Iterations)},
+		{0, KeyFound, full.Iterations},
+		{5 * time.Second, KeyFound, full.Iterations},
+		{time.Minute, KeyFound, full.Iterations},
+	} {
+		oracle := fx.oracle(t)
+		calls := sat.SolveCallsTotal()
+		res, err := SATAttack(fx.locked, fx.keyPos, oracle, SATOptions{Timeout: c.budget, Resume: data})
+		if err != nil {
+			t.Fatalf("budget %v: %v", c.budget, err)
+		}
+		if n := sat.SolveCallsTotal() - calls; n != 0 || oracle.Queries() != 0 {
+			t.Errorf("budget %v: %d Solve calls and %d oracle queries, want none", c.budget, n, oracle.Queries())
+		}
+		if res.Status != c.want || res.Iterations != c.dips || res.Replayed != c.dips {
+			t.Errorf("budget %v: %v (%d replayed), want %v after %d DIPs", c.budget, res, res.Replayed, c.want, c.dips)
+		}
+		if c.want == Timeout && res.Key != nil {
+			t.Errorf("budget %v: timed-out result carries key %v", c.budget, res.Key)
+		}
+		if c.want == KeyFound && !bytesEqual(res.Key, full.Key) {
+			t.Errorf("budget %v: key %v, want %v", c.budget, res.Key, full.Key)
+		}
+	}
+}
+
 // TestJournalResumeWrongCircuitRejected replays a journal against a
 // different locked circuit; the header fingerprint must reject it.
 func TestJournalResumeWrongCircuitRejected(t *testing.T) {

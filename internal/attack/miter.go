@@ -250,10 +250,10 @@ func dipLoop(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOption
 		if err := opt.Resume.Header.matches(header); err != nil {
 			return nil, err
 		}
-		if d := opt.Resume.Done; d != nil {
+		if opt.Resume.Done != nil {
 			// The journaled attack already finished: reconstruct its
 			// result without touching solver or oracle.
-			return resultFromDone(d)
+			return resultFromDone(opt.Resume, opt.Timeout)
 		}
 		replay = opt.Resume.Records
 		// Verified re-solving needs the journal's trajectory: this

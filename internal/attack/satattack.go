@@ -162,8 +162,25 @@ func (h JournalHeader) matches(want JournalHeader) error {
 }
 
 // resultFromDone reconstructs a finished attack's result from its
-// terminal journal record; the oracle is never queried.
-func resultFromDone(d *JournalDone) (*SATResult, error) {
+// journal's terminal record; the oracle is never queried. An attack
+// that took longer than budget (when budget > 0) would not have
+// finished within it, so its result is Timeout with no key, after the
+// journaled DIPs that fell within the budget; the last of them gives
+// the solver counters.
+func resultFromDone(j *JournalData, budget time.Duration) (*SATResult, error) {
+	d := j.Done
+	if budget > 0 && time.Duration(d.ElapsedMS)*time.Millisecond > budget {
+		res := &SATResult{Status: Timeout, Elapsed: budget}
+		for _, rec := range j.Records {
+			if time.Duration(rec.ElapsedMS)*time.Millisecond > budget {
+				break
+			}
+			res.Iterations++
+			res.Solver = rec.Solver.Stats
+		}
+		res.Replayed = res.Iterations
+		return res, nil
+	}
 	res := &SATResult{
 		Iterations: d.Iterations,
 		Replayed:   d.Iterations,

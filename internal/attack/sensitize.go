@@ -2,6 +2,9 @@ package attack
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
@@ -32,20 +35,37 @@ func (r *SensitizeResult) String() string {
 		r.Resolved, r.Resolved+r.Unresolved, r.Queries, r.Elapsed.Round(time.Millisecond))
 }
 
+// SensitizeVersion identifies Sensitize's search, as SearchVersion
+// does the DIP loop's: 0 encoded each miter as two full copies of the
+// netlist, 1 encodes the second copy over the first
+// (cnf.Encoder.EncodeOver). The checkers' answers are fixed by
+// semantics, but the candidate solver's search, and with it which bits
+// resolve within the per-bit budget, belongs to one version. The keys
+// of cached sensitization cells carry it.
+const SensitizeVersion = 1
+
 // Sensitize runs the key-sensitization attack. For each key bit i it
 // solves the 2QBF-style query  ∃X ∀K_rest: C(X, ki=0) ≠ C(X, ki=1)
 // with a CEGAR loop: a candidate solver proposes patterns, and two
-// persistent checkers — the bit's universality check and the call-wide
+// persistent checkers — the bit's universality check and its worker's
 // value-constancy check, each encoded once — refute or confirm every
 // candidate under assumptions. A pattern that survives is golden: one
 // oracle query fixes bit i. perBitBudget bounds the CEGAR iterations
 // per bit.
 //
+// The per-bit searches are independent and touch no oracle, so they
+// run on min(GOMAXPROCS, key bits) workers, each with its own
+// constancy check, taking bits in order. A bit's outcome depends only
+// on its own solvers and on the checkers' semantically fixed answers,
+// so the result does not depend on the worker count, except where the
+// deadline cuts a search short. A bit not started when the deadline
+// passes is unresolved.
+//
 // Golden patterns are swept through the oracle's BatchOracle fast
-// path, 64 patterns per word-level simulation, after the per-bit CEGAR
-// search; each pattern still costs exactly one counted query and the
+// path, 64 patterns per word-level simulation, once every search is
+// done; each pattern still costs exactly one counted query and the
 // oracle sees them in bit order, so Queries and the recovered key are
-// identical to the per-bit scalar probing this replaces.
+// identical to per-bit scalar probing.
 func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudget int, timeout time.Duration) (*SensitizeResult, error) {
 	start := time.Now()
 	funcPos, err := splitInputs(locked, keyPos)
@@ -68,31 +88,33 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 		deadline = start.Add(timeout)
 	}
 
-	// One probe per golden pattern found; the oracle sweep runs
-	// batched once the (SAT-bound) searches are done.
-	type probe struct {
-		bit, outIdx int
-		pattern     []bool
+	// Each bit's search stores its outcome at the bit; the oracle
+	// sweep runs batched once every (SAT-bound) search is done.
+	found := make([]probe, len(keyPos))
+	workers := min(runtime.GOMAXPROCS(0), len(keyPos))
+	errs := make([]error, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = searchBits(locked, keyPos, funcPos, perBitBudget, deadline, &next, found)
+		}()
 	}
-	var pending []probe
-	vc, err := newConstancyCheck(locked, keyPos, funcPos, deadline)
-	if err != nil {
-		return nil, err
-	}
-	for bit := range keyPos {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Unresolved = len(keyPos) - bit + res.Unresolved
-			break
-		}
-		pattern, outIdx, ok, err := goldenPattern(locked, keyPos, funcPos, bit, perBitBudget, deadline, vc)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+	}
+	var pending []probe
+	for _, p := range found {
+		if !p.ok {
 			res.Unresolved++
 			continue
 		}
-		pending = append(pending, probe{bit: bit, outIdx: outIdx, pattern: pattern})
+		pending = append(pending, p)
 		res.Queries++
 		res.Resolved++
 	}
@@ -146,13 +168,43 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 	return res, nil
 }
 
+// probe is one key bit's search outcome: when ok, the golden pattern
+// and the output it flips.
+type probe struct {
+	ok          bool
+	bit, outIdx int
+	pattern     []bool
+}
+
+// searchBits runs the golden-pattern search of every key bit it takes
+// from next, in order, until no bit is left or the deadline has
+// passed, and stores each outcome in found. It builds its own
+// constancy check first: a checker's learnt clauses are its own.
+func searchBits(locked *netlist.Netlist, keyPos, funcPos []int, budget int, deadline time.Time, next *atomic.Int64, found []probe) error {
+	vc, err := newConstancyCheck(locked, keyPos, funcPos, deadline)
+	if err != nil {
+		return err
+	}
+	for {
+		bit := int(next.Add(1) - 1)
+		if bit >= len(found) || !deadline.IsZero() && time.Now().After(deadline) {
+			return nil
+		}
+		pattern, outIdx, ok, err := goldenPattern(locked, keyPos, funcPos, bit, budget, deadline, vc)
+		if err != nil {
+			return err
+		}
+		found[bit] = probe{ok: ok, bit: bit, outIdx: outIdx, pattern: pattern}
+	}
+}
+
 // goldenPattern searches for an input X and output index o such that
 // flipping key bit `bit` flips output o for EVERY assignment of the
 // remaining key bits. A candidate solver proposes (X, o) pairs on which
 // the bit flips o for some K_rest; two persistent checkers, each
 // encoded once and queried under assumptions, refute or confirm them:
 // the bit's universality check, loaded lazily from the candidate's own
-// encoding, and the call-wide value-constancy check vc.
+// encoding, and the worker's value-constancy check vc.
 func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget int, deadline time.Time, vc *constancyCheck) ([]bool, int, bool, error) {
 	f, c1, diffs, err := encodeBitMiter(locked, keyPos, bit)
 	if err != nil {
@@ -213,9 +265,11 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 
 // constancyCheck decides whether C(X, ki=0, K_rest) at an output takes
 // the same value for every assignment of the remaining key bits. It
-// holds two copies of the locked netlist sharing X only, with one XOR
-// per output, encoded once per Sensitize call; each query pins X, ki=0
-// in both copies and "output o differs" as assumptions.
+// holds two copies of the locked netlist sharing X only, the second
+// encoded over the first, so they share every gate outside the key
+// inputs' fanout cones; one XOR per output; encoded once per worker.
+// Each query pins X, ki=0 in both copies and "output o differs" as
+// assumptions.
 type constancyCheck struct {
 	s               *sat.Solver
 	c1, c2          *cnf.GateVars
@@ -224,7 +278,7 @@ type constancyCheck struct {
 }
 
 func newConstancyCheck(locked *netlist.Netlist, keyPos, funcPos []int, deadline time.Time) (*constancyCheck, error) {
-	enc, c1, c2, err := encodeCopies(locked, locked, keyPos)
+	enc, c1, c2, err := encodeShared(locked, keyPos)
 	if err != nil {
 		return nil, err
 	}
@@ -247,17 +301,36 @@ func (vc *constancyCheck) constant(bit int, pattern []bool, outIdx int) bool {
 }
 
 // encodeBitMiter encodes the universality miter of key bit `bit`: two
-// copies sharing X and K_rest, ki=0 in copy 1 and ki=1 in copy 2, one
-// XOR per output. It returns the formula, copy 1's variables and the
-// XOR literals.
+// copies sharing X and K_rest, and with them every gate outside ki's
+// fanout cone, ki=0 in copy 1 and ki=1 in copy 2, one XOR per output.
+// It returns the formula, copy 1's variables and the XOR literals.
 func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formula, *cnf.GateVars, []cnf.Lit, error) {
-	enc, c1, c2, err := encodeCopies(locked, locked, keyPos[bit:bit+1])
+	enc, c1, c2, err := encodeShared(locked, keyPos[bit:bit+1])
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
 	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
 	return enc.F, c1, encodeDiffs(enc, c1, c2), nil
+}
+
+// encodeShared encodes two copies of locked into one formula, the
+// second over the first (cnf.Encoder.EncodeOver): they share every
+// input but the private ones and every gate outside those inputs'
+// fanout cone. Both of Sensitize's miters are equisatisfiable with
+// their two-full-copy encodings (encodeCopies), and an output outside
+// the cone gets an XOR that no model sets.
+func encodeShared(locked *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
+	enc := cnf.NewEncoder()
+	c1, err := enc.Encode(locked, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	c2, err := enc.EncodeOver(locked, c1, private)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return enc, c1, c2, nil
 }
 
 // loadSolver loads f into a fresh solver bounded by deadline. A

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -76,44 +77,80 @@ func goldenOf(res *SensitizeResult) sensitizeGolden {
 	return sensitizeGolden{key: BitString(res.Key), mask: BitString(res.Mask), resolved: res.Resolved, queries: res.Queries}
 }
 
+// sensitizeGoldenXOR attacks TestSensitizeGolden's XOR instance i:
+// 40+6i gates, circuit seed 300+i, 4+i%7 key bits, lock seed 400+i,
+// budget 16. It returns the result and the lock's key.
+func sensitizeGoldenXOR(t *testing.T, i int) (*SensitizeResult, []bool) {
+	t.Helper()
+	orig := smallCircuit(t, 40+6*i, int64(300+i))
+	locked, keyPos, key := xorLock(t, orig, 4+i%7, int64(400+i))
+	res, err := Sensitize(locked, keyPos, oracleFor(t, locked, keyPos, key), 16, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, key
+}
+
 // TestSensitizeGolden pins Sensitize's results on XOR-locked random
-// circuits (instance i: 40+6i gates, circuit seed 300+i, 4+i%7 key bits,
-// lock seed 400+i, budget 16); TestSensitizeFailsOnRIL pins its 8×8
+// circuits (sensitizeGoldenXOR); TestSensitizeFailsOnRIL pins its 8×8
 // instance. The refutation checks are decision queries whose Sat/Unsat
-// answers are fixed by semantics, so however they are encoded the
-// candidate sequence, and with it every result, must not move.
+// answers are fixed by semantics, but the candidate solver's search
+// belongs to one SensitizeVersion: these pins are version 1's, the
+// second miter copy encoded over the first.
 func TestSensitizeGolden(t *testing.T) {
+	if SensitizeVersion != 1 {
+		t.Fatalf("SensitizeVersion %d: re-record the pins", SensitizeVersion)
+	}
 	xorGoldens := []sensitizeGolden{
-		{"1111", "1111", 4, 4},
+		{"0111", "0111", 3, 3},
 		{"00001", "01001", 2, 2},
-		{"101000", "101000", 2, 2},
+		{"001100", "001100", 2, 2},
 		{"0001000", "0001000", 1, 1},
-		{"00000000", "00010000", 1, 1},
-		{"100000000", "101000010", 3, 3},
-		{"0000100110", "0011100110", 5, 5},
-		{"0000", "0011", 2, 2},
+		{"00000000", "00000000", 0, 0},
+		{"110000000", "111000010", 4, 4},
+		{"0000100010", "0011100010", 4, 4},
+		{"0100", "0111", 3, 3},
 		{"00000", "00010", 1, 1},
-		{"000000", "110000", 2, 2},
-		{"0101000", "0111001", 4, 4},
+		{"000000", "110010", 3, 3},
+		{"0101000", "0111000", 3, 3},
 		{"00000000", "00100000", 1, 1},
-		{"001000001", "001000001", 2, 2},
-		{"1000010000", "1000010000", 2, 2},
+		{"000000001", "000000001", 1, 1},
+		{"1000010000", "1000110000", 3, 3},
 		{"0000", "0110", 2, 2},
-		{"00000", "10001", 2, 2},
-		{"000001", "001001", 2, 2},
+		{"01000", "11001", 3, 3},
+		{"000001", "001101", 3, 3},
 		{"0100000", "0101000", 2, 2},
 		{"00000010", "00000010", 1, 1},
-		{"001000000", "001000000", 1, 1},
+		{"001010000", "001010000", 2, 2},
 	}
 	for i, want := range xorGoldens {
-		orig := smallCircuit(t, 40+6*i, int64(300+i))
-		locked, keyPos, key := xorLock(t, orig, 4+i%7, int64(400+i))
-		res, err := Sensitize(locked, keyPos, oracleFor(t, locked, keyPos, key), 16, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, key := sensitizeGoldenXOR(t, i)
 		if got := goldenOf(res); got != want {
 			t.Errorf("xor instance %d: got %+v, want %+v", i, got, want)
+		}
+		for b, ok := range res.Mask {
+			if ok && res.Key[b] != key[b] {
+				t.Errorf("xor instance %d: bit %d resolved wrongly", i, b)
+			}
+		}
+	}
+}
+
+// TestSensitizeWorkerCount runs TestSensitizeGolden's XOR instances at
+// GOMAXPROCS 1 and 2: the key-bit searches run on one worker, then on
+// two, and every result must be the same.
+func TestSensitizeWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for i := 0; i < 20; i++ {
+		var results [2]*SensitizeResult
+		for w := range results {
+			runtime.GOMAXPROCS(w + 1)
+			results[w], _ = sensitizeGoldenXOR(t, i)
+		}
+		one, two := results[0], results[1]
+		if goldenOf(one) != goldenOf(two) || one.Unresolved != two.Unresolved {
+			t.Errorf("xor instance %d: %+v (unresolved %d) at GOMAXPROCS 1, %+v (unresolved %d) at 2",
+				i, goldenOf(one), one.Unresolved, goldenOf(two), two.Unresolved)
 		}
 	}
 }

@@ -58,6 +58,55 @@ func (e *Encoder) Encode(n *netlist.Netlist, shared map[int]Var) (*GateVars, err
 		}
 		gv.Vars[id] = v
 	}
+	gv.ports(n)
+	return gv, nil
+}
+
+// EncodeOver adds a second copy of n on top of base, a copy of the
+// same netlist already in the formula. The inputs at the private
+// positions get fresh variables, and so does every gate in their
+// fanout cone. Any other gate takes base's value in every model, so it
+// reuses base's variable and adds no clause. Two copies differ only
+// inside that cone, so a miter over them is equisatisfiable with one
+// over two full copies that share every input but the private ones.
+// As with Encode, the result maps every gate, input and output.
+func (e *Encoder) EncodeOver(n *netlist.Netlist, base *GateVars, private []int) (*GateVars, error) {
+	if len(base.Vars) != n.NumGates() {
+		return nil, fmt.Errorf("cnf: netlist %q has %d gates, its base copy %d", n.Name, n.NumGates(), len(base.Vars))
+	}
+	order, err := n.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	cone := make([]bool, n.NumGates())
+	for _, p := range private {
+		cone[n.Inputs[p]] = true
+	}
+	gv := &GateVars{Vars: make([]Var, n.NumGates())}
+	for _, id := range order {
+		g := &n.Gates[id]
+		for _, f := range g.Fanin {
+			cone[id] = cone[id] || cone[f]
+		}
+		switch {
+		case !cone[id]:
+			gv.Vars[id] = base.Vars[id]
+		case g.Type == netlist.Input:
+			gv.Vars[id] = e.F.NewVar()
+		default:
+			v, err := e.encodeGate(g, gv.Vars)
+			if err != nil {
+				return nil, fmt.Errorf("cnf: netlist %q gate %q: %w", n.Name, g.Name, err)
+			}
+			gv.Vars[id] = v
+		}
+	}
+	gv.ports(n)
+	return gv, nil
+}
+
+// ports fills in the input and output variables from Vars.
+func (gv *GateVars) ports(n *netlist.Netlist) {
 	gv.Inputs = make([]Var, len(n.Inputs))
 	for i, id := range n.Inputs {
 		gv.Inputs[i] = gv.Vars[id]
@@ -66,7 +115,6 @@ func (e *Encoder) Encode(n *netlist.Netlist, shared map[int]Var) (*GateVars, err
 	for i, id := range n.Outputs {
 		gv.Outputs[i] = gv.Vars[id]
 	}
-	return gv, nil
 }
 
 func (e *Encoder) encodeGate(g *netlist.Gate, vars []Var) (Var, error) {

@@ -180,7 +180,7 @@ func Sensitization(cfg AttackConfig) (*Table, error) {
 		{"RIL 8x8", "ril", baselines.Params{Size: "8x8", Blocks: 1, Seed: cfg.Seed}, 4},
 	} {
 		jobs = append(jobs, tc.cell("sensitize/"+s.scheme, "sensitize-cell", sum,
-			map[string]any{"scheme": s.scheme, "lock": s.params, "budget": s.budget},
+			map[string]any{"scheme": s.scheme, "lock": s.params, "budget": s.budget, "sensitize": attack.SensitizeVersion},
 			func(context.Context) (any, error) {
 				l, _, err := baselines.LockScheme(s.scheme, orig, s.params)
 				if err != nil {

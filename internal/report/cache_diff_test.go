@@ -182,10 +182,12 @@ func walkFiles(root string, fn func(path string)) error {
 }
 
 // TestCellKeyPins pins the full cache key of one Table I cell (one
-// 2×2 block on c7552@0.1) and one Table III AppSAT cell (b15@0.1), as
-// the tables derive them: every key that moves orphans a cache filled
-// before the change. The tables run once into an empty cache and the
-// pinned keys must name entry files.
+// 2×2 block on c7552@0.1), one Table III AppSAT cell (b15@0.1) and the
+// sensitization table's two cells, as the tables derive them: every
+// key that moves orphans a cache filled before the change. The tables
+// run once into an empty cache and the pinned keys must name entry
+// files. The sensitization keys carry attack.SensitizeVersion; under
+// version 0 they were 30961362…bc2d (XOR) and b9479f11…a8fd (RIL).
 func TestCellKeyPins(t *testing.T) {
 	dir := t.TempDir()
 	c, err := cache.Open(dir, cache.Options{})
@@ -199,16 +201,21 @@ func TestCellKeyPins(t *testing.T) {
 	if _, err := Table3(cfg); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Sensitization(cfg); err != nil {
+		t.Fatal(err)
+	}
 	stored := map[string]bool{}
 	if err := walkFiles(dir+"/entries", func(path string) { stored[filepath.Base(path)] = true }); err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) != 3+40 {
-		t.Errorf("%d entries, want one per cell (43)", len(stored))
+	if len(stored) != 3+40+2 {
+		t.Errorf("%d entries, want one per cell (45)", len(stored))
 	}
 	for cell, key := range map[string]string{
-		"Table I c7552 1×2x2":  "7c35e84cadd78d88535a5c23fb7e10fabc9c4d276848ef847dc3a617c6f004ef",
-		"Table III b15 AppSAT": "087096105df782ce0e39cd35e933743c9ef4b36f0366fc43aef49564d9d3724f",
+		"Table I c7552 1×2x2":    "7c35e84cadd78d88535a5c23fb7e10fabc9c4d276848ef847dc3a617c6f004ef",
+		"Table III b15 AppSAT":   "087096105df782ce0e39cd35e933743c9ef4b36f0366fc43aef49564d9d3724f",
+		"Sensitization XOR lock": "eaf7bb8785c0a9015d48aa8c2373885fb115c6940e011d71cc0605c8fab432df",
+		"Sensitization RIL 8x8":  "65a2286cae2c291f19143a486aa9f1a9bfb78459714e6217539ca21c70742d2e",
 	} {
 		if !stored[key] {
 			t.Errorf("%s: no entry under pinned key %s", cell, key)
