@@ -1,5 +1,5 @@
-// Command rild is the lock/attack service daemon: it accepts lock,
-// attack, lint and sweep jobs over HTTP JSON, runs them on a bounded
+// Command rild is the SAT-attack service daemon: it accepts
+// oracle-guided attack jobs over HTTP JSON, runs them on a bounded
 // worker pool with per-job deadlines and panic isolation, and persists
 // every job — spec, DIP journal, outcome — under -state, so a killed
 // daemon restarts and resumes in-flight attacks without repeating a
@@ -7,7 +7,7 @@
 //
 // Serve:
 //
-//	rild -state /var/lib/rild [-addr :8372] [-workers N] [-cache DIR]
+//	rild -state /var/lib/rild [-addr :8372] [-workers N] [-cache-dir DIR]
 //
 // SIGINT/SIGTERM drains gracefully: stop accepting, give running jobs
 // -drain-grace to finish, then interrupt them (their journals keep

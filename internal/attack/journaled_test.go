@@ -183,12 +183,15 @@ func TestJournalPathSanitizationAndCollisions(t *testing.T) {
 	}
 }
 
-// TestJournalPathPins pins the journal paths of a satattack target and
-// of a rild sweep target, so journals already on disk keep resuming.
+// TestJournalPathPins pins the journal paths of a satattack target, of
+// a rild attack job (its bare job ID) and of a target of the sweep jobs
+// earlier rild daemons ran (<id>#<i>), so journals already on disk keep
+// resuming.
 func TestJournalPathPins(t *testing.T) {
 	for _, tc := range []struct{ name, want string }{
 		{"/tmp/quick.bench", "/state/ckpt/_tmp_quick.bench-87bd148b.journal"},
 		{"j0123456789abcdef01#3", "/state/ckpt/j0123456789abcdef01_3-a2d45ff6.journal"},
+		{"j0123456789abcdef01", "/state/ckpt/j0123456789abcdef01-2d1d5cb4.journal"},
 	} {
 		if got := JournalPath("/state/ckpt", tc.name); got != tc.want {
 			t.Errorf("JournalPath(%q) = %s, want %s", tc.name, got, tc.want)

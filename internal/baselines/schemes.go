@@ -8,9 +8,8 @@ import (
 	"repro/internal/netlist"
 )
 
-// Params are the lock parameters a scheme reads: cmd/locker's flags
-// and rild's lock spec carry the same set. Each scheme ignores the
-// ones it has no use for.
+// Params are the lock parameters a scheme reads, the set cmd/locker's
+// flags carry. Each scheme ignores the ones it has no use for.
 type Params struct {
 	Size    string // RIL-Block geometry, e.g. "8x8x8" (ril)
 	Blocks  int    // RIL blocks, LUTs or MESO gates (ril, lut, meso)
@@ -21,7 +20,7 @@ type Params struct {
 }
 
 // schemes is the lock-scheme table: RIL-Blocks and the seven baselines
-// under the names the command line and rild accept, in help order.
+// under the names cmd/locker's -scheme accepts, in help order.
 var schemes = []struct {
 	name string
 	lock func(orig *netlist.Netlist, p Params) (*Locked, error)

@@ -15,7 +15,7 @@ import (
 // table, writes the key lines, reads them back through the key-file
 // codec, and proves the netlist they activate equivalent to the
 // original by SAT. The lint options the table returns must pass the
-// hygiene analyzers, as cmd/locker's and rild's emit gates require.
+// hygiene analyzers, as cmd/locker's emit gate requires.
 func TestSchemeTable(t *testing.T) {
 	want := []string{"ril", "lut", "xor", "sarlock", "antisat", "sfll", "caslock", "meso"}
 	if got := SchemeNames(); !reflect.DeepEqual(got, want) {

@@ -88,27 +88,6 @@ func (c *Client) Job(ctx context.Context, id string) (*JobView, error) {
 	return &v, nil
 }
 
-// Metrics fetches the raw /metrics text.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("serve: metrics: %s", resp.Status)
-	}
-	return string(body), nil
-}
-
 // terminalStates are the states WaitDone stops on.
 func terminal(state string) bool {
 	switch state {

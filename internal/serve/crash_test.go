@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -110,6 +112,27 @@ func slowAttackSpec(t *testing.T) *JobSpec {
 		Type:   TypeAttack,
 		Attack: &AttackSpec{Bench: bench.String(), Key: key.String()},
 	}
+}
+
+// Metrics fetches the raw /metrics text.
+func (c *Client) Metrics(ctx context.Context) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
+	if err != nil {
+		return "", err
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		return "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("serve: metrics: %s", resp.Status)
+	}
+	return string(body), nil
 }
 
 // metricValue extracts one metric's value from /metrics text.

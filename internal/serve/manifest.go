@@ -9,22 +9,22 @@ import (
 	"sync"
 
 	"repro/internal/durable"
-	"repro/internal/sweep"
 )
 
 // The job manifest: StateDir/ckpt/manifest.json, beside the attack
 // jobs' DIP journals, records each finished job's outcome by job ID.
-// It is a framed log (internal/durable): a header line, then one line
-// per record, appended and fsynced before record returns, so a record
-// costs the same however many came before. A later line for an ID
-// supersedes an earlier one, and the log is never compacted. On
-// start, jobs recorded "done" come back terminal, while interrupted
-// jobs (recorded "failed") and unrecorded ones run again and pick up
-// their journals. A torn last line, the mark of a crash mid-append, is
-// cut off; any other damage, or another version, degrades to an empty
-// manifest (degraded reports it) rather than failing. A job ID is
-// minted once and never reused, so a record can never answer for
-// other work.
+// It is a framed log (internal/durable): a header line, then one
+// "done" line per record, appended and fsynced before record returns,
+// so a record costs the same however many came before. A later line
+// for an ID supersedes an earlier one, and the log is never compacted.
+// On start, jobs recorded "done" come back terminal, while unrecorded
+// ones run again and pick up their journals. Earlier daemons also
+// appended a "failed" line for each interrupted job; such a line still
+// reads, as not finished. A torn last line, the mark of a crash
+// mid-append, is cut off; any other damage, or another version,
+// degrades to an empty manifest (degraded reports it) rather than
+// failing. A job ID is minted once and never reused, so a record can
+// never answer for other work.
 
 // manifestVersion is the current manifest format version. Opening a
 // manifest with a different version degrades to an empty manifest.
@@ -35,12 +35,12 @@ import (
 //	2: a framed log, one line appended per completion
 const manifestVersion = 2
 
-// manifestEntry is one job's recorded outcome.
+// manifestEntry is one job's recorded outcome: its ID, "done" (or an
+// earlier daemon's "failed"), its jobOutcome envelope and its seconds.
 type manifestEntry struct {
 	Name    string          `json:"name"`
-	Status  string          `json:"status"` // "done" | "failed"
+	Status  string          `json:"status"`
 	Value   json.RawMessage `json:"value,omitempty"`
-	Error   string          `json:"error,omitempty"`
 	Seconds float64         `json:"seconds"`
 }
 
@@ -131,7 +131,8 @@ func openManifest(dir string) (*manifest, error) {
 }
 
 // completed returns the recorded entry of a job that finished in a
-// previous run. Interrupted jobs are not reported: they run again.
+// previous run. A job whose last line is "failed" is not reported: it
+// runs again.
 func (m *manifest) completed(id string) (*manifestEntry, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -142,24 +143,15 @@ func (m *manifest) completed(id string) (*manifestEntry, bool) {
 	return e, true
 }
 
-// record appends one job's outcome to the manifest and fsyncs it
-// before returning: "failed" with the error when res.Err is set, else
-// "done" with res.Value. A failed append leaves the job unrecorded, in
-// memory as on disk.
-func (m *manifest) record(res sweep.Result) error {
-	e := &manifestEntry{Name: res.Name, Status: "done", Seconds: res.Seconds}
-	if res.Err != nil {
-		e.Status = "failed"
-		e.Error = res.Err.Error()
-	} else if res.Value != nil {
-		raw, err := json.Marshal(res.Value)
-		if err != nil {
-			// A non-serializable value is recorded without its payload;
-			// recovery still finds the job done, with no outcome.
-			raw = nil
-		}
-		e.Value = raw
+// record appends one finished job's outcome to the manifest, "done"
+// with its envelope and seconds, and fsyncs it before returning. A
+// failed append leaves the job unrecorded, in memory as on disk.
+func (m *manifest) record(id string, out *jobOutcome, seconds float64) error {
+	raw, err := json.Marshal(out)
+	if err != nil {
+		return err
 	}
+	e := &manifestEntry{Name: id, Status: "done", Value: raw, Seconds: seconds}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	recs := []any{e}
@@ -171,6 +163,6 @@ func (m *manifest) record(res sweep.Result) error {
 		return err
 	}
 	m.size = size
-	m.entries[res.Name] = e
+	m.entries[id] = e
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/durable"
-	"repro/internal/sweep"
 	"repro/internal/testutil"
 )
 
@@ -54,6 +53,9 @@ func manifestLog(t *testing.T, recs ...any) []byte {
 }
 
 var v2Header = manifestHeader{Version: manifestVersion}
+
+// result is a finished job's envelope holding the JSON result raw.
+func result(raw string) *jobOutcome { return &jobOutcome{Result: json.RawMessage(raw)} }
 
 // allCompleted reports whether m records every named job done.
 func allCompleted(m *manifest, names []string) bool {
@@ -102,7 +104,7 @@ func TestManifestDegradesOnCorruption(t *testing.T) {
 			// records start a new, valid log.
 			names := []string{"job-00", "job-01"}
 			for i, n := range names {
-				if err := m.record(sweep.Result{Name: n, Value: i}); err != nil {
+				if err := m.record(n, result(fmt.Sprint(i)), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -144,7 +146,7 @@ func TestManifestUpgradesV1(t *testing.T) {
 	if _, ok := m.completed("a"); ok {
 		t.Error("version-1 entry reported completed")
 	}
-	if err := m.record(sweep.Result{Name: "b", Value: 1}); err != nil {
+	if err := m.record("b", result("1"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if mf := readManifest(t, dir); len(mf) != 1 || mf[0].Name != "b" || mf[0].Status != "done" {
@@ -186,31 +188,41 @@ func TestManifestTornTail(t *testing.T) {
 	}
 }
 
-// TestManifestSupersedes: a later record of an ID supersedes an
-// earlier one, in either direction.
+// TestManifestSupersedes: a later line for an ID supersedes an earlier
+// one, in either direction. The failed lines are hand-written as
+// earlier daemons appended them for an interrupted job; they still
+// read, as not finished, and a done record after one finishes the job.
 func TestManifestSupersedes(t *testing.T) {
+	failed := map[string]any{"name": "a", "status": "failed", "error": "sweep: job interrupted: context canceled", "seconds": 0.5}
+	done := &manifestEntry{Name: "a", Status: "done", Value: json.RawMessage(`{"result":1}`), Seconds: 1}
 	for _, tc := range []struct {
 		name     string
-		first    error
-		second   error
+		log      []any
+		record   bool // then record a done through the manifest
 		wantDone bool
 	}{
-		{"failed-then-done", errors.New("killed"), nil, true},
-		{"done-then-failed", nil, errors.New("killed"), false},
+		{"failed-then-done", []any{v2Header, failed}, true, true},
+		{"done-then-failed", []any{v2Header, done, failed}, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, err := openManifest(dir)
-			if err != nil {
+			if err := os.WriteFile(manifestPath(dir), manifestLog(t, tc.log...), 0o600); err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range []error{tc.first, tc.second} {
-				if err := m.record(sweep.Result{Name: "a", Err: e, Value: 1}); err != nil {
+			m, err := openManifest(dir)
+			if err != nil || m.degraded {
+				t.Fatalf("err=%v degraded=%v", err, m.degraded)
+			}
+			if _, done := m.completed("a"); done {
+				t.Fatal("a job whose last line is failed reads as finished")
+			}
+			if tc.record {
+				if err := m.record("a", result("1"), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if mf := readManifest(t, dir); len(mf) != 2 {
-				t.Fatalf("log has %d entries, want both records", len(mf))
+				t.Fatalf("log has %d entries, want both lines", len(mf))
 			}
 			re, err := openManifest(dir)
 			if err != nil || re.degraded {
@@ -234,7 +246,7 @@ func TestManifestAppendOnly(t *testing.T) {
 	}
 	var prev []byte
 	for i := 0; i < 50; i++ {
-		if err := m.record(sweep.Result{Name: fmt.Sprintf("j%02d", i), Value: map[string]int{"i": i}}); err != nil {
+		if err := m.record(fmt.Sprintf("j%02d", i), result(fmt.Sprintf(`{"i":%d}`, i)), 0); err != nil {
 			t.Fatal(err)
 		}
 		cur, err := os.ReadFile(manifestPath(dir))
@@ -273,7 +285,7 @@ func TestManifestRecordCrash(t *testing.T) {
 			var names []string
 			for i := 0; i < earlier; i++ {
 				names = append(names, fmt.Sprintf("e%d", i))
-				if err := m.record(sweep.Result{Name: names[i], Value: i}); err != nil {
+				if err := m.record(names[i], result(fmt.Sprint(i)), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -281,10 +293,10 @@ func TestManifestRecordCrash(t *testing.T) {
 			if err != nil && earlier > 0 {
 				t.Fatal(err)
 			}
-			next := sweep.Result{Name: "next", Value: map[string]string{"payload": "abc"}}
+			next := result(`{"payload":"abc"}`)
 			for budget := 0; ; budget++ {
 				durable.NewSink = func(f *os.File) durable.Sink { return testutil.NewFaultyWriter(f, budget) }
-				err := m.record(next)
+				err := m.record("next", next, 0)
 				durable.NewSink = orig
 				if err == nil {
 					break
@@ -359,7 +371,7 @@ func TestManifestConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := m.record(sweep.Result{Name: fmt.Sprintf("j%d", i), Value: i}); err != nil {
+			if err := m.record(fmt.Sprintf("j%d", i), result(fmt.Sprint(i)), 0); err != nil {
 				t.Errorf("record j%d: %v", i, err)
 			}
 		}(i)

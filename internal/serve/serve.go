@@ -48,8 +48,8 @@ type Options struct {
 // job: either a result payload or a failure message. Recording genuine
 // failures as "done" manifest entries (with the error inside the
 // envelope) is deliberate — a job that failed on its merits must not
-// re-run on every daemon restart. Interrupted jobs are recorded
-// "failed" instead, which the manifest treats as resumable.
+// re-run on every daemon restart. Interrupted jobs are not recorded,
+// so they run again.
 type jobOutcome struct {
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
@@ -90,8 +90,6 @@ type jobState struct {
 // ProgressEvent is one SSE progress frame: the attack's DIP iteration,
 // live oracle queries, and cumulative solver counters.
 type ProgressEvent struct {
-	// Target indexes sweep-job targets; 0 for single attacks.
-	Target    int       `json:"target"`
 	Iteration int       `json:"iteration"`
 	Queries   int       `json:"queries"`
 	ElapsedMS int64     `json:"elapsed_ms"`
@@ -210,12 +208,17 @@ func (s *Server) recover() error {
 			}
 			continue
 		}
-		if err := pj.Spec.Validate(); err != nil {
-			s.logf("serve: dropping invalid persisted spec %s: %v", pj.ID, err)
-			if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
-				return err
+		// A finished job never runs again, so only an unfinished one
+		// must still be a valid spec.
+		e, finished := s.manifest.completed(pj.ID)
+		if !finished {
+			if err := pj.Spec.Validate(); err != nil {
+				s.logf("serve: dropping invalid persisted spec %s: %v", pj.ID, err)
+				if err := os.Remove(filepath.Join(dir, de.Name())); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
 		}
 		js := &jobState{
 			id:        pj.ID,
@@ -229,7 +232,7 @@ func (s *Server) recover() error {
 		if pj.Seq > s.seq.Load() {
 			s.seq.Store(pj.Seq)
 		}
-		if e, ok := s.manifest.completed(pj.ID); ok {
+		if finished {
 			var out jobOutcome
 			if len(e.Value) > 0 {
 				if err := json.Unmarshal(e.Value, &out); err != nil {
@@ -426,10 +429,7 @@ func (s *Server) cacheKey(spec *JobSpec) (cache.Key, bool) {
 	payload := struct {
 		Type   string      `json:"type"`
 		Attack *AttackSpec `json:"attack,omitempty"`
-		Lock   *LockSpec   `json:"lock,omitempty"`
-		Lint   *LintSpec   `json:"lint,omitempty"`
-		Sweep  *SweepSpec  `json:"sweep,omitempty"`
-	}{spec.Type, spec.Attack, spec.Lock, spec.Lint, spec.Sweep}
+	}{spec.Type, spec.Attack}
 	k, err := cache.NewKey("serve/job").Options("spec", payload).Int("search", attack.SearchVersion).Key()
 	if err != nil {
 		return cache.Key{}, false
@@ -463,7 +463,7 @@ func (s *Server) runJob(js *jobState) {
 				s.cacheHits.Add(1)
 				// Fold the hit into the manifest so restarts don't
 				// depend on the cache still holding the entry.
-				s.record(sweep.Result{Name: js.id, Seconds: seconds, Value: &out})
+				s.record(js.id, &out, seconds)
 				s.settle(js, &out, seconds, true)
 				return
 			}
@@ -477,36 +477,17 @@ func (s *Server) runJob(js *jobState) {
 	res := s.runner.RunOne(jctx, sweep.Job{
 		Name:    js.id,
 		Timeout: js.spec.jobTimeout(s.opt.DefaultTimeout),
-		Run:     func(ctx context.Context) (any, error) { return s.execute(ctx, js) },
+		Run:     func(ctx context.Context) (any, error) { return s.runAttack(ctx, js) },
 	})
 	cancel()
 	s.finish(js, res)
 }
 
-// execute dispatches to the per-type runner.
-func (s *Server) execute(ctx context.Context, js *jobState) (any, error) {
-	publish := func(p ProgressEvent) {
-		q := p
-		s.publish(js, "progress", &q)
-	}
-	switch js.spec.Type {
-	case TypeAttack:
-		return s.runAttackTarget(ctx, js.id, 0, js.spec.Attack, publish)
-	case TypeLock:
-		return runLock(js.spec.Lock)
-	case TypeLint:
-		return runLint(js.spec.Lint)
-	case TypeSweep:
-		return s.runSweep(ctx, js.id, js.spec.Sweep, publish)
-	}
-	return nil, fmt.Errorf("serve: unknown job type %q", js.spec.Type)
-}
-
 // finish turns a runner result into a terminal record. The cases, in
-// order: user cancellation; drain/shutdown interruption (recorded
-// "failed" in the manifest so the job re-runs — resuming its journal —
-// on the next start); genuine failure (recorded as a done-with-error
-// envelope so it does NOT retry forever); success.
+// order: user cancellation; drain/shutdown interruption (not recorded,
+// so the job re-runs — resuming its journal — on the next start);
+// genuine failure (recorded as a done-with-error envelope so it does
+// NOT retry forever); success.
 func (s *Server) finish(js *jobState, res sweep.Result) {
 	js.mu.Lock()
 	userCancelled := js.cancelled
@@ -518,10 +499,8 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 		s.markCancelled(js)
 
 	case res.Err != nil && errors.Is(res.Err, context.Canceled):
-		// Drain or shutdown. Keep the spec, record "failed" (the
-		// resumable manifest state); the journal already holds every
-		// DIP this run paid for.
-		s.record(res)
+		// Drain or shutdown. Keep the spec and record nothing; the
+		// journal already holds every DIP this run paid for.
 		js.mu.Lock()
 		js.state = StateInterrupted
 		js.finished = time.Now()
@@ -531,7 +510,7 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 
 	case res.Err != nil:
 		out := &jobOutcome{Error: res.Err.Error()}
-		s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
+		s.record(js.id, out, res.Seconds)
 		s.failed.Add(1)
 		s.settle(js, out, res.Seconds, false)
 
@@ -539,14 +518,16 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 		raw, err := json.Marshal(res.Value)
 		if err != nil {
 			out := &jobOutcome{Error: fmt.Sprintf("unserializable result: %v", err)}
-			s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
+			s.record(js.id, out, res.Seconds)
 			s.failed.Add(1)
 			s.settle(js, out, res.Seconds, false)
 			return
 		}
 		out := &jobOutcome{Result: raw}
-		s.record(sweep.Result{Name: js.id, Seconds: res.Seconds, Value: out})
-		s.accumulateSolver(res.Value)
+		s.record(js.id, out, res.Seconds)
+		if r, ok := res.Value.(*AttackResult); ok {
+			s.conflicts.Add(r.Solver.Conflicts)
+		}
 		if k, ok := s.cacheKey(js.spec); ok {
 			if env, err := json.Marshal(out); err == nil {
 				_ = s.opt.Cache.PutTimed(k, env, res.Seconds)
@@ -556,12 +537,12 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 	}
 }
 
-// record appends a job's outcome to the manifest. A lost record is
-// logged and leaves the job's state alone: it only means the job runs
-// again after a restart.
-func (s *Server) record(res sweep.Result) {
-	if err := s.manifest.record(res); err != nil {
-		s.logf("serve: %s: manifest record: %v", res.Name, err)
+// record appends a finished job's outcome to the manifest. A lost
+// record is logged and leaves the job's state alone: it only means the
+// job runs again after a restart.
+func (s *Server) record(id string, out *jobOutcome, seconds float64) {
+	if err := s.manifest.record(id, out, seconds); err != nil {
+		s.logf("serve: %s: manifest record: %v", id, err)
 	}
 }
 
@@ -607,18 +588,6 @@ func (s *Server) settle(js *jobState, out *jobOutcome, seconds float64, cached b
 		s.completed.Add(1)
 	}
 	close(done)
-}
-
-// accumulateSolver feeds finished-job solver counters into /metrics.
-func (s *Server) accumulateSolver(v any) {
-	switch r := v.(type) {
-	case *AttackResult:
-		s.conflicts.Add(r.Solver.Conflicts)
-	case *SweepResult:
-		for _, t := range r.Targets {
-			s.conflicts.Add(t.Solver.Conflicts)
-		}
-	}
 }
 
 // Drain stops the daemon gracefully: refuse new submissions, stop

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cache"
+	"repro/internal/netlist"
 )
 
 // startServer spins up a Server over httptest and returns it with a
@@ -56,39 +58,79 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// TestLockThenAttack drives the natural pipeline over HTTP: lock c17,
-// then attack the locked result, recovering a correct key.
+// recordLogs returns a Logf that logs each line to t and keeps it, and
+// a check that some kept line contains every one of want.
+func recordLogs(t *testing.T) (func(format string, args ...any), func(want ...string) bool) {
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		t.Logf(format, args...)
+	}
+	logged := func(want ...string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.ContainsFunc(lines, func(l string) bool {
+			for _, w := range want {
+				if !strings.Contains(l, w) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	return logf, logged
+}
+
+// quickAttack is an attack job on the load harness's first target, c17
+// locked with 5 XOR key gates: it ends key-found in milliseconds.
+func quickAttack(t *testing.T) *JobSpec {
+	t.Helper()
+	targets, err := MakeLoadTargets(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &JobSpec{Type: TypeAttack, Attack: &AttackSpec{Bench: targets[0].Bench, Key: targets[0].Key}}
+}
+
+// lockC17 locks c17 with keyBits XOR key gates at seed, as
+// `locker -scheme xor` does, and returns the locked bench and its key
+// lines.
+func lockC17(t *testing.T, keyBits int, seed int64) (string, []string) {
+	t.Helper()
+	orig, err := netlist.ParseBench("c17", strings.NewReader(c17Bench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := baselines.XORLock(orig, keyBits, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench strings.Builder
+	if err := l.Netlist.WriteBench(&bench); err != nil {
+		t.Fatal(err)
+	}
+	return bench.String(), l.Netlist.KeyLines(l.KeyPos, l.Key)
+}
+
+// TestLockThenAttack drives the natural pipeline: lock c17 with 4 XOR
+// key gates, then attack the locked result over HTTP, recovering a
+// correct key.
 func TestLockThenAttack(t *testing.T) {
 	_, client := startServer(t, Options{Workers: 2})
 	ctx := testCtx(t)
 
-	lockID, err := client.Submit(ctx, &JobSpec{
-		Type: TypeLock,
-		Lock: &LockSpec{Bench: c17Bench, Scheme: "xor", KeyBits: 4, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
+	bench, key := lockC17(t, 4, 7)
+	if len(key) != 4 {
+		t.Fatalf("lock: %d key lines, want 4", len(key))
 	}
-	lv, err := client.WaitDone(ctx, lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lv.State != StateDone || lv.Error != "" {
-		t.Fatalf("lock job: state=%s error=%q", lv.State, lv.Error)
-	}
-	var lock LockResult
-	if err := json.Unmarshal(lv.Result, &lock); err != nil {
-		t.Fatal(err)
-	}
-	if lock.KeyBits != 4 || len(lock.Key) != 4 || lock.Bench == "" {
-		t.Fatalf("lock result: %d key bits, %d key lines", lock.KeyBits, len(lock.Key))
-	}
-
 	attackID, err := client.Submit(ctx, &JobSpec{
 		Type: TypeAttack,
 		Attack: &AttackSpec{
-			Bench:  lock.Bench,
-			Key:    strings.Join(lock.Key, "\n"),
+			Bench:  bench,
+			Key:    strings.Join(key, "\n"),
 			Verify: true,
 		},
 	})
@@ -123,28 +165,14 @@ func TestLockThenAttack(t *testing.T) {
 func TestAttackRejectsMalformedKey(t *testing.T) {
 	_, client := startServer(t, Options{Workers: 1})
 	ctx := testCtx(t)
-	lockID, err := client.Submit(ctx, &JobSpec{
-		Type: TypeLock,
-		Lock: &LockSpec{Bench: c17Bench, Scheme: "xor", KeyBits: 4, Seed: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	bench, key := lockC17(t, 4, 1)
+	if len(key) != 4 || key[1] != "keyinput1=1" {
+		t.Fatalf("lock key %q, want keyinput1=1 on line 2", key)
 	}
-	lv, err := client.WaitDone(ctx, lockID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lock LockResult
-	if err := json.Unmarshal(lv.Result, &lock); err != nil {
-		t.Fatal(err)
-	}
-	if len(lock.Key) != 4 || lock.Key[1] != "keyinput1=1" {
-		t.Fatalf("lock key %q, want keyinput1=1 on line 2", lock.Key)
-	}
-	lock.Key[1] = "keyinput1=I"
+	key[1] = "keyinput1=I"
 	id, err := client.Submit(ctx, &JobSpec{
 		Type:   TypeAttack,
-		Attack: &AttackSpec{Bench: lock.Bench, Key: strings.Join(lock.Key, "\n")},
+		Attack: &AttackSpec{Bench: bench, Key: strings.Join(key, "\n")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,58 +186,44 @@ func TestAttackRejectsMalformedKey(t *testing.T) {
 	}
 }
 
-// TestLintJob: findings are data; a clean bench lints clean.
-func TestLintJob(t *testing.T) {
-	_, client := startServer(t, Options{Workers: 1})
-	ctx := testCtx(t)
-	id, err := client.Submit(ctx, &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := client.WaitDone(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.State != StateDone {
-		t.Fatalf("lint job: state=%s error=%q", v.State, v.Error)
-	}
-	var lr LintResult
-	if err := json.Unmarshal(v.Result, &lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.Errors != 0 {
-		t.Fatalf("c17 lints with %d errors: %+v", lr.Errors, lr.Diagnostics)
-	}
-}
-
 // TestSubmitValidation: malformed specs are rejected before anything
 // persists.
 func TestSubmitValidation(t *testing.T) {
 	s, client := startServer(t, Options{Workers: 1})
 	ctx := testCtx(t)
+	good := quickAttack(t).Attack
 	bad := []*JobSpec{
 		{Type: "mystery"},
 		{Type: TypeAttack}, // no sub-spec
-		{Type: TypeAttack, Attack: &AttackSpec{Bench: c17Bench}},              // no key
-		{Type: TypeLock, Lock: &LockSpec{Bench: c17Bench, Scheme: "magic"}},   // bad scheme
-		{Type: TypeSweep, Sweep: &SweepSpec{}},                                // no targets
-		{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}, TimeoutMS: -5000},  // negative deadline
-		{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}, Lock: &LockSpec{}}, // two sub-specs
+		{Type: TypeAttack, Attack: &AttackSpec{Bench: c17Bench}}, // no key
+		{Type: TypeAttack, Attack: good, TimeoutMS: -5000},       // negative deadline
 	}
 	for i, spec := range bad {
 		if id, err := client.Submit(ctx, spec); err == nil {
 			t.Fatalf("bad spec %d accepted as %s", i, id)
 		}
 	}
-	// A spec that still sends tenant or priority, which JobSpec does not
-	// name, gets a 400 from the decoder naming the field.
+	// A body that sends a field JobSpec does not name gets a 400 from the
+	// decoder naming the field: tenant and priority, and the lock, lint
+	// and sweep sub-specs, all of which earlier daemons took. A type
+	// other than attack gets a 400 naming it.
+	attack, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bench, err := json.Marshal(c17Bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct{ field, value string }{{"tenant", `"a"`}, {"priority", "3"}} {
-		body := `{"type":"lint","` + f.field + `":` + f.value + `,"lint":{"bench":` + string(bench) + `}}`
-		resp, err := http.Post(client.Base+"/jobs", "application/json", strings.NewReader(body))
+	for _, tc := range []struct{ body, want string }{
+		{`{"type":"attack","tenant":"a","attack":` + string(attack) + `}`, `unknown field "tenant"`},
+		{`{"type":"attack","priority":3,"attack":` + string(attack) + `}`, `unknown field "priority"`},
+		{`{"type":"lock","lock":{"bench":` + string(bench) + `,"scheme":"xor","key_bits":4}}`, `unknown field "lock"`},
+		{`{"type":"lint","lint":{"bench":` + string(bench) + `}}`, `unknown field "lint"`},
+		{`{"type":"sweep","sweep":{"targets":[` + string(attack) + `]}}`, `unknown field "sweep"`},
+		{`{"type":"sweep","attack":` + string(attack) + `}`, `unknown job type "sweep"`},
+	} {
+		resp, err := http.Post(client.Base+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,8 +233,8 @@ func TestSubmitValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "`+f.field+`"`) {
-			t.Fatalf("spec with %s: status %d, error %q; want 400 naming the field", f.field, resp.StatusCode, e.Error)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("body %.60s…: status %d, error %q; want 400 with %s", tc.body, resp.StatusCode, e.Error, tc.want)
 		}
 	}
 	// Nothing leaked into the state dir or the queue.
@@ -243,7 +257,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Start(): the job cannot be dispatched.
-	id, err := s.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	id, err := s.Submit(quickAttack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +293,11 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := quickAttack(t)
 	var ids []string
 	var last time.Time
 	for i := 0; i < 3; i++ {
-		id, err := first.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+		id, err := first.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +305,7 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
 		last = first.jobs[id].submitted
 	}
 	first.Drain(0) // no workers ever started; jobs remain queued
-	bench, err := json.Marshal(c17Bench)
+	attack, err := json.Marshal(spec.Attack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +314,12 @@ func TestRestartRequeuesAndCompletes(t *testing.T) {
   "id": %q,
   "submitted_unix_ms": %d,
   "spec": {
-    "type": "lint",
+    "type": "attack",
     "tenant": "alice",
     "priority": 3,
-    "lint": {
-      "bench": %s
-    }
+    "attack": %s
   }
-}`, legacyID, last.UnixMilli()+1, bench)
+}`, legacyID, last.UnixMilli()+1, attack)
 	if err := os.WriteFile(filepath.Join(dir, "specs", legacyID+".json"), []byte(legacy), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -347,15 +360,15 @@ func TestRecoverOrdersBySeq(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, "specs"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	bench, err := json.Marshal(c17Bench)
+	attack, err := json.Marshal(quickAttack(t).Attack)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Seq order is the reverse of ID order.
 	ids := []string{"j0000000000000000c3", "j0000000000000000b2", "j0000000000000000a1"}
 	for i, id := range ids {
-		spec := fmt.Sprintf(`{"id": %q, "submitted_unix_ms": 1700000000000, "seq": %d, "spec": {"type": "lint", "lint": {"bench": %s}}}`,
-			id, i+1, bench)
+		spec := fmt.Sprintf(`{"id": %q, "submitted_unix_ms": 1700000000000, "seq": %d, "spec": {"type": "attack", "attack": %s}}`,
+			id, i+1, attack)
 		if err := os.WriteFile(filepath.Join(dir, "specs", id+".json"), []byte(spec), 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +387,7 @@ func TestRecoverOrdersBySeq(t *testing.T) {
 	if !slices.Equal(queued, ids) {
 		t.Fatalf("recovered queue %v, want Seq order %v", queued, ids)
 	}
-	id, err := s.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	id, err := s.Submit(quickAttack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +404,90 @@ func TestRecoverOrdersBySeq(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovedJobKinds opens a state directory that an earlier
+// daemon, which also ran lock, lint and sweep jobs, left behind: a
+// finished lint job with its done manifest line, an unfinished sweep
+// job and an unfinished attack job. The finished job comes back done
+// with its recorded result and keeps its spec file, since it never runs
+// again; the unfinished sweep job fails validation and is dropped with
+// a log line; the attack job re-queues and recovers its key.
+func TestRecoverRemovedJobKinds(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "specs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	attack, err := json.Marshal(quickAttack(t).Attack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := json.Marshal(c17Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lintID, sweepID, attackID = "j0000000000000000a1", "j0000000000000000b2", "j0000000000000000c3"
+	for i, f := range []struct{ id, spec string }{
+		{lintID, `{"type": "lint", "lint": {"bench": ` + string(bench) + `}}`},
+		{sweepID, `{"type": "sweep", "sweep": {"targets": [` + string(attack) + `]}}`},
+		{attackID, `{"type": "attack", "attack": ` + string(attack) + `}`},
+	} {
+		raw := fmt.Sprintf(`{"id": %q, "submitted_unix_ms": 1700000000000, "seq": %d, "spec": %s}`, f.id, i+1, f.spec)
+		if err := os.WriteFile(filepath.Join(dir, "specs", f.id+".json"), []byte(raw), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const lintResult = `{"errors":0,"warnings":0}`
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	done := &manifestEntry{Name: lintID, Status: "done", Value: json.RawMessage(`{"result":` + lintResult + `}`), Seconds: 0.25}
+	if err := os.WriteFile(manifestPath(filepath.Join(dir, "ckpt")), manifestLog(t, v2Header, done), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	logf, logged := recordLogs(t)
+	s, err := New(Options{StateDir: dir, Workers: 1, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := serveHTTP(t, s)
+	ctx := testCtx(t)
+
+	lv, err := client.Job(ctx, lintID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var result bytes.Buffer
+	if err := json.Compact(&result, lv.Result); err != nil {
+		t.Fatal(err)
+	}
+	if lv.Type != "lint" || lv.State != StateDone || result.String() != lintResult || lv.Seconds != 0.25 {
+		t.Fatalf("finished lint job: type=%s state=%s result=%s seconds=%v, want done with its recorded result",
+			lv.Type, lv.State, &result, lv.Seconds)
+	}
+	if _, err := os.Stat(s.specPath(lintID)); err != nil {
+		t.Fatalf("finished lint job lost its spec file: %v", err)
+	}
+
+	if _, ok := s.job(sweepID); ok {
+		t.Fatal("unfinished sweep job recovered")
+	}
+	if _, err := os.Stat(s.specPath(sweepID)); !os.IsNotExist(err) {
+		t.Fatalf("dropped sweep job's spec file still present (err=%v)", err)
+	}
+	if !logged(sweepID, `unknown job type "sweep"`) {
+		t.Fatalf("no log line names the dropped sweep job %s and its type", sweepID)
+	}
+
+	av, err := client.WaitDone(ctx, attackID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ar AttackResult
+	if av.State != StateDone || json.Unmarshal(av.Result, &ar) != nil || ar.Status != "key-found" {
+		t.Fatalf("recovered attack job: state=%s error=%q result=%s, want key-found", av.State, av.Error, av.Result)
+	}
+}
+
 // TestRestartKeepsTerminalOutcomes: finished jobs — including genuine
 // failures — are served from the manifest after a restart and do NOT
 // re-run.
@@ -399,7 +496,7 @@ func TestRestartKeepsTerminalOutcomes(t *testing.T) {
 	_, client := startServer(t, Options{StateDir: dir, Workers: 1})
 	ctx := testCtx(t)
 
-	okID, err := client.Submit(ctx, &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	okID, err := client.Submit(ctx, quickAttack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,12 +559,8 @@ func TestCacheHitKeepsSeconds(t *testing.T) {
 	}
 	_, client := startServer(t, Options{Workers: 1, Cache: c})
 	ctx := testCtx(t)
-	spec := func() *JobSpec {
-		return &JobSpec{
-			Type: TypeLock,
-			Lock: &LockSpec{Bench: c17Bench, Scheme: "xor", KeyBits: 4, Seed: 3},
-		}
-	}
+	attack := quickAttack(t).Attack
+	spec := func() *JobSpec { return &JobSpec{Type: TypeAttack, Attack: attack} }
 	coldID, err := client.Submit(ctx, spec())
 	if err != nil {
 		t.Fatal(err)
@@ -533,10 +626,7 @@ func TestMetricsAndList(t *testing.T) {
 	ctx := testCtx(t)
 	const n = 3
 	for i := 0; i < n; i++ {
-		id, err := client.Submit(ctx, &JobSpec{
-			Type: TypeLint,
-			Lint: &LintSpec{Bench: c17Bench},
-		})
+		id, err := client.Submit(ctx, quickAttack(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -646,7 +736,7 @@ func TestDrainRefusesSubmissions(t *testing.T) {
 	defer hs.Close()
 	s.Drain(time.Second)
 	client := &Client{Base: hs.URL}
-	_, err = client.Submit(testCtx(t), &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	_, err = client.Submit(testCtx(t), quickAttack(t))
 	if err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("submit to draining server: %v", err)
 	}
@@ -705,10 +795,10 @@ func TestListBodyStreamed(t *testing.T) {
 		s.order = append(s.order, js.id)
 		s.mu.Unlock()
 	}
-	add(&jobState{id: "jq", spec: &JobSpec{Type: TypeLint}, state: StateQueued})
+	add(&jobState{id: "jq", spec: &JobSpec{Type: TypeAttack}, state: StateQueued})
 	add(&jobState{id: "jr", spec: &JobSpec{Type: TypeAttack}, state: StateRunning,
 		started: t0.Add(time.Second), progress: &ProgressEvent{Iteration: 3, Queries: 3, ElapsedMS: 12}})
-	add(&jobState{id: "jd", spec: &JobSpec{Type: TypeLock}, state: StateDone,
+	add(&jobState{id: "jd", spec: &JobSpec{Type: TypeAttack}, state: StateDone,
 		started: t0.Add(time.Second), finished: t0.Add(2 * time.Second), seconds: 1.25, cached: true,
 		outcome: &jobOutcome{Result: json.RawMessage(`{"bench":"y = AND(a<b, c>d) && e","key":["k=1"]}`)}})
 	add(&jobState{id: "jf", spec: &JobSpec{Type: TypeAttack}, state: StateFailed,
@@ -720,20 +810,14 @@ func TestListBodyStreamed(t *testing.T) {
 // to (its path is a directory, so the open fails even as root), the
 // daemon logs the lost record, and the job still ends done.
 func TestManifestRecordErrorLogged(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
+	logf, logged := recordLogs(t)
 	dir := t.TempDir()
-	_, client := startServer(t, Options{StateDir: dir, Workers: 1, Logf: func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		t.Logf(format, args...)
-	}})
+	_, client := startServer(t, Options{StateDir: dir, Workers: 1, Logf: logf})
 	if err := os.MkdirAll(manifestPath(filepath.Join(dir, "ckpt")), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
-	id, err := client.Submit(ctx, &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	id, err := client.Submit(ctx, quickAttack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,14 +828,9 @@ func TestManifestRecordErrorLogged(t *testing.T) {
 	if v.State != StateDone {
 		t.Fatalf("job ended %s (%s), want done despite the lost record", v.State, v.Error)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, l := range lines {
-		if strings.Contains(l, id) && strings.Contains(l, "manifest record") {
-			return
-		}
+	if !logged(id, "manifest record") {
+		t.Fatalf("no log line names the lost manifest record of %s", id)
 	}
-	t.Fatalf("no log line names the lost manifest record of %s:\n%s", id, strings.Join(lines, "\n"))
 }
 
 // TestFinishedJobDropsSpecText: a done or cancelled job keeps only the
@@ -761,7 +840,7 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 	dir := t.TempDir()
 	s, client := startServer(t, Options{StateDir: dir, Workers: 1})
 	ctx := testCtx(t)
-	spec := &JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}}
+	spec := quickAttack(t)
 	id, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -779,7 +858,7 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		defer js.mu.Unlock()
 		return js.spec
 	}
-	want := JobSpec{Type: TypeLint}
+	want := JobSpec{Type: TypeAttack}
 	if got := kept(s, id); *got != want {
 		t.Fatalf("finished job keeps spec %+v, want %+v", got, want)
 	}
@@ -788,7 +867,7 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pj persistedJob
-	if err := json.Unmarshal(raw, &pj); err != nil || pj.Spec.Lint == nil || pj.Spec.Lint.Bench != c17Bench {
+	if err := json.Unmarshal(raw, &pj); err != nil || pj.Spec.Attack == nil || *pj.Spec.Attack != *spec.Attack {
 		t.Fatalf("spec file lost the spec: %s (%v)", raw, err)
 	}
 
@@ -801,7 +880,7 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 		t.Fatalf("recovered job keeps spec %+v, want %+v", got, want)
 	}
 	// Not started, so a submission stays queued until cancelled.
-	qid, err := restarted.Submit(&JobSpec{Type: TypeLint, Lint: &LintSpec{Bench: c17Bench}})
+	qid, err := restarted.Submit(quickAttack(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,10 +892,11 @@ func TestFinishedJobDropsSpecText(t *testing.T) {
 	}
 }
 
-// TestCacheKeyPins pins the cache keys of an attack job and a sweep
-// job, so a change to key derivation that would orphan every cached
-// job shows here. The job timeout is a scheduling field and leaves the
-// key as it is.
+// TestCacheKeyPins pins the cache keys of two attack jobs, which set
+// different options and one of which has bench text that JSON escapes,
+// so a change to key derivation that would orphan every cached job
+// shows here. The job timeout is a scheduling field and leaves the key
+// as it is.
 func TestCacheKeyPins(t *testing.T) {
 	c, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
@@ -833,8 +913,8 @@ func TestCacheKeyPins(t *testing.T) {
 	}{
 		{"attack", JobSpec{Type: TypeAttack, Attack: &target}, attackKey},
 		{"scheduled attack", JobSpec{Type: TypeAttack, TimeoutMS: 9000, Attack: &target}, attackKey},
-		{"sweep", JobSpec{Type: TypeSweep, Sweep: &SweepSpec{Targets: []AttackSpec{target, second}}},
-			"c65996dfed8ba17f3edcc6de155c8fe8c3e0b64943058addb8f945076fca0b7f"},
+		{"attack with every option", JobSpec{Type: TypeAttack, Attack: &second},
+			"1a69c04288086a62d6c334659eaa436c12a8a41e0a0131bd3e3a1fc402aff292"},
 	} {
 		k, ok := s.cacheKey(&tc.spec)
 		if !ok {

@@ -1,15 +1,15 @@
 // Package serve is the rild daemon: a long-running HTTP JSON service
-// that accepts lock / attack / lint / sweep jobs, runs them on the
-// sweep worker pool with per-job deadlines and panic isolation, and
-// persists every outcome in its job manifest, keyed by job ID (plus
-// per-attack DIP journals), so a killed daemon restarts and resumes
-// in-flight attacks without repeating a single oracle query.
+// that accepts oracle-guided SAT attack jobs, runs them on the sweep
+// worker pool with per-job deadlines and panic isolation, and persists
+// every outcome in its job manifest, keyed by job ID (plus per-job DIP
+// journals), so a killed daemon restarts and resumes in-flight attacks
+// without repeating a single oracle query.
 //
 // The package splits into:
 //
 //   - spec.go: the job submission schema and its validation
 //   - queue.go: the FIFO job queue
-//   - job.go: the per-type job runners (attack, lock, lint, sweep)
+//   - job.go: the attack runner and its result
 //   - serve.go: the Server — persistence, workers, recovery, drain
 //   - manifest.go: the job manifest, the log of finished jobs' outcomes
 //   - http.go: the HTTP surface (submit, status, SSE, metrics)
@@ -19,26 +19,19 @@ package serve
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
-
-	"repro/internal/baselines"
 )
 
-// Job types accepted by the daemon.
-const (
-	TypeAttack = "attack" // oracle-guided SAT attack (or AppSAT) on a locked bench
-	TypeLock   = "lock"   // lock a plain bench with one of the repo's schemes
-	TypeLint   = "lint"   // netlint hygiene pass over a locked bench
-	TypeSweep  = "sweep"  // a batch of attack targets run as one job
-)
+// TypeAttack is the one job type the daemon runs: an oracle-guided SAT
+// attack (or AppSAT) on a locked bench.
+const TypeAttack = "attack"
 
-// JobSpec is the submission payload (POST /jobs). Exactly one of the
-// per-type sub-specs must be set, matching Type. POST /jobs rejects a
-// field that JobSpec does not name.
+// JobSpec is the submission payload (POST /jobs): Type "attack" and its
+// Attack sub-spec. POST /jobs rejects a field that JobSpec does not
+// name.
 type JobSpec struct {
-	// Type selects the job runner: attack, lock, lint or sweep.
+	// Type selects the job runner; "attack" is the only one.
 	Type string `json:"type"`
 	// TimeoutMS bounds the whole job (queue wait excluded). Zero means
 	// the server default; negative is rejected at submission, matching
@@ -49,9 +42,6 @@ type JobSpec struct {
 	NoCache bool `json:"no_cache,omitempty"`
 
 	Attack *AttackSpec `json:"attack,omitempty"`
-	Lock   *LockSpec   `json:"lock,omitempty"`
-	Lint   *LintSpec   `json:"lint,omitempty"`
-	Sweep  *SweepSpec  `json:"sweep,omitempty"`
 }
 
 // AttackSpec is one oracle-guided attack target. The locked netlist
@@ -86,111 +76,22 @@ type AttackSpec struct {
 	Verify bool `json:"verify,omitempty"`
 }
 
-// LockSpec locks a plain bench with one of the repo's schemes; the
-// scheme names match cmd/locker.
-type LockSpec struct {
-	// Bench is the original netlist in .bench text.
-	Bench string `json:"bench"`
-	// Scheme names an entry of the lock-scheme table,
-	// baselines.SchemeNames: the names cmd/locker's -scheme takes.
-	Scheme string `json:"scheme"`
-	// Size is the RIL block geometry, e.g. "8x8" (ril only).
-	Size string `json:"size,omitempty"`
-	// Blocks is the RIL block / LUT / MESO gate count.
-	Blocks int `json:"blocks,omitempty"`
-	// KeyBits sizes the key for the baseline schemes.
-	KeyBits int `json:"key_bits,omitempty"`
-	// HD is the SFLL-HD Hamming distance.
-	HD int `json:"hd,omitempty"`
-	// Seed drives the deterministic lock randomness (0 means 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Scan adds the hidden MTJ_SE layer (ril only).
-	Scan bool `json:"scan,omitempty"`
-}
-
-// LintSpec runs the netlint hygiene analyzers over a bench.
-type LintSpec struct {
-	Bench     string `json:"bench"`
-	KeyPrefix string `json:"key_prefix,omitempty"`
-}
-
-// SweepSpec batches attack targets into one job; targets run
-// sequentially under the job's deadline, each with its own DIP
-// journal, so a restart resumes mid-sweep without re-querying.
-type SweepSpec struct {
-	Targets []AttackSpec `json:"targets"`
-}
-
 // Validate rejects malformed specs at submission time, before anything
 // is persisted or queued.
 func (s *JobSpec) Validate() error {
-	set := 0
-	for _, sub := range []bool{s.Attack != nil, s.Lock != nil, s.Lint != nil, s.Sweep != nil} {
-		if sub {
-			set++
-		}
-	}
-	if set != 1 {
-		return fmt.Errorf("serve: spec must set exactly one of attack/lock/lint/sweep, got %d", set)
-	}
-	if s.TimeoutMS < 0 {
+	switch {
+	case s.Type != TypeAttack:
+		return fmt.Errorf("serve: unknown job type %q", s.Type)
+	case s.Attack == nil:
+		return fmt.Errorf("serve: type %q without matching sub-spec", s.Type)
+	case s.TimeoutMS < 0:
 		return fmt.Errorf("serve: negative job timeout %dms", s.TimeoutMS)
-	}
-	switch s.Type {
-	case TypeAttack:
-		if s.Attack == nil {
-			return fmt.Errorf("serve: type %q without matching sub-spec", s.Type)
-		}
-		return s.Attack.validate()
-	case TypeLock:
-		if s.Lock == nil {
-			return fmt.Errorf("serve: type %q without matching sub-spec", s.Type)
-		}
-		return s.Lock.validate()
-	case TypeLint:
-		if s.Lint == nil {
-			return fmt.Errorf("serve: type %q without matching sub-spec", s.Type)
-		}
-		if strings.TrimSpace(s.Lint.Bench) == "" {
-			return fmt.Errorf("serve: lint: empty bench")
-		}
-		return nil
-	case TypeSweep:
-		if s.Sweep == nil {
-			return fmt.Errorf("serve: type %q without matching sub-spec", s.Type)
-		}
-		if len(s.Sweep.Targets) == 0 {
-			return fmt.Errorf("serve: sweep: no targets")
-		}
-		for i := range s.Sweep.Targets {
-			if err := s.Sweep.Targets[i].validate(); err != nil {
-				return fmt.Errorf("serve: sweep target %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("serve: unknown job type %q", s.Type)
-}
-
-func (a *AttackSpec) validate() error {
-	if strings.TrimSpace(a.Bench) == "" {
+	case strings.TrimSpace(s.Attack.Bench) == "":
 		return fmt.Errorf("serve: attack: empty bench")
-	}
-	if strings.TrimSpace(a.Key) == "" {
+	case strings.TrimSpace(s.Attack.Key) == "":
 		return fmt.Errorf("serve: attack: empty key")
-	}
-	if a.TimeoutMS < 0 {
-		return fmt.Errorf("serve: attack: negative timeout %dms", a.TimeoutMS)
-	}
-	return nil
-}
-
-func (l *LockSpec) validate() error {
-	if strings.TrimSpace(l.Bench) == "" {
-		return fmt.Errorf("serve: lock: empty bench")
-	}
-	if !slices.Contains(baselines.SchemeNames(), l.Scheme) {
-		return fmt.Errorf("serve: lock: unknown scheme %q", l.Scheme)
+	case s.Attack.TimeoutMS < 0:
+		return fmt.Errorf("serve: attack: negative timeout %dms", s.Attack.TimeoutMS)
 	}
 	return nil
 }
