@@ -21,7 +21,9 @@
 # portfolio gate (three-way differential, clause exchange, portfolio-attack,
 # golden-trajectory and journal-compatibility suites under -race, plus
 # a clause-exchange fuzz smoke), a fuzz
-# smoke stage (10s per parser/journal/stamp/audit/suppression target), the
+# smoke stage (10s per parser/journal/stamp/audit/suppression target,
+# and FuzzEquivalentSAT: the structurally hashed equivalence miter's
+# verdicts against two full copies), the
 # netlint gate
 # — every checked-in .bench benchmark and a freshly locked circuit
 # must pass the full analyzer set including the resilience audit,
@@ -185,11 +187,13 @@ go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode|Golden|
 echo "== portfolio gate: clause-exchange fuzz smoke =="
 go test ./internal/sat/ -run='^$' -fuzz='^FuzzClauseExchange$' -fuzztime=10s
 
-echo "== fuzz smoke (10s per parser/journal/stamp/audit target) =="
+echo "== fuzz smoke (10s per parser/journal/stamp/audit/equivalence target) =="
 for target in FuzzParseBench FuzzParseBenchLax FuzzParseVerilog; do
     go test ./internal/netlist/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
 done
-go test ./internal/attack/ -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s
+for target in FuzzJournalReplay FuzzEquivalentSAT; do
+    go test ./internal/attack/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
+done
 go test ./internal/cnf/ -run='^$' -fuzz='^FuzzStampFixed$' -fuzztime=10s
 go test ./internal/netlint/ -run='^$' -fuzz='^FuzzResilienceAnalyzers$' -fuzztime=10s
 go test ./internal/golint/ -run='^$' -fuzz='^FuzzSuppressionParse$' -fuzztime=10s

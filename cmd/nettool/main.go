@@ -8,11 +8,17 @@
 //	nettool -in locked.bench -bindkey key.txt -opt -out activated.bench
 //	nettool -in a.bench -format verilog -out a.v
 //	nettool -in a.bench -equiv b.bench [-timeout 60s]
+//
+// Exit status: 0 on success (with -equiv: EQUIVALENT), 1 when -equiv
+// prints NOT EQUIVALENT, 2 on usage, input or I/O failure, and 3 when
+// -equiv prints UNDECIDED (timeout): the proof ran out of -timeout.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,91 +28,106 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nettool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in      = flag.String("in", "", "input .bench netlist (required)")
-		out     = flag.String("out", "", "output file (default stdout; only with -out actions)")
-		format  = flag.String("format", "bench", "output format: bench|verilog")
-		stats   = flag.Bool("stats", false, "print circuit statistics")
-		doOpt   = flag.Bool("opt", false, "resynthesize (constant folding, CSE, ...)")
-		bindKey = flag.String("bindkey", "", "bind key inputs from a key file (name=bit lines)")
-		prefix  = flag.String("keyprefix", "keyinput", "key input name prefix for -bindkey")
-		equiv   = flag.String("equiv", "", "prove SAT equivalence against this .bench file")
-		timeout = flag.Duration("timeout", 60*time.Second, "equivalence-check timeout")
+		in      = fs.String("in", "", "input .bench netlist (required)")
+		out     = fs.String("out", "", "output file (default stdout; only with -out actions)")
+		format  = fs.String("format", "bench", "output format: bench|verilog")
+		stats   = fs.Bool("stats", false, "print circuit statistics")
+		doOpt   = fs.Bool("opt", false, "resynthesize (constant folding, CSE, ...)")
+		bindKey = fs.String("bindkey", "", "bind key inputs from a key file (name=bit lines)")
+		prefix  = fs.String("keyprefix", "keyinput", "key input name prefix for -bindkey")
+		equiv   = fs.String("equiv", "", "prove SAT equivalence against this .bench file")
+		timeout = fs.Duration("timeout", 60*time.Second, "equivalence-check timeout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "nettool: -in is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nettool: -in is required")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nettool:", err)
+		return 2
 	}
 	nl, err := load(*in)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	if *bindKey != "" {
 		keyPos := nl.GateIDsByPrefix(*prefix)
 		if len(keyPos) == 0 {
-			fail(fmt.Errorf("no key inputs with prefix %q", *prefix))
+			return fail(fmt.Errorf("no key inputs with prefix %q", *prefix))
 		}
 		text, err := os.ReadFile(*bindKey)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		byName, err := netlist.ParseKey(*bindKey, string(text))
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		key, err := nl.KeyFromNames(keyPos, byName)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		nl, err = nl.BindInputs(keyPos, key)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "nettool: bound %d key bits\n", len(key))
+		fmt.Fprintf(stderr, "nettool: bound %d key bits\n", len(key))
 	}
 
 	if *doOpt {
 		st, err := opt.Optimize(nl)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintln(os.Stderr, "nettool:", st)
+		fmt.Fprintln(stderr, "nettool:", st)
 	}
 
 	if *stats {
 		s, err := nl.ComputeStats()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(s)
+		fmt.Fprintln(stdout, s)
 	}
 
 	if *equiv != "" {
 		other, err := load(*equiv)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		eq, cex, err := attack.EquivalentSAT(nl, other, *timeout)
-		if err != nil {
-			fail(err)
+		switch {
+		case errors.Is(err, attack.ErrEquivalenceTimeout):
+			fmt.Fprintln(stdout, "UNDECIDED (timeout)")
+			return 3
+		case err != nil:
+			return fail(err)
+		case eq:
+			fmt.Fprintln(stdout, "EQUIVALENT")
+			return 0
 		}
-		if eq {
-			fmt.Println("EQUIVALENT")
-			return
-		}
-		fmt.Printf("NOT EQUIVALENT (counterexample inputs: %v)\n", cex)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "NOT EQUIVALENT (counterexample inputs: %v)\n", cex)
+		return 1
 	}
 
-	if *out != "" || (!*stats && *equiv == "") {
-		w := os.Stdout
+	if *out != "" || !*stats {
+		w := stdout
 		var f *os.File
 		if *out != "" {
 			f, err = os.Create(*out)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			w = f
 		}
@@ -118,13 +139,16 @@ func main() {
 		default:
 			err = fmt.Errorf("unknown format %q", *format)
 		}
-		if err == nil && f != nil {
-			err = f.Close()
+		if f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 func load(path string) (*netlist.Netlist, error) {
@@ -134,9 +158,4 @@ func load(path string) (*netlist.Netlist, error) {
 	}
 	defer f.Close()
 	return netlist.ParseBench(path, f)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "nettool:", err)
-	os.Exit(1)
 }

@@ -232,7 +232,12 @@ func TestGoldenEquivalentSAT(t *testing.T) {
 		want string
 	}{
 		{"equal", orig, unlocked, "eq=true cex="},
-		{"unequal", a, b, "eq=false cex=011100001101"},
+		// An inverted output is complementary in the hashed miter: the
+		// all-zero input, with no Solve call. Two full copies gave
+		// 011100001101.
+		{"unequal", a, b, "eq=false cex=000000000000"},
+		// A flipped gate leaves a miter to solve.
+		{"unequal-solved", a, flipGate(a, 1), "eq=false cex=011111111110"},
 	}
 	for _, tc := range cases {
 		eq, cex, err := EquivalentSAT(tc.a, tc.b, goldenBudget)

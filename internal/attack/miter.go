@@ -46,7 +46,16 @@ func newMiter(locked *netlist.Netlist, keyPos []int, opt SATOptions, base func(e
 	if err != nil {
 		return nil, err
 	}
-	enc, c1, c2, err := encodeCopies(locked, locked, keyPos)
+	enc := cnf.NewEncoder()
+	c1, err := enc.Encode(locked, nil)
+	if err != nil {
+		return nil, err
+	}
+	shared := make(map[int]cnf.Var, len(funcPos))
+	for _, p := range funcPos {
+		shared[p] = c1.Inputs[p]
+	}
+	c2, err := enc.Encode(locked, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -162,29 +171,6 @@ func (m *miter) interrupted() error {
 		return nil
 	}
 	return fmt.Errorf("%w: %w", ErrInterrupted, context.Cause(m.ctx))
-}
-
-// encodeCopies encodes a and b into one formula, b reusing a's input
-// variables at every position except the private ones. a and b must
-// have the same number of inputs.
-func encodeCopies(a, b *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(a, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	shared := make(map[int]cnf.Var, len(c1.Inputs))
-	for p, v := range c1.Inputs {
-		shared[p] = v
-	}
-	for _, p := range private {
-		delete(shared, p)
-	}
-	c2, err := enc.Encode(b, shared)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return enc, c1, c2, nil
 }
 
 // encodeDiffs adds one XOR per output and returns its literals, each

@@ -1,44 +1,88 @@
 package attack
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/netlist"
 	"repro/internal/sat"
 )
 
+// EquivalenceVersion identifies EquivalentSAT's miter, as
+// SensitizeVersion does Sensitize's search: 0 solved two full copies of
+// the netlists, 1 solves what is left of the structurally hashed miter
+// (cnf.Hasher). Verdicts are semantic, but a proof that ran out of
+// budget under one version can finish under the other, and a
+// counterexample's bits belong to one version. The keys of cached cells
+// whose verdict EquivalentSAT gives carry it.
+const EquivalenceVersion = 1
+
+// ErrEquivalenceTimeout reports an EquivalentSAT call whose budget ran
+// out before the proof did: the pair is undecided.
+var ErrEquivalenceTimeout = errors.New("attack: equivalence check timed out")
+
 // EquivalentSAT proves or refutes functional equivalence of two
-// netlists with identical I/O signatures by solving the miter. It
-// returns (true, nil) on proved equivalence, (false, cex) on a
-// counterexample, and an error if the solver times out.
+// netlists with identical I/O signatures, inputs and outputs matched
+// by position. It returns (true, nil) on proved equivalence, (false,
+// cex) on a counterexample, and ErrEquivalenceTimeout if the solver
+// runs out of budget.
+//
+// Both netlists are encoded into one structurally hashed formula over
+// one input vector (cnf.Hasher), so logic they share becomes one node.
+// An output whose two literals coincide is equal everywhere and drops
+// out of the miter; one whose literals are complementary differs
+// everywhere, so the all-zero input is a counterexample. Only the
+// remaining outputs' difference clause goes to the solver, and a pair
+// with none left is proved equivalent without a Solve call.
 func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, error) {
 	if len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
 		return false, nil, fmt.Errorf("attack: signature mismatch")
 	}
-	enc, ga, gb, err := encodeCopies(a, b, nil)
+	h := cnf.NewHasher()
+	in := make([]cnf.Lit, len(a.Inputs))
+	for i := range in {
+		in[i] = cnf.MkLit(h.F.NewVar(), false)
+	}
+	outA, err := h.Encode(a, in)
 	if err != nil {
 		return false, nil, err
 	}
-	enc.F.AddClause(encodeDiffs(enc, ga, gb)...)
-	// A miter unsatisfiable at construction leaves the solver answering
-	// Unsat: proved equivalent.
+	outB, err := h.Encode(b, in)
+	if err != nil {
+		return false, nil, err
+	}
+	var diffs []cnf.Lit
+	for i := range outA {
+		switch d := h.Xor(outA[i], outB[i]); d {
+		case cnf.LitFalse: // the same node: equal on every input
+		case cnf.LitTrue: // complementary: every input tells them apart
+			return false, make([]bool, len(in)), nil
+		default:
+			diffs = append(diffs, d)
+		}
+	}
+	if len(diffs) == 0 {
+		return true, nil, nil
+	}
+	h.F.AddClause(diffs...)
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	solver := loadSolver(enc.F, deadline)
+	solver := loadSolver(h.F, deadline)
 	switch solver.Solve() {
 	case sat.Unsat:
 		return true, nil, nil
 	case sat.Sat:
-		cex := make([]bool, len(a.Inputs))
-		for i, v := range ga.Inputs {
-			cex[i] = solver.Model()[v]
+		cex := make([]bool, len(in))
+		for i, l := range in {
+			cex[i] = solver.ModelValue(l)
 		}
 		return false, cex, nil
 	}
-	return false, nil, fmt.Errorf("attack: equivalence check timed out")
+	return false, nil, ErrEquivalenceTimeout
 }
 
 // StructuralRemoval models the removal attack the point-function

@@ -318,8 +318,9 @@ func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formul
 // second over the first (cnf.Encoder.EncodeOver): they share every
 // input but the private ones and every gate outside those inputs'
 // fanout cone. Both of Sensitize's miters are equisatisfiable with
-// their two-full-copy encodings (encodeCopies), and an output outside
-// the cone gets an XOR that no model sets.
+// their two-full-copy encodings (two Encode calls sharing every input
+// but the private ones), and an output outside the cone gets an XOR
+// that no model sets.
 func encodeShared(locked *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
 	enc := cnf.NewEncoder()
 	c1, err := enc.Encode(locked, nil)

@@ -1,6 +1,7 @@
-// Package cnf provides conjunctive-normal-form formulas, DIMACS I/O,
-// and Tseitin encoding of gate-level netlists. It is the bridge between
-// the netlist world and the CDCL solver in internal/sat.
+// Package cnf provides conjunctive-normal-form formulas, a DIMACS
+// reader, and Tseitin encoding of gate-level netlists, plain or
+// structurally hashed. It is the bridge between the netlist world and
+// the CDCL solver in internal/sat.
 package cnf
 
 import (
@@ -104,19 +105,6 @@ func (f *Formula) Eval(assign []bool) bool {
 		}
 	}
 	return true
-}
-
-// WriteDimacs emits the formula in DIMACS cnf format.
-func (f *Formula) WriteDimacs(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			fmt.Fprintf(bw, "%d ", l.Dimacs())
-		}
-		fmt.Fprintln(bw, 0)
-	}
-	return bw.Flush()
 }
 
 // ParseDimacs reads a DIMACS cnf file.

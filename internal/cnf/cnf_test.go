@@ -1,13 +1,29 @@
 package cnf
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/netlist"
 )
+
+// WriteDimacs emits the formula in DIMACS cnf format.
+func (f *Formula) WriteDimacs(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses))
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			fmt.Fprintf(bw, "%d ", l.Dimacs())
+		}
+		fmt.Fprintln(bw, 0)
+	}
+	return bw.Flush()
+}
 
 func TestLitEncoding(t *testing.T) {
 	v := Var(5)

@@ -92,13 +92,6 @@ func CompileTemplate(n *netlist.Netlist) (*Template, error) {
 	return t, nil
 }
 
-// NumVars returns the number of template slots (fresh variables one
-// unshared stamp allocates).
-func (t *Template) NumVars() int { return t.f.NumVars }
-
-// NumClauses returns the clause count of one stamped copy.
-func (t *Template) NumClauses() int { return t.f.NumClauses() }
-
 // clauses returns the compiled clauses that define slot s.
 func (t *Template) clauses(s int) [][]Lit { return t.f.Clauses[t.first[s]:t.first[s+1]] }
 

@@ -51,6 +51,13 @@ func allTypesNetlist(rng *rand.Rand, inputs, gates int) *netlist.Netlist {
 	return n
 }
 
+// NumVars returns the number of template slots (fresh variables one
+// unshared stamp allocates).
+func (t *Template) NumVars() int { return t.f.NumVars }
+
+// NumClauses returns the clause count of one stamped copy.
+func (t *Template) NumClauses() int { return t.f.NumClauses() }
+
 // TestStampMatchesEncoder pins that a Stamp with nothing fixed is the
 // encoder's stream: a second copy stamped after a first encoded one,
 // sharing some inputs as the miter's key copies do, gets the variable

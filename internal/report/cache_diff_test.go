@@ -182,12 +182,21 @@ func walkFiles(root string, fn func(path string)) error {
 }
 
 // TestCellKeyPins pins the full cache key of one Table I cell (one
-// 2×2 block on c7552@0.1), one Table III AppSAT cell (b15@0.1) and the
-// sensitization table's two cells, as the tables derive them: every
-// key that moves orphans a cache filled before the change. The tables
-// run once into an empty cache and the pinned keys must name entry
-// files. The sensitization keys carry attack.SensitizeVersion; under
-// version 0 they were 30961362…bc2d (XOR) and b9479f11…a8fd (RIL).
+// 2×2 block on c7552@0.1), one Table III AppSAT cell (b15@0.1), the
+// sensitization table's two cells and three Table V cells of the XOR
+// column, as the tables derive them: every key that moves orphans a
+// cache filled before the change. The tables run once into an empty
+// cache and the pinned keys must name entry files. The sensitization
+// keys carry attack.SensitizeVersion; under version 0 they were
+// 30961362…bc2d (XOR) and b9479f11…a8fd (RIL). Table V's AppSAT and
+// removal keys carry attack.EquivalenceVersion; under version 0 they
+// were bc6fd05d…064a and fe868022…f8bb. Its SAT-row key carries no
+// verifier version and keeps its value.
+//
+// The 1 ms budget also pins a Table V mark that the hashed verifier
+// moved: the XOR lock's stripped circuit hashes onto the activated
+// lock, so removal breaks XOR with no Solve call. Two full copies
+// ran out of that budget and read Y.
 func TestCellKeyPins(t *testing.T) {
 	dir := t.TempDir()
 	c, err := cache.Open(dir, cache.Options{})
@@ -204,18 +213,28 @@ func TestCellKeyPins(t *testing.T) {
 	if _, err := Sensitization(cfg); err != nil {
 		t.Fatal(err)
 	}
+	tb5, err := Table5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb5.Rows[3][5]; tb5.Rows[3][0] != "Removal attack" || tb5.Header[5] != "XOR" || got != "x" {
+		t.Errorf("XOR removal mark %q at a 1 ms budget, want x:\n%s", got, tb5)
+	}
 	stored := map[string]bool{}
 	if err := walkFiles(dir+"/entries", func(path string) { stored[filepath.Base(path)] = true }); err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) != 3+40+2 {
-		t.Errorf("%d entries, want one per cell (45)", len(stored))
+	if len(stored) != 3+40+2+20 {
+		t.Errorf("%d entries, want one per cell (65)", len(stored))
 	}
 	for cell, key := range map[string]string{
 		"Table I c7552 1×2x2":    "7c35e84cadd78d88535a5c23fb7e10fabc9c4d276848ef847dc3a617c6f004ef",
 		"Table III b15 AppSAT":   "087096105df782ce0e39cd35e933743c9ef4b36f0366fc43aef49564d9d3724f",
 		"Sensitization XOR lock": "eaf7bb8785c0a9015d48aa8c2373885fb115c6940e011d71cc0605c8fab432df",
 		"Sensitization RIL 8x8":  "65a2286cae2c291f19143a486aa9f1a9bfb78459714e6217539ca21c70742d2e",
+		"Table V XOR SAT":        "9d3ec63bf1f81976588c4b5cb65c4638a2c0487cabd5c33ddedcff4f6b147715",
+		"Table V XOR AppSAT":     "50a5523626c94ed3f7bae56f88ff3a983891c07e25cb16b5c66343439991ed75",
+		"Table V XOR removal":    "992e13d6d79be0d640b2f9786d291362b0ab1cccb05014a85439a6bdd42e2e40",
 	} {
 		if !stored[key] {
 			t.Errorf("%s: no entry under pinned key %s", cell, key)

@@ -130,10 +130,13 @@ func (c *matrixColumn) equivalent(nl *netlist.Netlist, timeout time.Duration) (b
 var matrixRows = []struct {
 	label, attack string
 	rounds        int // AppSAT's outer-loop bound, part of its cells' keys
-	scanOnly      bool
-	resists       func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error)
+	// equiv is attack.EquivalenceVersion where EquivalentSAT gives the
+	// verdict (matrixColumn.equivalent), part of the cells' keys.
+	equiv    int
+	scanOnly bool
+	resists  func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error)
 }{
-	{"SAT attack", "sat", 0, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+	{"SAT attack", "sat", 0, 0, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
 		res, err := cfg.satAttack(ctx, c.lock.Netlist, c.lock.KeyPos, c.lock.Key)
 		if err != nil {
 			return false, err
@@ -143,7 +146,7 @@ var matrixRows = []struct {
 		threshold := 1 << min(c.lock.KeyBits()/2, 20)
 		return res.Status != attack.KeyFound || res.Iterations >= threshold, nil
 	}},
-	{"AppSAT", "appsat", appSATRounds, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+	{"AppSAT", "appsat", appSATRounds, attack.EquivalenceVersion, false, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
 		// The proposed scheme answers through its scan chain.
 		view := c.lock.Netlist
 		if c.scan != nil {
@@ -168,11 +171,11 @@ var matrixRows = []struct {
 		return !broken, err
 	}},
 	// Power side channel: CPA on the scheme's key-storage cell.
-	{"Power side channel", "power", 0, false, nil},
+	{"Power side channel", "power", 0, 0, false, nil},
 	// Removal: the structural bypass strips key-dependent flip logic;
 	// the scheme is broken when the stripped circuit is provably
 	// equivalent to the activated oracle.
-	{"Removal attack", "removal", 0, false, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+	{"Removal attack", "removal", 0, attack.EquivalenceVersion, false, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
 		stripped, err := attack.StructuralRemoval(c.lock.Netlist, c.lock.KeyPos, cfg.Seed)
 		if err != nil {
 			return false, err
@@ -180,7 +183,7 @@ var matrixRows = []struct {
 		broken, err := c.equivalent(stripped, cfg.Timeout)
 		return !broken, err
 	}},
-	{"ScanSAT", "scansat", 0, true, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+	{"ScanSAT", "scansat", 0, 0, true, func(ctx context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
 		scanOracle, err := activate(c.scan, c.lock.KeyPos, c.lock.Key)
 		if err != nil {
 			return false, err
@@ -202,7 +205,7 @@ var matrixRows = []struct {
 	// Shift and scan: the proposed scheme keeps key registers on a
 	// separate secure-cell chain with a gated scan-out (§IV-C); the
 	// attack model measures how many key bits leak beyond guessing.
-	{"Shift and scan", "shift-scan", 0, true, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
+	{"Shift and scan", "shift-scan", 0, 0, true, func(_ context.Context, cfg AttackConfig, c *matrixColumn) (bool, error) {
 		learned, err := core.ShiftAndScanAttack(c.ril, cfg.Seed)
 		return learned == 0, err
 	}},
@@ -260,7 +263,7 @@ func Table5(cfg AttackConfig) (*Table, error) {
 			default:
 				at = append(at, [2]int{ri, 1 + ci})
 				jobs = append(jobs, tc.cell("table5/"+r.attack+"/"+c.scheme, "attack-mark-cell", sum,
-					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "scheme": c.scheme, "lock": c.spec},
+					map[string]any{"attack": r.attack, "maxrounds": r.rounds, "equiv": r.equiv, "scheme": c.scheme, "lock": c.spec},
 					func(ctx context.Context) (any, error) {
 						resilient, err := r.resists(ctx, cfg, c)
 						return mark(resilient), err
