@@ -22,8 +22,10 @@
 # golden-trajectory and journal-compatibility suites under -race, plus
 # a clause-exchange fuzz smoke), a fuzz
 # smoke stage (10s per parser/journal/stamp/audit/suppression target,
-# and FuzzEquivalentSAT: the structurally hashed equivalence miter's
-# verdicts against two full copies), the
+# FuzzEquivalentSAT: the structurally hashed equivalence miter's
+# verdicts against two full copies, and FuzzCofactorProof: every
+# cofactor equality the optimizer's constant folding proves, the
+# audit's structural hasher must prove too), the
 # netlint gate
 # — every checked-in .bench benchmark and a freshly locked circuit
 # must pass the full analyzer set including the resilience audit,
@@ -187,7 +189,7 @@ go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode|Golden|
 echo "== portfolio gate: clause-exchange fuzz smoke =="
 go test ./internal/sat/ -run='^$' -fuzz='^FuzzClauseExchange$' -fuzztime=10s
 
-echo "== fuzz smoke (10s per parser/journal/stamp/audit/equivalence target) =="
+echo "== fuzz smoke (10s per parser/journal/stamp/audit/equivalence/cofactor-proof target) =="
 for target in FuzzParseBench FuzzParseBenchLax FuzzParseVerilog; do
     go test ./internal/netlist/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
 done
@@ -195,7 +197,9 @@ for target in FuzzJournalReplay FuzzEquivalentSAT; do
     go test ./internal/attack/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
 done
 go test ./internal/cnf/ -run='^$' -fuzz='^FuzzStampFixed$' -fuzztime=10s
-go test ./internal/netlint/ -run='^$' -fuzz='^FuzzResilienceAnalyzers$' -fuzztime=10s
+for target in FuzzResilienceAnalyzers FuzzCofactorProof; do
+    go test ./internal/netlint/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s
+done
 go test ./internal/golint/ -run='^$' -fuzz='^FuzzSuppressionParse$' -fuzztime=10s
 for target in FuzzCacheKeyCanonical FuzzCanonicalJSONReference FuzzCacheEntryDecode; do
     go test ./internal/cache/ -run='^$' -fuzz="^${target}\$" -fuzztime=10s

@@ -8,6 +8,10 @@
 //	nettool -in locked.bench -bindkey key.txt -opt -out activated.bench
 //	nettool -in a.bench -format verilog -out a.v
 //	nettool -in a.bench -equiv b.bench [-timeout 60s]
+//	nettool -in locked.bench -bindkey key.txt -opt -out activated.bench -equiv orig.bench
+//
+// -out (and -stats) are written before -equiv's proof, whose verdict
+// alone goes to stdout when there is no -out.
 //
 // Exit status: 0 on success (with -equiv: EQUIVALENT), 1 when -equiv
 // prints NOT EQUIVALENT, 2 on usage, input or I/O failure, and 3 when
@@ -36,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		in      = fs.String("in", "", "input .bench netlist (required)")
-		out     = fs.String("out", "", "output file (default stdout; only with -out actions)")
+		out     = fs.String("out", "", "write the netlist to this file (default stdout, unless -stats or -equiv is given)")
 		format  = fs.String("format", "bench", "output format: bench|verilog")
 		stats   = fs.Bool("stats", false, "print circuit statistics")
 		doOpt   = fs.Bool("opt", false, "resynthesize (constant folding, CSE, ...)")
@@ -101,27 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, s)
 	}
 
-	if *equiv != "" {
-		other, err := load(*equiv)
-		if err != nil {
-			return fail(err)
-		}
-		eq, cex, err := attack.EquivalentSAT(nl, other, *timeout)
-		switch {
-		case errors.Is(err, attack.ErrEquivalenceTimeout):
-			fmt.Fprintln(stdout, "UNDECIDED (timeout)")
-			return 3
-		case err != nil:
-			return fail(err)
-		case eq:
-			fmt.Fprintln(stdout, "EQUIVALENT")
-			return 0
-		}
-		fmt.Fprintf(stdout, "NOT EQUIVALENT (counterexample inputs: %v)\n", cex)
-		return 1
-	}
-
-	if *out != "" || !*stats {
+	// With -stats or -equiv, the netlist goes only to an -out file, so
+	// stdout holds just their reports.
+	if *out != "" || !*stats && *equiv == "" {
 		w := stdout
 		var f *os.File
 		if *out != "" {
@@ -147,6 +133,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
+	}
+
+	if *equiv != "" {
+		other, err := load(*equiv)
+		if err != nil {
+			return fail(err)
+		}
+		eq, cex, err := attack.EquivalentSAT(nl, other, *timeout)
+		switch {
+		case errors.Is(err, attack.ErrEquivalenceTimeout):
+			fmt.Fprintln(stdout, "UNDECIDED (timeout)")
+			return 3
+		case err != nil:
+			return fail(err)
+		case eq:
+			fmt.Fprintln(stdout, "EQUIVALENT")
+			return 0
+		}
+		fmt.Fprintf(stdout, "NOT EQUIVALENT (counterexample inputs: %v)\n", cex)
+		return 1
 	}
 	return 0
 }

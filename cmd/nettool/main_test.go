@@ -148,3 +148,32 @@ func TestBindKeyC17(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q, want 0, EQUIVALENT\nstderr:\n%s", code, stdout, stderr)
 	}
 }
+
+// TestEquivWritesOut checks that -out is written before -equiv's
+// proof, whatever the verdict, while the exit status stays the
+// verdict's and stdout holds only the verdict.
+func TestEquivWritesOut(t *testing.T) {
+	a := writeBench(t, "factored.bench", factored)
+	for _, tc := range []struct {
+		name, other string
+		code        int
+		verdict     string
+	}{
+		{"equal", distributed, 0, "EQUIVALENT\n"},
+		{"unequal", unequal, 1, "NOT EQUIVALENT"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out.bench")
+			code, stdout, stderr := runCLI(t, "-in", a, "-opt", "-out", out, "-equiv", writeBench(t, "other.bench", tc.other))
+			if code != tc.code || !strings.HasPrefix(stdout, tc.verdict) || strings.Count(stdout, "\n") != 1 {
+				t.Fatalf("exit %d, stdout %q, want %d and only the verdict %q\nstderr:\n%s", code, stdout, tc.code, tc.verdict, stderr)
+			}
+			if _, err := load(out); err != nil {
+				t.Fatalf("-out with -equiv: %v", err)
+			}
+			if code, stdout, _ := runCLI(t, "-in", out, "-equiv", a); code != 0 {
+				t.Fatalf("the written netlist is not the input's function: %s", stdout)
+			}
+		})
+	}
+}

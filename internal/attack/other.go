@@ -41,32 +41,19 @@ func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, 
 		return false, nil, fmt.Errorf("attack: signature mismatch")
 	}
 	h := cnf.NewHasher()
-	in := make([]cnf.Lit, len(a.Inputs))
-	for i := range in {
-		in[i] = cnf.MkLit(h.F.NewVar(), false)
-	}
-	outA, err := h.Encode(a, in)
+	in := h.Inputs(len(a.Inputs))
+	diffs, err := hashedDiffs(h, a, in, b, in)
 	if err != nil {
 		return false, nil, err
 	}
-	outB, err := h.Encode(b, in)
-	if err != nil {
-		return false, nil, err
-	}
-	var diffs []cnf.Lit
-	for i := range outA {
-		switch d := h.Xor(outA[i], outB[i]); d {
-		case cnf.LitFalse: // the same node: equal on every input
-		case cnf.LitTrue: // complementary: every input tells them apart
-			return false, make([]bool, len(in)), nil
-		default:
-			diffs = append(diffs, d)
-		}
-	}
-	if len(diffs) == 0 {
+	some, always := someDiffers(diffs)
+	switch {
+	case always: // complementary outputs: every input tells them apart
+		return false, make([]bool, len(in)), nil
+	case len(some) == 0: // every output pair is one node
 		return true, nil, nil
 	}
-	h.F.AddClause(diffs...)
+	h.F.AddClause(some...)
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -83,6 +70,43 @@ func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, 
 		return false, cex, nil
 	}
 	return false, nil, ErrEquivalenceTimeout
+}
+
+// hashedDiffs encodes a over inA and b over inB into h and returns
+// each output pair's difference literal: LitFalse where both outputs
+// hash to one node, LitTrue where they are complementary. EquivalentSAT
+// and both of Sensitize's miters take their differences from it.
+func hashedDiffs(h *cnf.Hasher, a *netlist.Netlist, inA []cnf.Lit, b *netlist.Netlist, inB []cnf.Lit) ([]cnf.Lit, error) {
+	outA, err := h.Encode(a, inA)
+	if err != nil {
+		return nil, err
+	}
+	outB, err := h.Encode(b, inB)
+	if err != nil {
+		return nil, err
+	}
+	diffs := make([]cnf.Lit, len(outA))
+	for i := range diffs {
+		diffs[i] = h.Xor(outA[i], outB[i])
+	}
+	return diffs, nil
+}
+
+// someDiffers folds the constants out of the clause "some output
+// differs" over diffs: a LitFalse difference never holds and leaves
+// the clause, and a LitTrue one holds on every input, so always
+// reports the clause true outright. No constant reaches clause.
+func someDiffers(diffs []cnf.Lit) (clause []cnf.Lit, always bool) {
+	for _, d := range diffs {
+		switch d {
+		case cnf.LitFalse:
+		case cnf.LitTrue:
+			always = true
+		default:
+			clause = append(clause, d)
+		}
+	}
+	return clause, always
 }
 
 // StructuralRemoval models the removal attack the point-function

@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +38,14 @@ func (r *SensitizeResult) String() string {
 
 // SensitizeVersion identifies Sensitize's search, as SearchVersion
 // does the DIP loop's: 0 encoded each miter as two full copies of the
-// netlist, 1 encodes the second copy over the first
-// (cnf.Encoder.EncodeOver). The checkers' answers are fixed by
+// netlist, 1 encoded the second copy over the first, sharing every gate
+// outside the private inputs' fanout cone, and 2 encodes both copies
+// into one structural hasher (cnf.Hasher), key bit i bound to
+// constants in its bit miter. The checkers' answers are fixed by
 // semantics, but the candidate solver's search, and with it which bits
 // resolve within the per-bit budget, belongs to one version. The keys
 // of cached sensitization cells carry it.
-const SensitizeVersion = 1
+const SensitizeVersion = 2
 
 // Sensitize runs the key-sensitization attack. For each key bit i it
 // solves the 2QBF-style query  ∃X ∀K_rest: C(X, ki=0) ≠ C(X, ki=1)
@@ -206,16 +209,19 @@ func searchBits(locked *netlist.Netlist, keyPos, funcPos []int, budget int, dead
 // the bit's universality check, loaded lazily from the candidate's own
 // encoding, and the worker's value-constancy check vc.
 func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget int, deadline time.Time, vc *constancyCheck) ([]bool, int, bool, error) {
-	f, c1, diffs, err := encodeBitMiter(locked, keyPos, bit)
+	f, in, diffs, err := encodeBitMiter(locked, keyPos, bit)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	// Candidate solver: the two copies plus "some output differs".
+	// Candidate solver: the miter plus "some output differs", unless a
+	// LitTrue difference makes that true outright. A bit whose every
+	// difference is LitFalse flips no output.
 	cand := loadSolver(f, deadline)
-	if !cand.AddClause(diffs...) {
+	some, always := someDiffers(diffs)
+	if !always && (len(some) == 0 || !cand.AddClause(some...)) {
 		return nil, 0, false, nil
 	}
-	// Universality check: the same two copies without the disjunction,
+	// Universality check: the same miter without the disjunction,
 	// queried as "the outputs agree at o under X".
 	var agree *sat.Solver
 
@@ -226,28 +232,29 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 		}
 		pattern := make([]bool, len(funcPos))
 		for i, p := range funcPos {
-			pattern[i] = cand.ModelValue(cnf.MkLit(c1.Inputs[p], false))
-			assumps[i] = cnf.MkLit(c1.Inputs[p], !pattern[i])
+			pattern[i] = cand.ModelValue(in[p])
+			assumps[i] = cnf.MkLit(in[p].Var(), !pattern[i])
 		}
-		outIdx := -1
-		for i, d := range diffs {
-			if cand.ModelValue(d) {
-				outIdx = i
-				break
-			}
-		}
+		outIdx := slices.IndexFunc(diffs, func(d cnf.Lit) bool {
+			return d == cnf.LitTrue || d != cnf.LitFalse && cand.ModelValue(d)
+		})
 		if outIdx < 0 {
 			return nil, 0, false, nil
 		}
 		// Verify universality in two parts. First: no assignment of the
 		// remaining key bits makes the outputs agree (the bit always
-		// propagates). Second: the ki=0 output value is the SAME for
-		// every K_rest — without value-constancy the oracle observation
-		// cannot be decoded (the bit would leak XOR some other bits).
-		if agree == nil {
-			agree = loadSolver(f, deadline)
+		// propagates), which a LitTrue difference proves outright.
+		// Second: the ki=0 output value is the SAME for every K_rest —
+		// without value-constancy the oracle observation cannot be
+		// decoded (the bit would leak XOR some other bits).
+		universal := diffs[outIdx] == cnf.LitTrue
+		if !universal {
+			if agree == nil {
+				agree = loadSolver(f, deadline)
+			}
+			universal = unsatUnder(agree, append(assumps, diffs[outIdx].Not())...)
 		}
-		if unsatUnder(agree, append(assumps, diffs[outIdx].Not())...) && vc.constant(bit, pattern, outIdx) {
+		if universal && vc.constant(bit, pattern, outIdx) {
 			return pattern, outIdx, true, nil // golden
 		}
 		// Block this (pattern, outIdx) pair: require a different input
@@ -265,73 +272,70 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 
 // constancyCheck decides whether C(X, ki=0, K_rest) at an output takes
 // the same value for every assignment of the remaining key bits. It
-// holds two copies of the locked netlist sharing X only, the second
-// encoded over the first, so they share every gate outside the key
-// inputs' fanout cones; one XOR per output; encoded once per worker.
-// Each query pins X, ki=0 in both copies and "output o differs" as
-// assumptions.
+// holds two hashed encodings of the locked netlist that share X and
+// not the key inputs, so every gate outside the key inputs' fanout
+// cones is one node, and their output differences; encoded once per
+// worker. Each query pins X, ki=0 in both copies and "output o
+// differs" as assumptions.
 type constancyCheck struct {
 	s               *sat.Solver
-	c1, c2          *cnf.GateVars
+	in1, in2        []cnf.Lit // each copy's input literals
 	diffs           []cnf.Lit
 	keyPos, funcPos []int
 }
 
 func newConstancyCheck(locked *netlist.Netlist, keyPos, funcPos []int, deadline time.Time) (*constancyCheck, error) {
-	enc, c1, c2, err := encodeShared(locked, keyPos)
+	h := cnf.NewHasher()
+	in1 := h.Inputs(len(locked.Inputs))
+	in2 := slices.Clone(in1)
+	for i, l := range h.Inputs(len(keyPos)) {
+		in2[keyPos[i]] = l
+	}
+	diffs, err := hashedDiffs(h, locked, in1, locked, in2)
 	if err != nil {
 		return nil, err
 	}
-	diffs := encodeDiffs(enc, c1, c2)
-	return &constancyCheck{s: loadSolver(enc.F, deadline), c1: c1, c2: c2, diffs: diffs, keyPos: keyPos, funcPos: funcPos}, nil
+	return &constancyCheck{s: loadSolver(h.F, deadline), in1: in1, in2: in2, diffs: diffs, keyPos: keyPos, funcPos: funcPos}, nil
 }
 
 // constant reports whether output outIdx is constant over K_rest at
-// (pattern, ki=0): true iff the differing query is Unsat.
+// (pattern, ki=0): true iff the differing query is Unsat. A difference
+// that hashes to LitFalse reads no key input, so the output is
+// constant with no query; one that hashes to LitTrue never is.
 func (vc *constancyCheck) constant(bit int, pattern []bool, outIdx int) bool {
+	switch d := vc.diffs[outIdx]; d {
+	case cnf.LitFalse:
+		return true
+	case cnf.LitTrue:
+		return false
+	}
 	assumps := make([]cnf.Lit, 0, len(pattern)+3)
 	for i, p := range vc.funcPos {
-		assumps = append(assumps, cnf.MkLit(vc.c1.Inputs[p], !pattern[i]))
+		assumps = append(assumps, cnf.MkLit(vc.in1[p].Var(), !pattern[i]))
 	}
 	assumps = append(assumps,
-		cnf.MkLit(vc.c1.Inputs[vc.keyPos[bit]], true), // ki = 0 in both copies
-		cnf.MkLit(vc.c2.Inputs[vc.keyPos[bit]], true),
+		vc.in1[vc.keyPos[bit]].Not(), // ki = 0 in both copies
+		vc.in2[vc.keyPos[bit]].Not(),
 		vc.diffs[outIdx]) // outputs differ
 	return unsatUnder(vc.s, assumps...)
 }
 
 // encodeBitMiter encodes the universality miter of key bit `bit`: two
-// copies sharing X and K_rest, and with them every gate outside ki's
-// fanout cone, ki=0 in copy 1 and ki=1 in copy 2, one XOR per output.
-// It returns the formula, copy 1's variables and the XOR literals.
-func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formula, *cnf.GateVars, []cnf.Lit, error) {
-	enc, c1, c2, err := encodeShared(locked, keyPos[bit:bit+1])
+// hashed encodings of locked that share X and K_rest, ki bound to
+// LitFalse in copy 1 and LitTrue in copy 2, so every gate outside ki's
+// fanout cone is one node and ki's cone folds. It returns the formula,
+// the shared input literals (ki's is unused) and each output's
+// difference literal.
+func encodeBitMiter(locked *netlist.Netlist, keyPos []int, bit int) (*cnf.Formula, []cnf.Lit, []cnf.Lit, error) {
+	h := cnf.NewHasher()
+	in := h.Inputs(len(locked.Inputs))
+	in0, in1 := slices.Clone(in), slices.Clone(in)
+	in0[keyPos[bit]], in1[keyPos[bit]] = cnf.LitFalse, cnf.LitTrue
+	diffs, err := hashedDiffs(h, locked, in0, locked, in1)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
-	return enc.F, c1, encodeDiffs(enc, c1, c2), nil
-}
-
-// encodeShared encodes two copies of locked into one formula, the
-// second over the first (cnf.Encoder.EncodeOver): they share every
-// input but the private ones and every gate outside those inputs'
-// fanout cone. Both of Sensitize's miters are equisatisfiable with
-// their two-full-copy encodings (two Encode calls sharing every input
-// but the private ones), and an output outside the cone gets an XOR
-// that no model sets.
-func encodeShared(locked *netlist.Netlist, private []int) (*cnf.Encoder, *cnf.GateVars, *cnf.GateVars, error) {
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c2, err := enc.EncodeOver(locked, c1, private)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return enc, c1, c2, nil
+	return h.F, in, diffs, nil
 }
 
 // loadSolver loads f into a fresh solver bounded by deadline. A

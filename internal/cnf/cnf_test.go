@@ -206,9 +206,9 @@ func TestTseitinFunctional(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.AssertLit(MkLit(gv.Inputs[0], !av))
-			e.AssertLit(MkLit(gv.Inputs[1], !bv))
-			e.AssertLit(MkLit(gv.Outputs[0], !claim))
+			e.F.AddClause(MkLit(gv.Inputs[0], !av))
+			e.F.AddClause(MkLit(gv.Inputs[1], !bv))
+			e.F.AddClause(MkLit(gv.Outputs[0], !claim))
 			satisfiable := enumerate(e.F) > 0
 			if claim == want && !satisfiable {
 				t.Errorf("pattern %d: correct output %v unsatisfiable", p, claim)

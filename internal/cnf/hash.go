@@ -57,6 +57,17 @@ func NewHasher() *Hasher {
 	return &Hasher{F: f, enc: Encoder{F: f}, nodes: make(map[node]Var)}
 }
 
+// Inputs allocates n fresh variables and returns their positive
+// literals: the input vector of an encoding, or the literals that
+// several encodings share.
+func (h *Hasher) Inputs(n int) []Lit {
+	in := make([]Lit, n)
+	for i := range in {
+		in[i] = MkLit(h.F.NewVar(), false)
+	}
+	return in
+}
+
 // Encode adds n over inputs, one literal per primary input in input
 // order, and returns the literal of each primary output; an output
 // that folds to a constant is LitFalse or LitTrue. An input gate that

@@ -38,15 +38,6 @@ func hashedValues(t *testing.T, f *Formula, inputs, outs []Lit, in []bool) []boo
 	return vals
 }
 
-// freshInputs allocates one positive input literal per input of n.
-func freshInputs(h *Hasher, n *netlist.Netlist) []Lit {
-	in := make([]Lit, len(n.Inputs))
-	for i := range in {
-		in[i] = MkLit(h.F.NewVar(), false)
-	}
-	return in
-}
-
 // TestHasherRules checks every folding and canonicalisation rule
 // exhaustively: each gate type over 1–3 fanins, each fanin drawn from
 // {x, ¬x, y, ¬y, 0, 1}, must evaluate like the gate on all four
@@ -85,7 +76,7 @@ func TestHasherRules(t *testing.T) {
 					t.Fatal(err)
 				}
 				h := NewHasher()
-				inputs := freshInputs(h, n)
+				inputs := h.Inputs(len(n.Inputs))
 				outs, err := h.Encode(n, inputs)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -130,7 +121,7 @@ func TestHasherDifferential(t *testing.T) {
 		var first *Formula
 		for rep := 0; rep < 2; rep++ {
 			h := NewHasher()
-			in := freshInputs(h, nl)
+			in := h.Inputs(len(nl.Inputs))
 			outs, err := h.Encode(nl, in)
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +152,7 @@ func TestHasherMergesCopies(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		nl := allTypesNetlist(rng, 1+rng.Intn(10), 11+rng.Intn(60))
 		h := NewHasher()
-		in := freshInputs(h, nl)
+		in := h.Inputs(len(nl.Inputs))
 		o1, err := h.Encode(nl, in)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +201,7 @@ func TestHasherBoundLockMergesWithOriginal(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := NewHasher()
-		in := freshInputs(h, orig)
+		in := h.Inputs(len(orig.Inputs))
 		o1, err := h.Encode(orig, in)
 		if err != nil {
 			t.Fatal(err)

@@ -1,14 +1,16 @@
 package netlint
 
 import (
+	"repro/internal/cnf"
 	"repro/internal/netlist"
-	"repro/internal/opt"
 )
 
 // KeyConstProp sweeps each key bit, and pairs of key bits with
-// reconverging fanout, through the simulator and the optimizer's
-// constant folder — the oracle-less attack surface SCOPE and the
-// LUT-Lock evaluation exploit:
+// reconverging fanout, through constant propagation and the simulator
+// — the oracle-less attack surface SCOPE and the LUT-Lock evaluation
+// exploit. Each check binds the bits to constants in one structural
+// hasher (cofactors), which folds the constants and proves equal
+// cofactors structurally; only what it cannot prove is simulated:
 //
 //   - a bit whose 0- and 1-cofactors are functionally equivalent is
 //     output-irrelevant, so the attacker strikes it from the key space
@@ -21,9 +23,10 @@ import (
 //     outputs, so the pair contributes one effective bit (Error,
 //     linked as a parity group).
 //
-// Cofactor equivalence is exhaustive up to Options.AuditExhaustive
-// remaining inputs and falls back to random 64-pattern rounds above
-// that. Only exhaustive equivalences prune or link; a sampled
+// Simulated cofactor equivalence is exhaustive up to
+// Options.AuditExhaustive remaining inputs and falls back to random
+// 64-pattern rounds above that. Only structural and exhaustive
+// equivalences prune or link; a sampled
 // "equivalent" verdict is inconclusive, so it warns instead and marks
 // the resilience report conservative.
 var KeyConstProp = &Analyzer{
@@ -44,29 +47,12 @@ func runKeyConstProp(p *Pass) error {
 	nl := p.Netlist
 	pos := p.inputPositions()
 
-	bind := func(ids []int, vals []bool) *netlist.Netlist {
-		positions := make([]int, len(ids))
-		for i, id := range ids {
-			positions[i] = pos[id]
-		}
-		c, err := nl.BindInputs(positions, vals)
-		if err != nil {
-			// Lax netlists the binder rejects are hygiene territory.
-			return nil
-		}
-		return c
-	}
-
 	irrelevant := map[int]bool{}
 	for _, ki := range keys {
 		name := nl.Gates[ki].Name
-		c0 := bind([]int{ki}, []bool{false})
-		c1 := bind([]int{ki}, []bool{true})
-		if c0 == nil || c1 == nil {
-			continue
-		}
-		eq, proof, err := p.auditEquiv(c0, c1)
+		eq, proof, o0, o1, err := p.cofactors(pos[ki]).equivalent([]bool{false}, []bool{true})
 		if err != nil {
+			// Lax netlists the binder rejects are hygiene territory.
 			continue
 		}
 		if eq {
@@ -89,16 +75,14 @@ func runKeyConstProp(p *Pass) error {
 			p.pruneKey(name, ClassDiscarded, "0- and 1-cofactors are functionally equivalent", proof)
 			continue
 		}
-		o0 := constOutputs(c0)
-		o1 := constOutputs(c1)
-		if o0 != o1 {
+		if c0, c1 := constOutputs(nl, o0), constOutputs(nl, o1); c0 != c1 {
 			likely := 0
-			if o0 > o1 {
+			if c0 > c1 {
 				likely = 1
 			}
 			p.Report(Warn, ki,
 				"constant propagation leaks key input %q: the %s=0 cofactor folds %d primary output(s) to constants, the %s=1 cofactor %d — a SCOPE-style attacker guesses %s=%d",
-				name, name, o0, name, o1, name, likely)
+				name, name, c0, name, c1, name, likely)
 		}
 	}
 
@@ -136,21 +120,12 @@ sweep:
 				break sweep
 			}
 			checked++
-			c00 := bind([]int{ki, kj}, []bool{false, false})
-			c11 := bind([]int{ki, kj}, []bool{true, true})
-			if c00 == nil || c11 == nil {
-				continue
-			}
-			eq, proofA, err := p.auditEquiv(c00, c11)
+			cf := p.cofactors(pos[ki], pos[kj])
+			eq, proofA, _, _, err := cf.equivalent([]bool{false, false}, []bool{true, true})
 			if err != nil || !eq {
 				continue
 			}
-			c01 := bind([]int{ki, kj}, []bool{false, true})
-			c10 := bind([]int{ki, kj}, []bool{true, false})
-			if c01 == nil || c10 == nil {
-				continue
-			}
-			eq, proofB, err := p.auditEquiv(c01, c10)
+			eq, proofB, _, _, err := cf.equivalent([]bool{false, true}, []bool{true, false})
 			if err != nil || !eq {
 				continue
 			}
@@ -172,22 +147,17 @@ sweep:
 	return nil
 }
 
-// constOutputs runs the constant folder over the cofactor and counts
-// distinct primary-output gates reduced to constants. The cofactor is
-// consumed (Optimize rewrites in place). Netlists the optimizer
-// rejects (lax-parsed leftovers) count as zero.
-func constOutputs(c *netlist.Netlist) int {
-	if _, err := opt.Optimize(c); err != nil {
-		return 0
-	}
+// constOutputs counts the distinct primary-output gates whose literal
+// in a cofactor's outputs is a constant.
+func constOutputs(nl *netlist.Netlist, outs []cnf.Lit) int {
 	n := 0
 	seen := map[int]bool{}
-	for _, o := range c.Outputs {
+	for i, o := range nl.Outputs {
 		if seen[o] {
 			continue
 		}
 		seen[o] = true
-		if t := c.Gates[o].Type; t == netlist.Const0 || t == netlist.Const1 {
+		if outs[i] == cnf.LitFalse || outs[i] == cnf.LitTrue {
 			n++
 		}
 	}

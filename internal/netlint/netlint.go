@@ -319,7 +319,7 @@ func Hygiene() []*Analyzer {
 }
 
 // Audit returns the oracle-less resilience audit analyzers. They
-// simulate and constant-fold key cofactors, so they cost orders of
+// hash and simulate key cofactors, so they cost orders of
 // magnitude more than the hygiene set and are run as a dedicated
 // audit stage (cmd/netlint, the ci.sh audit gate, report tables)
 // rather than on every emit.

@@ -2,11 +2,12 @@ package netlint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/cnf"
 	"repro/internal/netlist"
-	"repro/internal/opt"
 )
 
 // Proof strengths for audit findings, ordered weakest to strongest.
@@ -155,90 +156,85 @@ func (p *Pass) auditReady() bool {
 	return *p.auditTopoOK
 }
 
-// auditEquiv checks two cofactor netlists (same input signature) for
-// functional equivalence and reports the proof strength actually used.
-// It first constant-folds both sides and compares canonical forms —
-// cofactors of a forced or parity-linked key bit typically collapse to
-// the identical DAG, which proves equivalence structurally at any
-// circuit size. Failing that it simulates: exhaustive below the
-// AuditExhaustive input-count ceiling, sampled 64-pattern rounds above
-// it (where only an inequivalence verdict is conclusive).
-func (p *Pass) auditEquiv(a, b *netlist.Netlist) (bool, string, error) {
-	if foldedEqual(a, b) {
-		return true, ProofStructural, nil
+// AuditVersion identifies the audit's proofs, as
+// attack.SensitizeVersion does Sensitize's search: 0 proved cofactors
+// equal by constant-folding each with the optimizer and hash-consing
+// the results, 1 encodes them into one structural hasher (cofactors).
+// Version 1 proves every equality version 0 proved and more, so a
+// verdict can move from a sampled warning to a structural prune. The
+// keys of cached audit cells carry it.
+const AuditVersion = 1
+
+// cofactors encodes cofactors of the pass's netlist, the key inputs at
+// positions pos bound to constants, into one structural hasher
+// (cnf.Hasher) over shared literals for every other input. Logic the
+// cofactors share becomes one node, and the constants fold through
+// the rest. The hasher folds constants, x-op-x and NOT(NOT x), merges
+// common subexpressions over sorted commutative operands and applies
+// the MUX identities, which is everything constant folding followed by
+// hash-consing proves, and adds complement edges, De Morgan and XOR
+// and MUX polarity normalization. Two cofactors whose output literals
+// are equal are therefore equivalent at any circuit size: the
+// structural proof.
+type cofactors struct {
+	p   *Pass
+	pos []int
+	h   *cnf.Hasher
+	in  []cnf.Lit
+}
+
+func (p *Pass) cofactors(pos ...int) *cofactors {
+	h := cnf.NewHasher()
+	return &cofactors{p: p, pos: pos, h: h, in: h.Inputs(len(p.Netlist.Inputs))}
+}
+
+// outputs returns the output literals of the cofactor that binds the
+// key inputs to vals; an output the binding forces constant is
+// LitFalse or LitTrue.
+func (c *cofactors) outputs(vals []bool) ([]cnf.Lit, error) {
+	in := slices.Clone(c.in)
+	for i, q := range c.pos {
+		in[q] = cnf.LitFalse
+		if vals[i] {
+			in[q] = cnf.LitTrue
+		}
 	}
-	maxEx := p.Opts.auditExhaustive()
-	proof := ProofSampled
-	if netlist.Exhaustive(len(a.Inputs), maxEx) {
+	return c.h.Encode(c.p.Netlist, in)
+}
+
+// equivalent checks the cofactors that bind the key inputs to a and to
+// b for functional equivalence and reports the proof strength actually
+// used, with both cofactors' output literals. Equal literals prove it
+// structurally. Failing that it binds both cofactor netlists and
+// simulates them: exhaustively below the AuditExhaustive input-count
+// ceiling, in sampled 64-pattern rounds above it (where only an
+// inequivalence verdict is conclusive).
+func (c *cofactors) equivalent(a, b []bool) (eq bool, proof string, outA, outB []cnf.Lit, err error) {
+	if outA, err = c.outputs(a); err != nil {
+		return false, "", nil, nil, err
+	}
+	if outB, err = c.outputs(b); err != nil {
+		return false, "", nil, nil, err
+	}
+	if slices.Equal(outA, outB) {
+		return true, ProofStructural, outA, outB, nil
+	}
+	nl := c.p.Netlist
+	ca, err := nl.BindInputs(c.pos, a)
+	if err != nil {
+		return false, "", nil, nil, err
+	}
+	cb, err := nl.BindInputs(c.pos, b)
+	if err != nil {
+		return false, "", nil, nil, err
+	}
+	maxEx := c.p.Opts.auditExhaustive()
+	proof = ProofSampled
+	if netlist.Exhaustive(len(ca.Inputs), maxEx) {
 		proof = ProofExhaustive
 	}
-	eq, _, err := netlist.Equivalent(a, b, maxEx, p.Opts.auditRounds(), p.Opts.auditSeed())
-	return eq, proof, err
-}
-
-// foldedEqual constant-folds clones of both netlists and compares
-// their primary outputs' canonical forms under hash-consing: every
-// gate is interned by (type, canonical fanins) — fanins sorted for
-// commutative gates, inputs grounded by name, constants by value — in
-// a table shared across the two netlists, so isomorphic DAGs receive
-// identical output signatures regardless of gate numbering. Equality
-// is a sound (never complete) proof of functional equivalence.
-func foldedEqual(a, b *netlist.Netlist) bool {
-	interned := map[string]int{}
-	sa, ok := foldCanon(a, interned)
-	if !ok {
-		return false
-	}
-	sb, ok := foldCanon(b, interned)
-	return ok && sa == sb
-}
-
-func foldCanon(src *netlist.Netlist, interned map[string]int) (string, bool) {
-	c := src.Clone()
-	if _, err := opt.Optimize(c); err != nil {
-		return "", false
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return "", false
-	}
-	idOf := make([]int, len(c.Gates))
-	intern := func(key string) int {
-		n, ok := interned[key]
-		if !ok {
-			n = len(interned)
-			interned[key] = n
-		}
-		return n
-	}
-	for _, id := range order {
-		g := &c.Gates[id]
-		var key string
-		switch g.Type {
-		case netlist.Input:
-			key = "i:" + g.Name
-		case netlist.Const0:
-			key = "0"
-		case netlist.Const1:
-			key = "1"
-		default:
-			kids := make([]int, len(g.Fanin))
-			for i, f := range g.Fanin {
-				kids[i] = idOf[f]
-			}
-			switch g.Type {
-			case netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor:
-				sort.Ints(kids)
-			}
-			key = fmt.Sprintf("%d:%v", g.Type, kids)
-		}
-		idOf[id] = intern(key)
-	}
-	var sig strings.Builder
-	for _, o := range c.Outputs {
-		fmt.Fprintf(&sig, "%d,", idOf[o])
-	}
-	return sig.String(), true
+	eq, _, err = netlist.Equivalent(ca, cb, maxEx, c.p.Opts.auditRounds(), c.p.Opts.auditSeed())
+	return eq, proof, outA, outB, err
 }
 
 // weakerProof combines the proofs of a multi-part argument: the chain

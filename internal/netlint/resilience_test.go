@@ -2,6 +2,7 @@ package netlint_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -243,5 +244,40 @@ func TestAuditConservativeAboveExhaustiveCeiling(t *testing.T) {
 	}
 	if rep.Effective >= rep.Nominal {
 		t.Fatalf("planted redundancy not found: %+v", rep)
+	}
+}
+
+// A key bit that selects between NAND(a,b) and OR(¬a,¬b), one function
+// by De Morgan, is output-irrelevant, and the hashed cofactors prove it
+// structurally although the circuit has more inputs than the
+// exhaustive ceiling. Constant folding with hash-consing could not
+// prove it, so the audit only warned on a sampled verdict.
+func TestAuditDeMorganKeyPrunedStructurally(t *testing.T) {
+	nl := netlist.New("demorgan")
+	a, b := nl.AddInput("a"), nl.AddInput("b")
+	k := nl.AddInput("keyinput0")
+	nand := nl.AddGate("nand", netlist.Nand, a, b)
+	or := nl.AddGate("or", netlist.Or, nl.AddGate("na", netlist.Not, a), nl.AddGate("nb", netlist.Not, b))
+	nl.MarkOutput(nl.AddGate("y", netlist.Mux, k, nand, or))
+	// A parity output over 18 more inputs puts the cofactors above the
+	// default AuditExhaustive ceiling of 16.
+	acc := nl.AddInput("c0")
+	for i := 1; i < 18; i++ {
+		acc = nl.AddGate(fmt.Sprintf("p%d", i), netlist.Xor, acc, nl.AddInput(fmt.Sprintf("c%d", i)))
+	}
+	nl.MarkOutput(acc)
+	res, err := netlint.Run(nl, netlint.Options{}, netlint.KeyConstProp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Resilience
+	if rep == nil || len(rep.Pruned) != 1 {
+		t.Fatalf("want keyinput0 pruned, got %+v\n%+v", rep, res.Diagnostics)
+	}
+	if pr := rep.Pruned[0]; pr.Key != "keyinput0" || pr.Class != netlint.ClassDiscarded || pr.Proof != netlint.ProofStructural {
+		t.Errorf("pruned %+v, want keyinput0 discarded with a structural proof", pr)
+	}
+	if !rep.Exact || rep.Effective != 0 {
+		t.Errorf("report %+v, want exact with effective 0", rep)
 	}
 }

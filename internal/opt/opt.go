@@ -56,9 +56,9 @@ func Optimize(nl *netlist.Netlist) (Stats, error) {
 	// loop or leave a net undriven. Validate rejects cycles and dangling
 	// fanin; the undriven scan below covers the one defect it does not —
 	// an Input-type gate that is not a declared primary input. The check
-	// is deliberately local: netlint depends on this package (the
-	// resilience audit sweeps key cofactors through Optimize), so the
-	// optimizer cannot call back into it.
+	// is deliberately local: it is the one undriven-net rule the
+	// optimizer needs, so opt does not take on netlint and its analyzer
+	// framework for it.
 	if err := nl.Validate(); err != nil {
 		return stats, fmt.Errorf("opt: optimizer broke the netlist: %w", err)
 	}

@@ -188,7 +188,8 @@ func walkFiles(root string, fn func(path string)) error {
 // cache filled before the change. The tables run once into an empty
 // cache and the pinned keys must name entry files. The sensitization
 // keys carry attack.SensitizeVersion; under version 0 they were
-// 30961362…bc2d (XOR) and b9479f11…a8fd (RIL). Table V's AppSAT and
+// 30961362…bc2d (XOR) and b9479f11…a8fd (RIL), under version 1
+// eaf7bb87…32df and 65a2286c…2d2e. Table V's AppSAT and
 // removal keys carry attack.EquivalenceVersion; under version 0 they
 // were bc6fd05d…064a and fe868022…f8bb. Its SAT-row key carries no
 // verifier version and keeps its value.
@@ -230,8 +231,8 @@ func TestCellKeyPins(t *testing.T) {
 	for cell, key := range map[string]string{
 		"Table I c7552 1×2x2":    "7c35e84cadd78d88535a5c23fb7e10fabc9c4d276848ef847dc3a617c6f004ef",
 		"Table III b15 AppSAT":   "087096105df782ce0e39cd35e933743c9ef4b36f0366fc43aef49564d9d3724f",
-		"Sensitization XOR lock": "eaf7bb8785c0a9015d48aa8c2373885fb115c6940e011d71cc0605c8fab432df",
-		"Sensitization RIL 8x8":  "65a2286cae2c291f19143a486aa9f1a9bfb78459714e6217539ca21c70742d2e",
+		"Sensitization XOR lock": "837d9ae2136f1a0e448f6f08b68d8a872cad843e459a7752e993d3ec2d311be5",
+		"Sensitization RIL 8x8":  "fa04e88686c6414e9e36821844127147d9d80585daf585b1ac54a9318b0e3ab3",
 		"Table V XOR SAT":        "9d3ec63bf1f81976588c4b5cb65c4638a2c0487cabd5c33ddedcff4f6b147715",
 		"Table V XOR AppSAT":     "50a5523626c94ed3f7bae56f88ff3a983891c07e25cb16b5c66343439991ed75",
 		"Table V XOR removal":    "992e13d6d79be0d640b2f9786d291362b0ab1cccb05014a85439a6bdd42e2e40",

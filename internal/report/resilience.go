@@ -80,7 +80,7 @@ func ResilienceTable(cfg AttackConfig) (*Table, error) {
 			name += "/planted"
 		}
 		jobs = append(jobs, tc.cell(name, "audit-cell", r.c.sum,
-			map[string]any{"blocks": r.blocks, "size": r.size.String(), "planted": r.planted},
+			map[string]any{"blocks": r.blocks, "size": r.size.String(), "planted": r.planted, "audit": netlint.AuditVersion},
 			func(ctx context.Context) (any, error) {
 				return auditLockRow(ctx, r.c.nl, r.blocks, r.size, r.planted, cfg)
 			}))

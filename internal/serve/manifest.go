@@ -18,7 +18,8 @@ import (
 // so a record costs the same however many came before. A later line
 // for an ID supersedes an earlier one, and the log is never compacted.
 // On start, jobs recorded "done" come back terminal, while unrecorded
-// ones run again and pick up their journals. Earlier daemons also
+// ones run again and pick up their journals; a recorded job's journal
+// is removed, since nothing resumes from it. Earlier daemons also
 // appended a "failed" line for each interrupted job; such a line still
 // reads, as not finished. A torn last line, the mark of a crash
 // mid-append, is cut off; any other damage, or another version,

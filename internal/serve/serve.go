@@ -27,8 +27,8 @@ import (
 type Options struct {
 	// StateDir is the daemon's persistent root: StateDir/specs holds
 	// one durably-written spec file per accepted job, StateDir/ckpt
-	// holds the job manifest (manifest.go) plus per-attack DIP
-	// journals. Required.
+	// holds the job manifest (manifest.go) plus the DIP journal of each
+	// attack job that has run but is not recorded finished. Required.
 	StateDir string
 	// Workers is the job-runner pool size (0 = all CPUs, as
 	// sweep.Runner).
@@ -233,6 +233,10 @@ func (s *Server) recover() error {
 			s.seq.Store(pj.Seq)
 		}
 		if finished {
+			// Its recorded outcome answers for it from now on: a journal
+			// left by a crash between record and removal, or by an
+			// earlier daemon, goes.
+			s.removeJournal(pj.ID)
 			var out jobOutcome
 			if len(e.Value) > 0 {
 				if err := json.Unmarshal(e.Value, &out); err != nil {
@@ -462,8 +466,11 @@ func (s *Server) runJob(js *jobState) {
 			if err := json.Unmarshal(raw, &out); err == nil {
 				s.cacheHits.Add(1)
 				// Fold the hit into the manifest so restarts don't
-				// depend on the cache still holding the entry.
-				s.record(js.id, &out, seconds)
+				// depend on the cache still holding the entry. A run
+				// that a drain interrupted may have left a journal.
+				if s.record(js.id, &out, seconds) {
+					s.removeJournal(js.id)
+				}
 				s.settle(js, &out, seconds, true)
 				return
 			}
@@ -497,6 +504,7 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 	switch {
 	case userCancelled:
 		s.markCancelled(js)
+		return
 
 	case res.Err != nil && errors.Is(res.Err, context.Canceled):
 		// Drain or shutdown. Keep the spec and record nothing; the
@@ -507,24 +515,23 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 		done := js.done
 		js.mu.Unlock()
 		close(done)
+		return
+	}
 
-	case res.Err != nil:
-		out := &jobOutcome{Error: res.Err.Error()}
-		s.record(js.id, out, res.Seconds)
+	out := &jobOutcome{}
+	if res.Err != nil {
+		out.Error = res.Err.Error()
+	} else if raw, err := json.Marshal(res.Value); err != nil {
+		out.Error = fmt.Sprintf("unserializable result: %v", err)
+	} else {
+		out.Result = raw
+	}
+	if s.record(js.id, out, res.Seconds) {
+		s.removeJournal(js.id)
+	}
+	if out.Error != "" {
 		s.failed.Add(1)
-		s.settle(js, out, res.Seconds, false)
-
-	default:
-		raw, err := json.Marshal(res.Value)
-		if err != nil {
-			out := &jobOutcome{Error: fmt.Sprintf("unserializable result: %v", err)}
-			s.record(js.id, out, res.Seconds)
-			s.failed.Add(1)
-			s.settle(js, out, res.Seconds, false)
-			return
-		}
-		out := &jobOutcome{Result: raw}
-		s.record(js.id, out, res.Seconds)
+	} else {
 		if r, ok := res.Value.(*AttackResult); ok {
 			s.conflicts.Add(r.Solver.Conflicts)
 		}
@@ -533,21 +540,34 @@ func (s *Server) finish(js *jobState, res sweep.Result) {
 				_ = s.opt.Cache.PutTimed(k, env, res.Seconds)
 			}
 		}
-		s.settle(js, out, res.Seconds, false)
 	}
+	s.settle(js, out, res.Seconds, false)
 }
 
-// record appends a finished job's outcome to the manifest. A lost
-// record is logged and leaves the job's state alone: it only means the
-// job runs again after a restart.
-func (s *Server) record(id string, out *jobOutcome, seconds float64) {
+// record appends a finished job's outcome to the manifest and reports
+// whether it was written. A lost record is logged and leaves the job's
+// state alone: it only means the job runs again after a restart, so
+// the caller keeps the job's journal for that run to resume from.
+func (s *Server) record(id string, out *jobOutcome, seconds float64) bool {
 	if err := s.manifest.record(id, out, seconds); err != nil {
 		s.logf("serve: %s: manifest record: %v", id, err)
+		return false
+	}
+	return true
+}
+
+// removeJournal deletes a job's DIP journal once nothing will resume
+// from it: recovery answers a recorded job from its manifest line, and
+// a cancelled job never runs again. A job that never reached the
+// attack has none.
+func (s *Server) removeJournal(id string) {
+	if err := os.Remove(attack.JournalPath(s.ckpt, id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		s.logf("serve: %s: remove journal: %v", id, err)
 	}
 }
 
 // markCancelled makes a cancelled job terminal, removes its spec file
-// and notifies watchers.
+// and its journal, and notifies watchers.
 func (s *Server) markCancelled(js *jobState) {
 	js.mu.Lock()
 	js.state = StateCancelled
@@ -560,6 +580,7 @@ func (s *Server) markCancelled(js *jobState) {
 	if err := os.Remove(s.specPath(js.id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		s.logf("serve: cancel %s: %v", js.id, err)
 	}
+	s.removeJournal(js.id)
 	close(done)
 }
 

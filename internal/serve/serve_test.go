@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/baselines"
 	"repro/internal/cache"
 	"repro/internal/netlist"
@@ -261,6 +262,10 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The journal a drained run of the job would have left behind.
+	if err := os.WriteFile(journalPath(s, id), []byte("journal\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +281,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "specs", id+".json")); !os.IsNotExist(err) {
 		t.Fatalf("cancelled job's spec file still present (err=%v)", err)
+	}
+	if _, err := os.Stat(journalPath(s, id)); !os.IsNotExist(err) {
+		t.Fatalf("cancelled job's journal still present (err=%v)", err)
 	}
 	s.Drain(0)
 }
@@ -808,11 +816,12 @@ func TestListBodyStreamed(t *testing.T) {
 
 // TestManifestRecordErrorLogged: when the manifest cannot be appended
 // to (its path is a directory, so the open fails even as root), the
-// daemon logs the lost record, and the job still ends done.
+// daemon logs the lost record, and the job still ends done. It keeps
+// its DIP journal, which the run after a restart resumes from.
 func TestManifestRecordErrorLogged(t *testing.T) {
 	logf, logged := recordLogs(t)
 	dir := t.TempDir()
-	_, client := startServer(t, Options{StateDir: dir, Workers: 1, Logf: logf})
+	s, client := startServer(t, Options{StateDir: dir, Workers: 1, Logf: logf})
 	if err := os.MkdirAll(manifestPath(filepath.Join(dir, "ckpt")), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -830,6 +839,105 @@ func TestManifestRecordErrorLogged(t *testing.T) {
 	}
 	if !logged(id, "manifest record") {
 		t.Fatalf("no log line names the lost manifest record of %s", id)
+	}
+	if _, err := os.Stat(journalPath(s, id)); err != nil {
+		t.Fatalf("the unrecorded job lost its journal: %v", err)
+	}
+}
+
+// journalPath is the DIP journal of job id in s's state directory.
+func journalPath(s *Server, id string) string { return attack.JournalPath(s.ckpt, id) }
+
+// ckptFiles lists the names in the state directory's ckpt/.
+func ckptFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(filepath.Join(dir, "ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// TestFinishedJobRemovesJournal: once a finished job's outcome is in
+// the manifest, its DIP journal goes, so ckpt/ holds only the
+// manifest; a restart still serves the recorded result.
+func TestFinishedJobRemovesJournal(t *testing.T) {
+	dir := t.TempDir()
+	_, client := startServer(t, Options{StateDir: dir, Workers: 1})
+	ctx := testCtx(t)
+	id, err := client.Submit(ctx, quickAttack(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := client.WaitDone(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", v.State, v.Error)
+	}
+	if got := ckptFiles(t, dir); !slices.Equal(got, []string{"manifest.json"}) {
+		t.Fatalf("ckpt/ holds %v after the job finished, want only the manifest", got)
+	}
+	_, client2 := startServer(t, Options{StateDir: dir, Workers: 1})
+	v2, err := client2.Job(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.State != StateDone || !bytes.Equal(v2.Result, v.Result) {
+		t.Fatalf("after a restart: state=%s result=%s, want done with %s", v2.State, v2.Result, v.Result)
+	}
+}
+
+// TestRecoverRemovesFinishedJournals: a journal beside a job that the
+// manifest records finished, left by a crash between the record and
+// the removal or by an earlier daemon, goes when the daemon opens the
+// state directory; the journal of an unfinished job stays for its run
+// to resume from.
+func TestRecoverRemovesFinishedJournals(t *testing.T) {
+	dir := t.TempDir()
+	first, err := New(Options{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Start(): neither job runs under the first daemon.
+	doneID, err := first.Submit(quickAttack(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedID, err := first.Submit(quickAttack(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &jobOutcome{Result: json.RawMessage(`{"status":"key-found"}`)}
+	if err := first.manifest.record(doneID, out, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{doneID, queuedID} {
+		if err := os.WriteFile(journalPath(first, id), []byte("journal\n"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first.Drain(0)
+
+	s, err := New(Options{StateDir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(0)
+	if _, err := os.Stat(journalPath(s, doneID)); !os.IsNotExist(err) {
+		t.Fatalf("recorded job's journal still present (err=%v)", err)
+	}
+	if _, err := os.Stat(journalPath(s, queuedID)); err != nil {
+		t.Fatalf("unfinished job lost its journal: %v", err)
+	}
+	js, ok := s.job(doneID)
+	if !ok || js.view().State != StateDone {
+		t.Fatalf("recorded job not recovered done")
 	}
 }
 
